@@ -330,11 +330,20 @@ def _run_checks(cfg: RunConfig, names, out_dir: str, jobs: int | None = None) ->
         return run_check(name, params)
 
     workers = jobs if jobs is not None else cfg.jobs
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, names))
-    else:
-        reports = [one(name) for name in names]
+    try:
+        if workers > 1 and len(names) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(one, names))
+        else:
+            reports = [one(name) for name in names]
+    except ValueError as exc:
+        print(f"check error: {exc}", file=sys.stderr)
+        return 2
+    return _emit_verdicts(reports, out_dir)
+
+
+def _emit_verdicts(reports: list[CheckReport], out_dir: str) -> int:
+    """Write checks.csv and one verdict line per report; exit 0 iff all pass."""
     emit_reports(reports, out_dir)
     for r in reports:
         print(f"{r.check_id}: {r.verdict} (worst_ratio={r.worst_ratio:.6g})")
@@ -412,9 +421,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"check error: {exc}", file=sys.stderr)
             return 2
-        emit_reports([report], args.out)
-        print(f"{report.check_id}: {report.verdict} (worst_ratio={report.worst_ratio:.6g})")
-        return 0 if report.verdict in ("pass", "report-only") else 1
+        return _emit_verdicts([report], args.out)
     if args.cmd == "sweep":
         return run(args.config, args.out, jobs=args.jobs)
     parser.print_help()

@@ -69,11 +69,18 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
 
 @dataclass
 class InvariantReport:
-    """Invariant values along a trajectory with relative drifts from t = 0."""
+    """Invariant values along a trajectory with their drifts from t = 0.
+
+    The drift of a name is relative, |v(t) - v(0)| / |v(0)|, unless v(0) is
+    at roundoff (|v(0)| <= EPS, e.g. I1 of mean-free data): a relative
+    figure would then divide by noise, so the drift is the absolute change
+    |v(t) - v(0)|.  ``kind`` records which of the two each name uses.
+    """
 
     names: list
     values: dict      # name -> array over snapshots
-    drift: dict       # name -> |v(t) - v(0)| / max(|v(0)|, eps)
+    drift: dict       # name -> drift array over snapshots
+    kind: dict        # name -> 'relative' | 'absolute'
 
     EPS = 1e-14
 
@@ -85,11 +92,15 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     rows = [invariants(s, traj.spec) for s in traj.snapshots]
     names = list(rows[0])
     values = {k: np.array([r[k] for r in rows]) for k in names}
-    drift = {
-        k: np.abs(v - v[0]) / max(abs(v[0]), InvariantReport.EPS)
+    kind = {
+        k: "absolute" if abs(v[0]) <= InvariantReport.EPS else "relative"
         for k, v in values.items()
     }
-    return InvariantReport(names, values, drift)
+    drift = {
+        k: np.abs(v - v[0]) / (1.0 if kind[k] == "absolute" else abs(v[0]))
+        for k, v in values.items()
+    }
+    return InvariantReport(names, values, drift, kind)
 
 
 def kato_residual(

@@ -178,6 +178,20 @@ def test_main_bad_config_exit_code(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_config_check_error_exit_code(tmp_path, capsys, command):
+    # gn takes no parameter b: a message on stderr and exit 2, no traceback
+    cfg_text = f"command = {command}\ncheck.params.b = 0.5\n" + (
+        "check.id = gn\n" if command == "check" else "sweep.checks = leibniz, gn\n"
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg_text)
+    assert run(str(path), out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check error: ") and "unknown parameters: ['b']" in err
+    assert not (tmp_path / "out" / "checks.csv").exists()
+
+
 def test_emit_reports_requires_rows(tmp_path):
     with pytest.raises(ValueError):
         emit_reports([], str(tmp_path))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersivelab.corpus import gaussian_deriv
 from dispersivelab.laws import (
     invariant_report,
     invariants,
@@ -160,6 +161,26 @@ def test_bo_all_three_invariants_conserved():
         snapshot_times=[0.0, 0.25, 0.5],
     )
     rep = invariant_report(traj)
+    assert rep.max_drift("I2") <= 1e-9
+    assert rep.max_drift("I3") <= 1e-9
+
+
+def test_invariant_report_absolute_drift_for_zero_start():
+    # gaussian_deriv has I1 = 0 exactly, so the computed I1(0) is roundoff
+    # and its drift is reported as the absolute change, not divided by it
+    g = Grid(2048, 20.0)
+    u0 = Field.from_function(g, gaussian_deriv)
+    traj = evolve(
+        u0,
+        EquationSpec.bo(),
+        StepperConfig(dt=1e-3),
+        0.2,
+        snapshot_times=list(np.linspace(0.0, 0.2, 11)),
+    )
+    rep = invariant_report(traj)
+    assert rep.kind == {"I1": "absolute", "I2": "relative", "I3": "relative"}
+    assert rep.max_drift("I1") <= 1e-14
+    np.testing.assert_array_equal(rep.drift["I1"], np.abs(rep.values["I1"] - rep.values["I1"][0]))
     assert rep.max_drift("I2") <= 1e-9
     assert rep.max_drift("I3") <= 1e-9
 

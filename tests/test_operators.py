@@ -163,6 +163,72 @@ def test_stein_rejects_bad_order():
             stein_deriv(f, b)
 
 
+def _stein_loop_oracle(f, b, tail):
+    # the direct O(n^2) sum over every offset cell, one shifted vector op per
+    # cell; stein_deriv must reproduce it to ORACLE_TOL relative to its peak
+    g = f.grid
+    n, h, L = g.n, g.h, g.length
+    half = n // 2
+    stag = np.fft.ifft(np.exp(1j * g.xi * g.h / 2.0) * np.fft.fft(f.values))
+    if tail == "decay":
+        plus_pad = np.concatenate([stag, np.zeros(half, dtype=complex)])
+        minus_pad = np.concatenate([np.zeros(half, dtype=complex), stag])
+    else:
+        plus_pad = np.concatenate([stag, stag[:half]])
+        minus_pad = np.concatenate([stag[half:], stag])
+    vals = f.values
+    acc = np.zeros(n, dtype=float)
+    offsets = (np.arange(half) + 0.5) * h
+    weights = h / offsets ** (1.0 + 2.0 * b)
+    for j in range(half):
+        dplus = vals - plus_pad[j : j + n]
+        dminus = vals - minus_pad[half - j - 1 : half - j - 1 + n]
+        acc += weights[j] * (np.abs(dplus) ** 2 + np.abs(dminus) ** 2)
+    fprime = np.fft.ifft((1j * g.xi) * np.fft.fft(vals))
+    cell = (1.0 / (2.0 - 2.0 * b) - 2.0 ** (2.0 * b - 1.0)) * h ** (2.0 - 2.0 * b)
+    acc += 2.0 * cell * np.abs(fprime) ** 2
+    if tail == "decay":
+        acc += np.abs(vals) ** 2 * L ** (-2.0 * b) / b
+    else:
+        mu = np.mean(vals)
+        var = float(np.mean(np.abs(vals - mu) ** 2))
+        acc += (np.abs(vals - mu) ** 2 + var) * L ** (-2.0 * b) / b
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+ORACLE_TOL = 1e-12  # |fast - loop| <= ORACLE_TOL * max(loop), fixed before the switch
+
+
+def _oracle_field(g, tail, real):
+    if tail == "decay":
+        # nonzero mean and nonzero edge values exercise the decay padding
+        f = random_band_limited(g, seed=g.n, real=real)
+        return f + (0.3 if real else 0.3 - 0.2j)
+    chirp = np.exp(0.5j * g.x**2)
+    return Field(g, chirp.real if real else chirp)
+
+
+def _assert_matches_oracle(g, b, tail, real):
+    f = _oracle_field(g, tail, real)
+    loop = _stein_loop_oracle(f, b, tail)
+    fast = stein_deriv(f, b, tail=tail).values
+    assert np.max(np.abs(fast.imag)) == 0.0
+    assert np.max(np.abs(fast.real - loop)) <= ORACLE_TOL * np.max(loop)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("tail", ["decay", "stationary"])
+@pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [8, 16, 512, 2048])
+def test_stein_matches_loop_oracle(n, b, tail, real):
+    # n = 8 and 16 have n/2 <= 8 offset cells per side
+    _assert_matches_oracle(Grid(n, 20.0), b, tail, real)
+
+
+def test_stein_matches_loop_oracle_n8192():
+    _assert_matches_oracle(Grid(8192, 20.0), 0.75, "stationary", False)
+
+
 def _stein_oracle_gaussian(x, b, L=60.0, m=400000):
     # fine midpoint quadrature of the square-function integral for exp(-x^2)
     r = (np.arange(m) + 0.5) * (L / m)
