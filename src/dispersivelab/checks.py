@@ -80,6 +80,33 @@ def _stable(trend, tol=STABILITY_TOL) -> bool:
     )
 
 
+def _refinement_report(
+    check_id: str,
+    params: dict,
+    corpus_size: int,
+    trend: list,
+    residual: float | None = None,
+    ok: bool = True,
+    notes: dict | None = None,
+) -> CheckReport:
+    """Report of a refine-and-fit check.  ``trend`` holds the measurement at
+    the check's grid and at ``grid.refine()``: the coarse value is the
+    fitted constant, the fine one the worst ratio, the residual defaults to
+    their difference, and the check passes when the trend is stable and its
+    own extra condition ``ok`` holds."""
+    return CheckReport(
+        check_id=check_id,
+        params=params,
+        corpus_size=corpus_size,
+        worst_ratio=trend[-1],
+        fitted_constant=trend[0],
+        residual_max=abs(trend[1] - trend[0]) if residual is None else residual,
+        refinement_trend=trend,
+        verdict="pass" if (_stable(trend) and ok) else "fail",
+        notes=notes or {},
+    )
+
+
 # ------------------------------------------------------------------ chirp
 
 def check_chirp_stein(t: float = 0.5, b: float = 0.5, grid: Grid | None = None) -> CheckReport:
@@ -93,8 +120,8 @@ def check_chirp_stein(t: float = 0.5, b: float = 0.5, grid: Grid | None = None) 
     # a wide cell keeps the periodic-tail bias of the fit below the
     # stability tolerance across the tested range of t
     grid = grid or Grid(1024, 30.0)
-    fits = []
-    for g in (grid, grid.refine()):
+
+    def fit(g: Grid) -> float:
         freq_max = 2.0 * t * g.length
         if freq_max > (2.0 / 3.0) * g.xi_max:
             raise ValueError(
@@ -106,17 +133,11 @@ def check_chirp_stein(t: float = 0.5, b: float = 0.5, grid: Grid | None = None) 
         lhs = stein_deriv(chirp, b, tail="stationary").values.real
         window = np.abs(g.x) <= g.length / 2.0
         rhs = t ** (b / 2.0) + t**b * np.abs(g.x[window]) ** b
-        fits.append(float(np.max(lhs[window] / rhs)))
-    verdict = "pass" if _stable(fits) else "fail"
-    return CheckReport(
-        check_id="chirp_stein",
-        params={"t": t, "b": b, "n": grid.n, "L": grid.length},
-        corpus_size=1,
-        worst_ratio=fits[-1],
-        fitted_constant=fits[0],
-        residual_max=abs(fits[1] - fits[0]),
-        refinement_trend=fits,
-        verdict=verdict,
+        return float(np.max(lhs[window] / rhs))
+
+    trend = [fit(g) for g in (grid, grid.refine())]
+    return _refinement_report(
+        "chirp_stein", {"t": t, "b": b, "n": grid.n, "L": grid.length}, 1, trend
     )
 
 
@@ -147,29 +168,21 @@ def check_weighted_free(
         t_used /= 2.0
         adjusted += 1
 
-    trend = []
-    for g in (grid, grid.refine()):
-        worst = 0.0
-        for member, f in corpus.realize(g):
-            evolved = linear_group(f, spec, t_used)
-            lhs = weighted_l2(evolved, b, check_gate=False)
-            rhs = (
-                t_used ** (b / 2.0) * _l2(f)
-                + t_used**b * _l2(riesz_deriv(f, b))
-                + weighted_l2(f, b, check_gate=False)
-            )
-            worst = max(worst, lhs / rhs)
-        trend.append(worst)
-    verdict = "pass" if _stable(trend) else "fail"
-    return CheckReport(
-        check_id="weighted_free",
-        params={"t": t_used, "b": b, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=abs(trend[1] - trend[0]),
-        refinement_trend=trend,
-        verdict=verdict,
+    def ratio_of(f: Field) -> float:
+        lhs = weighted_l2(linear_group(f, spec, t_used), b, check_gate=False)
+        rhs = (
+            t_used ** (b / 2.0) * _l2(f)
+            + t_used**b * _l2(riesz_deriv(f, b))
+            + weighted_l2(f, b, check_gate=False)
+        )
+        return lhs / rhs
+
+    trend = [max(0.0, *(ratio_of(f) for _, f in corpus.realize(g))) for g in (grid, grid.refine())]
+    return _refinement_report(
+        "weighted_free",
+        {"t": t_used, "b": b, "n": grid.n, "L": grid.length},
+        len(corpus),
+        trend,
         notes={"t_adjusted": float(adjusted)},
     )
 
@@ -277,17 +290,13 @@ def check_leibniz(
         lhs_d = _l2(riesz_deriv(prod, b))
         den_d = _l2(Field(g, gauss.values * riesz_deriv(gauss, b).values)) * 2.0
         dvariant = lhs_d / den_d
-    pointwise_ok = slack_min >= -1e-8
-    verdict = "pass" if (_stable(trend) and pointwise_ok) else "fail"
-    return CheckReport(
-        check_id="leibniz",
-        params={"b": b, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=-min(slack_min, 0.0),
-        refinement_trend=trend,
-        verdict=verdict,
+    return _refinement_report(
+        "leibniz",
+        {"b": b, "n": grid.n, "L": grid.length},
+        len(corpus),
+        trend,
+        residual=-min(slack_min, 0.0),
+        ok=slack_min >= -1e-8,
         notes={"pointwise_slack_min": slack_min, "riesz_variant_ratio": dvariant},
     )
 
@@ -341,20 +350,15 @@ def check_gn(
         den = lebesgue(f, r) ** (1.0 - theta) * lebesgue(riesz_deriv(f, beta), q) ** theta
         return num / den if den > 0 else 0.0
 
-    trend = []
-    for g in (grid, grid.refine()):
-        worst = max(ratio_of(f) for _, f in corpus.realize(g))
-        trend.append(worst)
-
+    trend = [max(ratio_of(f) for _, f in corpus.realize(g)) for g in (grid, grid.refine())]
     gauss = CorpusMember("gaussian", gaussian, True)
     base = ratio_of(gauss.realize(grid))
     scale_dev = max(
         abs(ratio_of(gauss.realize(grid, scale=lam)) / base - 1.0) for lam in (0.5, 2.0)
     )
-    verdict = "pass" if (_stable(trend) and scale_dev <= 0.05) else "fail"
-    return CheckReport(
-        check_id="gn",
-        params={
+    return _refinement_report(
+        "gn",
+        {
             "alpha": alpha,
             "beta": beta,
             "p": p,
@@ -364,12 +368,10 @@ def check_gn(
             "n": grid.n,
             "L": grid.length,
         },
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=scale_dev,
-        refinement_trend=trend,
-        verdict=verdict,
+        len(corpus),
+        trend,
+        residual=scale_dev,
+        ok=scale_dev <= 0.05,
         notes={"scale_deviation": scale_dev},
     )
 
@@ -401,24 +403,16 @@ def check_interpolation(
         ) ** theta
         return lhs / rhs if rhs > 0 else 0.0
 
-    trend = []
-    for g in (grid, grid.refine()):
-        worst = max(ratio_of(g, f) for _, f in corpus.realize(g))
-        trend.append(worst)
+    trend = [max(ratio_of(g, f) for _, f in corpus.realize(g)) for g in (grid, grid.refine())]
+    # the endpoints are exact: both levels must read one (which implies stability)
     endpoint = theta in (0.0, 1.0)
-    if endpoint:
-        ok = abs(trend[0] - 1.0) <= 1e-12 and abs(trend[1] - 1.0) <= 1e-12
-    else:
-        ok = _stable(trend)
-    return CheckReport(
-        check_id="interpolation",
-        params={"a": a, "b": b, "theta": theta, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=abs(trend[0] - 1.0) if endpoint else abs(trend[1] - trend[0]),
-        refinement_trend=trend,
-        verdict="pass" if ok else "fail",
+    return _refinement_report(
+        "interpolation",
+        {"a": a, "b": b, "theta": theta, "n": grid.n, "L": grid.length},
+        len(corpus),
+        trend,
+        residual=abs(trend[0] - 1.0) if endpoint else None,
+        ok=not endpoint or all(abs(v - 1.0) <= 1e-12 for v in trend),
     )
 
 
@@ -450,25 +444,21 @@ def check_commutator_leibniz(
             return 0.0 if lhs <= 1e-13 else np.inf
         return lhs / rhs
 
-    trend = []
-    for g in (grid, grid.refine()):
+    def worst(g: Grid) -> float:
         fields = [m.realize(g) for m in corpus.members]
-        pair_list = list(zip(fields[::2], fields[1::2]))
-        worst = max(ratio_of(g, fa, fb) for fa, fb in pair_list)
-        trend.append(worst)
+        return max(ratio_of(g, fa, fb) for fa, fb in zip(fields[::2], fields[1::2]))
+
+    trend = [worst(g) for g in (grid, grid.refine())]
     # constant f degenerates: both sides vanish
     const = Field(grid, np.full(grid.n, 0.7, dtype=complex))
     degen = ratio_of(grid, const, CorpusMember("gaussian", gaussian, True).realize(grid))
-    verdict = "pass" if (_stable(trend) and degen == 0.0) else "fail"
-    return CheckReport(
-        check_id="commutator_leibniz",
-        params={"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=degen,
-        refinement_trend=trend,
-        verdict=verdict,
+    return _refinement_report(
+        "commutator_leibniz",
+        {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
+        len(corpus),
+        trend,
+        residual=degen,
+        ok=degen == 0.0,
     )
 
 
@@ -491,39 +481,36 @@ def check_commutator_hilbert(
     grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus(size=10)
 
-    def commutator_ratio(g: Grid, a_fn: Field, f: Field) -> float:
+    def commutator_norm(a_fn: Field, f: Field) -> float:
+        g = f.grid
         dmf = derivative(f, m)
         inner = hilbert(Field(g, a_fn.values * dmf.values)) - Field(
             g, a_fn.values * hilbert(dmf).values
         )
-        lhs = lebesgue(derivative(inner, l), p)
+        return lebesgue(derivative(inner, l), p)
+
+    def commutator_ratio(a_fn: Field, f: Field) -> float:
+        lhs = commutator_norm(a_fn, f)
         rhs = lebesgue(derivative(a_fn, l + m), np.inf) * lebesgue(f, p)
         if rhs == 0:
             return 0.0 if lhs <= 1e-13 else np.inf
         return lhs / rhs
 
-    trend = []
-    for g in (grid, grid.refine()):
+    def worst(g: Grid) -> float:
         a_fn = CorpusMember("gaussian", gaussian, True).realize(g)
-        worst = max(commutator_ratio(g, a_fn, f) for _, f in corpus.realize(g))
-        trend.append(worst)
+        return max(commutator_ratio(a_fn, f) for _, f in corpus.realize(g))
+
+    trend = [worst(g) for g in (grid, grid.refine())]
+    # a constant symbol commutes with H
     const_a = Field(grid, np.full(grid.n, 1.3, dtype=complex))
-    probe = corpus.members[0].realize(grid)
-    dmf = derivative(probe, m)
-    comm = hilbert(Field(grid, const_a.values * dmf.values)) - Field(
-        grid, const_a.values * hilbert(dmf).values
-    )
-    degen = lebesgue(derivative(comm, l), p)
-    verdict = "pass" if (_stable(trend) and degen <= 1e-10) else "fail"
-    return CheckReport(
-        check_id="commutator_hilbert",
-        params={"l": l, "m": m, "p": p, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
-        worst_ratio=trend[-1],
-        fitted_constant=trend[0],
-        residual_max=degen,
-        refinement_trend=trend,
-        verdict=verdict,
+    degen = commutator_norm(const_a, corpus.members[0].realize(grid))
+    return _refinement_report(
+        "commutator_hilbert",
+        {"l": l, "m": m, "p": p, "n": grid.n, "L": grid.length},
+        len(corpus),
+        trend,
+        residual=degen,
+        ok=degen <= 1e-10,
     )
 
 

@@ -39,31 +39,6 @@ SEED_ENV = "DISPERSIVELAB_SEED"
 
 _U0_LIBRARY = {"gaussian": gaussian, "sech2": sech2, "gaussian_deriv": gaussian_deriv}
 
-_KNOWN_KEYS = {
-    "command",
-    "seed",
-    "equation.model",
-    "equation.a",
-    "equation.mu",
-    "equation.k",
-    "grid.n",
-    "grid.L",
-    "stepper.dt",
-    "stepper.T",
-    "stepper.dealias",
-    "stepper.snapshots",
-    "stepper.linear_only",
-    "solve.u0",
-    "solve.amplitude",
-    "solve.s",
-    "solve.m",
-    "check.id",
-    "check.corpus_size",
-    "sweep.checks",
-    "sweep.jobs",
-    "output.dir",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -104,6 +79,67 @@ class RunConfig:
             return EquationSpec.bo()
         raise ConfigError(f"unknown equation model {self.model!r}")
 
+    def stepper_config(self) -> StepperConfig:
+        return StepperConfig(dt=self.dt, dealias=self.dealias, linear_only=self.linear_only)
+
+
+def _command(value: str) -> str:
+    if value not in ("solve", "check", "sweep"):
+        raise ValueError(f"expected solve|check|sweep, got {value!r}")
+    return value
+
+
+def _flag(value: str) -> bool:
+    low = value.lower()
+    if low not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+    return low in ("1", "true", "yes")
+
+
+def _names(value: str) -> tuple:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def _floats(value: str) -> tuple:
+    return tuple(float(v) for v in _names(value))
+
+
+def _path(value: str) -> str:
+    if not value:
+        raise ValueError("the path is empty")
+    return value
+
+
+# The config schema: key -> (RunConfig field, parser), in --print-config
+# order.  Fields whose default is unset (None, "" or ()) are printed only
+# when set; the free-form check.params.* table is printed after check.id.
+_SCHEMA = {
+    "command": ("command", _command),
+    "seed": ("seed", int),
+    "equation.model": ("model", str),
+    "equation.a": ("a", float),
+    "equation.mu": ("mu", int),
+    "equation.k": ("k", int),
+    "grid.n": ("n", int),
+    "grid.L": ("L", float),
+    "stepper.dt": ("dt", float),
+    "stepper.T": ("T", float),
+    "stepper.dealias": ("dealias", float),
+    "stepper.snapshots": ("snapshots", _floats),
+    "stepper.linear_only": ("linear_only", _flag),
+    "solve.u0": ("u0", str),
+    "solve.amplitude": ("amplitude", float),
+    "check.corpus_size": ("corpus_size", int),
+    "sweep.jobs": ("jobs", int),
+    "output.dir": ("out_dir", _path),
+    "solve.s": ("s", float),
+    "solve.m": ("m", float),
+    "check.id": ("check_id", str),
+    "sweep.checks": ("sweep_checks", _names),
+}
+_PARAMS_PREFIX = "check.params."
+_DEFAULTS = RunConfig()
+
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     cfg = RunConfig()
@@ -117,82 +153,39 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key.startswith("check.params."):
-            cfg.check_params[key[len("check.params."):]] = _parse_scalar(value, path, lineno)
+        if key.startswith(_PARAMS_PREFIX):
+            cfg.check_params[key[len(_PARAMS_PREFIX):]] = _parse_scalar(value)
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first at line {seen[key]})")
         seen[key] = lineno
-        _assign(cfg, key, value, path, lineno)
+        name, parse = _SCHEMA[key]
+        try:
+            setattr(cfg, name, parse(value))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     _validate(cfg, path)
     return cfg
 
 
-def _parse_scalar(value: str, path: str, lineno: int):
-    low = value.lower()
-    if low in ("inf", "+inf"):
+def _load_config(path: str) -> RunConfig:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    return parse_config_text(text, path)
+
+
+def _parse_scalar(value: str):
+    if value.lower() in ("inf", "+inf"):
         return np.inf
     try:
-        f = float(value)
+        return float(value)
     except ValueError:
         return value  # bare string parameter
-    return f
-
-
-def _assign(cfg: RunConfig, key: str, value: str, path: str, lineno: int):
-    try:
-        if key == "command":
-            if value not in ("solve", "check", "sweep"):
-                raise ConfigError(f"command must be solve|check|sweep, got {value!r}")
-            cfg.command = value
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "equation.model":
-            cfg.model = value
-        elif key == "equation.a":
-            cfg.a = float(value)
-        elif key == "equation.mu":
-            cfg.mu = int(value)
-        elif key == "equation.k":
-            cfg.k = int(value)
-        elif key == "grid.n":
-            cfg.n = int(value)
-        elif key == "grid.L":
-            cfg.L = float(value)
-        elif key == "stepper.dt":
-            cfg.dt = float(value)
-        elif key == "stepper.T":
-            cfg.T = float(value)
-        elif key == "stepper.dealias":
-            cfg.dealias = float(value)
-        elif key == "stepper.linear_only":
-            cfg.linear_only = value.lower() in ("1", "true", "yes")
-        elif key == "stepper.snapshots":
-            cfg.snapshots = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "solve.u0":
-            cfg.u0 = value
-        elif key == "solve.amplitude":
-            cfg.amplitude = float(value)
-        elif key == "solve.s":
-            cfg.s = float(value)
-        elif key == "solve.m":
-            cfg.m = float(value)
-        elif key == "check.id":
-            cfg.check_id = value
-        elif key == "check.corpus_size":
-            cfg.corpus_size = int(value)
-        elif key == "sweep.checks":
-            cfg.sweep_checks = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "sweep.jobs":
-            cfg.jobs = int(value)
-        elif key == "output.dir":
-            cfg.out_dir = value
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
 
 
 def _validate(cfg: RunConfig, path: str):
@@ -200,7 +193,7 @@ def _validate(cfg: RunConfig, path: str):
     try:
         cfg.equation_spec()
         Grid(cfg.n, cfg.L)
-        StepperConfig(dt=cfg.dt, dealias=cfg.dealias, linear_only=cfg.linear_only)
+        cfg.stepper_config()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.command == "solve" and cfg.u0 not in _U0_LIBRARY:
@@ -212,12 +205,16 @@ def _validate(cfg: RunConfig, path: str):
             f"{path}: unknown check {cfg.check_id!r}; available: {sorted(CHECKS)}"
         )
     if cfg.command == "sweep":
+        if not cfg.sweep_checks:
+            raise ConfigError(f"{path}: a sweep needs sweep.checks")
         for name in cfg.sweep_checks:
             if name not in CHECKS:
                 raise ConfigError(f"{path}: unknown sweep check {name!r}")
 
 
 def _fmt(v) -> str:
+    if isinstance(v, tuple):
+        return ", ".join(_fmt(x) for x in v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -228,37 +225,14 @@ def _fmt(v) -> str:
 
 
 def emit_config(cfg: RunConfig) -> str:
-    lines = [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        f"equation.model = {cfg.model}",
-        f"equation.a = {_fmt(cfg.a)}",
-        f"equation.mu = {cfg.mu}",
-        f"equation.k = {cfg.k}",
-        f"grid.n = {cfg.n}",
-        f"grid.L = {_fmt(cfg.L)}",
-        f"stepper.dt = {_fmt(cfg.dt)}",
-        f"stepper.T = {_fmt(cfg.T)}",
-        f"stepper.dealias = {_fmt(cfg.dealias)}",
-        f"stepper.linear_only = {_fmt(cfg.linear_only)}",
-        f"solve.u0 = {cfg.u0}",
-        f"solve.amplitude = {_fmt(cfg.amplitude)}",
-        f"check.corpus_size = {cfg.corpus_size}",
-        f"sweep.jobs = {cfg.jobs}",
-        f"output.dir = {cfg.out_dir}",
-    ]
-    if cfg.snapshots:
-        lines.insert(11, "stepper.snapshots = " + ", ".join(_fmt(t) for t in cfg.snapshots))
-    if cfg.s is not None:
-        lines.append(f"solve.s = {_fmt(cfg.s)}")
-    if cfg.m is not None:
-        lines.append(f"solve.m = {_fmt(cfg.m)}")
-    if cfg.check_id:
-        lines.append(f"check.id = {cfg.check_id}")
-    for key in sorted(cfg.check_params):
-        lines.append(f"check.params.{key} = {_fmt(cfg.check_params[key])}")
-    if cfg.sweep_checks:
-        lines.append("sweep.checks = " + ", ".join(cfg.sweep_checks))
+    lines = []
+    for key, (name, _) in _SCHEMA.items():
+        value, default = getattr(cfg, name), getattr(_DEFAULTS, name)
+        if not (value == default and default in (None, "", ())):
+            lines.append(f"{key} = {_fmt(value)}")
+        if key == "check.id":
+            params = sorted(cfg.check_params.items())
+            lines += [f"{_PARAMS_PREFIX}{k} = {_fmt(v)}" for k, v in params]
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +243,7 @@ def _run_solve(cfg: RunConfig, out_dir: str) -> int:
     grid = Grid(cfg.n, cfg.L)
     fn = _U0_LIBRARY[cfg.u0]
     u0 = Field(grid, cfg.amplitude * np.asarray(fn(grid.x), dtype=complex))
-    stepper = StepperConfig(dt=cfg.dt, dealias=cfg.dealias, linear_only=cfg.linear_only)
+    stepper = cfg.stepper_config()
     snaps = list(cfg.snapshots) if cfg.snapshots else None
     diag = standard_diagnostics(spec, s=cfg.s, m=cfg.m)
     traj = evolve(u0, spec, stepper, cfg.T, snapshot_times=snaps, diagnostics=diag)
@@ -305,45 +279,23 @@ def emit_reports(reports: list[CheckReport], out_dir: str) -> str:
         fh.write("check_id,params,corpus_size,worst_ratio,fitted_constant,residual_max,verdict\n")
         for r in reports:
             params = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.params.items()))
-            fh.write(
-                ",".join(
-                    [
-                        r.check_id,
-                        params,
-                        str(r.corpus_size),
-                        _fmt(float(r.worst_ratio)),
-                        _fmt(float(r.fitted_constant)),
-                        _fmt(float(r.residual_max)),
-                        r.verdict,
-                    ]
-                )
-                + "\n"
-            )
+            numbers = [_fmt(float(v)) for v in (r.worst_ratio, r.fitted_constant, r.residual_max)]
+            fh.write(",".join([r.check_id, params, str(r.corpus_size), *numbers, r.verdict]) + "\n")
     return path
 
 
-def _run_checks(cfg: RunConfig, names, out_dir: str, jobs: int | None = None) -> int:
-    def one(name: str) -> CheckReport:
-        params = dict(cfg.check_params)
-        params.setdefault("seed", cfg.seed)
-        params.setdefault("corpus_size", cfg.corpus_size)
-        return run_check(name, params)
-
-    workers = jobs if jobs is not None else cfg.jobs
+def _run_checks(names: list, params: dict, out_dir: str, jobs: int = 1) -> int:
+    """Run the named checks with one parameter table, write checks.csv and
+    one verdict line per report; exit 0 iff all pass, 2 on a parameter error."""
     try:
-        if workers > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(one, names))
+        if jobs > 1 and len(names) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                reports = list(pool.map(lambda name: run_check(name, params), names))
         else:
-            reports = [one(name) for name in names]
+            reports = [run_check(name, params) for name in names]
     except ValueError as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return 2
-    return _emit_verdicts(reports, out_dir)
-
-
-def _emit_verdicts(reports: list[CheckReport], out_dir: str) -> int:
-    """Write checks.csv and one verdict line per report; exit 0 iff all pass."""
     emit_reports(reports, out_dir)
     for r in reports:
         print(f"{r.check_id}: {r.verdict} (worst_ratio={r.worst_ratio:.6g})")
@@ -353,11 +305,7 @@ def _emit_verdicts(reports: list[CheckReport], out_dir: str) -> int:
 def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -> int:
     """Execute a config file; exit 0 iff every pass-class verdict passed."""
     try:
-        with open(config_path) as fh:
-            cfg = parse_config_text(fh.read(), config_path)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
+        cfg = _load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -367,9 +315,10 @@ def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -
     out = out_dir or cfg.out_dir
     if cfg.command == "solve":
         return _run_solve(cfg, out)
+    params = {"seed": cfg.seed, "corpus_size": cfg.corpus_size, **cfg.check_params}
     if cfg.command == "check":
-        return _run_checks(cfg, [cfg.check_id], out)
-    return _run_checks(cfg, list(cfg.sweep_checks), out, jobs=jobs)
+        return _run_checks([cfg.check_id], params, out)
+    return _run_checks(list(cfg.sweep_checks), params, out, jobs=cfg.jobs if jobs is None else jobs)
 
 
 def main(argv=None) -> int:
@@ -398,9 +347,8 @@ def main(argv=None) -> int:
 
     if args.print_config:
         try:
-            with open(args.print_config) as fh:
-                cfg = parse_config_text(fh.read(), args.print_config)
-        except (OSError, ConfigError) as exc:
+            cfg = _load_config(args.print_config)
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         sys.stdout.write(emit_config(cfg))
@@ -415,13 +363,8 @@ def main(argv=None) -> int:
                 print(f"bad --param {item!r}, expected KEY=VALUE", file=sys.stderr)
                 return 2
             key, _, value = item.partition("=")
-            params[key.strip()] = _parse_scalar(value.strip(), "<cli>", 0)
-        try:
-            report = run_check(args.name, params)
-        except ValueError as exc:
-            print(f"check error: {exc}", file=sys.stderr)
-            return 2
-        return _emit_verdicts([report], args.out)
+            params[key.strip()] = _parse_scalar(value.strip())
+        return _run_checks([args.name], params, args.out)
     if args.cmd == "sweep":
         return run(args.config, args.out, jobs=args.jobs)
     parser.print_help()

@@ -129,7 +129,6 @@ class Trajectory:
 class StepperConfig:
     dt: float
     dealias: float = 2.0 / 3.0
-    method: str = "ifrk4"
     linear_only: bool = False   # zero the nonlinearity (consistency runs)
     cfl_warn: bool = True
 
@@ -138,14 +137,15 @@ class StepperConfig:
             raise ValueError(f"step size must be positive, got dt={self.dt}")
         if not 0 < self.dealias <= 1:
             raise ValueError(f"dealias fraction must lie in (0, 1], got {self.dealias}")
-        if self.method != "ifrk4":
-            raise ValueError(f"unknown stepping method {self.method!r}")
 
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
-    """Exact linear flow U(t) of the model's dispersive part."""
+    """Exact linear flow U(t) of the model's dispersive part; gKdV and BO keep
+    a real field real."""
     g = f.grid
     out = np.fft.ifft(spec.group_phase(g.xi, t) * np.fft.fft(f.values))
+    if spec.is_real and f.is_real:
+        out = out.real.astype(complex)
     return Field(g, out)
 
 
@@ -186,22 +186,16 @@ class _Stepper:
         n4 = self.nonlinear_hat(s3)
         return E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
 
-    def check_cfl(self, u_hat: np.ndarray):
+    def cfl_ratio(self, values: np.ndarray) -> float:
+        """dt over the transport heuristic h / (pi max|u|); 0 when unchecked."""
         if not self.cfg.cfl_warn or self.cfg.linear_only:
-            return
-        umax = float(np.max(np.abs(np.fft.ifft(u_hat))))
-        bound = self.grid.h / (np.pi * max(umax, 1e-30))
-        if self.cfg.dt > bound:
-            warnings.warn(
-                f"dt={self.cfg.dt:.3g} exceeds the transport heuristic "
-                f"h/(pi max|u|)={bound:.3g}",
-                CFLWarning,
-                stacklevel=3,
-            )
+            return 0.0
+        return self.cfg.dt * np.pi * float(np.max(np.abs(values))) / self.grid.h
 
 
 def nonlinear_step(f: Field, spec: EquationSpec, cfg: StepperConfig) -> Field:
-    """One integrating-factor RK4 step of the full equation.
+    """One integrating-factor RK4 step of the full equation: :func:`evolve`
+    over a single step.
 
     Raises on non-finite output; callers doing long runs should prefer
     :func:`evolve`, which converts the failure into a truncated trajectory.
@@ -209,15 +203,10 @@ def nonlinear_step(f: Field, spec: EquationSpec, cfg: StepperConfig) -> Field:
     from .spectral import boundary_gate
 
     boundary_gate(f, warn=True, context="nonlinear_step")
-    stepper = _Stepper(f.grid, spec, cfg)
-    stepper.check_cfl(np.fft.fft(f.values))
-    out_hat = stepper.step(np.fft.fft(f.values))
-    out = np.fft.ifft(out_hat)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    traj = evolve(f, spec, cfg, cfg.dt)
+    if traj.failed:
         raise FloatingPointError("time step produced non-finite values")
-    if spec.is_real and f.is_real:
-        out = out.real.astype(complex)
-    return Field(f.grid, out)
+    return traj.snapshots[-1]
 
 
 def evolve(
@@ -248,7 +237,9 @@ def evolve(
 
     stepper = _Stepper(g, spec, cfg)
     u_hat = np.fft.fft(u0.values)
-    stepper.check_cfl(u_hat)
+    # the transport heuristic at t = 0 and at every snapshot; one warning
+    # names the worst violation
+    cfl_worst, cfl_time = stepper.cfl_ratio(u0.values), 0.0
 
     def snap_field(vec_hat):
         vals = np.fft.ifft(vec_hat)
@@ -279,8 +270,19 @@ def evolve(
             failure_time = step_idx * cfg.dt
             break
         if pending and pending[0] == step_idx:
-            record(step_idx, snap_field(u_hat))
+            fld = snap_field(u_hat)
+            record(step_idx, fld)
             pending.pop(0)
+            ratio = stepper.cfl_ratio(fld.values)
+            if ratio > cfl_worst:
+                cfl_worst, cfl_time = ratio, step_idx * cfg.dt
+    if cfl_worst > 1.0:
+        warnings.warn(
+            f"dt={cfg.dt:.3g} exceeds the transport heuristic h/(pi max|u|) "
+            f"by {cfl_worst:.3g}x at t={cfl_time:.6g}",
+            CFLWarning,
+            stacklevel=2,
+        )
 
     diag = {}
     if diag_rows and diag_rows[0]:

@@ -1,10 +1,13 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from dispersivelab.cli import (
+    _SCHEMA,
     ConfigError,
+    RunConfig,
     emit_config,
     emit_reports,
     main,
@@ -42,6 +45,105 @@ def test_parse_and_round_trip():
     echoed = emit_config(cfg)
     again = parse_config_text(echoed)
     assert again == cfg
+
+
+# --print-config of SOLVE_CFG, recorded before the schema became one table
+SOLVE_CFG_PRINTED = """\
+command = solve
+seed = 24301
+equation.model = gkdv
+equation.a = 3
+equation.mu = 1
+equation.k = 1
+grid.n = 256
+grid.L = 15
+stepper.dt = 0.002
+stepper.T = 0.10000000000000001
+stepper.dealias = 0.66666666666666663
+stepper.snapshots = 0, 0.050000000000000003, 0.10000000000000001
+stepper.linear_only = false
+solve.u0 = gaussian
+solve.amplitude = 0.80000000000000004
+check.corpus_size = 20
+sweep.jobs = 1
+output.dir = out
+solve.s = 1
+solve.m = 0.5
+"""
+
+# every schema key away from its default, plus a check.params table
+FULL_CFG = """
+command = sweep
+seed = 7
+equation.model = nls
+equation.a = 5
+equation.mu = -1
+equation.k = 3
+grid.n = 1024
+grid.L = 12.5
+stepper.dt = 0.0001
+stepper.T = 2
+stepper.dealias = 0.5
+stepper.snapshots = 0, 1, 2
+stepper.linear_only = true
+solve.u0 = sech2
+solve.amplitude = 0.3
+solve.s = 1.5
+solve.m = 0.25
+check.id = gn
+check.corpus_size = 5
+check.params.alpha = 0.25
+check.params.p = inf
+check.params.label = word
+sweep.checks = gn, leibniz
+sweep.jobs = 3
+output.dir = results
+"""
+
+
+def test_schema_covers_run_config():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {name for name, _ in _SCHEMA.values()} == fields - {"check_params"}
+
+
+def test_full_config_round_trip():
+    cfg = parse_config_text(FULL_CFG)
+    defaults = RunConfig()
+    for name, _ in _SCHEMA.values():
+        assert getattr(cfg, name) != getattr(defaults, name), name
+    assert cfg.linear_only is True
+    assert cfg.check_params == {"alpha": 0.25, "p": np.inf, "label": "word"}
+    assert parse_config_text(emit_config(cfg)) == cfg
+
+
+def test_print_config_matches_recorded_text(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(SOLVE_CFG)
+    assert main(["--print-config", str(path)]) == 0
+    assert capsys.readouterr().out == SOLVE_CFG_PRINTED
+
+
+@pytest.mark.parametrize("value", ["1", "TRUE", "Yes", "0", "false", "NO"])
+def test_linear_only_accepts_flags(value):
+    cfg = parse_config_text(f"stepper.linear_only = {value}\n")
+    assert cfg.linear_only is (value.lower() in ("1", "true", "yes"))
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("command = solve\nstepper.linear_only = maybe\n", "bad value for stepper.linear_only"),
+        ("command = solve\noutput.dir =\n", "bad value for output.dir"),
+        ("command = sweep\n", "a sweep needs sweep.checks"),
+    ],
+    ids=["linear_only", "output_dir", "sweep_checks"],
+)
+def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and cause in err
 
 
 def test_parse_rejects_unknown_key():

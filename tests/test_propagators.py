@@ -55,6 +55,13 @@ def test_linear_group_identity_at_zero(spec):
     np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo()])
+def test_linear_group_keeps_real_fields_real(spec):
+    g = Grid(512, 20.0)
+    out = linear_group(Field.from_function(g, lambda x: np.exp(-(x**2))), spec, 0.3)
+    assert out.is_real
+
+
 def test_nls_free_gaussian_closed_form():
     g = Grid(1024, 20.0)
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
@@ -225,6 +232,29 @@ def test_cfl_warning():
     u0 = Field.from_function(g, lambda x: 5.0 * np.exp(-(x**2)))
     with pytest.warns(CFLWarning):
         nonlinear_step(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=0.1))
+
+
+def _focusing_cfl_run(**cfg_kwargs):
+    # max|u| grows from 3 under the focusing flow: dt passes the transport
+    # heuristic at t = 0 and exceeds it 1.19x at t = 0.35
+    g = Grid(256, 10.0)
+    u0 = Field.from_function(g, lambda x: 3.0 * np.exp(-(x**2)))
+    cfg = StepperConfig(dt=0.007, **cfg_kwargs)
+    spec = EquationSpec.nls(a=3.0, mu=-1)
+    return evolve(u0, spec, cfg, 0.7, snapshot_times=np.linspace(0.0, 0.7, 11))
+
+
+def test_cfl_checked_at_every_snapshot():
+    with pytest.warns(CFLWarning) as caught:
+        _focusing_cfl_run()
+    assert len(caught) == 1
+    assert "by 1.19x at t=0.35" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("cfg_kwargs", [{"linear_only": True}, {"cfl_warn": False}])
+def test_cfl_check_silenced(cfg_kwargs, recwarn):
+    _focusing_cfl_run(**cfg_kwargs)
+    assert not [w for w in recwarn if issubclass(w.category, CFLWarning)]
 
 
 def test_evolve_failure_marker_on_blowup():
