@@ -51,6 +51,8 @@ __all__ = [
 
 STABILITY_TOL = 0.10  # fitted constants must move less than this per refinement
 
+_GAUSSIAN = CorpusMember("gaussian", gaussian)
+
 
 @dataclass
 class CheckReport:
@@ -73,9 +75,9 @@ def _l2(f: Field) -> float:
     return float(np.sqrt(f.grid.h * np.sum(np.abs(f.values) ** 2)))
 
 
-def _stable(trend, tol=STABILITY_TOL) -> bool:
+def _stable(trend) -> bool:
     return all(
-        np.isfinite(a) and np.isfinite(b) and abs(b / a - 1.0) <= tol
+        np.isfinite(a) and np.isfinite(b) and abs(b / a - 1.0) <= STABILITY_TOL
         for a, b in zip(trend, trend[1:])
     )
 
@@ -278,7 +280,7 @@ def check_leibniz(
     for g in (grid, grid.refine()):
         worst = 0.0
         fields = [m.realize(g) for m in corpus.members[: pairs + 2]]
-        gauss = CorpusMember("gaussian", gaussian, True).realize(g)
+        gauss = _GAUSSIAN.realize(g)
         pair_list = [(gauss, gauss)] + list(zip(fields[::2], fields[1::2]))
         for fa, fb in pair_list:
             ratio, slack = _leibniz_pair_ratio(fa, fb, b)
@@ -351,10 +353,9 @@ def check_gn(
         return num / den if den > 0 else 0.0
 
     trend = [max(ratio_of(f) for _, f in corpus.realize(g)) for g in (grid, grid.refine())]
-    gauss = CorpusMember("gaussian", gaussian, True)
-    base = ratio_of(gauss.realize(grid))
+    base = ratio_of(_GAUSSIAN.realize(grid))
     scale_dev = max(
-        abs(ratio_of(gauss.realize(grid, scale=lam)) / base - 1.0) for lam in (0.5, 2.0)
+        abs(ratio_of(_GAUSSIAN.realize(grid, scale=lam)) / base - 1.0) for lam in (0.5, 2.0)
     )
     return _refinement_report(
         "gn",
@@ -451,7 +452,7 @@ def check_commutator_leibniz(
     trend = [worst(g) for g in (grid, grid.refine())]
     # constant f degenerates: both sides vanish
     const = Field(grid, np.full(grid.n, 0.7, dtype=complex))
-    degen = ratio_of(grid, const, CorpusMember("gaussian", gaussian, True).realize(grid))
+    degen = ratio_of(grid, const, _GAUSSIAN.realize(grid))
     return _refinement_report(
         "commutator_leibniz",
         {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
@@ -497,7 +498,7 @@ def check_commutator_hilbert(
         return lhs / rhs
 
     def worst(g: Grid) -> float:
-        a_fn = CorpusMember("gaussian", gaussian, True).realize(g)
+        a_fn = _GAUSSIAN.realize(g)
         return max(commutator_ratio(a_fn, f) for _, f in corpus.realize(g))
 
     trend = [worst(g) for g in (grid, grid.refine())]
@@ -621,11 +622,10 @@ def check_strichartz(
     p: float = 4.0,
     T: float = 4.0,
     grid: Grid | None = None,
-    u0: CorpusMember | None = None,
-    nt: int = 129,
 ) -> CheckReport:
     """Truncated space-time bound of the free Schroedinger flow for an
-    admissible pair 1/2 = 2/q + 1/p; the ratio against ||u0|| is invariant
+    admissible pair 1/2 = 2/q + 1/p, from the Gaussian u0 = exp(-x^2) over
+    129 times in [0, T]; the ratio against ||u0|| is invariant
     under u0 -> u0(2x), T -> T/4 (asserted at 5%), and the (inf, 2) pair
     returns exactly one by unitarity."""
     if abs(2.0 / q + 1.0 / p - 0.5) > 1e-12:
@@ -633,12 +633,11 @@ def check_strichartz(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
         )
     grid = grid or Grid(1024, 40.0)
-    u0 = u0 or CorpusMember("gaussian", gaussian, True)
     spec = EquationSpec.nls()
 
     def truncated_ratio(scale: float, horizon: float) -> float:
-        f = u0.realize(grid, scale=scale)
-        times = np.linspace(0.0, horizon, nt)
+        f = _GAUSSIAN.realize(grid, scale=scale)
+        times = np.linspace(0.0, horizon, 129)
         norms = np.array(
             [lebesgue(linear_group(f, spec, t), p) for t in times]
         )
@@ -668,14 +667,11 @@ def check_strichartz(
 
 # -------------------------------------------------------------- scaling
 
-def check_scaling(
-    a: float = 9.0,
-    grid: Grid | None = None,
-    u0: CorpusMember | None = None,
-) -> CheckReport:
+def check_scaling(a: float = 9.0, grid: Grid | None = None) -> CheckReport:
     """Scaling-critical norm ||D^(s_c) u_lambda|| with
-    u_lambda = lambda^(2/(a-1)) u0(lambda x) is lambda-independent at
-    s_c = 1/2 - 2/(a-1) >= 0; asserted to 1e-3 over lambda in {1/2, 1, 2}.
+    u_lambda = lambda^(2/(a-1)) u0(lambda x), u0 the Gaussian, is
+    lambda-independent at s_c = 1/2 - 2/(a-1) >= 0; asserted to 1e-3 over
+    lambda in {1/2, 1, 2}.
 
     The wide default cell keeps the |xi|^(2 s_c) frequency-lattice cusp
     error below the tolerance."""
@@ -686,11 +682,10 @@ def check_scaling(
             f"negative critical index s_c={sc:.3g} (a={a}) is out of scope; need a >= 5"
         )
     grid = grid or Grid(1024, 160.0)
-    u0 = u0 or CorpusMember("gaussian", gaussian, True)
     lam_values = (0.5, 1.0, 2.0)
     norms = []
     for lam in lam_values:
-        f = u0.realize(grid, scale=lam, check_gate=False)
+        f = _GAUSSIAN.realize(grid, scale=lam, check_gate=False)
         f = Field(grid, lam ** (2.0 / (a - 1.0)) * f.values)
         norms.append(_l2(riesz_deriv(f, sc)))
     spread = (max(norms) - min(norms)) / norms[1]

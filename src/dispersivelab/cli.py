@@ -340,7 +340,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep config")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=None, help="worker threads (default: sweep.jobs)")
     p_sweep.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

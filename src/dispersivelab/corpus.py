@@ -35,7 +35,6 @@ def gaussian_deriv(x):
 class CorpusMember:
     name: str
     fn: object            # callable x -> complex values
-    real: bool
 
     def realize(self, grid, scale: float = 1.0, *, check_gate: bool = True) -> Field:
         """Sample the member, optionally dilated to f(scale * x)."""
@@ -51,55 +50,34 @@ class CorpusMember:
         return f
 
 
-def _random_member(rng, idx: int, real: bool, width_range, kmax: float) -> CorpusMember:
-    w = rng.uniform(*width_range)
+def _random_member(rng, idx: int) -> CorpusMember:
+    w = rng.uniform(1.0, 1.5)
     poly = rng.normal(size=3) * np.array([1.0, 0.5, 0.125])
     n_modes = 4
-    ks = rng.uniform(0.3, kmax, size=n_modes)
-    if real:
-        amps = rng.normal(size=n_modes)
-        phis = rng.uniform(0, 2 * np.pi, size=n_modes)
+    ks = rng.uniform(0.3, 3.0, size=n_modes)
+    amps = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
 
-        def fn(x, w=w, poly=poly, ks=ks, amps=amps, phis=phis):
-            env = np.exp(-((x / w) ** 2))
-            p = poly[0] + poly[1] * x + poly[2] * x**2
-            osc = sum(a * np.cos(k * x + ph) for a, k, ph in zip(amps, ks, phis))
-            return env * (1.0 + p) * (1.0 + osc)
+    def fn(x, w=w, poly=poly, ks=ks, amps=amps):
+        env = np.exp(-((x / w) ** 2))
+        p = poly[0] + poly[1] * x + poly[2] * x**2
+        osc = sum(a * np.exp(1j * k * x) for a, k in zip(amps, ks))
+        return env * (1.0 + p) * (1.0 + osc)
 
-    else:
-        amps = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-
-        def fn(x, w=w, poly=poly, ks=ks, amps=amps):
-            env = np.exp(-((x / w) ** 2))
-            p = poly[0] + poly[1] * x + poly[2] * x**2
-            osc = sum(a * np.exp(1j * k * x) for a, k in zip(amps, ks))
-            return env * (1.0 + p) * (1.0 + osc)
-
-    kind = "real" if real else "cplx"
-    return CorpusMember(f"rand_{kind}_{idx}", fn, real)
+    return CorpusMember(f"rand_cplx_{idx}", fn)
 
 
 class Corpus:
     """Seeded corpus: random band-limited members plus named canonical fields."""
 
-    def __init__(
-        self,
-        seed: int = DEFAULT_SEED,
-        size: int = 20,
-        *,
-        real: bool = False,
-        width_range=(1.0, 1.5),
-        kmax: float = 3.0,
-        include_named: bool = True,
-    ):
+    def __init__(self, seed: int = DEFAULT_SEED, size: int = 20, *, include_named: bool = True):
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)
-        members = [_random_member(rng, i, real, width_range, kmax) for i in range(size)]
+        members = [_random_member(rng, i) for i in range(size)]
         if include_named:
-            members.append(CorpusMember("gaussian", gaussian, True))
-            members.append(CorpusMember("sech2", sech2, True))
-            members.append(CorpusMember("gaussian_deriv", gaussian_deriv, True))
+            members.append(CorpusMember("gaussian", gaussian))
+            members.append(CorpusMember("sech2", sech2))
+            members.append(CorpusMember("gaussian_deriv", gaussian_deriv))
         self.members = members
 
     def realize(self, grid, scale: float = 1.0):

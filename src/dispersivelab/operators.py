@@ -17,6 +17,7 @@ __all__ = [
     "riesz_deriv",
     "bessel_potential",
     "stein_deriv",
+    "stein_l2_norm",
     "lp_block",
     "lp_block_range",
     "lp_reconstruct",
@@ -35,7 +36,7 @@ def hilbert(f: Field) -> Field:
     multiplier), so real input gives real output and H o H = -identity on
     mean-free, Nyquist-free fields.
     """
-    return apply_multiplier(f, lambda xi: -1j * np.sign(xi), zero_nyquist=True)
+    return apply_multiplier(f, lambda xi: -1j * np.sign(xi))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -44,9 +45,7 @@ def derivative(f: Field, order: int = 1) -> Field:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return f.copy()
-    return apply_multiplier(
-        f, lambda xi: (1j * xi) ** order, zero_nyquist=(order % 2 == 1)
-    )
+    return apply_multiplier(f, lambda xi: (1j * xi) ** order)
 
 
 def riesz_deriv(f: Field, b: float) -> Field:

@@ -95,7 +95,7 @@ class Field:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not np.isfinite(vals).all():
             raise ValueError("field samples must be finite")
         self.values = vals
 
@@ -154,17 +154,21 @@ def to_physical(fhat: SpectralField) -> Field:
     return Field(g, np.fft.ifft(g._phase * fhat.coeffs) / g.h)
 
 
-def apply_multiplier(f: Field, m, *, zero_nyquist: bool | None = None) -> Field:
+def apply_multiplier(f: Field, m) -> Field:
     """Apply a frequency multiplier m(xi) to a field.
 
     ``m`` is a callable evaluated on the grid's frequency lattice or a
     precomputed array of length n.  The physical-normalization phase cancels
     against its inverse, so the raw FFT pair is used here.
 
-    Odd multipliers (m(-xi) = -m(xi)) get their Nyquist mode zeroed: that
-    frequency has no positive partner on the lattice and would otherwise
-    break realness of real inputs.  Pass ``zero_nyquist`` to override the
-    automatic detection.
+    The symbol's symmetry is detected on the lattice, to 1e-13 of max|m|:
+
+    * an odd multiplier (m(-xi) = -m(xi)) gets its Nyquist mode zeroed, since
+      that frequency has no positive partner on the lattice and would
+      otherwise break realness of real inputs;
+    * a real input under a Hermitian multiplier (m(-xi) = conj(m(xi)), real
+      at xi = 0) gives a real output.  This is the one realness rule of the
+      operators and the linear groups.
     """
     g = f.grid
     mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
@@ -177,42 +181,20 @@ def apply_multiplier(f: Field, m, *, zero_nyquist: bool | None = None) -> Field:
             f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); "
             "singular multipliers must define m there explicitly"
         )
-    if zero_nyquist is None:
-        zero_nyquist = _is_odd_multiplier(mvals, g.n)
-    fhat = np.fft.fft(f.values)
-    out = mvals * fhat
-    if zero_nyquist:
+    tol = 1e-13 * np.max(np.abs(mvals))
+    pos = mvals[1 : g.n // 2]
+    neg = mvals[-1 : g.n // 2 : -1]
+    out = mvals * np.fft.fft(f.values)
+    if abs(mvals[0]) <= tol and np.max(np.abs(pos + neg)) <= tol:
         out[g.n // 2] = 0.0
     result = np.fft.ifft(out)
-    if f.is_real and _is_hermitian_multiplier(mvals, g.n):
+    if (
+        f.is_real
+        and abs(mvals[0].imag) <= tol
+        and np.max(np.abs(pos - np.conj(neg))) <= tol
+    ):
         result = result.real.astype(np.complex128)
     return Field(g, result)
-
-
-def _is_odd_multiplier(mvals: np.ndarray, n: int) -> bool:
-    scale = np.max(np.abs(mvals))
-    if scale == 0.0:
-        return False
-    pos = mvals[1 : n // 2]
-    neg = mvals[-1 : n // 2 : -1]
-    return (
-        np.max(np.abs(pos + neg)) <= 1e-13 * scale
-        and abs(mvals[0]) <= 1e-13 * scale
-    )
-
-
-def _is_hermitian_multiplier(mvals: np.ndarray, n: int) -> bool:
-    # m(-xi) = conj(m(xi)) together with a real (or zeroed) Nyquist value
-    # maps real fields to real fields.
-    scale = np.max(np.abs(mvals))
-    if scale == 0.0:
-        return True
-    pos = mvals[1 : n // 2]
-    neg = mvals[-1 : n // 2 : -1]
-    return (
-        np.max(np.abs(pos - np.conj(neg))) <= 1e-13 * scale
-        and abs(mvals[0].imag) <= 1e-13 * scale
-    )
 
 
 def integrate(f: Field) -> complex:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dispersivelab import cli
 from dispersivelab.cli import (
     _SCHEMA,
     ConfigError,
@@ -226,6 +227,16 @@ def test_sweep_runs_concurrently(tmp_path):
     assert rc == 0
     rows = (tmp_path / "out" / "checks.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "1"], 1)])
+def test_sweep_subcommand_takes_jobs_from_config_unless_given(tmp_path, monkeypatch, flag, jobs):
+    seen = []
+    monkeypatch.setattr(cli, "_run_checks", lambda names, params, out, jobs=1: seen.append(jobs) or 0)
+    path = tmp_path / "run.cfg"
+    path.write_text("command = sweep\nsweep.checks = scaling, strichartz\nsweep.jobs = 2\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), *flag]) == 0
+    assert seen == [jobs]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -49,6 +49,20 @@ def test_hilbert_squared_is_minus_identity():
     assert np.max(np.abs(twice.values + f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
+@pytest.mark.parametrize("grid", [Grid(8, 1.0), Grid(512, 20.0), Grid(8192, 160.0)], ids=lambda g: f"n{g.n}")
+def test_odd_operators_annihilate_nyquist_mode(grid):
+    # (-1)^j is the lone Nyquist mode, which odd symbols must zero; complex,
+    # so that the realness rule cannot zero it instead
+    nyq = Field(grid, (1.0 + 1.0j) * grid._phase)
+    assert np.max(np.abs(hilbert(nyq).values)) <= 1e-12
+    for order in range(1, 6):
+        out = derivative(nyq, order).values
+        if order % 2:
+            assert np.max(np.abs(out)) <= 1e-12 * grid.xi_max**order
+        else:
+            np.testing.assert_allclose(out, (1j * grid.xi[grid.n // 2]) ** order * nyq.values)
+
+
 def _pv_hilbert_oracle(fn, x, R=40.0, m=400000):
     # principal-value quadrature with epsilon excision; the excised value
     # behaves like I0 + a*eps + c*eps^3, so three epsilons pin I0
@@ -80,6 +94,24 @@ def test_hilbert_real_to_real():
     g = Grid(128, 10.0)
     f = random_band_limited(g, seed=8, real=True)
     assert np.max(np.abs(hilbert(f).values.imag)) == 0.0
+
+
+REAL_TO_REAL = {
+    "hilbert": hilbert,
+    **{f"derivative{k}": (lambda f, k=k: derivative(f, k)) for k in (1, 2, 3, 4)},
+    "riesz_deriv": lambda f: riesz_deriv(f, 0.5),
+    "bessel_potential": lambda f: bessel_potential(f, -1.5),
+}
+
+
+@pytest.mark.parametrize("grid", [Grid(512, 20.0), Grid(1024, 160.0)], ids=["n512", "n1024"])
+@pytest.mark.parametrize("name", [*REAL_TO_REAL, "lp_block"])
+def test_real_to_real_operators_keep_real_fields_real(grid, name):
+    f = Field.from_function(grid, lambda x: np.exp(-(x**2)))
+    if name == "lp_block":
+        assert all(lp_block(f, N).is_real for N in lp_block_range(grid))
+    else:
+        assert REAL_TO_REAL[name](f).is_real
 
 
 # ------------------------------------------------------ fractional derivatives

@@ -55,11 +55,25 @@ def test_linear_group_identity_at_zero(spec):
     np.testing.assert_allclose(out.values, f.values, atol=1e-14)
 
 
-@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo()])
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo(), EquationSpec.nls()])
 def test_linear_group_keeps_real_fields_real(spec):
-    g = Grid(512, 20.0)
-    out = linear_group(Field.from_function(g, lambda x: np.exp(-(x**2))), spec, 0.3)
-    assert out.is_real
+    # the gKdV and BO phases are Hermitian at every t, the NLS phase at t = 0
+    times = (0.3, 1.7) if spec.is_real else (0.0,)
+    for g in (Grid(512, 20.0), Grid(1024, 160.0)):
+        f = Field.from_function(g, lambda x: np.exp(-(x**2)))
+        for t in times:
+            assert linear_group(f, spec, t).is_real, (g, t)
+
+
+@pytest.mark.parametrize("model", ["gkdv", "bo"])
+@pytest.mark.parametrize("n", [8, 512, 8192])
+@pytest.mark.parametrize("length", [1.0, 20.0, 160.0])
+def test_group_phase_exactly_hermitian(model, n, length):
+    xi = Grid(n, length).xi
+    for t in (-2.5, 1e-3, 0.3, 1.7, 40.0):
+        m = EquationSpec(model).group_phase(xi, t)
+        np.testing.assert_array_equal(m[1 : n // 2], np.conj(m[-1 : n // 2 : -1]))
+        assert m[0] == 1.0
 
 
 def test_nls_free_gaussian_closed_form():
