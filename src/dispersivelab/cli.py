@@ -32,7 +32,7 @@ import numpy as np
 from .checks import CHECKS, CheckReport, run_check
 from .corpus import DEFAULT_SEED, gaussian, gaussian_deriv, sech2
 from .laws import standard_diagnostics
-from .propagators import EquationSpec, StepperConfig, evolve
+from .propagators import EquationSpec, StepperConfig, check_times, evolve
 from .spectral import Field, Grid
 
 SEED_ENV = "DISPERSIVELAB_SEED"
@@ -194,6 +194,7 @@ def _validate(cfg: RunConfig, path: str):
         cfg.equation_spec()
         Grid(cfg.n, cfg.L)
         cfg.stepper_config()
+        check_times(cfg.T, cfg.snapshots)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.command == "solve" and cfg.u0 not in _U0_LIBRARY:

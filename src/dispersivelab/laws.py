@@ -8,7 +8,7 @@ import numpy as np
 
 from .operators import derivative, riesz_deriv
 from .propagators import EquationSpec, Trajectory
-from .spectral import Field, boundary_gate, integrate
+from .spectral import Field, boundary_gate, integrate, real_values
 
 __all__ = [
     "invariants",
@@ -18,16 +18,6 @@ __all__ = [
     "moment",
     "standard_diagnostics",
 ]
-
-_REAL_TOL = 1e-10  # relative imaginary residue tolerated on gKdV/BO fields
-
-
-def _real_values(f: Field, what: str) -> np.ndarray:
-    scale = float(np.max(np.abs(f.values))) or 1.0
-    if float(np.max(np.abs(f.values.imag))) > _REAL_TOL * scale:
-        raise ValueError(f"{what} requires a real field")
-    return f.values.real
-
 
 def invariants(f: Field, spec: EquationSpec) -> dict:
     """The model's conserved functionals evaluated on one snapshot.
@@ -52,7 +42,7 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
         energy = float(np.real(integrate(Field(g, dens))))
         return {"mass": mass, "energy": energy}
 
-    u = _real_values(f, f"{spec.model} invariants")
+    u = real_values(f, f"{spec.model} invariants")
     rf = Field(g, u.astype(complex))
     i1 = float(np.real(integrate(rf)))
     i2 = float(np.real(integrate(Field(g, u**2))))
@@ -134,7 +124,7 @@ def kato_residual(
     weighted = []
     spatial = []
     for snap in traj.snapshots:
-        u = _real_values(snap, "the weighted-energy identity")
+        u = real_values(snap, "the weighted-energy identity")
         ux = derivative(Field(g, u.astype(complex)), 1).values.real
         weighted.append(g.h * np.sum(u**2 * pv))
         term = 3.0 * g.h * np.sum(ux**2 * phi1) - g.h * np.sum(u**2 * phi3)

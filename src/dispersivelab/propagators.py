@@ -11,6 +11,10 @@ The nonlinearities are advanced by a classical RK4 on the integrating-factor
 transformed system, so the linear flow is exact and the splitting error sits
 entirely in the nonlinear term.  gKdV and BO use the conservative form
 -d/dx(u^(k+1))/(k+1), which keeps the discrete L^2 pairing skew-symmetric.
+
+gKdV and BO are real flows: the stepper marches the rfft half spectrum of
+a real field, and complex data for them is an error (see :func:`evolve`).
+NLS marches the full complex spectrum.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, apply_multiplier
+from .spectral import Field, Grid, apply_multiplier, real_values
 
 __all__ = [
     "EquationSpec",
     "Trajectory",
     "StepperConfig",
     "CFLWarning",
+    "check_times",
     "linear_group",
     "nonlinear_step",
     "evolve",
@@ -150,32 +155,55 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
 
 
 class _Stepper:
-    """Integrating-factor RK4 on the Fourier coefficients."""
+    """Integrating-factor RK4 on the Fourier coefficients (Kassam-Trefethen,
+    SIAM J. Sci. Comput. 26, 2005).
+
+    gKdV and BO march the rfft half spectrum of a real field: ``xi``, the
+    dealiasing mask and the half/full-step phases are sliced to
+    ``[: n//2 + 1]``.  Index n//2 keeps xi = -xi_max, so the Nyquist bin
+    evolves as in the full spectrum, whose real projection drops the same
+    imaginary part that irfft ignores.  NLS marches the full complex
+    spectrum.  Each model's nonlinear multiplier is built once here, and a
+    linear-only step is the exact group phase ``E2 * u_hat``.
+    """
 
     def __init__(self, grid: Grid, spec: EquationSpec, cfg: StepperConfig):
         self.grid = grid
         self.spec = spec
         self.cfg = cfg
+        n = grid.n
         xi = grid.xi
-        self.xi = xi
-        self.mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
+        if spec.is_real:
+            xi = xi[: n // 2 + 1]
+            self.forward = np.fft.rfft
+            self.inverse = lambda u_hat: np.fft.irfft(u_hat, n)
+        else:
+            self.forward, self.inverse = np.fft.fft, np.fft.ifft
+        mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
         dt = cfg.dt
         self.E = spec.group_phase(xi, dt / 2.0)   # half-step linear flow
         self.E2 = spec.group_phase(xi, dt)
+        if spec.model == "nls":
+            self.multiplier = (-1j * spec.mu) * mask
+        else:
+            self.power = spec.k + 1 if spec.model == "gkdv" else 2
+            self.multiplier = -(1j * xi) * mask / float(self.power)
+        self.step = self._linear_step if cfg.linear_only else self._rk4_step
 
     def nonlinear_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        if self.cfg.linear_only:
-            return np.zeros_like(u_hat)
-        spec = self.spec
-        u = np.fft.ifft(u_hat)
-        if spec.model == "nls":
-            w = np.abs(u) ** (spec.a - 1.0) * u
-            return -1j * spec.mu * self.mask * np.fft.fft(w)
-        k = spec.k if spec.model == "gkdv" else 1
-        w = u.real ** (k + 1)
-        return -(1j * self.xi) * self.mask * np.fft.fft(w) / (k + 1.0)
+        u = self.inverse(u_hat)
+        if self.spec.model == "nls":
+            w = np.abs(u) ** (self.spec.a - 1.0) * u
+        else:
+            w = u * u
+            for _ in range(self.power - 2):
+                w *= u
+        return self.multiplier * self.forward(w)
 
-    def step(self, u_hat: np.ndarray) -> np.ndarray:
+    def _linear_step(self, u_hat: np.ndarray) -> np.ndarray:
+        return self.E2 * u_hat
+
+    def _rk4_step(self, u_hat: np.ndarray) -> np.ndarray:
         dt, E, E2 = self.cfg.dt, self.E, self.E2
         n1 = self.nonlinear_hat(u_hat)
         s1 = E * (u_hat + 0.5 * dt * n1)
@@ -191,6 +219,16 @@ class _Stepper:
         if not self.cfg.cfl_warn or self.cfg.linear_only:
             return 0.0
         return self.cfg.dt * np.pi * float(np.max(np.abs(values))) / self.grid.h
+
+
+def check_times(T: float, snapshot_times) -> None:
+    """Raise ValueError unless T is finite and nonnegative and every snapshot
+    time lies in [0, T]; the rule of :func:`evolve` and of solve configs."""
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"final time must be finite and nonnegative, got T={T}")
+    for t in snapshot_times:
+        if not -1e-12 <= t <= T + 1e-12:
+            raise ValueError(f"snapshot times must lie in [0, T={T:g}], got {t:g}")
 
 
 def nonlinear_step(f: Field, spec: EquationSpec, cfg: StepperConfig) -> Field:
@@ -223,29 +261,24 @@ def evolve(
     times are stored).  ``diagnostics`` is an optional callable
     ``(field, t) -> dict of named reals``.  A mid-run NaN truncates the
     trajectory and sets the failure marker instead of raising.
+
+    gKdV and BO evolve real fields: data whose imaginary part exceeds
+    1e-10 of max|u| raises ValueError, and below that the real part is
+    evolved, so every snapshot is real.
     """
-    if T < 0:
-        raise ValueError("final time must be nonnegative")
-    g = u0.grid
-    was_real = spec.is_real and u0.is_real
-    n_steps = int(round(T / cfg.dt)) if T > 0 else 0
     if snapshot_times is None:
         snapshot_times = [0.0, T] if T > 0 else [0.0]
+    check_times(T, snapshot_times)
+    g = u0.grid
+    values = real_values(u0, f"the {spec.model} flow") if spec.is_real else u0.values
+    n_steps = int(round(T / cfg.dt)) if T > 0 else 0
     snap_steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps) for t in snapshot_times})
-    if any(t < -1e-12 or t > T + 1e-12 for t in snapshot_times):
-        raise ValueError("snapshot times must lie in [0, T]")
 
     stepper = _Stepper(g, spec, cfg)
-    u_hat = np.fft.fft(u0.values)
+    u_hat = stepper.forward(values)
     # the transport heuristic at t = 0 and at every snapshot; one warning
     # names the worst violation
-    cfl_worst, cfl_time = stepper.cfl_ratio(u0.values), 0.0
-
-    def snap_field(vec_hat):
-        vals = np.fft.ifft(vec_hat)
-        if was_real:
-            vals = vals.real.astype(complex)
-        return Field(g, vals)
+    cfl_worst, cfl_time = stepper.cfl_ratio(values), 0.0
 
     times, snaps, diag_rows = [], [], []
     failed = False
@@ -260,7 +293,7 @@ def evolve(
         diag_rows.append(diagnostics(fld, t) if diagnostics is not None else {})
 
     if pending and pending[0] == 0:
-        record(0, u0.copy())
+        record(0, Field(g, np.array(values, dtype=complex)))
         pending.pop(0)
     while step_idx < n_steps and pending:
         u_hat = stepper.step(u_hat)
@@ -270,7 +303,7 @@ def evolve(
             failure_time = step_idx * cfg.dt
             break
         if pending and pending[0] == step_idx:
-            fld = snap_field(u_hat)
+            fld = Field(g, stepper.inverse(u_hat))
             record(step_idx, fld)
             pending.pop(0)
             ratio = stepper.cfl_ratio(fld.values)

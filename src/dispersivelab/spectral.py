@@ -32,10 +32,12 @@ __all__ = [
     "apply_multiplier",
     "integrate",
     "boundary_gate",
+    "real_values",
 ]
 
 BOUNDARY_FRACTION = 0.1    # outer fraction of the cell inspected by the gate
 BOUNDARY_TOL = 1e-10       # max |f| there must stay below tol * max |f|
+REAL_TOL = 1e-10           # imaginary residue tolerated on a real model's field
 
 
 class BoundaryWarning(UserWarning):
@@ -195,6 +197,21 @@ def apply_multiplier(f: Field, m) -> Field:
     ):
         result = result.real.astype(np.complex128)
     return Field(g, result)
+
+
+def real_values(f: Field, what: str) -> np.ndarray:
+    """The real part of a field that ``what`` (a gKdV or BO computation)
+    requires to be real.  An imaginary residue up to REAL_TOL of max|f| is
+    dropped; a larger one raises ValueError naming ``what`` and the residue.
+    This is the one realness rule of the real models."""
+    scale = float(np.max(np.abs(f.values))) or 1.0
+    residue = float(np.max(np.abs(f.values.imag))) / scale
+    if residue > REAL_TOL:
+        raise ValueError(
+            f"{what} requires a real field: its imaginary part is {residue:.3g} "
+            f"of max|u|, above the {REAL_TOL:g} tolerance"
+        )
+    return f.values.real
 
 
 def integrate(f: Field) -> complex:

@@ -136,8 +136,13 @@ def test_linear_only_accepts_flags(value):
         ("command = solve\nstepper.linear_only = maybe\n", "bad value for stepper.linear_only"),
         ("command = solve\noutput.dir =\n", "bad value for output.dir"),
         ("command = sweep\n", "a sweep needs sweep.checks"),
+        ("command = solve\nstepper.T = -1\n", "final time must be finite and nonnegative"),
+        (
+            "command = solve\nstepper.T = 0.01\nstepper.snapshots = 0, 0.5\n",
+            "snapshot times must lie in [0, T=0.01], got 0.5",
+        ),
     ],
-    ids=["linear_only", "output_dir", "sweep_checks"],
+    ids=["linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T"],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
     path = tmp_path / "bad.cfg"

@@ -213,6 +213,78 @@ def test_linear_only_run_matches_linear_group(spec):
         assert err <= 1e-10 * l2(u0)
 
 
+def _complex_if_rk4_oracle(u0, spec, cfg, steps):
+    """The complex-FFT integrating-factor RK4 that gKdV and BO ran before
+    they marched the rfft half spectrum: full-spectrum phases, the
+    multiplier rebuilt on every call and the real part raised by ``**``."""
+    xi = u0.grid.xi
+    mask = (np.abs(xi) <= cfg.dealias * u0.grid.xi_max + 1e-12).astype(float)
+    dt = cfg.dt
+    E = spec.group_phase(xi, dt / 2.0)
+    E2 = spec.group_phase(xi, dt)
+    k = spec.k if spec.model == "gkdv" else 1
+
+    def nonlinear_hat(u_hat):
+        w = np.fft.ifft(u_hat).real ** (k + 1)
+        return -(1j * xi) * mask * np.fft.fft(w) / (k + 1.0)
+
+    u_hat = np.fft.fft(u0.values)
+    for _ in range(steps):
+        n1 = nonlinear_hat(u_hat)
+        s1 = E * (u_hat + 0.5 * dt * n1)
+        n2 = nonlinear_hat(s1)
+        s2 = E * u_hat + 0.5 * dt * n2
+        n3 = nonlinear_hat(s2)
+        s3 = E2 * u_hat + dt * E * n3
+        n4 = nonlinear_hat(s3)
+        u_hat = E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
+    return np.fft.ifft(u_hat).real
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [EquationSpec.gkdv(k=k) for k in (1, 2, 3)] + [EquationSpec.bo()],
+    ids=["gkdv1", "gkdv2", "gkdv3", "bo"],
+)
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+def test_real_half_spectrum_matches_complex_oracle(spec, n, dealias):
+    # seeded noise fills every mode, the Nyquist bin included, which
+    # dealias = 1.0 lets the nonlinearity feed
+    g = Grid(n, 20.0)
+    rng = np.random.default_rng(7)
+    vals = np.exp(-(g.x**2)) + 1e-3 * np.exp(-((g.x / 4.0) ** 2)) * rng.standard_normal(n)
+    u0 = Field(g, vals)
+    cfg = StepperConfig(dt=1e-3, dealias=dealias)
+    steps = 200
+    ref = _complex_if_rk4_oracle(u0, spec, cfg, steps)
+    traj = evolve(u0, spec, cfg, steps * cfg.dt, snapshot_times=[steps * cfg.dt])
+    out = traj.snapshots[-1]
+    assert traj.times[-1] == pytest.approx(steps * cfg.dt) and out.is_real
+    assert np.max(np.abs(out.values.real - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo()])
+def test_complex_data_for_real_model_rejected(spec):
+    g = Grid(256, 15.0)
+    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)) * (1 + 0.2j))
+    cfg = StepperConfig(dt=1e-3)
+    for run in (lambda: evolve(u0, spec, cfg, 0.01), lambda: nonlinear_step(u0, spec, cfg)):
+        with pytest.raises(ValueError, match=f"the {spec.model} flow requires a real field") as exc:
+            run()
+        assert "0.196 of max|u|" in str(exc.value)
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo()])
+def test_roundoff_imaginary_residue_evolves_real(spec):
+    g = Grid(256, 15.0)
+    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)) * (1 + 1e-17j))
+    assert not u0.is_real
+    traj = evolve(u0, spec, StepperConfig(dt=1e-3), 0.01, snapshot_times=[0.0, 0.005, 0.01])
+    assert len(traj.snapshots) == 3 and all(s.is_real for s in traj.snapshots)
+    np.testing.assert_array_equal(traj.snapshots[0].values, u0.values.real)
+
+
 def test_evolve_t_zero_single_snapshot():
     g = Grid(128, 10.0)
     u0 = random_band_limited(g, seed=60)
