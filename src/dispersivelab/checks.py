@@ -11,6 +11,7 @@ evolve the full equations and inspect weighted-norm growth.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "check_ap_hilbert",
     "check_strichartz",
     "check_scaling",
+    "check_persistence",
     "persistence_experiment",
     "bo_domain_comparison",
     "CHECKS",
@@ -111,17 +113,17 @@ def _refinement_report(
 
 # ------------------------------------------------------------------ chirp
 
-def check_chirp_stein(t: float = 0.5, b: float = 0.5, grid: Grid | None = None) -> CheckReport:
+def check_chirp_stein(
+    t: float = 0.5, b: float = 0.5, grid: Grid = Grid(1024, 30.0)
+) -> CheckReport:
     """Square function of the quadratic chirp exp(i t x^2) is dominated by
     c (t^(b/2) + t^b |x|^b); fits the smallest c on |x| <= L/2 and requires
-    the fit to be stable under refinement."""
+    the fit to be stable under refinement.  The wide default cell keeps the
+    fit's periodic-tail bias below the stability tolerance over the tested t."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
     if not t > 0:
         raise ValueError(f"chirp time must be positive, got t={t}")
-    # a wide cell keeps the periodic-tail bias of the fit below the
-    # stability tolerance across the tested range of t
-    grid = grid or Grid(1024, 30.0)
 
     def fit(g: Grid) -> float:
         freq_max = 2.0 * t * g.length
@@ -148,14 +150,13 @@ def check_chirp_stein(t: float = 0.5, b: float = 0.5, grid: Grid | None = None) 
 def check_weighted_free(
     t: float = 0.5,
     b: float = 0.5,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 20.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """|x|^b-weighted norm of the free Schroedinger flow controlled by
     t^(b/2) ||f|| + t^b ||D^b f|| + || |x|^b f ||, swept over the corpus."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
-    grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
@@ -192,7 +193,7 @@ def check_weighted_free(
 # --------------------------------------------------------- gamma identity
 
 def check_gamma_identity(
-    b: float = 0.5, t: float = 0.5, grid: Grid | None = None
+    b: float = 0.5, t: float = 0.5, grid: Grid = Grid(1024, 20.0)
 ) -> CheckReport:
     """Conjugation identity of the fractional Schroedinger vector field:
     Gamma^b(t) U(t) f = U(t) (|x|^b f), both sides computed independently.
@@ -202,7 +203,6 @@ def check_gamma_identity(
     U(t)(|x|^b f) (tolerance 1e-6)."""
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"order must lie in [0,1], got b={b}")
-    grid = grid or Grid(1024, 20.0)
     spec = EquationSpec.nls()
     f = Field.from_function(grid, gaussian)
     evolved = linear_group(f, spec, t)
@@ -257,7 +257,7 @@ def _leibniz_pair_ratio(f: Field, g_: Field, b: float):
 
 def check_leibniz(
     b: float = 0.5,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 20.0),
     corpus: Corpus | None = None,
     pairs: int = 10,
 ) -> CheckReport:
@@ -272,7 +272,6 @@ def check_leibniz(
     (whether that variant holds is open)."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
-    grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus(size=pairs)
     trend = []
     slack_min = np.inf
@@ -333,7 +332,7 @@ def check_gn(
     p: float = 2.0,
     q: float = 2.0,
     r: float = 2.0,
-    grid: Grid | None = None,
+    grid: Grid = Grid(1024, 40.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Fractional interpolation inequality
@@ -344,7 +343,6 @@ def check_gn(
         if not (1.0 < val < np.inf):
             raise ValueError(f"exponent {name} must lie in (1, inf), got {val}")
     theta = gn_theta(alpha, beta, p, q, r)
-    grid = grid or Grid(1024, 40.0)
     corpus = corpus or Corpus(size=10)
 
     def ratio_of(f: Field) -> float:
@@ -383,7 +381,7 @@ def check_interpolation(
     a: float = 1.0,
     b: float = 1.0,
     theta: float = 0.5,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 20.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Bracket-weight interpolation
@@ -393,7 +391,6 @@ def check_interpolation(
         raise ValueError(f"orders must be positive, got a={a}, b={b}")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"interpolation parameter must lie in [0,1], got {theta}")
-    grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus(size=10)
 
     def ratio_of(g: Grid, f: Field) -> float:
@@ -422,7 +419,7 @@ def check_interpolation(
 def check_commutator_leibniz(
     alpha: float = 0.5,
     p: float = 2.0,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 20.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Commutator estimate ||D^alpha(fg) - f D^alpha g||_p controlled by
@@ -431,7 +428,6 @@ def check_commutator_leibniz(
         raise ValueError(f"order must lie in (0,1), got alpha={alpha}")
     if not (1.0 < p < np.inf):
         raise ValueError(f"exponent must lie in (1, inf), got p={p}")
-    grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus(size=10)
 
     def ratio_of(g: Grid, fa: Field, fb: Field) -> float:
@@ -469,7 +465,7 @@ def check_commutator_hilbert(
     l: int = 1,
     m: int = 0,
     p: float = 2.0,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 20.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Order-zero commutators d^l [H; a] d^m, measured against
@@ -479,7 +475,6 @@ def check_commutator_hilbert(
         raise ValueError("need l, m >= 0 with l + m >= 1")
     if not (1.0 < p < np.inf):
         raise ValueError(f"exponent must lie in (1, inf), got p={p}")
-    grid = grid or Grid(512, 20.0)
     corpus = corpus or Corpus(size=10)
 
     def commutator_norm(a_fn: Field, f: Field) -> float:
@@ -541,7 +536,7 @@ def _ap_probes(g: Grid, w: Field, p: float):
 def check_ap_hilbert(
     alpha: float = 0.5,
     p: float = 2.0,
-    grid: Grid | None = None,
+    grid: Grid = Grid(512, 10.0),
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Weighted boundedness of the Hilbert transform against the power
@@ -557,12 +552,14 @@ def check_ap_hilbert(
     growth per refinement tracks sqrt(ap_growth) (1.200 against 1.193 at
     n = 512 -> 1024); that norm itself grows 1.205x there and tends to
     2^(1/4), so a fixed power weight never shows the growth linear in
-    [w]_{A_2} that the sharp bound allows."""
+    [w]_{A_2} that the sharp bound allows.
+
+    Only the corpus's random members probe the operator: its named
+    canonical fields decay too slowly for the narrow default cell."""
     if not (1.0 < p < np.inf):
         raise ValueError(f"exponent must lie in (1, inf), got p={p}")
-    grid = grid or Grid(512, 10.0)
-    # named canonical fields decay too slowly for the narrow default cell
-    corpus = corpus or Corpus(size=10, include_named=False)
+    corpus = corpus or Corpus(size=10)
+    members = corpus.members[: corpus.size]
     inside = -1.0 < alpha < p - 1.0
 
     ap_trend = []
@@ -572,7 +569,7 @@ def check_ap_hilbert(
         ap_trend.append(ap_constant(w, p).value)
         wr = w.values.real
         worst = 0.0
-        probe_vals = [f.values for _, f in corpus.realize(g)]
+        probe_vals = [m.realize(g).values for m in members]
         probe_vals += _ap_probes(g, w, p)
         # mean-free member: the sharp alpha = 0 case
         mean_free = probe_vals[0] - np.mean(probe_vals[0])
@@ -601,7 +598,7 @@ def check_ap_hilbert(
     return CheckReport(
         check_id="ap_hilbert",
         params={"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
-        corpus_size=len(corpus),
+        corpus_size=len(members),
         worst_ratio=ratio_trend[-1],
         fitted_constant=ap_trend[-1],
         residual_max=abs(ratio_growth - 1.0),
@@ -621,7 +618,7 @@ def check_strichartz(
     q: float = 8.0,
     p: float = 4.0,
     T: float = 4.0,
-    grid: Grid | None = None,
+    grid: Grid = Grid(1024, 40.0),
 ) -> CheckReport:
     """Truncated space-time bound of the free Schroedinger flow for an
     admissible pair 1/2 = 2/q + 1/p, from the Gaussian u0 = exp(-x^2) over
@@ -632,7 +629,6 @@ def check_strichartz(
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
         )
-    grid = grid or Grid(1024, 40.0)
     spec = EquationSpec.nls()
 
     def truncated_ratio(scale: float, horizon: float) -> float:
@@ -667,7 +663,7 @@ def check_strichartz(
 
 # -------------------------------------------------------------- scaling
 
-def check_scaling(a: float = 9.0, grid: Grid | None = None) -> CheckReport:
+def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport:
     """Scaling-critical norm ||D^(s_c) u_lambda|| with
     u_lambda = lambda^(2/(a-1)) u0(lambda x), u0 the Gaussian, is
     lambda-independent at s_c = 1/2 - 2/(a-1) >= 0; asserted to 1e-3 over
@@ -681,7 +677,6 @@ def check_scaling(a: float = 9.0, grid: Grid | None = None) -> CheckReport:
         raise ValueError(
             f"negative critical index s_c={sc:.3g} (a={a}) is out of scope; need a >= 5"
         )
-    grid = grid or Grid(1024, 160.0)
     lam_values = (0.5, 1.0, 2.0)
     norms = []
     for lam in lam_values:
@@ -809,94 +804,91 @@ def bo_domain_comparison(
     )
 
 
-# ------------------------------------------------------------- registry
-
-def _run_persistence(params: dict):
-    params = dict(params)
-    params.pop("seed", None)         # no random corpus in this experiment
-    params.pop("corpus_size", None)
-    model = params.pop("model", "nls")
-    if model == "nls":
-        spec = EquationSpec.nls(a=params.pop("a", 3.0), mu=int(params.pop("mu", 1)))
-    elif model == "gkdv":
-        spec = EquationSpec.gkdv(k=int(params.pop("k", 1)))
-    else:
-        spec = EquationSpec.bo()
-    n = int(params.pop("n", 512))
-    L = params.pop("L", 20.0)
-    g = Grid(n, L)
-    amp = params.pop("amplitude", 1.0)
+def check_persistence(
+    model: str = "nls", a: float = 3.0, mu: int = 1, k: int = 1, amplitude: float = 1.0,
+    dt: float = 1e-3, s: float = 2.0, m: float = 1.0, T: float = 1.0,
+    grid: Grid = Grid(512, 20.0),
+) -> CheckReport:
+    """:func:`persistence_experiment` from ``amplitude`` times the Gaussian
+    (NLS, gKdV) or its derivative (BO, zero mean).  Only NLS reads ``a`` and
+    ``mu``, only gKdV ``k``; the spec rejects them off their defaults elsewhere."""
+    spec = EquationSpec(model, a=a, mu=mu, k=k)
     fn = gaussian_deriv if spec.model == "bo" else gaussian
-    u0 = Field(g, amp * np.asarray(fn(g.x), dtype=complex))
-    dt = params.pop("dt", 1e-3)
-    report, _ = persistence_experiment(
-        spec,
-        u0,
-        s=params.pop("s", 2.0),
-        m=params.pop("m", 1.0),
-        T=params.pop("T", 1.0),
-        cfg=StepperConfig(dt=dt),
-    )
-    if params:
-        raise ValueError(f"unknown persistence parameters: {sorted(params)}")
+    u0 = Field(grid, amplitude * np.asarray(fn(grid.x), dtype=complex))
+    report, _ = persistence_experiment(spec, u0, s=s, m=m, T=T, cfg=StepperConfig(dt=dt))
     return report
 
 
-def _simple_runner(fn, allowed, int_keys=(), corpus_factory=None):
-    def run(params: dict):
-        params = dict(params)
-        kwargs = {}
-        grid_n = params.pop("n", None)
-        grid_len = params.pop("L", None)
-        seed = params.pop("seed", None)
-        size = params.pop("corpus_size", None)
-        for key in list(params):
-            if key in allowed:
-                val = params.pop(key)
-                kwargs[key] = int(val) if key in int_keys else val
-        if params:
-            raise ValueError(f"unknown parameters: {sorted(params)}")
-        if (grid_n is None) != (grid_len is None):
-            raise ValueError("overriding the grid requires both n and L")
-        if grid_n is not None:
-            kwargs["grid"] = Grid(int(grid_n), float(grid_len))
-        if corpus_factory is not None and (seed is not None or size is not None):
-            kwargs["corpus"] = corpus_factory(
-                int(seed) if seed is not None else DEFAULT_SEED,
-                int(size) if size is not None else 20,
-            )
-        return fn(**kwargs)
-
-    return run
-
-
-_plain_corpus = lambda seed, size: Corpus(seed=seed, size=size)
-_bare_corpus = lambda seed, size: Corpus(seed=seed, size=size, include_named=False)
+# ------------------------------------------------------------- registry
 
 CHECKS = {
-    "chirp_stein": _simple_runner(check_chirp_stein, {"t", "b"}),
-    "weighted_free": _simple_runner(check_weighted_free, {"t", "b"}, corpus_factory=_plain_corpus),
-    "gamma_identity": _simple_runner(check_gamma_identity, {"b", "t"}),
-    "leibniz": _simple_runner(check_leibniz, {"b"}, corpus_factory=_plain_corpus),
-    "gn": _simple_runner(check_gn, {"alpha", "beta", "p", "q", "r"}, corpus_factory=_plain_corpus),
-    "interpolation": _simple_runner(
-        check_interpolation, {"a", "b", "theta"}, corpus_factory=_plain_corpus
-    ),
-    "commutator_leibniz": _simple_runner(
-        check_commutator_leibniz, {"alpha", "p"}, corpus_factory=_plain_corpus
-    ),
-    "commutator_hilbert": _simple_runner(
-        check_commutator_hilbert, {"l", "m", "p"}, int_keys=("l", "m"), corpus_factory=_plain_corpus
-    ),
-    "ap_hilbert": _simple_runner(check_ap_hilbert, {"alpha", "p"}, corpus_factory=_bare_corpus),
-    "strichartz": _simple_runner(check_strichartz, {"q", "p", "T"}),
-    "scaling": _simple_runner(check_scaling, {"a"}),
-    "persistence": _run_persistence,
+    "chirp_stein": check_chirp_stein,
+    "weighted_free": check_weighted_free,
+    "gamma_identity": check_gamma_identity,
+    "leibniz": check_leibniz,
+    "gn": check_gn,
+    "interpolation": check_interpolation,
+    "commutator_leibniz": check_commutator_leibniz,
+    "commutator_hilbert": check_commutator_hilbert,
+    "ap_hilbert": check_ap_hilbert,
+    "strichartz": check_strichartz,
+    "scaling": check_scaling,
+    "persistence": check_persistence,
 }
+
+# keys that build a fresh Corpus(seed, size) for a check taking ``corpus``
+_CORPUS_KEYS = {"seed": DEFAULT_SEED, "corpus_size": 20}
+
+
+def _coerce(key: str, value, default):
+    """``value`` as the type of ``default``; an int must be integral."""
+    if isinstance(default, str):
+        return str(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = None
+    integral = isinstance(default, int)
+    if number is None or (integral and not number.is_integer()):
+        raise ValueError(f"{key}={value!r} is not {'an integer' if integral else 'a number'}")
+    return type(default)(value if isinstance(value, int) else number)
+
+
+def _arguments(fn, params: dict) -> dict:
+    """Keyword arguments of ``fn`` from a flat table.  Its parameters are the
+    keywords with an int, float or str default, ``n`` and ``L`` of the
+    default grid and, when it takes a corpus, the corpus keys.  Each value
+    is coerced to its default's type; ``n`` or ``L`` overrides that
+    coordinate of the default grid, and ``seed``/``corpus_size`` build a
+    fresh corpus."""
+    sig = inspect.signature(fn).parameters
+    table = {key: p.default for key, p in sig.items() if type(p.default) in (int, float, str)}
+    grid = sig["grid"].default
+    table.update(n=grid.n, L=grid.length)
+    if "corpus" in sig:
+        table.update(_CORPUS_KEYS)
+    else:  # a check without a corpus ignores the corpus keys
+        params = {k: v for k, v in params.items() if k not in _CORPUS_KEYS}
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise ValueError(f"unknown parameters: {unknown}")
+    values = {k: _coerce(k, v, table[k]) for k, v in params.items()}
+    table.update(values)
+    kwargs = {k: v for k, v in values.items() if k not in ("n", "L", *_CORPUS_KEYS)}
+    if "n" in values or "L" in values:
+        kwargs["grid"] = Grid(table["n"], table["L"])
+    if "seed" in values or "corpus_size" in values:
+        kwargs["corpus"] = Corpus(seed=table["seed"], size=table["corpus_size"])
+    return kwargs
 
 
 def run_check(name: str, params: dict | None = None) -> CheckReport:
-    """Dispatch a named check with a flat parameter table (CLI entry)."""
+    """Run a named check with a flat parameter table (the CLI entry); every
+    ValueError, of a parameter or of the check itself, names the check."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; available: {sorted(CHECKS)}")
-    return CHECKS[name](dict(params or {}))
+    fn = CHECKS[name]
+    try:
+        return fn(**_arguments(fn, dict(params or {})))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc

@@ -194,7 +194,7 @@ def _validate(cfg: RunConfig, path: str):
         cfg.equation_spec()
         Grid(cfg.n, cfg.L)
         cfg.stepper_config()
-        check_times(cfg.T, cfg.snapshots)
+        check_times(cfg.T, cfg.snapshots, cfg.dt)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.command == "solve" and cfg.u0 not in _U0_LIBRARY:
@@ -305,14 +305,17 @@ def _run_checks(names: list, params: dict, out_dir: str, jobs: int = 1) -> int:
 
 def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -> int:
     """Execute a config file; exit 0 iff every pass-class verdict passed."""
+    env_seed = os.environ.get(SEED_ENV)
     try:
         cfg = _load_config(config_path)
+        if env_seed is not None:
+            try:
+                cfg = replace(cfg, seed=int(env_seed))
+            except ValueError:
+                raise ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
     out = out_dir or cfg.out_dir
     if cfg.command == "solve":
         return _run_solve(cfg, out)

@@ -67,7 +67,8 @@ def _random_member(rng, idx: int) -> CorpusMember:
 
 
 class Corpus:
-    """Seeded corpus: random band-limited members plus named canonical fields."""
+    """Seeded corpus: ``size`` random band-limited members, then the named
+    canonical fields."""
 
     def __init__(self, seed: int = DEFAULT_SEED, size: int = 20, *, include_named: bool = True):
         self.seed = seed

@@ -20,7 +20,7 @@ NLS marches the full complex spectrum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,6 +64,12 @@ class EquationSpec:
                 raise ValueError(f"NLS sign must be +-1, got mu={self.mu}")
         if self.model == "gkdv" and (self.k < 1 or self.k != int(self.k)):
             raise ValueError(f"gKdV degree must be a positive integer, got k={self.k}")
+        # a parameter that the model does not read must keep its default
+        read = {"nls": ("a", "mu"), "gkdv": ("k",), "bo": ()}[self.model]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in read and value != f.default:
+                raise ValueError(f"{f.name}={value} is not read by the {self.model} model")
 
     @classmethod
     def nls(cls, a: float = 3.0, mu: int = 1) -> "EquationSpec":
@@ -137,7 +143,6 @@ class StepperConfig:
     dt: float
     dealias: float = 2.0 / 3.0
     linear_only: bool = False   # zero the nonlinearity (consistency runs)
-    cfl_warn: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -215,17 +220,20 @@ class _Stepper:
         return E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
 
     def cfl_ratio(self, values: np.ndarray) -> float:
-        """dt over the transport heuristic h / (pi max|u|); 0 when unchecked."""
-        if not self.cfg.cfl_warn or self.cfg.linear_only:
+        """dt over the transport heuristic h / (pi max|u|); 0 for a linear-only run."""
+        if self.cfg.linear_only:
             return 0.0
         return self.cfg.dt * np.pi * float(np.max(np.abs(values))) / self.grid.h
 
 
-def check_times(T: float, snapshot_times) -> None:
-    """Raise ValueError unless T is finite and nonnegative and every snapshot
-    time lies in [0, T]; the rule of :func:`evolve` and of solve configs."""
+def check_times(T: float, snapshot_times, dt: float) -> None:
+    """Raise ValueError unless T is finite and nonnegative, a positive T is
+    at least one step of dt once rounded, and every snapshot time lies in
+    [0, T]; the rule of :func:`evolve` and of solve configs."""
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"final time must be finite and nonnegative, got T={T}")
+    if T > 0 and round(T / dt) == 0:
+        raise ValueError(f"final time T={T:g} rounds to zero steps of dt={dt:g}")
     for t in snapshot_times:
         if not -1e-12 <= t <= T + 1e-12:
             raise ValueError(f"snapshot times must lie in [0, T={T:g}], got {t:g}")
@@ -268,7 +276,7 @@ def evolve(
     """
     if snapshot_times is None:
         snapshot_times = [0.0, T] if T > 0 else [0.0]
-    check_times(T, snapshot_times)
+    check_times(T, snapshot_times, cfg.dt)
     g = u0.grid
     values = real_values(u0, f"the {spec.model} flow") if spec.is_real else u0.values
     n_steps = int(round(T / cfg.dt)) if T > 0 else 0

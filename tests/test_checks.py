@@ -1,7 +1,12 @@
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dispersivelab.checks import (
+    CHECKS,
     CheckReport,
     bo_domain_comparison,
     check_ap_hilbert,
@@ -228,8 +233,49 @@ def test_run_check_registry():
     assert rep.check_id == "gamma_identity"
     with pytest.raises(ValueError, match="unknown check"):
         run_check("nonsense")
-    with pytest.raises(ValueError, match="unknown parameters"):
+    with pytest.raises(ValueError, match=r"^gamma_identity: unknown parameters: \['zzz'\]$"):
         run_check("gamma_identity", {"zzz": 1.0})
+
+
+def test_run_check_reads_the_signature():
+    # n or L alone overrides one coordinate of the default grid
+    assert run_check("scaling", {"n": 2048}).params["L"] == 160.0
+    assert run_check("scaling", {"L": 80}).params["n"] == 1024
+    # leibniz's pairs is a parameter like any other
+    assert run_check("leibniz", {"pairs": 2}) == check_leibniz(pairs=2)
+    # seed or corpus_size builds a fresh corpus, of 20 random members by default
+    assert run_check("weighted_free", {"seed": 5}).corpus_size == 23
+    assert run_check("ap_hilbert", {"seed": 5}).corpus_size == 20
+    assert run_check("ap_hilbert", {"corpus_size": 4}) == check_ap_hilbert(
+        corpus=Corpus(size=4, include_named=False)
+    )
+    # a check without a corpus ignores the corpus keys, whatever their value
+    assert run_check("chirp_stein", {"seed": "x", "corpus_size": 2.5}) == check_chirp_stein()
+    # integral floats, as the CLI parses them, are coerced to int
+    assert run_check("commutator_hilbert", {"l": 2.0, "m": 0.0}).params["l"] == 2
+
+
+def _readme_table() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (\d+), ([\d.]+) \| (.*) \|$", readme, re.M)
+    return {name: (params, int(n), float(length), corpus) for name, params, n, length, corpus in rows}
+
+
+def test_readme_parameter_table_matches_signatures():
+    table = _readme_table()
+    assert sorted(table) == sorted(CHECKS)
+    for name, fn in CHECKS.items():
+        sig = inspect.signature(fn).parameters
+        scalars = [
+            f"`{key}: {type(p.default).__name__} = {p.default!r}`"
+            for key, p in sig.items()
+            if type(p.default) in (int, float, str)
+        ]
+        params, n, length, corpus = table[name]
+        assert params == ", ".join(scalars), name
+        grid = sig["grid"].default
+        assert (n, length) == (grid.n, grid.length), name
+        assert (corpus != "—") == ("corpus" in sig), name
 
 
 def test_reports_bit_reproducible():

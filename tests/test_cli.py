@@ -141,8 +141,15 @@ def test_linear_only_accepts_flags(value):
             "command = solve\nstepper.T = 0.01\nstepper.snapshots = 0, 0.5\n",
             "snapshot times must lie in [0, T=0.01], got 0.5",
         ),
+        (
+            "command = solve\nequation.model = gkdv\ngrid.n = 64\nstepper.T = 0.0004\n",
+            "final time T=0.0004 rounds to zero steps of dt=0.001",
+        ),
     ],
-    ids=["linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T"],
+    ids=[
+        "linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
+        "zero_step_T",
+    ],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
     path = tmp_path / "bad.cfg"
@@ -264,6 +271,16 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert rc == 0
 
 
+def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("command = sweep\nsweep.checks = scaling\n")
+    monkeypatch.setenv("DISPERSIVELAB_SEED", "abc")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: DISPERSIVELAB_SEED='abc' is not an integer\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_print_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(SOLVE_CFG)
@@ -308,6 +325,31 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("check error: ") and "unknown parameters: ['b']" in err
     assert not (tmp_path / "out" / "checks.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, params, cause",
+    [
+        ("persistence", ["model=foo"], "unknown model 'foo'"),
+        ("commutator_hilbert", ["l=1.5"], "l=1.5 is not an integer"),
+        ("commutator_hilbert", ["l=inf"], "l=inf is not an integer"),
+        ("persistence", ["model=gkdv", "k=2.5"], "k=2.5 is not an integer"),
+        ("persistence", ["mu=0.5"], "mu=0.5 is not an integer"),
+        ("chirp_stein", ["t=abc"], "t='abc' is not a number"),
+        ("scaling", ["a=x"], "a='x' is not a number"),
+        ("leibniz", ["corpus_size=2.7"], "corpus_size=2.7 is not an integer"),
+        ("chirp_stein", ["n=512.5", "L=30"], "n=512.5 is not an integer"),
+        ("persistence", ["model=bo", "a=5"], "a=5.0 is not read by the bo model"),
+        ("persistence", ["model=nls", "k=2"], "k=2 is not read by the nls model"),
+        ("scaling", ["b=1"], "unknown parameters: ['b']"),
+    ],
+)
+def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
+    argv = ["check", name, *(a for p in params for a in ("--param", p)), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"check error: {name}: {cause}\n"
+    assert not (tmp_path / "checks.csv").exists()
 
 
 def test_emit_reports_requires_rows(tmp_path):

@@ -38,6 +38,17 @@ def test_equation_spec_validation():
         EquationSpec("heat")
 
 
+@pytest.mark.parametrize(
+    "model, key, value",
+    [("bo", "a", 5.0), ("bo", "k", 2), ("gkdv", "mu", -1), ("nls", "k", 3)],
+)
+def test_equation_spec_rejects_parameters_its_model_does_not_read(model, key, value):
+    with pytest.raises(ValueError, match=f"{key}={value} is not read by the {model} model"):
+        EquationSpec(model, **{key: value})
+    # at its default the parameter is accepted
+    assert EquationSpec(model, **{key: getattr(EquationSpec(model), key)}) == EquationSpec(model)
+
+
 def test_equation_spec_critical_indices():
     assert EquationSpec.nls(a=5.0).s_critical == pytest.approx(0.0)
     assert EquationSpec.nls(a=9.0).s_critical == pytest.approx(0.25)
@@ -146,7 +157,7 @@ def test_constant_field_nls_ode_oracle():
     spec = EquationSpec.nls(a=3.0, mu=1)
     c = 1.5
     dt = 1e-3
-    out = nonlinear_step(Field(g, np.full(g.n, c)), spec, StepperConfig(dt=dt, cfl_warn=False))
+    out = nonlinear_step(Field(g, np.full(g.n, c)), spec, StepperConfig(dt=dt))
     exact = c * np.exp(-1j * spec.mu * c**2 * dt)
     assert np.max(np.abs(out.values - exact)) <= 10 * dt**5
 
@@ -157,7 +168,7 @@ def test_fourth_order_convergence_constant_field():
     c, T = 1.5, 0.2
     errs = []
     for dt in (0.02, 0.01):
-        cfg = StepperConfig(dt=dt, cfl_warn=False)
+        cfg = StepperConfig(dt=dt)
         traj = evolve(Field(g, np.full(g.n, c)), spec, cfg, T)
         exact = c * np.exp(-1j * spec.mu * c**2 * T)
         errs.append(np.max(np.abs(traj.snapshots[-1].values - exact)))
@@ -313,6 +324,16 @@ def test_evolve_snapshot_snapping_and_validation():
         evolve(u0, EquationSpec.nls(), cfg, 0.5, snapshot_times=[0.7])
 
 
+@pytest.mark.parametrize("T", [4e-4, 5e-4])
+def test_evolve_rejects_final_time_of_zero_steps(T):
+    # round(T / dt) is 0: the run would record only t = 0 and report success
+    g = Grid(64, 10.0)
+    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
+    with pytest.raises(ValueError, match=f"T={T:g} rounds to zero steps of dt=0.001"):
+        evolve(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=1e-3), T)
+    assert len(evolve(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=1e-3), 6e-4).times) == 2
+
+
 def test_cfl_warning():
     g = Grid(128, 10.0)
     u0 = Field.from_function(g, lambda x: 5.0 * np.exp(-(x**2)))
@@ -337,7 +358,7 @@ def test_cfl_checked_at_every_snapshot():
     assert "by 1.19x at t=0.35" in str(caught[0].message)
 
 
-@pytest.mark.parametrize("cfg_kwargs", [{"linear_only": True}, {"cfl_warn": False}])
+@pytest.mark.parametrize("cfg_kwargs", [{"linear_only": True}])
 def test_cfl_check_silenced(cfg_kwargs, recwarn):
     _focusing_cfl_run(**cfg_kwargs)
     assert not [w for w in recwarn if issubclass(w.category, CFLWarning)]
@@ -348,8 +369,9 @@ def test_evolve_failure_marker_on_blowup():
     g = Grid(128, 10.0)
     spec = EquationSpec.nls(a=5.0, mu=-1)
     u0 = Field.from_function(g, lambda x: 40.0 * np.exp(-(x**2)))
-    cfg = StepperConfig(dt=0.5, cfl_warn=False)
-    traj = evolve(u0, spec, cfg, 50.0, snapshot_times=np.linspace(0, 50, 21))
+    cfg = StepperConfig(dt=0.5)
+    with pytest.warns(CFLWarning):
+        traj = evolve(u0, spec, cfg, 50.0, snapshot_times=np.linspace(0, 50, 21))
     assert traj.failed
     assert traj.failure_time is not None
 
