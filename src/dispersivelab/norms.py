@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import bessel_potential
-from .spectral import Field, apply_multiplier, boundary_gate
+from .spectral import Field, _build_table, _multiply, boundary_gate
 
 __all__ = [
     "weighted_l2",
@@ -71,7 +71,9 @@ def mixed_norm(traj, p_x: float, q_t: float, order: str = "x-then-t", deriv=None
         raise ValueError(f"unknown order {order!r}")
     snaps = traj.snapshots
     if deriv is not None:
-        snaps = [apply_multiplier(s, deriv) for s in snaps]
+        # one table for every snapshot: they share one grid
+        table = _build_table(snaps[0].grid, deriv)
+        snaps = [_multiply(s, table) for s in snaps]
     if len(times) == 1:
         # degenerate: just the spatial norm of the lone snapshot
         return lebesgue(snaps[0], p_x)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, apply_multiplier
+from .spectral import Field, _apply_table, _multiply
 
 __all__ = [
     "hilbert",
@@ -36,7 +36,7 @@ def hilbert(f: Field) -> Field:
     multiplier), so real input gives real output and H o H = -identity on
     mean-free, Nyquist-free fields.
     """
-    return apply_multiplier(f, lambda xi: -1j * np.sign(xi))
+    return _multiply(f, f.grid._table("hilbert", lambda xi: -1j * np.sign(xi)))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -45,7 +45,7 @@ def derivative(f: Field, order: int = 1) -> Field:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return f.copy()
-    return apply_multiplier(f, lambda xi: (1j * xi) ** order)
+    return _multiply(f, f.grid._table(("derivative", order), lambda xi: (1j * xi) ** order))
 
 
 def riesz_deriv(f: Field, b: float) -> Field:
@@ -61,14 +61,15 @@ def riesz_deriv(f: Field, b: float) -> Field:
         raise ValueError(f"order must be finite and >= 0, got b={b}")
     if b == 0:
         return f.copy()
-    return apply_multiplier(f, lambda xi: np.abs(xi) ** b)
+    return _multiply(f, f.grid._table(("riesz_deriv", b), lambda xi: np.abs(xi) ** b))
 
 
 def bessel_potential(f: Field, s: float) -> Field:
     """Bessel potential J^s, multiplier (1 + xi^2)^(s/2); J^s o J^-s = id."""
     if not np.isfinite(s):
         raise ValueError(f"order must be finite, got s={s}")
-    return apply_multiplier(f, lambda xi: (1.0 + xi**2) ** (s / 2.0))
+    table = f.grid._table(("bessel_potential", s), lambda xi: (1.0 + xi**2) ** (s / 2.0))
+    return _multiply(f, table)
 
 
 # Offset cells per side that stein_deriv sums directly; the rest go through
@@ -220,27 +221,40 @@ def lp_block_range(grid) -> range:
     return range(n_lo, n_hi + 1)
 
 
-def lp_block(f: Field, N: int) -> Field:
-    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N."""
+def _lp_table(grid, N: int):
     if abs(N) > 60:
         raise ValueError(f"dyadic index out of the representable range: N={N}")
     scale = 2.0 ** N
-    return apply_multiplier(f, lambda xi: _eta(np.abs(xi) / scale).astype(complex))
+    return grid._table(("lp_block", N), lambda xi: _eta(np.abs(xi) / scale).astype(complex))
+
+
+def lp_block(f: Field, N: int) -> Field:
+    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N."""
+    return _multiply(f, _lp_table(f.grid, N))
+
+
+def _lp_blocks(f: Field):
+    """The samples of every Q_N f over the lattice-relevant range, from one
+    forward FFT of f."""
+    fhat = np.fft.fft(f.values)
+    real = f.is_real
+    for N in lp_block_range(f.grid):
+        yield _apply_table(_lp_table(f.grid, N), fhat, real)
 
 
 def lp_reconstruct(f: Field) -> Field:
     """Sum of Q_N f over the lattice-relevant range; equals f minus its mean."""
     out = np.zeros(f.grid.n, dtype=complex)
-    for N in lp_block_range(f.grid):
-        out += lp_block(f, N).values
+    for block in _lp_blocks(f):
+        out += block
     return Field(f.grid, out)
 
 
 def lp_linf_l1(f: Field) -> float:
     """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm."""
     total = np.zeros(f.grid.n, dtype=float)
-    for N in lp_block_range(f.grid):
-        total += np.abs(lp_block(f, N).values)
+    for block in _lp_blocks(f):
+        total += np.abs(block)
     return float(np.max(total))
 
 

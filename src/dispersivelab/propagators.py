@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import Field, Grid, apply_multiplier, real_values
+from .spectral import Field, Grid, _multiply, real_values
 
 __all__ = [
     "EquationSpec",
@@ -153,10 +153,17 @@ class StepperConfig:
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     """Exact linear flow U(t) of the model's dispersive part: the group phase
-    applied by :func:`apply_multiplier`.  The gKdV and BO phases, and every
-    model's phase at t = 0, are Hermitian, so its realness rule keeps a real
-    field real there."""
-    return apply_multiplier(f, spec.group_phase(f.grid.xi, t))
+    under the realness rule of :func:`apply_multiplier`.  The gKdV and BO
+    phases, and every model's phase at t = 0, are Hermitian, so a real field
+    stays real there.
+
+    The grid keeps the phase table of each model at the latest t only, so a
+    repeated t skips the build and the symmetry scans, and a scan over many
+    t holds one phase per model.  The table is keyed by the bits of t: the
+    gKdV phases at t = 0.0 and t = -0.0 differ in the sign of zero."""
+    t_bits = float(t).hex()
+    table = f.grid._table(("linear_group", spec), lambda xi: spec.group_phase(xi, t), t_bits)
+    return _multiply(f, table)
 
 
 class _Stepper:

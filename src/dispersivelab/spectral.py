@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,23 @@ class Grid:
         # exp(+i xi_k L) = (-1)^k relating index-space FFT output to the
         # physically normalized transform anchored at x_0 = -L.
         return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
+
+    @cached_property
+    def _tables(self) -> dict:
+        # multiplier tables of the package's operators, by operator and
+        # parameter; see _table
+        return {}
+
+    def _table(self, key, symbol, latest=None) -> "_Table":
+        """The table of ``symbol`` (a callable of xi) stored under ``key``,
+        built on first use.  ``latest`` is a parameter of which only the
+        most recent value is kept: a call with another value rebuilds the
+        table in place.  Threads sharing the grid may at worst build the
+        same table twice."""
+        entry = self._tables.get(key)
+        if entry is None or entry[0] != latest:
+            entry = self._tables[key] = (latest, _build_table(self, symbol))
+        return entry[1]
 
     def refine(self) -> "Grid":
         """Same cell, twice the resolution."""
@@ -156,23 +174,19 @@ def to_physical(fhat: SpectralField) -> Field:
     return Field(g, np.fft.ifft(g._phase * fhat.coeffs) / g.h)
 
 
-def apply_multiplier(f: Field, m) -> Field:
-    """Apply a frequency multiplier m(xi) to a field.
+class _Table(NamedTuple):
+    """A multiplier sampled on a grid's frequency lattice (read-only), with
+    its detected symmetry."""
 
-    ``m`` is a callable evaluated on the grid's frequency lattice or a
-    precomputed array of length n.  The physical-normalization phase cancels
-    against its inverse, so the raw FFT pair is used here.
+    values: np.ndarray
+    odd: bool        # m(-xi) = -m(xi): the Nyquist mode is zeroed
+    hermitian: bool  # m(-xi) = conj(m(xi)): a real input stays real
 
-    The symbol's symmetry is detected on the lattice, to 1e-13 of max|m|:
 
-    * an odd multiplier (m(-xi) = -m(xi)) gets its Nyquist mode zeroed, since
-      that frequency has no positive partner on the lattice and would
-      otherwise break realness of real inputs;
-    * a real input under a Hermitian multiplier (m(-xi) = conj(m(xi)), real
-      at xi = 0) gives a real output.  This is the one realness rule of the
-      operators and the linear groups.
-    """
-    g = f.grid
+def _build_table(g: Grid, m) -> _Table:
+    """Evaluate ``m`` (a callable of xi or an array of length n) on the
+    lattice, reject a non-finite value and detect its symmetry to 1e-13 of
+    max|m|."""
     mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
     if mvals.shape != (g.n,):
         raise ValueError(f"multiplier must have {g.n} values, got shape {mvals.shape}")
@@ -186,17 +200,53 @@ def apply_multiplier(f: Field, m) -> Field:
     tol = 1e-13 * np.max(np.abs(mvals))
     pos = mvals[1 : g.n // 2]
     neg = mvals[-1 : g.n // 2 : -1]
-    out = mvals * np.fft.fft(f.values)
-    if abs(mvals[0]) <= tol and np.max(np.abs(pos + neg)) <= tol:
-        out[g.n // 2] = 0.0
+    odd = bool(abs(mvals[0]) <= tol and np.max(np.abs(pos + neg)) <= tol)
+    hermitian = bool(abs(mvals[0].imag) <= tol and np.max(np.abs(pos - np.conj(neg))) <= tol)
+    # a read-only view: the caller's own array stays writeable
+    mvals = mvals.view()
+    mvals.flags.writeable = False
+    return _Table(mvals, odd, hermitian)
+
+
+def _apply_table(table: _Table, fhat: np.ndarray, real: bool) -> np.ndarray:
+    """Samples of the multiplier applied to raw FFT coefficients ``fhat``
+    (left unchanged) of an input that is ``real`` or not."""
+    out = table.values * fhat
+    if table.odd:
+        out[out.size // 2] = 0.0
     result = np.fft.ifft(out)
-    if (
-        f.is_real
-        and abs(mvals[0].imag) <= tol
-        and np.max(np.abs(pos - np.conj(neg))) <= tol
-    ):
+    if real and table.hermitian:
         result = result.real.astype(np.complex128)
-    return Field(g, result)
+    return result
+
+
+def _multiply(f: Field, table: _Table) -> Field:
+    """``f`` under a table built on its grid."""
+    return Field(f.grid, _apply_table(table, np.fft.fft(f.values), f.is_real))
+
+
+def apply_multiplier(f: Field, m) -> Field:
+    """Apply a frequency multiplier m(xi) to a field.
+
+    ``m`` is a callable evaluated on the grid's frequency lattice or a
+    precomputed array of length n.  The physical-normalization phase cancels
+    against its inverse, so the raw FFT pair is used here.
+
+    The symbol's symmetry is detected on the lattice, to 1e-13 of max|m|, on
+    every call:
+
+    * an odd multiplier (m(-xi) = -m(xi)) gets its Nyquist mode zeroed, since
+      that frequency has no positive partner on the lattice and would
+      otherwise break realness of real inputs;
+    * a real input under a Hermitian multiplier (m(-xi) = conj(m(xi)), real
+      at xi = 0) gives a real output.  This is the one realness rule of the
+      operators and the linear groups.
+
+    The package's own operators and linear groups follow the same rules
+    through tables their grid builds once per symbol (``Grid._table``), so
+    they skip the evaluation and the scans on a repeated call.
+    """
+    return _multiply(f, _build_table(f.grid, m))
 
 
 def real_values(f: Field, what: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Golden values of the default check battery.
+"""Golden values of the default check battery and of the refine battery.
 
 Every ``CHECKS`` entry at its default parameters must reproduce the recorded
 ``worst_ratio``, ``fitted_constant``, ``residual_max`` (each to 1e-10
@@ -6,12 +6,19 @@ relative) and verdict, so a refactor that claims to leave check reports
 unchanged is held to that claim here.  gamma_identity keeps its documented
 ``fail`` (README, acceptance criterion 4).
 
-The values live in ``golden_checks.json`` beside this file.  Re-record them
+The refine battery holds the same claim one refinement level up: every
+check but ``persistence`` at n=4096 on its default L (``leibniz`` at
+n=1024), on the corpus of seed 0x5EED.  These grids reach the operator
+tables and Littlewood-Paley sums at the sizes where they cost most.
+
+The values live in ``golden_checks.json`` and ``golden_refine.json`` beside
+this file; each refine entry carries its own parameters.  Re-record them
 only with a change that is meant to alter a report, and say so in it:
 
     PYTHONPATH=src python -m tests.test_golden
 """
 
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -21,27 +28,26 @@ import pytest
 from dispersivelab.checks import CHECKS, run_check
 
 GOLDEN_FILE = Path(__file__).with_name("golden_checks.json")
+REFINE_FILE = Path(__file__).with_name("golden_refine.json")
 NUMBERS = ("worst_ratio", "fitted_constant", "residual_max")
 REL_TOL = 1e-10
 
+REFINE_SEED = 0x5EED
+REFINE_N = 4096
+REFINE_N_OVERRIDE = {"leibniz": 1024}  # its square function costs seconds at 4096
+REFINE_SKIP = ("persistence",)         # a stepper run, not an operator check
 
-def _measure(name: str) -> dict:
+
+def _measure(name: str, params: dict | None = None) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_check(name, {})
+        report = run_check(name, params)
     row = {key: float(getattr(report, key)) for key in NUMBERS}
     row["verdict"] = report.verdict
     return row
 
 
-def test_golden_covers_every_check():
-    assert sorted(json.loads(GOLDEN_FILE.read_text())) == sorted(CHECKS)
-
-
-@pytest.mark.parametrize("name", sorted(CHECKS))
-def test_default_check_matches_golden(name):
-    want = json.loads(GOLDEN_FILE.read_text())[name]
-    got = _measure(name)
+def _assert_matches(name: str, got: dict, want: dict) -> None:
     assert got["verdict"] == want["verdict"]
     for key in NUMBERS:
         assert abs(got[key] - want[key]) <= REL_TOL * abs(want[key]), (
@@ -49,9 +55,41 @@ def test_default_check_matches_golden(name):
         )
 
 
+def test_golden_covers_every_check():
+    assert sorted(json.loads(GOLDEN_FILE.read_text())) == sorted(CHECKS)
+
+
+def test_refine_golden_covers_every_operator_check():
+    want = sorted(name for name in CHECKS if name not in REFINE_SKIP)
+    assert sorted(json.loads(REFINE_FILE.read_text())) == want
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_default_check_matches_golden(name):
+    want = json.loads(GOLDEN_FILE.read_text())[name]
+    _assert_matches(name, _measure(name), want)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CHECKS if n not in REFINE_SKIP))
+def test_refine_check_matches_golden(name):
+    want = json.loads(REFINE_FILE.read_text())[name]
+    _assert_matches(name, _measure(name, want["params"]), want)
+
+
+def _refine_params(name: str) -> dict:
+    length = inspect.signature(CHECKS[name]).parameters["grid"].default.length
+    n = REFINE_N_OVERRIDE.get(name, REFINE_N)
+    return {"n": n, "L": length, "seed": REFINE_SEED}
+
+
 def _record():
     golden = {name: _measure(name) for name in sorted(CHECKS)}
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+    refine = {}
+    for name in sorted(n for n in CHECKS if n not in REFINE_SKIP):
+        params = _refine_params(name)
+        refine[name] = {"params": params, **_measure(name, params)}
+    REFINE_FILE.write_text(json.dumps(refine, indent=1) + "\n")
 
 
 if __name__ == "__main__":

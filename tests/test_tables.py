@@ -1,0 +1,220 @@
+"""Per-grid multiplier tables against the per-call path.
+
+The package's operators and linear groups apply tables that their grid
+builds once per symbol; ``apply_multiplier`` evaluates and scans its symbol
+on every call.  Both must give the same bits (tolerance 0) on the first
+call, which builds the table, and on a repeated call, which reuses it.
+``apply_multiplier`` itself is held to the single-function form it had
+before the build and the application were split (``_old_apply_multiplier``).
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from dispersivelab.norms import mixed_norm
+from dispersivelab.operators import (
+    _eta,
+    bessel_potential,
+    derivative,
+    hilbert,
+    lp_block,
+    lp_block_range,
+    lp_linf_l1,
+    lp_reconstruct,
+    riesz_deriv,
+)
+from dispersivelab.propagators import EquationSpec, Trajectory, linear_group
+from dispersivelab.spectral import Field, Grid, apply_multiplier
+
+GRIDS = [(8, 1.0), (512, 20.0), (4096, 20.0)]
+MODELS = [EquationSpec.nls(), EquationSpec.gkdv(), EquationSpec.bo()]
+
+
+def _field(grid, real, seed=3):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.n)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(grid.n)
+    return Field(grid, vals)
+
+
+def _same_bits(got: Field, want: Field) -> bool:
+    return got.values.tobytes() == want.values.tobytes()
+
+
+def _operator_cases(grid):
+    """(name, operator, the same symbol as a callable of xi)."""
+    yield "hilbert", hilbert, lambda xi: -1j * np.sign(xi)
+    for order in range(1, 6):
+        yield (
+            f"derivative({order})",
+            lambda f, o=order: derivative(f, o),
+            lambda xi, o=order: (1j * xi) ** o,
+        )
+    for b in (0.25, 0.5, 1.5):
+        yield f"riesz_deriv({b})", lambda f, b=b: riesz_deriv(f, b), lambda xi, b=b: np.abs(xi) ** b
+    for s in (-1.0, 2.0):
+        yield (
+            f"bessel_potential({s})",
+            lambda f, s=s: bessel_potential(f, s),
+            lambda xi, s=s: (1.0 + xi**2) ** (s / 2.0),
+        )
+    for N in lp_block_range(grid):
+        yield (
+            f"lp_block({N})",
+            lambda f, N=N: lp_block(f, N),
+            lambda xi, N=N: _eta(np.abs(xi) / 2.0**N).astype(complex),
+        )
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_operator_tables_match_apply_multiplier(n, L, real):
+    grid = Grid(n, L)
+    assert not grid._tables
+    f = _field(grid, real)
+    for name, op, symbol in _operator_cases(grid):
+        want = apply_multiplier(f, symbol)
+        assert _same_bits(op(f), want), f"{name}: first call"
+        assert _same_bits(op(f), want), f"{name}: cache hit"
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_linear_group_tables_match_apply_multiplier(n, L, real):
+    grid = Grid(n, L)
+    f = _field(grid, real)
+    # each t twice (build, then hit); -0.0 after 0.0 must rebuild: the gKdV
+    # phases at the two zeros differ in the sign of zero
+    times = [0.0, 0.0, 0.3, 0.3, -1.7, -1.7, 0.0, -0.0, -0.0]
+    for spec in MODELS:
+        for t in times:
+            want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
+            assert _same_bits(linear_group(f, spec, t), want), f"{spec.model} at t={t!r}"
+            _, table = grid._tables[("linear_group", spec)]
+            assert table.values.tobytes() == spec.group_phase(grid.xi, t).tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_lp_sums_match_per_block_sum(n, L, real):
+    grid = Grid(n, L)
+    f = _field(grid, real)
+    blocks = [lp_block(f, N).values for N in lp_block_range(grid)]
+    total = np.zeros(n, dtype=complex)
+    norm = np.zeros(n)
+    for block in blocks:
+        total += block
+        norm += np.abs(block)
+    assert lp_reconstruct(f).values.tobytes() == total.tobytes()
+    assert lp_linf_l1(f) == float(np.max(norm))
+
+
+def _old_apply_multiplier(f, m):
+    """apply_multiplier as one function, before the table was split off."""
+    g = f.grid
+    mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
+    tol = 1e-13 * np.max(np.abs(mvals))
+    pos = mvals[1 : g.n // 2]
+    neg = mvals[-1 : g.n // 2 : -1]
+    out = mvals * np.fft.fft(f.values)
+    if abs(mvals[0]) <= tol and np.max(np.abs(pos + neg)) <= tol:
+        out[g.n // 2] = 0.0
+    result = np.fft.ifft(out)
+    if f.is_real and abs(mvals[0].imag) <= tol and np.max(np.abs(pos - np.conj(neg))) <= tol:
+        result = result.real.astype(np.complex128)
+    return Field(g, result)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_apply_multiplier_matches_single_function_form(real):
+    grid = Grid(512, 20.0)
+    f = _field(grid, real)
+    symbols = [
+        lambda xi: -1j * np.sign(xi),            # odd and Hermitian
+        lambda xi: 1j * xi,                      # odd and Hermitian
+        lambda xi: np.exp(-1j * 0.3 * xi**2),    # Hermitian only
+        lambda xi: 1.0 + 1j * xi * (xi > 0),     # neither
+        lambda xi: np.sign(xi),                  # odd, not Hermitian
+    ]
+    for symbol in symbols:
+        assert _same_bits(apply_multiplier(f, symbol), _old_apply_multiplier(f, symbol))
+    array = np.exp(1j * 0.7 * grid.xi * np.abs(grid.xi))
+    assert _same_bits(apply_multiplier(f, array), _old_apply_multiplier(f, array))
+    assert array.flags.writeable  # the caller's array is never frozen
+
+
+def test_linear_group_keeps_one_phase_per_model():
+    grid = Grid(256, 20.0)
+    f = _field(grid, real=True)
+    for t in np.linspace(-2.0, 2.0, 300):
+        for spec in MODELS:
+            linear_group(f, spec, t)
+    keys = sorted(key[1].model for key in grid._tables)
+    assert keys == ["bo", "gkdv", "nls"]
+
+
+def test_cached_tables_are_read_only():
+    grid = Grid(64, 10.0)
+    f = _field(grid, real=True)
+    hilbert(f)
+    derivative(f, 2)
+    linear_group(f, EquationSpec.bo(), 0.5)
+    assert len(grid._tables) == 3
+    for _, table in grid._tables.values():
+        with pytest.raises(ValueError):
+            table.values[0] = 0.0
+
+
+@pytest.mark.parametrize("order", ["x-then-t", "t-then-x"])
+def test_mixed_norm_deriv_matches_per_snapshot_multiplier(order):
+    grid = Grid(512, 20.0)
+    spec = EquationSpec.bo()
+    u0 = Field(grid, np.exp(-grid.x**2) * (1.0 + 0.3 * grid.x))
+    times = np.linspace(0.0, 0.5, 6)
+    traj = Trajectory(spec, times, [linear_group(u0, spec, t) for t in times])
+
+    def deriv(xi):
+        return np.abs(xi) ** 0.5
+
+    applied = Trajectory(spec, times, [apply_multiplier(s, deriv) for s in traj.snapshots])
+    for p_x, q_t in ((2.0, 2.0), (np.inf, 2.0), (4.0, np.inf)):
+        got = mixed_norm(traj, p_x, q_t, order=order, deriv=deriv)
+        assert got == mixed_norm(applied, p_x, q_t, order=order)
+
+
+def test_threads_sharing_a_grid_get_their_own_tables():
+    """Threads applying one group at different t, and operators at different
+    parameters, on one grid (as sweep workers may) each get their own
+    symbol's result.  Every group call replaces the phase another thread
+    may be about to read."""
+    grid = Grid(64, 10.0)
+    f = _field(grid, real=False)
+    failures = []
+
+    def work(k):
+        spec = EquationSpec.bo()
+        for i in range(100):
+            t = 0.01 * (k + 1) * (1 + i % 5)
+            want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
+            if not _same_bits(linear_group(f, spec, t), want):
+                failures.append(("linear_group", spec.model, t))
+            b = 0.25 * (1 + (k + i) % 4)
+            if not _same_bits(riesz_deriv(f, b), apply_multiplier(f, lambda xi: np.abs(xi) ** b)):
+                failures.append(("riesz_deriv", b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
