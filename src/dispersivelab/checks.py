@@ -29,7 +29,7 @@ from .operators import (
     stein_deriv,
 )
 from .propagators import EquationSpec, StepperConfig, evolve, linear_group
-from .spectral import Field, Grid, boundary_gate
+from .spectral import BOUNDARY_TOL, Field, Grid, boundary_gate
 
 __all__ = [
     "CheckReport",
@@ -154,25 +154,29 @@ def check_weighted_free(
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """|x|^b-weighted norm of the free Schroedinger flow controlled by
-    t^(b/2) ||f|| + t^b ||D^b f|| + || |x|^b f ||, swept over the corpus."""
+    t^(b/2) ||f|| + t^b ||D^b f|| + || |x|^b f ||, swept over the corpus;
+    ``t`` is halved, at most three times, until every evolved member clears
+    the boundary gate, and a flow that still fails it raises ValueError."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
-    # the free flow spreads: settle a single time at which every evolved
-    # member still clears the boundary gate, halving at most three times
-    t_used = t
-    adjusted = 0
-    while adjusted < 3:
-        evolved = [linear_group(f, spec, t_used) for _, f in corpus.realize(grid)]
+    fields = [f for _, f in corpus.realize(grid)]
+    for adjusted in range(4):
+        t_used = t / 2.0**adjusted
+        evolved = [linear_group(f, spec, t_used) for f in fields]
         if all(boundary_gate(e)[0] for e in evolved):
             break
-        t_used /= 2.0
-        adjusted += 1
+    else:
+        worst = max(boundary_gate(e)[1] for e in evolved)
+        raise ValueError(
+            f"the free flow fails the boundary gate at t={t_used:g}, three halvings "
+            f"of t={t:g} (outer-cell ratio {worst:.2e} >= {BOUNDARY_TOL:.0e})"
+        )
 
-    def ratio_of(f: Field) -> float:
-        lhs = weighted_l2(linear_group(f, spec, t_used), b, check_gate=False)
+    def ratio_of(f: Field, flow: Field) -> float:
+        lhs = weighted_l2(flow, b, check_gate=False)
         rhs = (
             t_used ** (b / 2.0) * _l2(f)
             + t_used**b * _l2(riesz_deriv(f, b))
@@ -180,7 +184,9 @@ def check_weighted_free(
         )
         return lhs / rhs
 
-    trend = [max(0.0, *(ratio_of(f) for _, f in corpus.realize(g))) for g in (grid, grid.refine())]
+    fine = (m.realize(grid.refine()) for m in corpus.members)  # one member at a time
+    coarse = max(0.0, *map(ratio_of, fields, evolved))
+    trend = [coarse, max(0.0, *(ratio_of(f, linear_group(f, spec, t_used)) for f in fine))]
     return _refinement_report(
         "weighted_free",
         {"t": t_used, "b": b, "n": grid.n, "L": grid.length},
@@ -269,7 +275,11 @@ def check_leibniz(
     so its slack is asserted up to quadrature tolerance; the L^2 ratio is
     fitted and must be refinement stable.  The same ratio computed with the
     multiplier derivative D^b in place of Dcal^b is recorded report-only
-    (whether that variant holds is open)."""
+    (whether that variant holds is open).
+
+    ``pairs`` selects the first ``pairs + 2`` corpus members, paired in twos,
+    plus the Gaussian paired with itself; the default corpus holds ``pairs``
+    random members, and the reported corpus size counts the whole corpus."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
     corpus = corpus or Corpus(size=pairs)
@@ -782,12 +792,12 @@ def bo_domain_comparison(
     spec = EquationSpec.bo()
     growth = {}
     for L in domains:
-        g = Grid(n, L)
-        u0 = Field.from_function(g, gaussian_deriv)
+        u0 = Field.from_function(Grid(n, L), gaussian_deriv)
+        boundary_gate(u0, warn=True, context="bo_domain_comparison")
+        traj = evolve(u0, spec, cfg, T)
         for r in r_values:
-            _, traj = persistence_experiment(spec, u0, s=max(r_values), m=r, T=T, cfg=cfg)
-            series = traj.diagnostics[f"weighted_{r:g}"]
-            growth[(L, r)] = float(series[-1] / max(series[0], 1e-300))
+            w0, wT = (weighted_l2(traj.snapshots[i], r, check_gate=False) for i in (0, -1))
+            growth[(L, r)] = float(wT / max(w0, 1e-300))
     sensitivities = {
         r: abs(growth[(domains[1], r)] / growth[(domains[0], r)] - 1.0) for r in r_values
     }

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import CHECKS, CheckReport, run_check
-from .corpus import DEFAULT_SEED, gaussian, gaussian_deriv, sech2
+from .corpus import gaussian, gaussian_deriv, sech2
 from .laws import standard_diagnostics
 from .propagators import EquationSpec, StepperConfig, check_times, evolve
 from .spectral import Field, Grid
@@ -64,20 +64,13 @@ class RunConfig:
     m: float | None = None
     check_id: str = ""
     check_params: dict = field(default_factory=dict)
-    corpus_size: int = 20
-    seed: int = DEFAULT_SEED
+    seed: int | None = None
     sweep_checks: tuple = ()
     jobs: int = 1
     out_dir: str = "out"
 
     def equation_spec(self) -> EquationSpec:
-        if self.model == "nls":
-            return EquationSpec.nls(a=self.a, mu=self.mu)
-        if self.model == "gkdv":
-            return EquationSpec.gkdv(k=self.k)
-        if self.model == "bo":
-            return EquationSpec.bo()
-        raise ConfigError(f"unknown equation model {self.model!r}")
+        return EquationSpec(self.model, a=self.a, mu=self.mu, k=self.k)
 
     def stepper_config(self) -> StepperConfig:
         return StepperConfig(dt=self.dt, dealias=self.dealias, linear_only=self.linear_only)
@@ -129,7 +122,6 @@ _SCHEMA = {
     "stepper.linear_only": ("linear_only", _flag),
     "solve.u0": ("u0", str),
     "solve.amplitude": ("amplitude", float),
-    "check.corpus_size": ("corpus_size", int),
     "sweep.jobs": ("jobs", int),
     "output.dir": ("out_dir", _path),
     "solve.s": ("s", float),
@@ -319,7 +311,7 @@ def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -
     out = out_dir or cfg.out_dir
     if cfg.command == "solve":
         return _run_solve(cfg, out)
-    params = {"seed": cfg.seed, "corpus_size": cfg.corpus_size, **cfg.check_params}
+    params = dict(cfg.check_params) if cfg.seed is None else {"seed": cfg.seed, **cfg.check_params}
     if cfg.command == "check":
         return _run_checks([cfg.check_id], params, out)
     return _run_checks(list(cfg.sweep_checks), params, out, jobs=cfg.jobs if jobs is None else jobs)

@@ -70,19 +70,15 @@ class Corpus:
     """Seeded corpus: ``size`` random band-limited members, then the named
     canonical fields."""
 
-    def __init__(self, seed: int = DEFAULT_SEED, size: int = 20, *, include_named: bool = True):
+    def __init__(self, seed: int = DEFAULT_SEED, size: int = 20):
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)
-        members = [_random_member(rng, i) for i in range(size)]
-        if include_named:
-            members.append(CorpusMember("gaussian", gaussian))
-            members.append(CorpusMember("sech2", sech2))
-            members.append(CorpusMember("gaussian_deriv", gaussian_deriv))
-        self.members = members
+        named = [CorpusMember(fn.__name__, fn) for fn in (gaussian, sech2, gaussian_deriv)]
+        self.members = [_random_member(rng, i) for i in range(size)] + named
 
-    def realize(self, grid, scale: float = 1.0):
-        return [(m, m.realize(grid, scale)) for m in self.members]
+    def realize(self, grid):
+        return [(m, m.realize(grid)) for m in self.members]
 
     def __len__(self):
         return len(self.members)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -24,7 +25,7 @@ from dispersivelab.checks import (
     persistence_experiment,
     run_check,
 )
-from dispersivelab.corpus import Corpus, gaussian
+from dispersivelab.corpus import Corpus, gaussian, gaussian_deriv
 from dispersivelab.propagators import EquationSpec, StepperConfig
 from dispersivelab.spectral import Field, Grid
 
@@ -80,6 +81,13 @@ def test_weighted_free_passes_and_t_zero_degenerate():
     lhs = weighted_l2(f, 0.5, check_gate=False)
     rhs = weighted_l2(f, 0.5, check_gate=False)
     assert lhs / rhs == pytest.approx(1.0, abs=1e-14)
+
+
+def test_weighted_free_halves_t_to_the_gated_flows():
+    # t=2 clears the gate after two halvings and measures the t=0.5 flows
+    default, halved = check_weighted_free(), check_weighted_free(t=2.0)
+    assert halved.notes == {"t_adjusted": 2.0}
+    assert dataclasses.replace(halved, notes={}) == dataclasses.replace(default, notes={})
 
 
 def test_gamma_identity_integer_and_zero_orders():
@@ -228,6 +236,20 @@ def test_bo_domain_comparison_report_only():
     assert np.isfinite(rep.worst_ratio)
 
 
+def test_bo_domain_comparison_matches_one_experiment_per_cell():
+    # reference: one persistence experiment per (L, r), read at its ends
+    cfg = StepperConfig(dt=2e-3)
+    rep = bo_domain_comparison(T=0.2, n=256, cfg=cfg)
+    growth = {}
+    for L in (20.0, 40.0):
+        u0 = Field.from_function(Grid(256, L), gaussian_deriv)
+        for r in (2.0, 3.0):
+            _, traj = persistence_experiment(EquationSpec.bo(), u0, s=3.0, m=r, T=0.2, cfg=cfg)
+            series = traj.diagnostics[f"weighted_{r:g}"]
+            growth[(L, r)] = float(series[-1] / max(series[0], 1e-300))
+    assert rep.refinement_trend == [growth[key] for key in sorted(growth)]
+
+
 def test_run_check_registry():
     rep = run_check("gamma_identity", {"b": 1.0, "t": 0.5})
     assert rep.check_id == "gamma_identity"
@@ -246,9 +268,7 @@ def test_run_check_reads_the_signature():
     # seed or corpus_size builds a fresh corpus, of 20 random members by default
     assert run_check("weighted_free", {"seed": 5}).corpus_size == 23
     assert run_check("ap_hilbert", {"seed": 5}).corpus_size == 20
-    assert run_check("ap_hilbert", {"corpus_size": 4}) == check_ap_hilbert(
-        corpus=Corpus(size=4, include_named=False)
-    )
+    assert run_check("ap_hilbert", {"corpus_size": 4}) == check_ap_hilbert(corpus=Corpus(size=4))
     # a check without a corpus ignores the corpus keys, whatever their value
     assert run_check("chirp_stein", {"seed": "x", "corpus_size": 2.5}) == check_chirp_stein()
     # integral floats, as the CLI parses them, are coerced to int

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from dispersivelab.cli import (
     parse_config_text,
     run,
 )
-from dispersivelab.checks import CheckReport
+from dispersivelab.checks import CHECKS, CheckReport
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -51,7 +52,6 @@ def test_parse_and_round_trip():
 # --print-config of SOLVE_CFG, recorded before the schema became one table
 SOLVE_CFG_PRINTED = """\
 command = solve
-seed = 24301
 equation.model = gkdv
 equation.a = 3
 equation.mu = 1
@@ -65,21 +65,20 @@ stepper.snapshots = 0, 0.050000000000000003, 0.10000000000000001
 stepper.linear_only = false
 solve.u0 = gaussian
 solve.amplitude = 0.80000000000000004
-check.corpus_size = 20
 sweep.jobs = 1
 output.dir = out
 solve.s = 1
 solve.m = 0.5
 """
 
-# every schema key away from its default, plus a check.params table
+# every schema key away from its default in one of the two configs (a model
+# reads only its own equation keys), plus a check.params table
 FULL_CFG = """
 command = sweep
 seed = 7
 equation.model = nls
 equation.a = 5
 equation.mu = -1
-equation.k = 3
 grid.n = 1024
 grid.L = 12.5
 stepper.dt = 0.0001
@@ -92,7 +91,7 @@ solve.amplitude = 0.3
 solve.s = 1.5
 solve.m = 0.25
 check.id = gn
-check.corpus_size = 5
+check.params.corpus_size = 5
 check.params.alpha = 0.25
 check.params.p = inf
 check.params.label = word
@@ -100,6 +99,7 @@ sweep.checks = gn, leibniz
 sweep.jobs = 3
 output.dir = results
 """
+GKDV_CFG = "equation.model = gkdv\nequation.k = 3\n"
 
 
 def test_schema_covers_run_config():
@@ -108,13 +108,14 @@ def test_schema_covers_run_config():
 
 
 def test_full_config_round_trip():
-    cfg = parse_config_text(FULL_CFG)
+    cfg, gkdv = parse_config_text(FULL_CFG), parse_config_text(GKDV_CFG)
     defaults = RunConfig()
     for name, _ in _SCHEMA.values():
-        assert getattr(cfg, name) != getattr(defaults, name), name
+        assert any(getattr(c, name) != getattr(defaults, name) for c in (cfg, gkdv)), name
     assert cfg.linear_only is True
-    assert cfg.check_params == {"alpha": 0.25, "p": np.inf, "label": "word"}
+    assert cfg.check_params == {"corpus_size": 5.0, "alpha": 0.25, "p": np.inf, "label": "word"}
     assert parse_config_text(emit_config(cfg)) == cfg
+    assert parse_config_text(emit_config(gkdv)) == gkdv
 
 
 def test_print_config_matches_recorded_text(tmp_path, capsys):
@@ -145,10 +146,11 @@ def test_linear_only_accepts_flags(value):
             "command = solve\nequation.model = gkdv\ngrid.n = 64\nstepper.T = 0.0004\n",
             "final time T=0.0004 rounds to zero steps of dt=0.001",
         ),
+        ("command = solve\nequation.model = nls\nequation.k = 3\n", "k=3 is not read by the nls model"),
     ],
     ids=[
         "linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
-        "zero_step_T",
+        "zero_step_T", "off_model_key",
     ],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
@@ -281,6 +283,32 @@ def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+CORPUS_CHECKS = [name for name, fn in CHECKS.items() if "corpus" in inspect.signature(fn).parameters]
+
+
+# each corpus check at its defaults, then gn under each way a config sets a corpus key
+@pytest.mark.parametrize(
+    "name, config, env, params",
+    [(name, "", None, []) for name in CORPUS_CHECKS]
+    + [
+        ("gn", "seed = 7\n", None, ["seed=7"]),
+        ("gn", "check.params.corpus_size = 4\n", None, ["corpus_size=4"]),
+        ("gn", "", "7", ["seed=7"]),
+    ],
+    ids=CORPUS_CHECKS + ["gn_seed", "gn_corpus_size", "gn_seed_env"],
+)
+def test_config_check_equals_check_command(tmp_path, monkeypatch, name, config, env, params):
+    if env is not None:
+        monkeypatch.setenv("DISPERSIVELAB_SEED", env)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"command = check\ncheck.id = {name}\n{config}")
+    assert run(str(path), out_dir=str(tmp_path / "cfg")) == 0
+    argv = ["check", name, *(a for p in params for a in ("--param", p))]
+    assert main([*argv, "--out", str(tmp_path / "cli")]) == 0
+    csv = [(tmp_path / out / "checks.csv").read_bytes() for out in ("cfg", "cli")]
+    assert csv[0] == csv[1]
+
+
 def test_main_print_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(SOLVE_CFG)
@@ -342,6 +370,12 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
         ("persistence", ["model=bo", "a=5"], "a=5.0 is not read by the bo model"),
         ("persistence", ["model=nls", "k=2"], "k=2 is not read by the nls model"),
         ("scaling", ["b=1"], "unknown parameters: ['b']"),
+        (
+            "weighted_free",
+            ["t=8"],
+            "the free flow fails the boundary gate at t=1, three halvings of t=8 "
+            "(outer-cell ratio 3.66e-05 >= 1e-10)",
+        ),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
