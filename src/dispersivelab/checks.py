@@ -162,7 +162,7 @@ def check_weighted_free(
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
-    fields = [f for _, f in corpus.realize(grid)]
+    fields = corpus.realize(grid)
     for adjusted in range(4):
         t_used = t / 2.0**adjusted
         evolved = [linear_group(f, spec, t_used) for f in fields]
@@ -360,7 +360,7 @@ def check_gn(
         den = lebesgue(f, r) ** (1.0 - theta) * lebesgue(riesz_deriv(f, beta), q) ** theta
         return num / den if den > 0 else 0.0
 
-    trend = [max(ratio_of(f) for _, f in corpus.realize(g)) for g in (grid, grid.refine())]
+    trend = [max(ratio_of(f) for f in corpus.realize(g)) for g in (grid, grid.refine())]
     base = ratio_of(_GAUSSIAN.realize(grid))
     scale_dev = max(
         abs(ratio_of(_GAUSSIAN.realize(grid, scale=lam)) / base - 1.0) for lam in (0.5, 2.0)
@@ -411,7 +411,7 @@ def check_interpolation(
         ) ** theta
         return lhs / rhs if rhs > 0 else 0.0
 
-    trend = [max(ratio_of(g, f) for _, f in corpus.realize(g)) for g in (grid, grid.refine())]
+    trend = [max(ratio_of(g, f) for f in corpus.realize(g)) for g in (grid, grid.refine())]
     # the endpoints are exact: both levels must read one (which implies stability)
     endpoint = theta in (0.0, 1.0)
     return _refinement_report(
@@ -504,7 +504,7 @@ def check_commutator_hilbert(
 
     def worst(g: Grid) -> float:
         a_fn = _GAUSSIAN.realize(g)
-        return max(commutator_ratio(a_fn, f) for _, f in corpus.realize(g))
+        return max(commutator_ratio(a_fn, f) for f in corpus.realize(g))
 
     trend = [worst(g) for g in (grid, grid.refine())]
     # a constant symbol commutes with H

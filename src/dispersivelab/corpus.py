@@ -1,22 +1,33 @@
 """Reproducible field corpora for the verification harness.
 
-Members are analytic closures (Gaussian envelope x low-order polynomial x
-random oscillations), so the same member can be realized on any grid, at a
-dilated argument f(lambda x), or on a refined grid, which is what the
-scale- and refinement-stability protocols need.
+A member can be realized on any grid, at a dilated argument f(lambda x), or
+on a refined grid, which is what the scale- and refinement-stability
+protocols need.  The named fields are plain functions of x.  A random member
+is a parameter record (Gaussian envelope x low-order polynomial x random
+oscillations) that is sampled on the lattice: its oscillations cost a few
+complex exponentials per block of points, not one per point and mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import Field, boundary_gate
 
-__all__ = ["CorpusMember", "Corpus", "DEFAULT_SEED", "gaussian", "sech2", "gaussian_deriv"]
+__all__ = [
+    "CorpusMember",
+    "WavePacket",
+    "Corpus",
+    "DEFAULT_SEED",
+    "gaussian",
+    "sech2",
+    "gaussian_deriv",
+]
 
 DEFAULT_SEED = 0x5EED
+_BLOCK = 64  # lattice points per block of a wave packet's phase tables
 
 
 def gaussian(x):
@@ -36,9 +47,13 @@ class CorpusMember:
     name: str
     fn: object            # callable x -> complex values
 
+    def sample(self, grid, scale: float = 1.0) -> np.ndarray:
+        """The member's values at the points ``scale * grid.x``."""
+        return self.fn(scale * grid.x)
+
     def realize(self, grid, scale: float = 1.0, *, check_gate: bool = True) -> Field:
         """Sample the member, optionally dilated to f(scale * x)."""
-        vals = np.asarray(self.fn(scale * grid.x), dtype=np.complex128)
+        vals = np.asarray(self.sample(grid, scale), dtype=np.complex128)
         f = Field(grid, vals)
         if check_gate:
             ok, ratio = boundary_gate(f)
@@ -50,20 +65,48 @@ class CorpusMember:
         return f
 
 
-def _random_member(rng, idx: int) -> CorpusMember:
+@dataclass(frozen=True, eq=False)
+class WavePacket(CorpusMember):
+    """The random member  e^{-(x/w)^2} (1 + p(x)) (1 + sum_m a_m e^{i k_m x}),
+    p(x) = poly[0] + poly[1] x + poly[2] x^2, held as its parameters.
+
+    It is sampled on lattices only.  The points x_j = scale (-L + j h) fall
+    in blocks of B, each anchored at its end nearer x = 0: x_j = x_a + d h
+    scale with |x_a| <= |x_j| and |d| <= B.  Each mode then factors as
+    e^{i k x_a} e^{i k d h scale}: on each side of x = 0 the oscillation
+    sum is a rank-4 product of an (n/2B x 4) and a (4 x B) table, n/B + 2B
+    exponentials per mode in place of n, and no phase argument exceeds
+    |k x_j|."""
+
+    fn: None = field(default=None, init=False, repr=False)  # no function of x: see sample
+    w: float
+    poly: np.ndarray
+    ks: np.ndarray
+    amps: np.ndarray
+
+    def sample(self, grid, scale: float = 1.0) -> np.ndarray:
+        x = scale * grid.x
+        block = min(_BLOCK, grid.n // 2)
+        half = grid.n // (2 * block)          # blocks per side of x = 0
+        starts = x[::block]                   # starts[half] = x_{n/2} = 0
+        anchors = np.concatenate((starts[1 : half + 1], starts[half:]))
+        hi = self.amps * np.exp(1j * np.multiply.outer(anchors, self.ks))
+        steps = scale * grid.h * np.arange(-block, block)
+        lo = np.exp(1j * np.multiply.outer(self.ks, steps))
+        # left blocks step back from their right ends, right blocks forward
+        osc = np.concatenate((hi[:half] @ lo[:, :block], hi[half:] @ lo[:, block:]))
+        env = np.exp(-((x / self.w) ** 2))
+        p = self.poly[0] + self.poly[1] * x + self.poly[2] * x**2
+        return env * (1.0 + p) * (1.0 + osc.ravel())
+
+
+def _random_member(rng, idx: int) -> WavePacket:
     w = rng.uniform(1.0, 1.5)
     poly = rng.normal(size=3) * np.array([1.0, 0.5, 0.125])
     n_modes = 4
     ks = rng.uniform(0.3, 3.0, size=n_modes)
     amps = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-
-    def fn(x, w=w, poly=poly, ks=ks, amps=amps):
-        env = np.exp(-((x / w) ** 2))
-        p = poly[0] + poly[1] * x + poly[2] * x**2
-        osc = sum(a * np.exp(1j * k * x) for a, k in zip(amps, ks))
-        return env * (1.0 + p) * (1.0 + osc)
-
-    return CorpusMember(f"rand_cplx_{idx}", fn)
+    return WavePacket(f"rand_cplx_{idx}", w=w, poly=poly, ks=ks, amps=amps)
 
 
 class Corpus:
@@ -78,7 +121,8 @@ class Corpus:
         self.members = [_random_member(rng, i) for i in range(size)] + named
 
     def realize(self, grid):
-        return [(m, m.realize(grid)) for m in self.members]
+        """Every member's field on ``grid``, in member order."""
+        return [m.realize(grid) for m in self.members]
 
     def __len__(self):
         return len(self.members)

@@ -16,6 +16,9 @@ this file; each refine entry carries its own parameters.  Re-record them
 only with a change that is meant to alter a report, and say so in it:
 
     PYTHONPATH=src python -m tests.test_golden
+
+which prints each recorded value that moves (old -> new, with its relative
+deviation) before it writes the files.
 """
 
 import inspect
@@ -82,14 +85,49 @@ def _refine_params(name: str) -> dict:
     return {"n": n, "L": length, "seed": REFINE_SEED}
 
 
+def _moves(recorded: dict, measured: dict) -> list[str]:
+    """One line per recorded number or verdict that ``measured`` changes:
+    old -> new, with the relative deviation of a number."""
+    lines = []
+    for name, row in measured.items():
+        was = recorded.get(name, {})
+        for key in (*NUMBERS, "verdict"):
+            if key not in was or was[key] == row[key]:
+                continue
+            line = f"{name}.{key}: {was[key]!r} -> {row[key]!r}"
+            if key != "verdict":
+                dev = abs(row[key] - was[key])
+                line += f" (relative {dev / abs(was[key]):.2e})" if was[key] else f" (absolute {dev:.2e})"
+            lines.append(line)
+    return lines
+
+
+def _write(path: Path, measured: dict) -> None:
+    """Print every recorded value that ``measured`` moves, then record it."""
+    recorded = json.loads(path.read_text()) if path.exists() else {}
+    for line in _moves(recorded, measured):
+        print(f"{path.name}: {line}")
+    path.write_text(json.dumps(measured, indent=1) + "\n")
+
+
+def test_moves_lists_each_changed_value_with_its_deviation():
+    recorded = {"a": {"worst_ratio": 2.0, "fitted_constant": 0.0, "residual_max": 1.0, "verdict": "pass"}}
+    measured = {"a": {"worst_ratio": 2.0, "fitted_constant": 1e-3, "residual_max": 1.5, "verdict": "fail"}}
+    assert _moves(recorded, measured) == [
+        "a.fitted_constant: 0.0 -> 0.001 (absolute 1.00e-03)",
+        "a.residual_max: 1.0 -> 1.5 (relative 5.00e-01)",
+        "a.verdict: 'pass' -> 'fail'",
+    ]
+    assert _moves(recorded, recorded) == []
+
+
 def _record():
-    golden = {name: _measure(name) for name in sorted(CHECKS)}
-    GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+    _write(GOLDEN_FILE, {name: _measure(name) for name in sorted(CHECKS)})
     refine = {}
     for name in sorted(n for n in CHECKS if n not in REFINE_SKIP):
         params = _refine_params(name)
         refine[name] = {"params": params, **_measure(name, params)}
-    REFINE_FILE.write_text(json.dumps(refine, indent=1) + "\n")
+    _write(REFINE_FILE, refine)
 
 
 if __name__ == "__main__":
