@@ -7,12 +7,9 @@ from .spectral import (
     BoundaryWarning,
     Field,
     Grid,
-    SpectralField,
     apply_multiplier,
     boundary_gate,
     integrate,
-    to_physical,
-    to_spectral,
 )
 from .operators import (
     bessel_potential,
@@ -25,7 +22,6 @@ from .operators import (
     lp_block,
     lp_block_range,
     lp_linf_l1,
-    lp_reconstruct,
     riesz_deriv,
     stein_deriv,
     stein_l2_norm,
@@ -38,7 +34,6 @@ from .propagators import (
     Trajectory,
     evolve,
     linear_group,
-    nonlinear_step,
 )
 from .laws import invariant_report, invariants, kato_residual, moment, standard_diagnostics
 from .corpus import Corpus, CorpusMember, DEFAULT_SEED

@@ -282,6 +282,8 @@ def check_leibniz(
     random members, and the reported corpus size counts the whole corpus."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
+    if pairs < 0:
+        raise ValueError(f"pairs must be nonnegative, got pairs={pairs}")
     corpus = corpus or Corpus(size=pairs)
     trend = []
     slack_min = np.inf

@@ -114,6 +114,8 @@ class Corpus:
     canonical fields."""
 
     def __init__(self, seed: int = DEFAULT_SEED, size: int = 20):
+        if size < 0:
+            raise ValueError(f"corpus size must be nonnegative, got corpus_size={size}")
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)

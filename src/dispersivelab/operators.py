@@ -20,7 +20,6 @@ __all__ = [
     "stein_l2_norm",
     "lp_block",
     "lp_block_range",
-    "lp_reconstruct",
     "lp_linf_l1",
     "gamma_schrodinger",
     "gamma_airy",
@@ -233,28 +232,14 @@ def lp_block(f: Field, N: int) -> Field:
     return _multiply(f, _lp_table(f.grid, N))
 
 
-def _lp_blocks(f: Field):
-    """The samples of every Q_N f over the lattice-relevant range, from one
-    forward FFT of f."""
+def lp_linf_l1(f: Field) -> float:
+    """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm, from one forward
+    FFT of f."""
     fhat = np.fft.fft(f.values)
     real = f.is_real
-    for N in lp_block_range(f.grid):
-        yield _apply_table(_lp_table(f.grid, N), fhat, real)
-
-
-def lp_reconstruct(f: Field) -> Field:
-    """Sum of Q_N f over the lattice-relevant range; equals f minus its mean."""
-    out = np.zeros(f.grid.n, dtype=complex)
-    for block in _lp_blocks(f):
-        out += block
-    return Field(f.grid, out)
-
-
-def lp_linf_l1(f: Field) -> float:
-    """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm."""
     total = np.zeros(f.grid.n, dtype=float)
-    for block in _lp_blocks(f):
-        total += np.abs(block)
+    for N in lp_block_range(f.grid):
+        total += np.abs(_apply_table(_lp_table(f.grid, N), fhat, real))
     return float(np.max(total))
 
 

@@ -33,16 +33,12 @@ __all__ = [
     "CFLWarning",
     "check_times",
     "linear_group",
-    "nonlinear_step",
     "evolve",
 ]
 
 
 class CFLWarning(UserWarning):
     """The step size exceeds the transport heuristic h / (pi max|u|)."""
-
-
-_GKDV_LWP = {1: -0.75, 2: 0.25, 3: -1.0 / 6.0}
 
 
 @dataclass(frozen=True)
@@ -95,13 +91,6 @@ class EquationSpec:
             raise ValueError("scaling index is defined for the NLS model")
         return 0.5 - 2.0 / (self.a - 1.0)
 
-    @property
-    def s_lwp(self) -> float:
-        """Known local well-posedness threshold for the gKdV family."""
-        if self.model != "gkdv":
-            raise ValueError("the LWP table covers the gKdV family")
-        return _GKDV_LWP.get(self.k, (self.k - 4.0) / (2.0 * self.k))
-
     def group_phase(self, xi: np.ndarray, t: float) -> np.ndarray:
         """Unitary multiplier of the linear group at time t."""
         if self.model == "nls":
@@ -132,10 +121,6 @@ class Trajectory:
             g0 = self.snapshots[0].grid
             if any(s.grid is not g0 and s.grid != g0 for s in self.snapshots):
                 raise ValueError("all snapshots must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0].grid
 
 
 @dataclass(frozen=True)
@@ -246,22 +231,6 @@ def check_times(T: float, snapshot_times, dt: float) -> None:
             raise ValueError(f"snapshot times must lie in [0, T={T:g}], got {t:g}")
 
 
-def nonlinear_step(f: Field, spec: EquationSpec, cfg: StepperConfig) -> Field:
-    """One integrating-factor RK4 step of the full equation: :func:`evolve`
-    over a single step.
-
-    Raises on non-finite output; callers doing long runs should prefer
-    :func:`evolve`, which converts the failure into a truncated trajectory.
-    """
-    from .spectral import boundary_gate
-
-    boundary_gate(f, warn=True, context="nonlinear_step")
-    traj = evolve(f, spec, cfg, cfg.dt)
-    if traj.failed:
-        raise FloatingPointError("time step produced non-finite values")
-    return traj.snapshots[-1]
-
-
 def evolve(
     u0: Field,
     spec: EquationSpec,
@@ -273,7 +242,8 @@ def evolve(
     """March u0 to time T, recording snapshots and per-snapshot diagnostics.
 
     Snapshot times are snapped to the nearest step multiple (the actual
-    times are stored).  ``diagnostics`` is an optional callable
+    times are stored); ``None`` records t = 0 and T, and an empty list is
+    an error.  ``diagnostics`` is an optional callable
     ``(field, t) -> dict of named reals``.  A mid-run NaN truncates the
     trajectory and sets the failure marker instead of raising.
 
@@ -283,6 +253,8 @@ def evolve(
     """
     if snapshot_times is None:
         snapshot_times = [0.0, T] if T > 0 else [0.0]
+    elif len(snapshot_times) == 0:
+        raise ValueError("snapshot_times is empty; pass None to record t = 0 and T")
     check_times(T, snapshot_times, cfg.dt)
     g = u0.grid
     values = real_values(u0, f"the {spec.model} flow") if spec.is_real else u0.values

@@ -1,4 +1,4 @@
-"""Periodic spectral substrate: grid, fields, transforms, multipliers, quadrature.
+"""Periodic spectral substrate: grid, fields, multipliers, quadrature.
 
 Conventions used throughout the package:
 
@@ -8,16 +8,17 @@ Conventions used throughout the package:
   FFT order.  With this convention |xi| is the symbol of the half-order
   Laplacian stack (D^b has symbol |xi|^b, d/dx has symbol i*xi) and
   D^b o D^c = D^(b+c) holds exactly on the lattice;
-* spectral coefficients carry the physical normalization
-  coeffs_k = h * sum_j f_j exp(-i xi_k x_j), a trapezoid approximation of
-  the line Fourier transform, so Parseval reads
-  h*sum|f_j|^2 = sum|coeffs_k|^2 / (2L).
+* operators act on the raw FFT pair: fhat_k = sum_j f_j exp(-2 pi i jk/n)
+  and its inverse.  The trapezoid approximation of the line transform at
+  xi_k is h * exp(i xi_k L) * fhat_k, but that factor cancels between the
+  forward and the inverse transform, so a multiplier m(xi) acts as
+  ifft(m(xi_k) fhat_k).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -26,10 +27,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "SpectralField",
     "BoundaryWarning",
-    "to_spectral",
-    "to_physical",
     "apply_multiplier",
     "integrate",
     "boundary_gate",
@@ -75,12 +73,6 @@ class Grid:
     @property
     def xi_max(self) -> float:
         return np.pi * (self.n // 2) / self.length
-
-    @cached_property
-    def _phase(self) -> np.ndarray:
-        # exp(+i xi_k L) = (-1)^k relating index-space FFT output to the
-        # physically normalized transform anchored at x_0 = -L.
-        return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
 
     @cached_property
     def _tables(self) -> dict:
@@ -148,32 +140,6 @@ class Field:
     __rmul__ = __mul__
 
 
-@dataclass
-class SpectralField:
-    """Physically normalized Fourier coefficients on the dual lattice."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} coefficients, got shape {c.shape}")
-        self.coeffs = c
-
-
-def to_spectral(f: Field) -> SpectralField:
-    """Forward transform; coeffs_k approximate the line transform at xi_k."""
-    g = f.grid
-    return SpectralField(g, g.h * g._phase * np.fft.fft(f.values))
-
-
-def to_physical(fhat: SpectralField) -> Field:
-    """Inverse transform; exact round trip with :func:`to_spectral`."""
-    g = fhat.grid
-    return Field(g, np.fft.ifft(g._phase * fhat.coeffs) / g.h)
-
-
 class _Table(NamedTuple):
     """A multiplier sampled on a grid's frequency lattice (read-only), with
     its detected symmetry."""
@@ -229,8 +195,7 @@ def apply_multiplier(f: Field, m) -> Field:
     """Apply a frequency multiplier m(xi) to a field.
 
     ``m`` is a callable evaluated on the grid's frequency lattice or a
-    precomputed array of length n.  The physical-normalization phase cancels
-    against its inverse, so the raw FFT pair is used here.
+    precomputed array of length n, applied on the raw FFT pair.
 
     The symbol's symmetry is detected on the lattice, to 1e-13 of max|m|, on
     every call:

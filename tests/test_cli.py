@@ -376,6 +376,9 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
             "the free flow fails the boundary gate at t=1, three halvings of t=8 "
             "(outer-cell ratio 3.66e-05 >= 1e-10)",
         ),
+        ("leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3"),
+        ("gn", ["corpus_size=-2"], "corpus size must be nonnegative, got corpus_size=-2"),
+        ("ap_hilbert", ["corpus_size=-1"], "corpus size must be nonnegative, got corpus_size=-1"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

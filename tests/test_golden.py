@@ -17,8 +17,9 @@ only with a change that is meant to alter a report, and say so in it:
 
     PYTHONPATH=src python -m tests.test_golden
 
-which prints each recorded value that moves (old -> new, with its relative
-deviation) before it writes the files.
+which prints each recorded value that moves beyond ``REL_TOL`` (old -> new,
+with its relative deviation) and writes only those: a value within
+``REL_TOL`` of its record keeps the recorded one.
 """
 
 import inspect
@@ -50,10 +51,18 @@ def _measure(name: str, params: dict | None = None) -> dict:
     return row
 
 
+def _holds(key: str, recorded, measured) -> bool:
+    """Whether a recorded value still stands: a number within ``REL_TOL``
+    of the measured one, anything else equal to it."""
+    if key in NUMBERS:
+        return abs(measured - recorded) <= REL_TOL * abs(recorded)
+    return measured == recorded
+
+
 def _assert_matches(name: str, got: dict, want: dict) -> None:
     assert got["verdict"] == want["verdict"]
     for key in NUMBERS:
-        assert abs(got[key] - want[key]) <= REL_TOL * abs(want[key]), (
+        assert _holds(key, want[key], got[key]), (
             f"{name}.{key}: {got[key]!r} != recorded {want[key]!r}"
         )
 
@@ -86,13 +95,13 @@ def _refine_params(name: str) -> dict:
 
 
 def _moves(recorded: dict, measured: dict) -> list[str]:
-    """One line per recorded number or verdict that ``measured`` changes:
-    old -> new, with the relative deviation of a number."""
+    """One line per recorded number or verdict that ``measured`` moves
+    beyond ``REL_TOL``: old -> new, with the deviation of a number."""
     lines = []
     for name, row in measured.items():
         was = recorded.get(name, {})
         for key in (*NUMBERS, "verdict"):
-            if key not in was or was[key] == row[key]:
+            if key not in was or _holds(key, was[key], row[key]):
                 continue
             line = f"{name}.{key}: {was[key]!r} -> {row[key]!r}"
             if key != "verdict":
@@ -102,12 +111,26 @@ def _moves(recorded: dict, measured: dict) -> list[str]:
     return lines
 
 
+def _kept(recorded: dict, measured: dict) -> dict:
+    """``measured`` with each value that ``recorded`` still holds replaced
+    by the recorded one."""
+    kept = {}
+    for name, row in measured.items():
+        was = recorded.get(name, {})
+        kept[name] = {
+            key: was[key] if key in was and _holds(key, was[key], value) else value
+            for key, value in row.items()
+        }
+    return kept
+
+
 def _write(path: Path, measured: dict) -> None:
-    """Print every recorded value that ``measured`` moves, then record it."""
+    """Print every recorded value that ``measured`` moves, then record the
+    moved values and keep the rest."""
     recorded = json.loads(path.read_text()) if path.exists() else {}
     for line in _moves(recorded, measured):
         print(f"{path.name}: {line}")
-    path.write_text(json.dumps(measured, indent=1) + "\n")
+    path.write_text(json.dumps(_kept(recorded, measured), indent=1) + "\n")
 
 
 def test_moves_lists_each_changed_value_with_its_deviation():
@@ -119,6 +142,13 @@ def test_moves_lists_each_changed_value_with_its_deviation():
         "a.verdict: 'pass' -> 'fail'",
     ]
     assert _moves(recorded, recorded) == []
+    # a move within REL_TOL is neither listed nor written; one beyond it is
+    measured["a"]["worst_ratio"] = 2.0 * (1.0 + 0.5 * REL_TOL)
+    assert len(_moves(recorded, measured)) == 3
+    assert _kept(recorded, measured) == {"a": {**measured["a"], "worst_ratio": 2.0}}
+    measured["a"]["worst_ratio"] = 2.0 * (1.0 + 2.0 * REL_TOL)
+    assert _moves(recorded, measured)[0].startswith("a.worst_ratio: 2.0 -> 2.0000000004 (relative 2.00e-10)")
+    assert _kept(recorded, measured) == measured
 
 
 def _record():

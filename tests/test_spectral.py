@@ -8,12 +8,7 @@ from dispersivelab.spectral import (
     apply_multiplier,
     boundary_gate,
     integrate,
-    to_physical,
-    to_spectral,
 )
-
-GRIDS = [Grid(64, 10.0), Grid(256, 15.0), Grid(1024, 20.0)]
-
 
 def random_band_limited(grid, seed=0, kmax=3.0, width=2.0, real=False):
     rng = np.random.default_rng(seed)
@@ -51,40 +46,6 @@ def test_field_rejects_non_finite():
     vals[3] = np.nan
     with pytest.raises(ValueError):
         Field(g, vals)
-
-
-def test_transform_constant_concentrates_at_zero():
-    g = Grid(64, 10.0)
-    fhat = to_spectral(Field(g, np.ones(64)))
-    assert fhat.coeffs[0] == pytest.approx(2 * g.length)
-    assert np.max(np.abs(fhat.coeffs[1:])) < 1e-12 * 2 * g.length
-
-
-def test_transform_pure_mode_single_coefficient():
-    g = Grid(64, 10.0)
-    f = Field.from_function(g, lambda x: np.exp(1j * np.pi * x / g.length))
-    fhat = to_spectral(f)
-    assert abs(fhat.coeffs[1]) == pytest.approx(2 * g.length, rel=1e-13)
-    rest = np.abs(fhat.coeffs)
-    rest[1] = 0.0
-    assert np.max(rest) < 1e-11
-
-
-@pytest.mark.parametrize("grid", GRIDS)
-def test_transform_round_trip(grid):
-    f = random_band_limited(grid, seed=1)
-    back = to_physical(to_spectral(f))
-    err = np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values)
-    assert err <= 1e-12
-
-
-@pytest.mark.parametrize("grid", GRIDS)
-def test_parseval(grid):
-    f = random_band_limited(grid, seed=2)
-    lhs = integrate(Field(grid, np.abs(f.values) ** 2)).real
-    fhat = to_spectral(f)
-    rhs = np.sum(np.abs(fhat.coeffs) ** 2) / (2 * grid.length)
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_multiplier_identity():
