@@ -26,7 +26,7 @@ from .operators import (
     stein_deriv,
     stein_l2_norm,
 )
-from .norms import ap_constant, lebesgue, mixed_norm, power_weight, sobolev, weighted_l2
+from .norms import ap_constant, lebesgue, power_weight, sobolev, weighted_l2
 from .propagators import (
     CFLWarning,
     EquationSpec,

@@ -35,6 +35,17 @@ from .laws import standard_diagnostics
 from .propagators import EquationSpec, StepperConfig, check_times, evolve
 from .spectral import Field, Grid
 
+__all__ = [
+    "RunConfig",
+    "ConfigError",
+    "SEED_ENV",
+    "parse_config_text",
+    "emit_config",
+    "emit_reports",
+    "run",
+    "main",
+]
+
 SEED_ENV = "DISPERSIVELAB_SEED"
 
 _U0_LIBRARY = {"gaussian": gaussian, "sech2": sech2, "gaussian_deriv": gaussian_deriv}

@@ -1,5 +1,5 @@
-"""Norm functionals: weighted L2, Sobolev, Lebesgue, mixed space-time norms,
-and the Muckenhoupt A_p constant of a weight."""
+"""Norm functionals: weighted L2, Sobolev, Lebesgue, and the Muckenhoupt A_p
+constant of a weight."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import bessel_potential
-from .spectral import Field, _build_table, _multiply, boundary_gate
+from .spectral import Field, boundary_gate
 
 __all__ = [
     "weighted_l2",
     "sobolev",
     "lebesgue",
-    "mixed_norm",
     "ap_constant",
     "ApConstant",
     "power_weight",
@@ -46,58 +45,20 @@ def sobolev(f: Field, s: float) -> float:
 
 def lebesgue(f: Field, p: float) -> float:
     """L^p norm; p = inf gives the lattice max norm."""
+    return float(_lebesgue_rows(f.values, f.grid.h, p))
+
+
+def _lebesgue_rows(values: np.ndarray, h: float, p: float) -> np.ndarray:
+    """L^p norm of lattice samples with spacing h along the last axis of
+    ``values``: the formula of :func:`lebesgue`, one norm per row."""
     if p == np.inf:
-        return float(np.max(np.abs(f.values)))
+        return np.max(np.abs(values), axis=-1)
     if p < 1:
         raise ValueError(f"Lebesgue exponent must satisfy p >= 1, got p={p}")
-    g = f.grid
-    return float((g.h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def mixed_norm(traj, p_x: float, q_t: float, order: str = "x-then-t", deriv=None) -> float:
-    """Mixed space-time norm of a trajectory with an optional derivative
-    multiplier applied to every snapshot.
-
-    ``order='x-then-t'`` composes ( int_0^T ||D u(t)||_px^qt dt )^(1/qt);
-    ``order='t-then-x'`` takes the time norm at every node first, realizing
-    sup_x ( int_0^T |D u(x,t)|^2 dt )^(1/2) style functionals for p_x = inf.
-    Time integration is the trapezoid rule on the snapshot times, so the two
-    orders agree exactly when p_x = q_t = 2.
-    """
-    times = np.asarray(traj.times, dtype=float)
-    if len(times) == 0:
-        raise ValueError("mixed norm of an empty trajectory")
-    if order not in ("x-then-t", "t-then-x"):
-        raise ValueError(f"unknown order {order!r}")
-    snaps = traj.snapshots
-    if deriv is not None:
-        # one table for every snapshot: they share one grid
-        table = _build_table(snaps[0].grid, deriv)
-        snaps = [_multiply(s, table) for s in snaps]
-    if len(times) == 1:
-        # degenerate: just the spatial norm of the lone snapshot
-        return lebesgue(snaps[0], p_x)
-
-    dt = np.diff(times)
-    tw = np.zeros(len(times))
-    tw[:-1] += 0.5 * dt
-    tw[1:] += 0.5 * dt
-
-    if order == "x-then-t":
-        vals = np.array([lebesgue(s, p_x) for s in snaps])
-        if q_t == np.inf:
-            return float(np.max(vals))
-        return float((np.sum(tw * vals**q_t)) ** (1.0 / q_t))
-
-    stack = np.stack([np.abs(s.values) for s in snaps], axis=0)  # (nt, nx)
-    if q_t == np.inf:
-        per_node = np.max(stack, axis=0)
-    else:
-        per_node = (np.sum(tw[:, None] * stack**q_t, axis=0)) ** (1.0 / q_t)
-    grid = snaps[0].grid
-    if p_x == np.inf:
-        return float(np.max(per_node))
-    return float((grid.h * np.sum(per_node**p_x)) ** (1.0 / p_x))
+    integrals = h * np.sum(np.abs(values) ** p, axis=-1)
+    # the root number by number: numpy's array power and its scalar power
+    # can round differently in the last bit
+    return np.array([s ** (1.0 / p) for s in integrals.flat]).reshape(np.shape(integrals))
 
 
 class ApConstant(NamedTuple):

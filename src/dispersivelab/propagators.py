@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import Field, Grid, _multiply, real_values
+from .spectral import Field, Grid, _apply_table, _build_table, _multiply, real_values
 
 __all__ = [
     "EquationSpec",
@@ -91,10 +91,21 @@ class EquationSpec:
             raise ValueError("scaling index is defined for the NLS model")
         return 0.5 - 2.0 / (self.a - 1.0)
 
-    def group_phase(self, xi: np.ndarray, t: float) -> np.ndarray:
-        """Unitary multiplier of the linear group at time t."""
+    def group_phase(self, xi: np.ndarray, t) -> np.ndarray:
+        """Unitary multiplier of the linear group at time t on ``xi``, a
+        grid's full FFT-ordered lattice; a column of times (shape (k, 1))
+        gives one row per time.
+
+        The NLS phase is even in xi and the lattice is symmetric but for its
+        lone Nyquist mode, so the phase is evaluated on the n/2 + 1
+        frequencies ``xi[: n/2 + 1]`` and mirrored: bitwise the full
+        evaluation, at half the exponentials.  The gKdV and BO phases are
+        evaluated in full: their conjugate mirror differs from it in the
+        sign of an imaginary zero at t = 0."""
         if self.model == "nls":
-            return np.exp(-1j * t * xi**2)
+            n = xi.shape[-1]
+            half = np.exp(-1j * t * xi[: n // 2 + 1] ** 2)
+            return np.concatenate([half, half[..., n // 2 - 1 : 0 : -1]], axis=-1)
         if self.model == "gkdv":
             # xi * xi * xi is exactly odd on the lattice (xi**3 is not), so
             # the phase is exactly Hermitian and keeps a real field real
@@ -143,12 +154,31 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     stays real there.
 
     The grid keeps the phase table of each model at the latest t only, so a
-    repeated t skips the build and the symmetry scans, and a scan over many
-    t holds one phase per model.  The table is keyed by the bits of t: the
-    gKdV phases at t = 0.0 and t = -0.0 differ in the sign of zero."""
+    repeated t skips the build and the symmetry scans.  The table is keyed
+    by the bits of t: the gKdV phases at t = 0.0 and t = -0.0 differ in the
+    sign of zero.  A scan over many t belongs to :func:`_group_scan`, which
+    transforms the field once and keeps no table."""
     t_bits = float(t).hex()
     table = f.grid._table(("linear_group", spec), lambda xi: spec.group_phase(xi, t), t_bits)
     return _multiply(f, table)
+
+
+SCAN_BLOCK = 16  # times per batched inverse FFT of a scan: 1 MB of phases at n = 4096
+
+
+def _group_scan(f: Field, spec: EquationSpec, times):
+    """Samples of U(t) f for every t in ``times``, yielded as blocks of up to
+    SCAN_BLOCK rows, one row per time: one forward FFT of f, then for each
+    block the group phases, the table rules of :func:`apply_multiplier`
+    row by row and one batched inverse FFT.  Each row is bitwise
+    ``linear_group(f, spec, t).values``."""
+    g = f.grid
+    fhat = np.fft.fft(f.values)
+    real = f.is_real
+    times = np.asarray(times, dtype=float)
+    for start in range(0, times.size, SCAN_BLOCK):
+        phases = spec.group_phase(g.xi, times[start : start + SCAN_BLOCK, None])
+        yield _apply_table(_build_table(g, phases), fhat, real)
 
 
 class _Stepper:
@@ -178,8 +208,10 @@ class _Stepper:
             self.forward, self.inverse = np.fft.fft, np.fft.ifft
         mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
         dt = cfg.dt
-        self.E = spec.group_phase(xi, dt / 2.0)   # half-step linear flow
-        self.E2 = spec.group_phase(xi, dt)
+        # group_phase takes the full lattice; a half spectrum keeps a copy of
+        # its head, so the full phases are freed
+        self.E = spec.group_phase(grid.xi, dt / 2.0)[: xi.size].copy()   # half-step linear flow
+        self.E2 = spec.group_phase(grid.xi, dt)[: xi.size].copy()
         if spec.model == "nls":
             self.multiplier = (-1j * spec.mu) * mask
         else:

@@ -142,32 +142,37 @@ class Field:
 
 class _Table(NamedTuple):
     """A multiplier sampled on a grid's frequency lattice (read-only), with
-    its detected symmetry."""
+    its detected symmetry.  A table may hold several multipliers, one per
+    row along its last axis; ``odd`` and ``hermitian`` then hold one flag
+    per row (a numpy bool for a single multiplier)."""
 
     values: np.ndarray
-    odd: bool        # m(-xi) = -m(xi): the Nyquist mode is zeroed
-    hermitian: bool  # m(-xi) = conj(m(xi)): a real input stays real
+    odd: np.ndarray        # m(-xi) = -m(xi): the Nyquist mode is zeroed
+    hermitian: np.ndarray  # m(-xi) = conj(m(xi)): a real input stays real
 
 
 def _build_table(g: Grid, m) -> _Table:
-    """Evaluate ``m`` (a callable of xi or an array of length n) on the
-    lattice, reject a non-finite value and detect its symmetry to 1e-13 of
-    max|m|."""
+    """Evaluate ``m`` (a callable of xi, or an array whose last axis has
+    length n) on the lattice, reject a non-finite value and detect the
+    symmetry of each row to 1e-13 of its max|m|."""
     mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
-    if mvals.shape != (g.n,):
+    if mvals.ndim == 0 or mvals.shape[-1] != g.n:
         raise ValueError(f"multiplier must have {g.n} values, got shape {mvals.shape}")
     bad = ~np.isfinite(mvals)
     if np.any(bad):
-        k = int(np.argmax(bad))
+        k = int(np.nonzero(bad)[-1][0])
         raise ValueError(
             f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); "
             "singular multipliers must define m there explicitly"
         )
-    tol = 1e-13 * np.max(np.abs(mvals))
-    pos = mvals[1 : g.n // 2]
-    neg = mvals[-1 : g.n // 2 : -1]
-    odd = bool(abs(mvals[0]) <= tol and np.max(np.abs(pos + neg)) <= tol)
-    hermitian = bool(abs(mvals[0].imag) <= tol and np.max(np.abs(pos - np.conj(neg))) <= tol)
+    tol = 1e-13 * np.max(np.abs(mvals), axis=-1)
+    zero = mvals[..., 0]
+    pos = mvals[..., 1 : g.n // 2]
+    neg = mvals[..., -1 : g.n // 2 : -1]
+    odd = np.abs(zero) <= tol
+    if np.any(odd):  # no scan when m(0) rules out every row
+        odd &= np.max(np.abs(pos + neg), axis=-1) <= tol
+    hermitian = (np.abs(zero.imag) <= tol) & (np.max(np.abs(pos - np.conj(neg)), axis=-1) <= tol)
     # a read-only view: the caller's own array stays writeable
     mvals = mvals.view()
     mvals.flags.writeable = False
@@ -176,13 +181,15 @@ def _build_table(g: Grid, m) -> _Table:
 
 def _apply_table(table: _Table, fhat: np.ndarray, real: bool) -> np.ndarray:
     """Samples of the multiplier applied to raw FFT coefficients ``fhat``
-    (left unchanged) of an input that is ``real`` or not."""
+    (left unchanged) of an input that is ``real`` or not; a table of several
+    rows gives one row of samples per multiplier."""
+    # a flag indexes its own row, and a single table's numpy bool indexes
+    # the whole of it
     out = table.values * fhat
-    if table.odd:
-        out[out.size // 2] = 0.0
+    out[..., out.shape[-1] // 2][table.odd] = 0.0
     result = np.fft.ifft(out)
-    if real and table.hermitian:
-        result = result.real.astype(np.complex128)
+    if real:
+        result.imag[table.hermitian] = 0.0
     return result
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +380,10 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
         ("leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3"),
         ("gn", ["corpus_size=-2"], "corpus size must be nonnegative, got corpus_size=-2"),
         ("ap_hilbert", ["corpus_size=-1"], "corpus size must be nonnegative, got corpus_size=-1"),
+        ("strichartz", ["T=0"], "horizon must be finite and positive, got T=0.0"),
+        ("strichartz", ["T=-1"], "horizon must be finite and positive, got T=-1.0"),
+        ("strichartz", ["T=nan"], "horizon must be finite and positive, got T=nan"),
+        ("strichartz", ["T=inf"], "horizon must be finite and positive, got T=inf"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
@@ -395,4 +400,4 @@ def test_emit_reports_requires_rows(tmp_path):
     r = CheckReport("demo", {"p": 2.0}, 1, 1.0, 1.0, 0.0, [1.0], "report-only")
     path = emit_reports([r], str(tmp_path))
     assert os.path.exists(path)
-    assert "report-only" in open(path).read()
+    assert "report-only" in Path(path).read_text()

@@ -1,5 +1,5 @@
-"""The package's public surface: every name in a module's ``__all__``
-exists, and ``dispersivelab/__init__.py`` re-exports only names
+"""The package's public surface: every module defines ``__all__``, every
+name in it exists, and ``dispersivelab/__init__.py`` re-exports only names
 in the ``__all__`` of the module it imports them from."""
 
 import ast
@@ -13,6 +13,7 @@ MODULES = ("spectral", "operators", "norms", "propagators", "laws", "corpus", "c
 
 def test_star_imports_and_package_reexports_are_public():
     for mod in MODULES:
+        assert hasattr(importlib.import_module(f"dispersivelab.{mod}"), "__all__"), mod
         exec(f"from dispersivelab.{mod} import *", {})  # raises on a stale __all__ entry
     tree = ast.parse(Path(dispersivelab.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]

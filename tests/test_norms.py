@@ -4,7 +4,6 @@ import pytest
 from dispersivelab.norms import (
     ap_constant,
     lebesgue,
-    mixed_norm,
     power_weight,
     sobolev,
     weighted_l2,
@@ -12,12 +11,6 @@ from dispersivelab.norms import (
 from dispersivelab.spectral import Field, Grid
 
 from .test_spectral import random_band_limited
-
-
-class FakeTrajectory:
-    def __init__(self, times, snapshots):
-        self.times = times
-        self.snapshots = snapshots
 
 
 def test_weighted_l2_m_zero_is_l2():
@@ -80,58 +73,6 @@ def test_lebesgue_p4_gaussian():
     g = Grid(1024, 20.0)
     f = Field.from_function(g, lambda x: np.exp(-(x**2)))
     assert lebesgue(f, 4.0) == pytest.approx((np.sqrt(np.pi) / 2.0) ** 0.25, rel=1e-12)
-
-
-def test_mixed_norm_constant_trajectory():
-    g = Grid(256, 10.0)
-    f = random_band_limited(g, seed=25)
-    traj = FakeTrajectory(np.linspace(0, 1, 11), [f.copy() for _ in range(11)])
-    assert mixed_norm(traj, 4.0, 2.0) == pytest.approx(lebesgue(f, 4.0), rel=1e-12)
-
-
-def test_mixed_norm_separable_orders_agree():
-    g = Grid(256, 10.0)
-    f = random_band_limited(g, seed=26)
-    times = np.linspace(0, 1, 17)
-    gvals = 1.0 + 0.5 * np.sin(2 * np.pi * times)
-    traj = FakeTrajectory(times, [Field(g, gv * f.values) for gv in gvals])
-    a = mixed_norm(traj, 4.0, 6.0, order="x-then-t")
-    b = mixed_norm(traj, 4.0, 6.0, order="t-then-x")
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_mixed_norm_l2l2_order_independent():
-    g = Grid(256, 10.0)
-    times = np.linspace(0, 1, 9)
-    snaps = [random_band_limited(g, seed=30 + i) for i in range(9)]
-    traj = FakeTrajectory(times, snaps)
-    a = mixed_norm(traj, 2.0, 2.0, order="x-then-t")
-    b = mixed_norm(traj, 2.0, 2.0, order="t-then-x")
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_mixed_norm_empty_rejected():
-    with pytest.raises(ValueError):
-        mixed_norm(FakeTrajectory([], []), 2.0, 2.0)
-
-
-def test_mixed_norm_free_schrodinger_smoothing_functional():
-    # sup_x ( int_0^T |d/dx u|^2 dt )^(1/2) for the free flow of a Gaussian:
-    # finite and stable within 2% under one grid refinement
-    from dispersivelab.propagators import EquationSpec, linear_group
-
-    spec = EquationSpec.nls()
-    values = []
-    for n in (512, 1024):
-        g = Grid(n, 20.0)
-        u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
-        times = np.linspace(0.0, 1.0, 33)
-        traj = FakeTrajectory(times, [linear_group(u0, spec, t) for t in times])
-        values.append(
-            mixed_norm(traj, np.inf, 2.0, order="t-then-x", deriv=lambda xi: 1j * xi)
-        )
-    assert np.isfinite(values[0])
-    assert abs(values[1] / values[0] - 1.0) <= 0.02
 
 
 def test_ap_constant_of_one():

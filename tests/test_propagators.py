@@ -82,6 +82,23 @@ def test_group_phase_exactly_hermitian(model, n, length):
         assert m[0] == 1.0
 
 
+@pytest.mark.parametrize("n", [8, 512, 8192])
+@pytest.mark.parametrize("length", [1.0, 20.0, 160.0])
+def test_nls_group_phase_mirror_is_the_full_build(n, length):
+    """The NLS phase, evaluated on the n/2 + 1 frequencies xi[: n/2 + 1] and
+    mirrored, is bitwise exp(-i t xi^2) on the whole lattice, for one time
+    and for a column of times alike."""
+    xi = Grid(n, length).xi
+    times = [0.0, -0.0, -2.5, 1e-3, 0.3, 1.7, 4.0, 40.0]
+    spec = EquationSpec.nls()
+    column = spec.group_phase(xi, np.array(times)[:, None])
+    assert column.shape == (len(times), n)
+    for t, row in zip(times, column):
+        full = np.exp(-1j * t * xi**2)
+        assert spec.group_phase(xi, t).tobytes() == full.tobytes(), t
+        assert row.tobytes() == full.tobytes(), t
+
+
 def test_nls_free_gaussian_closed_form():
     g = Grid(1024, 20.0)
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))

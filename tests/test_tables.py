@@ -14,7 +14,6 @@ import threading
 import numpy as np
 import pytest
 
-from dispersivelab.norms import mixed_norm
 from dispersivelab.operators import (
     _eta,
     bessel_potential,
@@ -25,7 +24,7 @@ from dispersivelab.operators import (
     lp_linf_l1,
     riesz_deriv,
 )
-from dispersivelab.propagators import EquationSpec, Trajectory, linear_group
+from dispersivelab.propagators import SCAN_BLOCK, EquationSpec, _group_scan, linear_group
 from dispersivelab.spectral import Field, Grid, apply_multiplier
 
 GRIDS = [(8, 1.0), (512, 20.0), (4096, 20.0)]
@@ -97,6 +96,46 @@ def test_linear_group_tables_match_apply_multiplier(n, L, real):
             assert table.values.tobytes() == spec.group_phase(grid.xi, t).tobytes()
 
 
+# time counts of one time, one full block, one full and one partial block,
+# and 8 full blocks and a partial one; all but the first hold both t = 0.0
+# and t = -0.0
+SCAN_TIMES = [
+    np.array([-0.0]),
+    np.where(np.arange(16) == 5, -0.0, np.linspace(0.0, 1.5, 16)),
+    np.append(np.linspace(-1.7, 1.3, 15), [0.0, -0.0]),
+    np.where(np.arange(129) == 100, -0.0, np.linspace(0.0, 4.0, 129)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,real",
+    [
+        (EquationSpec.nls(), True),
+        (EquationSpec.nls(), False),
+        (EquationSpec.gkdv(), True),
+        (EquationSpec.bo(), True),
+    ],
+    ids=["nls-real", "nls-complex", "gkdv", "bo"],
+)
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_group_scan_rows_match_linear_group(n, L, spec, real):
+    """Every row of a time scan is linear_group's field at that time, bit for
+    bit, and a real field stays real wherever the phase is Hermitian: at
+    t = +-0 for NLS and at every t for gKdV and BO."""
+    grid = Grid(n, L)
+    f = _field(grid, real)
+    for times in SCAN_TIMES:
+        blocks = list(_group_scan(f, spec, times))
+        assert all(1 <= len(rows) <= SCAN_BLOCK for rows in blocks)
+        rows = np.concatenate(blocks)
+        assert rows.shape == (times.size, n)
+        for t, row in zip(times, rows):
+            want = linear_group(f, spec, float(t))
+            assert row.tobytes() == want.values.tobytes(), f"{spec.model} at t={t!r}"
+            if real and (spec.is_real or t == 0.0):
+                assert not row.imag.any(), f"{spec.model} at t={t!r}"
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("n,L", GRIDS)
 def test_lp_sums_match_per_block_sum(n, L, real):
@@ -162,23 +201,6 @@ def test_cached_tables_are_read_only():
     for _, table in grid._tables.values():
         with pytest.raises(ValueError):
             table.values[0] = 0.0
-
-
-@pytest.mark.parametrize("order", ["x-then-t", "t-then-x"])
-def test_mixed_norm_deriv_matches_per_snapshot_multiplier(order):
-    grid = Grid(512, 20.0)
-    spec = EquationSpec.bo()
-    u0 = Field(grid, np.exp(-grid.x**2) * (1.0 + 0.3 * grid.x))
-    times = np.linspace(0.0, 0.5, 6)
-    traj = Trajectory(spec, times, [linear_group(u0, spec, t) for t in times])
-
-    def deriv(xi):
-        return np.abs(xi) ** 0.5
-
-    applied = Trajectory(spec, times, [apply_multiplier(s, deriv) for s in traj.snapshots])
-    for p_x, q_t in ((2.0, 2.0), (np.inf, 2.0), (4.0, np.inf)):
-        got = mixed_norm(traj, p_x, q_t, order=order, deriv=deriv)
-        assert got == mixed_norm(applied, p_x, q_t, order=order)
 
 
 def test_threads_sharing_a_grid_get_their_own_tables():
