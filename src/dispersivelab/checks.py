@@ -159,6 +159,8 @@ def check_weighted_free(
     the boundary gate, and a flow that still fails it raises ValueError."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got t={t}")
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
@@ -753,9 +755,9 @@ def persistence_experiment(
     traj = evolve(u0, spec, cfg, T, snapshot_times=times, diagnostics=diagnostics)
 
     key = f"weighted_{m:g}"
-    series = traj.diagnostics.get(key, np.array([np.nan]))
-    initial = series[0] if len(series) else np.nan
-    sup_growth = float(np.max(series) / max(initial, 1e-300)) if len(series) else np.inf
+    series = traj.diagnostics[key]
+    initial = series[0]
+    sup_growth = float(np.max(series) / max(initial, 1e-300))
     in_regime = m <= s
     if traj.failed:
         verdict = "fail"
@@ -776,7 +778,7 @@ def persistence_experiment(
         corpus_size=1,
         worst_ratio=sup_growth,
         fitted_constant=initial if np.isfinite(initial) else 0.0,
-        residual_max=float(np.max(traj.diagnostics.get("moment0", np.array([0.0])))),
+        residual_max=float(np.max(traj.diagnostics["moment0"])),
         refinement_trend=list(series),
         verdict=verdict,
         notes={"gate_ratio": ratio, "in_regime": float(in_regime)},

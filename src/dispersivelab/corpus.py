@@ -116,6 +116,8 @@ class Corpus:
     def __init__(self, seed: int = DEFAULT_SEED, size: int = 20):
         if size < 0:
             raise ValueError(f"corpus size must be nonnegative, got corpus_size={size}")
+        if seed < 0:
+            raise ValueError(f"corpus seed must be nonnegative, got seed={seed}")
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)

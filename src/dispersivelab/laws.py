@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .norms import sobolev, weighted_l2
 from .operators import derivative, riesz_deriv
 from .propagators import EquationSpec, Trajectory
 from .spectral import Field, boundary_gate, integrate, real_values
@@ -153,7 +154,6 @@ def standard_diagnostics(spec: EquationSpec, s: float | None = None, m: float | 
     Always records the invariants; optionally the H^s and |x|^m / <x>^m
     norms used by the persistence experiments.
     """
-    from .norms import sobolev, weighted_l2
 
     def compute(fld: Field, t: float) -> dict:
         out = dict(invariants(fld, spec))

@@ -109,10 +109,13 @@ def power_weight(grid, alpha: float) -> Field:
     The origin node takes the exact cell average
     (1/h) int_{-h/2}^{h/2} |x|^alpha dx = (h/2)^alpha / (alpha+1), the
     quadrature-consistent regularization of the singular value (finite for
-    every alpha > -1).  alpha = 0 gives the constant weight 1 exactly.
+    every alpha > -1).  alpha = 0 gives the constant weight 1 exactly; an
+    alpha that is not finite or not above -1 raises ValueError.
     """
-    if alpha <= -1:
-        raise ValueError(f"power weight needs alpha > -1 to be locally integrable, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > -1):
+        raise ValueError(
+            f"power weight needs a finite alpha > -1 to be locally integrable, got alpha={alpha}"
+        )
     if alpha == 0:
         return Field(grid, np.ones(grid.n))
     x = grid.x

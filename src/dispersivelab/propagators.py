@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import Field, Grid, _apply_table, _build_table, _multiply, real_values
+from .spectral import Field, Grid, _apply_table, _build_table, real_values
 
 __all__ = [
     "EquationSpec",
@@ -151,16 +151,9 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     """Exact linear flow U(t) of the model's dispersive part: the group phase
     under the realness rule of :func:`apply_multiplier`.  The gKdV and BO
     phases, and every model's phase at t = 0, are Hermitian, so a real field
-    stays real there.
-
-    The grid keeps the phase table of each model at the latest t only, so a
-    repeated t skips the build and the symmetry scans.  The table is keyed
-    by the bits of t: the gKdV phases at t = 0.0 and t = -0.0 differ in the
-    sign of zero.  A scan over many t belongs to :func:`_group_scan`, which
-    transforms the field once and keeps no table."""
-    t_bits = float(t).hex()
-    table = f.grid._table(("linear_group", spec), lambda xi: spec.group_phase(xi, t), t_bits)
-    return _multiply(f, table)
+    stays real there.  This is the one-time scan of :func:`_group_scan`: the
+    phase is built on each call and no table is stored on the grid."""
+    return Field(f.grid, next(_group_scan(f, spec, [t]))[0])
 
 
 SCAN_BLOCK = 16  # times per batched inverse FFT of a scan: 1 MB of phases at n = 4096
@@ -171,11 +164,14 @@ def _group_scan(f: Field, spec: EquationSpec, times):
     SCAN_BLOCK rows, one row per time: one forward FFT of f, then for each
     block the group phases, the table rules of :func:`apply_multiplier`
     row by row and one batched inverse FFT.  Each row is bitwise
-    ``linear_group(f, spec, t).values``."""
+    ``apply_multiplier(f, lambda xi: spec.group_phase(xi, t)).values``.
+    A time that is not finite raises ValueError naming it."""
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"group time must be finite, got t={times[~np.isfinite(times)][0]}")
     g = f.grid
     fhat = np.fft.fft(f.values)
     real = f.is_real
-    times = np.asarray(times, dtype=float)
     for start in range(0, times.size, SCAN_BLOCK):
         phases = spec.group_phase(g.xi, times[start : start + SCAN_BLOCK, None])
         yield _apply_table(_build_table(g, phases), fhat, real)

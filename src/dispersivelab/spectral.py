@@ -80,16 +80,14 @@ class Grid:
         # parameter; see _table
         return {}
 
-    def _table(self, key, symbol, latest=None) -> "_Table":
+    def _table(self, key, symbol) -> "_Table":
         """The table of ``symbol`` (a callable of xi) stored under ``key``,
-        built on first use.  ``latest`` is a parameter of which only the
-        most recent value is kept: a call with another value rebuilds the
-        table in place.  Threads sharing the grid may at worst build the
-        same table twice."""
-        entry = self._tables.get(key)
-        if entry is None or entry[0] != latest:
-            entry = self._tables[key] = (latest, _build_table(self, symbol))
-        return entry[1]
+        built on first use and never replaced.  Threads sharing the grid may
+        at worst build the same table twice."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _build_table(self, symbol)
+        return table
 
     def refine(self) -> "Grid":
         """Same cell, twice the resolution."""
@@ -214,9 +212,10 @@ def apply_multiplier(f: Field, m) -> Field:
       at xi = 0) gives a real output.  This is the one realness rule of the
       operators and the linear groups.
 
-    The package's own operators and linear groups follow the same rules
-    through tables their grid builds once per symbol (``Grid._table``), so
-    they skip the evaluation and the scans on a repeated call.
+    The package's own operators follow the same rules through tables their
+    grid builds once per symbol (``Grid._table``), so they skip the
+    evaluation and the scans on a repeated call; the linear groups build
+    their phases on each call (``propagators._group_scan``).
     """
     return _multiply(f, _build_table(f.grid, m))
 

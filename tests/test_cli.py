@@ -384,6 +384,21 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
         ("strichartz", ["T=-1"], "horizon must be finite and positive, got T=-1.0"),
         ("strichartz", ["T=nan"], "horizon must be finite and positive, got T=nan"),
         ("strichartz", ["T=inf"], "horizon must be finite and positive, got T=inf"),
+        ("weighted_free", ["t=-0.5"], "time must be finite and nonnegative, got t=-0.5"),
+        ("weighted_free", ["t=nan"], "time must be finite and nonnegative, got t=nan"),
+        ("gamma_identity", ["t=nan"], "group time must be finite, got t=nan"),
+        ("gamma_identity", ["t=inf"], "group time must be finite, got t=inf"),
+        (
+            "ap_hilbert",
+            ["alpha=nan"],
+            "power weight needs a finite alpha > -1 to be locally integrable, got alpha=nan",
+        ),
+        (
+            "ap_hilbert",
+            ["alpha=inf"],
+            "power weight needs a finite alpha > -1 to be locally integrable, got alpha=inf",
+        ),
+        ("gn", ["seed=-1"], "corpus seed must be nonnegative, got seed=-1"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

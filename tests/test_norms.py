@@ -96,6 +96,12 @@ def test_ap_constant_rejects_bad_weight():
         ap_constant(Field(g, np.ones(g.n) - 2.0), 2.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, np.nan, -np.inf])
+def test_power_weight_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match=f"got alpha={alpha}$"):
+        power_weight(Grid(64, 10.0), alpha)
+
+
 def test_ap_power_weight_dichotomy():
     # alpha = 1/2 lies inside the A_2 range (-1, 1): stable under refinement;
     # alpha = 3/2 lies outside: the constant must grow

@@ -1,9 +1,13 @@
-"""Per-grid multiplier tables against the per-call path.
+"""Per-grid multiplier tables and the linear-group scan against the per-call
+path.
 
-The package's operators and linear groups apply tables that their grid
-builds once per symbol; ``apply_multiplier`` evaluates and scans its symbol
-on every call.  Both must give the same bits (tolerance 0) on the first
-call, which builds the table, and on a repeated call, which reuses it.
+The package's operators apply tables that their grid builds once per symbol
+and never replaces; ``apply_multiplier`` evaluates and scans its symbol on
+every call.  Both must give the same bits (tolerance 0) on the first call,
+which builds the table, and on a repeated call, which reuses it.  The linear
+groups store no table: ``linear_group`` is the one-time case of the scan
+``_group_scan``, and every scan row must give the bits of
+``apply_multiplier`` under the group phase at its time.
 ``apply_multiplier`` itself is held to the single-function form it had
 before the build and the application were split (``_old_apply_multiplier``).
 """
@@ -85,15 +89,13 @@ def test_operator_tables_match_apply_multiplier(n, L, real):
 def test_linear_group_tables_match_apply_multiplier(n, L, real):
     grid = Grid(n, L)
     f = _field(grid, real)
-    # each t twice (build, then hit); -0.0 after 0.0 must rebuild: the gKdV
-    # phases at the two zeros differ in the sign of zero
-    times = [0.0, 0.0, 0.3, 0.3, -1.7, -1.7, 0.0, -0.0, -0.0]
+    # repeated times, and 0.0 and -0.0 in both orders: the gKdV phases at
+    # the two zeros differ in the sign of zero
+    times = [0.0, 0.0, 0.3, 0.3, -1.7, -1.7, -0.0, 0.0, -0.0]
     for spec in MODELS:
         for t in times:
             want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
             assert _same_bits(linear_group(f, spec, t), want), f"{spec.model} at t={t!r}"
-            _, table = grid._tables[("linear_group", spec)]
-            assert table.values.tobytes() == spec.group_phase(grid.xi, t).tobytes()
 
 
 # time counts of one time, one full block, one full and one partial block,
@@ -119,9 +121,9 @@ SCAN_TIMES = [
 )
 @pytest.mark.parametrize("n,L", GRIDS)
 def test_group_scan_rows_match_linear_group(n, L, spec, real):
-    """Every row of a time scan is linear_group's field at that time, bit for
-    bit, and a real field stays real wherever the phase is Hermitian: at
-    t = +-0 for NLS and at every t for gKdV and BO."""
+    """Every row of a time scan is the group phase at that time under
+    apply_multiplier, bit for bit, and a real field stays real wherever the
+    phase is Hermitian: at t = +-0 for NLS and at every t for gKdV and BO."""
     grid = Grid(n, L)
     f = _field(grid, real)
     for times in SCAN_TIMES:
@@ -130,7 +132,7 @@ def test_group_scan_rows_match_linear_group(n, L, spec, real):
         rows = np.concatenate(blocks)
         assert rows.shape == (times.size, n)
         for t, row in zip(times, rows):
-            want = linear_group(f, spec, float(t))
+            want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
             assert row.tobytes() == want.values.tobytes(), f"{spec.model} at t={t!r}"
             if real and (spec.is_real or t == 0.0):
                 assert not row.imag.any(), f"{spec.model} at t={t!r}"
@@ -181,14 +183,24 @@ def test_apply_multiplier_matches_single_function_form(real):
     assert array.flags.writeable  # the caller's array is never frozen
 
 
-def test_linear_group_keeps_one_phase_per_model():
+def test_linear_group_stores_no_table():
     grid = Grid(256, 20.0)
     f = _field(grid, real=True)
-    for t in np.linspace(-2.0, 2.0, 300):
+    for t in np.linspace(-2.0, 2.0, 30):
         for spec in MODELS:
             linear_group(f, spec, t)
-    keys = sorted(key[1].model for key in grid._tables)
-    assert keys == ["bo", "gkdv", "nls"]
+            list(_group_scan(f, spec, [t, -t]))
+    assert grid._tables == {}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_group_time_must_be_finite(t):
+    f = _field(Grid(64, 10.0), real=True)
+    for spec in MODELS:
+        with pytest.raises(ValueError, match=f"group time must be finite, got t={t}"):
+            linear_group(f, spec, t)
+        with pytest.raises(ValueError, match=f"group time must be finite, got t={t}"):
+            list(_group_scan(f, spec, [0.0, 0.5, t]))
 
 
 def test_cached_tables_are_read_only():
@@ -197,8 +209,8 @@ def test_cached_tables_are_read_only():
     hilbert(f)
     derivative(f, 2)
     linear_group(f, EquationSpec.bo(), 0.5)
-    assert len(grid._tables) == 3
-    for _, table in grid._tables.values():
+    assert len(grid._tables) == 2
+    for table in grid._tables.values():
         with pytest.raises(ValueError):
             table.values[0] = 0.0
 
@@ -206,8 +218,8 @@ def test_cached_tables_are_read_only():
 def test_threads_sharing_a_grid_get_their_own_tables():
     """Threads applying one group at different t, and operators at different
     parameters, on one grid (as sweep workers may) each get their own
-    symbol's result.  Every group call replaces the phase another thread
-    may be about to read."""
+    symbol's result.  Operator tables are built on first use and never
+    replaced; group phases are built per call and never stored."""
     grid = Grid(64, 10.0)
     f = _field(grid, real=False)
     failures = []
