@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, CorpusMember, DEFAULT_SEED, gaussian, gaussian_deriv
+from .corpus import NAMED_FIELDS, Corpus, DEFAULT_SEED, initial_data
 from .laws import moment, standard_diagnostics
 from .norms import _lebesgue_rows, ap_constant, lebesgue, power_weight, weighted_l2
 from .operators import (
@@ -53,7 +53,7 @@ __all__ = [
 
 STABILITY_TOL = 0.10  # fitted constants must move less than this per refinement
 
-_GAUSSIAN = CorpusMember("gaussian", gaussian)
+_GAUSSIAN = NAMED_FIELDS["gaussian"]
 
 
 @dataclass
@@ -178,15 +178,16 @@ def check_weighted_free(
         )
 
     def ratio_of(f: Field, flow: Field) -> float:
-        lhs = weighted_l2(flow, b, check_gate=False)
+        lhs = weighted_l2(flow, b)
         rhs = (
             t_used ** (b / 2.0) * _l2(f)
             + t_used**b * _l2(riesz_deriv(f, b))
-            + weighted_l2(f, b, check_gate=False)
+            + weighted_l2(f, b)
         )
         return lhs / rhs
 
-    fine = (m.realize(grid.refine()) for m in corpus.members)  # one member at a time
+    fine_grid = grid.refine()
+    fine = (m.realize(fine_grid) for m in corpus.members)  # one member at a time
     coarse = max(0.0, *map(ratio_of, fields, evolved))
     trend = [coarse, max(0.0, *(ratio_of(f, linear_group(f, spec, t_used)) for f in fine))]
     return _refinement_report(
@@ -212,7 +213,7 @@ def check_gamma_identity(
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"order must lie in [0,1], got b={b}")
     spec = EquationSpec.nls()
-    f = Field.from_function(grid, gaussian)
+    f = initial_data("gaussian", grid)
     evolved = linear_group(f, spec, t)
 
     if b == 0.0:
@@ -221,12 +222,12 @@ def check_gamma_identity(
     elif b == 1.0:
         lhs = gamma_schrodinger(evolved, t, 1.0)
         rhs = linear_group(Field(grid, grid.x * f.values), spec, t)
-        weight_norm = weighted_l2(f, 1.0, check_gate=False)
+        weight_norm = weighted_l2(f, 1.0)
         tol = 1e-10
     else:
         lhs = gamma_schrodinger(evolved, t, b)  # raises below gamma_t_min(grid)
         rhs = linear_group(Field(grid, np.abs(grid.x) ** b * f.values), spec, t)
-        weight_norm = weighted_l2(f, b, check_gate=False)
+        weight_norm = weighted_l2(f, b)
         tol = 1e-6
     residual = _l2(lhs - rhs) / weight_norm
     return CheckReport(
@@ -410,7 +411,7 @@ def check_interpolation(
     def ratio_of(g: Grid, f: Field) -> float:
         bracket = (1.0 + g.x**2) ** ((1.0 - theta) * b / 2.0)
         lhs = _l2(bessel_potential(Field(g, bracket * f.values), theta * a))
-        rhs = weighted_l2(f, b, bracket=True, check_gate=False) ** (1.0 - theta) * _l2(
+        rhs = weighted_l2(f, b, bracket=True) ** (1.0 - theta) * _l2(
             bessel_potential(f, a)
         ) ** theta
         return lhs / rhs if rhs > 0 else 0.0
@@ -643,7 +644,7 @@ def check_strichartz(
     Each scale takes one forward FFT and scans the times in blocks (see
     ``propagators._group_scan``): the L^p norm of every U(t) u0 is taken
     row by row and no snapshot is stored."""
-    if abs(2.0 / q + 1.0 / p - 0.5) > 1e-12:
+    if not abs(2.0 / q + 1.0 / p - 0.5) <= 1e-12:  # NaN fails it too
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
         )
@@ -747,8 +748,7 @@ def persistence_experiment(
         smooth = riesz_deriv(derivative(fld, m_int), m_frac)
         local = np.sqrt(g.h * np.sum(np.abs(smooth.values[window]) ** 2))
         out["smoothing_proxy"] = (abs(t) ** m) * float(local)
-        # the initial gate already ran and its ratio is reported
-        out["moment0"] = abs(moment(fld, 0, check_gate=False))
+        out["moment0"] = abs(moment(fld, 0))
         return out
 
     times = list(np.linspace(0.0, T, snapshots))
@@ -802,11 +802,11 @@ def bo_domain_comparison(
     spec = EquationSpec.bo()
     growth = {}
     for L in domains:
-        u0 = Field.from_function(Grid(n, L), gaussian_deriv)
+        u0 = initial_data("gaussian_deriv", Grid(n, L))
         boundary_gate(u0, warn=True, context="bo_domain_comparison")
         traj = evolve(u0, spec, cfg, T)
         for r in r_values:
-            w0, wT = (weighted_l2(traj.snapshots[i], r, check_gate=False) for i in (0, -1))
+            w0, wT = (weighted_l2(traj.snapshots[i], r) for i in (0, -1))
             growth[(L, r)] = float(wT / max(w0, 1e-300))
     sensitivities = {
         r: abs(growth[(domains[1], r)] / growth[(domains[0], r)] - 1.0) for r in r_values
@@ -833,8 +833,7 @@ def check_persistence(
     (NLS, gKdV) or its derivative (BO, zero mean).  Only NLS reads ``a`` and
     ``mu``, only gKdV ``k``; the spec rejects them off their defaults elsewhere."""
     spec = EquationSpec(model, a=a, mu=mu, k=k)
-    fn = gaussian_deriv if spec.model == "bo" else gaussian
-    u0 = Field(grid, amplitude * np.asarray(fn(grid.x), dtype=complex))
+    u0 = initial_data("gaussian_deriv" if spec.model == "bo" else "gaussian", grid, amplitude)
     report, _ = persistence_experiment(spec, u0, s=s, m=m, T=T, cfg=StepperConfig(dt=dt))
     return report
 

@@ -25,15 +25,15 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .checks import CHECKS, CheckReport, run_check
-from .corpus import gaussian, gaussian_deriv, sech2
+from .corpus import initial_data
 from .laws import standard_diagnostics
 from .propagators import EquationSpec, StepperConfig, check_times, evolve
-from .spectral import Field, Grid
+from .spectral import Grid
 
 __all__ = [
     "RunConfig",
@@ -48,43 +48,9 @@ __all__ = [
 
 SEED_ENV = "DISPERSIVELAB_SEED"
 
-_U0_LIBRARY = {"gaussian": gaussian, "sech2": sech2, "gaussian_deriv": gaussian_deriv}
-
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str = "solve"
-    model: str = "gkdv"
-    a: float = 3.0
-    mu: int = 1
-    k: int = 1
-    n: int = 512
-    L: float = 20.0
-    dt: float = 1e-3
-    T: float = 1.0
-    dealias: float = 2.0 / 3.0
-    linear_only: bool = False
-    snapshots: tuple = ()
-    u0: str = "gaussian"
-    amplitude: float = 1.0
-    s: float | None = None
-    m: float | None = None
-    check_id: str = ""
-    check_params: dict = field(default_factory=dict)
-    seed: int | None = None
-    sweep_checks: tuple = ()
-    jobs: int = 1
-    out_dir: str = "out"
-
-    def equation_spec(self) -> EquationSpec:
-        return EquationSpec(self.model, a=self.a, mu=self.mu, k=self.k)
-
-    def stepper_config(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, dealias=self.dealias, linear_only=self.linear_only)
 
 
 def _command(value: str) -> str:
@@ -114,31 +80,57 @@ def _path(value: str) -> str:
     return value
 
 
-# The config schema: key -> (RunConfig field, parser), in --print-config
-# order.  Fields whose default is unset (None, "" or ()) are printed only
-# when set; the free-form check.params.* table is printed after check.id.
+def _key(key: str, parse, default):
+    """A RunConfig field read from config key ``key`` by ``parse``."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """One run, declared once: each field carries its config key and the
+    parser of its value, in --print-config order.  A field whose default is
+    unset (None, "" or ()) is printed only when set.  ``check_params`` has
+    no key: it holds the free-form check.params.* table, printed after
+    check.id.
+
+    Parsing checks what the modules would reject later: the equation, grid,
+    stepper and times of every command and, for a solve, its initial data
+    (a name of ``corpus.NAMED_FIELDS``, a finite amplitude) and its
+    diagnostics (a finite ``s``, a finite ``m`` >= 0)."""
+
+    command: str = _key("command", _command, "solve")
+    seed: int | None = _key("seed", int, None)
+    model: str = _key("equation.model", str, "gkdv")
+    a: float = _key("equation.a", float, 3.0)
+    mu: int = _key("equation.mu", int, 1)
+    k: int = _key("equation.k", int, 1)
+    n: int = _key("grid.n", int, 512)
+    L: float = _key("grid.L", float, 20.0)
+    dt: float = _key("stepper.dt", float, 1e-3)
+    T: float = _key("stepper.T", float, 1.0)
+    dealias: float = _key("stepper.dealias", float, 2.0 / 3.0)
+    snapshots: tuple = _key("stepper.snapshots", _floats, ())
+    linear_only: bool = _key("stepper.linear_only", _flag, False)
+    u0: str = _key("solve.u0", str, "gaussian")
+    amplitude: float = _key("solve.amplitude", float, 1.0)
+    jobs: int = _key("sweep.jobs", int, 1)
+    out_dir: str = _key("output.dir", _path, "out")
+    s: float | None = _key("solve.s", float, None)
+    m: float | None = _key("solve.m", float, None)
+    check_id: str = _key("check.id", str, "")
+    check_params: dict = field(default_factory=dict)
+    sweep_checks: tuple = _key("sweep.checks", _names, ())
+
+    def equation_spec(self) -> EquationSpec:
+        return EquationSpec(self.model, a=self.a, mu=self.mu, k=self.k)
+
+    def stepper_config(self) -> StepperConfig:
+        return StepperConfig(dt=self.dt, dealias=self.dealias, linear_only=self.linear_only)
+
+
+# the config schema, key -> (RunConfig field, parser), in --print-config order
 _SCHEMA = {
-    "command": ("command", _command),
-    "seed": ("seed", int),
-    "equation.model": ("model", str),
-    "equation.a": ("a", float),
-    "equation.mu": ("mu", int),
-    "equation.k": ("k", int),
-    "grid.n": ("n", int),
-    "grid.L": ("L", float),
-    "stepper.dt": ("dt", float),
-    "stepper.T": ("T", float),
-    "stepper.dealias": ("dealias", float),
-    "stepper.snapshots": ("snapshots", _floats),
-    "stepper.linear_only": ("linear_only", _flag),
-    "solve.u0": ("u0", str),
-    "solve.amplitude": ("amplitude", float),
-    "sweep.jobs": ("jobs", int),
-    "output.dir": ("out_dir", _path),
-    "solve.s": ("s", float),
-    "solve.m": ("m", float),
-    "check.id": ("check_id", str),
-    "sweep.checks": ("sweep_checks", _names),
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig) if f.metadata
 }
 _PARAMS_PREFIX = "check.params."
 _DEFAULTS = RunConfig()
@@ -194,16 +186,15 @@ def _parse_scalar(value: str):
 def _validate(cfg: RunConfig, path: str):
     # surface module invariant violations at parse time
     try:
-        cfg.equation_spec()
-        Grid(cfg.n, cfg.L)
+        spec = cfg.equation_spec()
+        grid = Grid(cfg.n, cfg.L)
         cfg.stepper_config()
         check_times(cfg.T, cfg.snapshots, cfg.dt)
+        if cfg.command == "solve":
+            initial_data(cfg.u0, grid, cfg.amplitude)
+            standard_diagnostics(spec, s=cfg.s, m=cfg.m)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if cfg.command == "solve" and cfg.u0 not in _U0_LIBRARY:
-        raise ConfigError(
-            f"{path}: unknown initial data {cfg.u0!r}; available: {sorted(_U0_LIBRARY)}"
-        )
     if cfg.command == "check" and cfg.check_id not in CHECKS:
         raise ConfigError(
             f"{path}: unknown check {cfg.check_id!r}; available: {sorted(CHECKS)}"
@@ -230,13 +221,12 @@ def _fmt(v) -> str:
 
 def emit_config(cfg: RunConfig) -> str:
     lines = []
-    for key, (name, _) in _SCHEMA.items():
-        value, default = getattr(cfg, name), getattr(_DEFAULTS, name)
-        if not (value == default and default in (None, "", ())):
-            lines.append(f"{key} = {_fmt(value)}")
-        if key == "check.id":
-            params = sorted(cfg.check_params.items())
-            lines += [f"{_PARAMS_PREFIX}{k} = {_fmt(v)}" for k, v in params]
+    for f in fields(RunConfig):
+        value, default = getattr(cfg, f.name), getattr(_DEFAULTS, f.name)
+        if not f.metadata:  # the check.params.* table
+            lines += [f"{_PARAMS_PREFIX}{k} = {_fmt(v)}" for k, v in sorted(value.items())]
+        elif not (value == default and default in (None, "", ())):
+            lines.append(f"{f.metadata['key']} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,8 +235,7 @@ def emit_config(cfg: RunConfig) -> str:
 def _run_solve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.equation_spec()
     grid = Grid(cfg.n, cfg.L)
-    fn = _U0_LIBRARY[cfg.u0]
-    u0 = Field(grid, cfg.amplitude * np.asarray(fn(grid.x), dtype=complex))
+    u0 = initial_data(cfg.u0, grid, cfg.amplitude)
     stepper = cfg.stepper_config()
     snaps = list(cfg.snapshots) if cfg.snapshots else None
     diag = standard_diagnostics(spec, s=cfg.s, m=cfg.m)

@@ -2,10 +2,12 @@
 
 A member can be realized on any grid, at a dilated argument f(lambda x), or
 on a refined grid, which is what the scale- and refinement-stability
-protocols need.  The named fields are plain functions of x.  A random member
-is a parameter record (Gaussian envelope x low-order polynomial x random
-oscillations) that is sampled on the lattice: its oscillations cost a few
-complex exponentials per block of points, not one per point and mode.
+protocols need.  The named fields are plain functions of x, held in one
+table, ``NAMED_FIELDS``; :func:`initial_data` scales one of them into the
+initial data of a run or a check.  A random member is a parameter record
+(Gaussian envelope x low-order polynomial x random oscillations) that is
+sampled on the lattice: its oscillations cost a few complex exponentials per
+block of points, not one per point and mode.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "WavePacket",
     "Corpus",
     "DEFAULT_SEED",
+    "NAMED_FIELDS",
+    "initial_data",
     "gaussian",
     "sech2",
     "gaussian_deriv",
@@ -63,6 +67,23 @@ class CorpusMember:
                     f"(ratio {ratio:.2e}) on L={grid.length}, scale={scale}"
                 )
         return f
+
+
+# the named canonical fields, by name
+NAMED_FIELDS = {
+    fn.__name__: CorpusMember(fn.__name__, fn) for fn in (gaussian, sech2, gaussian_deriv)
+}
+
+
+def initial_data(name: str, grid, amplitude: float = 1.0) -> Field:
+    """``amplitude`` times the named field on ``grid``.  It is not gated: a
+    caller that needs whole-line norms runs :func:`boundary_gate` on it.
+    An unknown name or a non-finite amplitude raises ValueError."""
+    if name not in NAMED_FIELDS:
+        raise ValueError(f"unknown initial data {name!r}; available: {sorted(NAMED_FIELDS)}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got amplitude={amplitude}")
+    return Field(grid, amplitude * np.asarray(NAMED_FIELDS[name].fn(grid.x), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +132,7 @@ def _random_member(rng, idx: int) -> WavePacket:
 
 class Corpus:
     """Seeded corpus: ``size`` random band-limited members, then the named
-    canonical fields."""
+    canonical fields of ``NAMED_FIELDS``."""
 
     def __init__(self, seed: int = DEFAULT_SEED, size: int = 20):
         if size < 0:
@@ -121,8 +142,7 @@ class Corpus:
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)
-        named = [CorpusMember(fn.__name__, fn) for fn in (gaussian, sech2, gaussian_deriv)]
-        self.members = [_random_member(rng, i) for i in range(size)] + named
+        self.members = [_random_member(rng, i) for i in range(size)] + list(NAMED_FIELDS.values())
 
     def realize(self, grid):
         """Every member's field on ``grid``, in member order."""

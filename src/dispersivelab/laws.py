@@ -9,7 +9,7 @@ import numpy as np
 from .norms import sobolev, weighted_l2
 from .operators import derivative, riesz_deriv
 from .propagators import EquationSpec, Trajectory
-from .spectral import Field, boundary_gate, integrate, real_values
+from .spectral import Field, integrate, real_values
 
 __all__ = [
     "invariants",
@@ -138,12 +138,12 @@ def kato_residual(
     return ddt + spatial[1:-1]
 
 
-def moment(f: Field, j: int, *, check_gate: bool = True) -> complex:
-    """j-th moment integral of x^j f(x); moment(f, 0) equals fhat(0)."""
+def moment(f: Field, j: int) -> complex:
+    """j-th moment integral of x^j f(x); moment(f, 0) equals fhat(0).  No
+    boundary gate runs here: callers run
+    :func:`dispersivelab.spectral.boundary_gate` where a field enters."""
     if j < 0 or j != int(j):
         raise ValueError(f"moment order must be a nonnegative integer, got {j}")
-    if check_gate:
-        boundary_gate(f, warn=True, context="moment")
     g = f.grid
     return complex(g.h * np.sum(g.x**j * f.values))
 
@@ -152,18 +152,22 @@ def standard_diagnostics(spec: EquationSpec, s: float | None = None, m: float | 
     """Diagnostics callback for :func:`dispersivelab.propagators.evolve`.
 
     Always records the invariants; optionally the H^s and |x|^m / <x>^m
-    norms used by the persistence experiments.
+    norms used by the persistence experiments.  A non-finite ``s``, or an
+    ``m`` that is not finite and >= 0, raises ValueError here, before any
+    step is taken.
     """
+    if s is not None and not np.isfinite(s):
+        raise ValueError(f"Sobolev index must be finite, got s={s}")
+    if m is not None and not (np.isfinite(m) and m >= 0):
+        raise ValueError(f"weight exponent must be finite and >= 0, got m={m}")
 
     def compute(fld: Field, t: float) -> dict:
         out = dict(invariants(fld, spec))
         if s is not None:
             out[f"sobolev_{s:g}"] = sobolev(fld, s)
         if m is not None:
-            out[f"weighted_{m:g}"] = weighted_l2(fld, m, check_gate=False)
-            out[f"weighted_bracket_{m:g}"] = weighted_l2(
-                fld, m, bracket=True, check_gate=False
-            )
+            out[f"weighted_{m:g}"] = weighted_l2(fld, m)
+            out[f"weighted_bracket_{m:g}"] = weighted_l2(fld, m, bracket=True)
         return out
 
     return compute

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import bessel_potential
-from .spectral import Field, boundary_gate
+from .spectral import Field
 
 __all__ = [
     "weighted_l2",
@@ -20,18 +20,17 @@ __all__ = [
 ]
 
 
-def weighted_l2(f: Field, m: float, *, bracket: bool = False, check_gate: bool = True) -> float:
+def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
     """Weighted norm ( integral |x|^(2m) |f|^2 dx )^(1/2).
 
     With ``bracket=True`` the Japanese bracket <x> = (1+x^2)^(1/2) replaces
     |x|.  The exponent convention is explicit: the integrand carries the
-    weight to the power 2m.  A boundary-gate violation warns but does not
-    fail; the weight amplifies exactly the region the gate inspects.
+    weight to the power 2m.  No boundary gate runs here, though the weight
+    amplifies exactly the region it inspects: callers run
+    :func:`dispersivelab.spectral.boundary_gate` where a field enters.
     """
     if m < 0:
         raise ValueError(f"weight exponent must be >= 0, got m={m}")
-    if check_gate:
-        boundary_gate(f, warn=True, context="weighted_l2")
     g = f.grid
     w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
     return float(np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2)))

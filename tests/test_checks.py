@@ -78,8 +78,8 @@ def test_weighted_free_passes_and_t_zero_degenerate():
     f = Field.from_function(g, gaussian)
     from dispersivelab.norms import weighted_l2
 
-    lhs = weighted_l2(f, 0.5, check_gate=False)
-    rhs = weighted_l2(f, 0.5, check_gate=False)
+    lhs = weighted_l2(f, 0.5)
+    rhs = weighted_l2(f, 0.5)
     assert lhs / rhs == pytest.approx(1.0, abs=1e-14)
 
 

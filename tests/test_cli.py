@@ -18,6 +18,7 @@ from dispersivelab.cli import (
     run,
 )
 from dispersivelab.checks import CHECKS, CheckReport
+from dispersivelab.propagators import CFLWarning
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -148,10 +149,22 @@ def test_linear_only_accepts_flags(value):
             "final time T=0.0004 rounds to zero steps of dt=0.001",
         ),
         ("command = solve\nequation.model = nls\nequation.k = 3\n", "k=3 is not read by the nls model"),
+        ("command = run\n", "bad value for command: expected solve|check|sweep, got 'run'"),
+        (
+            "command = solve\nsolve.u0 = bump\n",
+            "unknown initial data 'bump'; available: ['gaussian', 'gaussian_deriv', 'sech2']",
+        ),
+        ("command = solve\nsolve.amplitude = nan\n", "amplitude must be finite, got amplitude=nan"),
+        ("command = solve\nsolve.amplitude = inf\n", "amplitude must be finite, got amplitude=inf"),
+        ("command = solve\nsolve.s = nan\n", "Sobolev index must be finite, got s=nan"),
+        ("command = solve\nsolve.s = inf\n", "Sobolev index must be finite, got s=inf"),
+        ("command = solve\nsolve.m = -1\n", "weight exponent must be finite and >= 0, got m=-1.0"),
+        ("command = solve\nsolve.m = nan\n", "weight exponent must be finite and >= 0, got m=nan"),
     ],
     ids=[
         "linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
-        "zero_step_T", "off_model_key",
+        "zero_step_T", "off_model_key", "command", "unknown_u0", "nan_amplitude",
+        "inf_amplitude", "nan_s", "inf_s", "negative_m", "nan_m",
     ],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
@@ -399,6 +412,39 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
             "power weight needs a finite alpha > -1 to be locally integrable, got alpha=inf",
         ),
         ("gn", ["seed=-1"], "corpus seed must be nonnegative, got seed=-1"),
+        ("persistence", ["m=-inf"], "weight exponent must be finite and >= 0, got m=-inf"),
+        ("persistence", ["m=nan"], "weight exponent must be finite and >= 0, got m=nan"),
+        ("persistence", ["s=nan"], "Sobolev index must be finite, got s=nan"),
+        ("persistence", ["amplitude=nan"], "amplitude must be finite, got amplitude=nan"),
+        (
+            "strichartz",
+            ["q=nan"],
+            "inadmissible pair (q=nan, p=4.0): need 2/q + 1/p = 1/2 in one dimension",
+        ),
+        (
+            "strichartz",
+            ["p=nan"],
+            "inadmissible pair (q=8.0, p=nan): need 2/q + 1/p = 1/2 in one dimension",
+        ),
+        ("chirp_stein", ["b=1"], "order must lie in (0,1), got b=1.0"),
+        ("chirp_stein", ["t=0"], "chirp time must be positive, got t=0.0"),
+        ("weighted_free", ["b=1"], "order must lie in (0,1), got b=1.0"),
+        ("gamma_identity", ["b=1.5"], "order must lie in [0,1], got b=1.5"),
+        ("leibniz", ["b=0"], "order must lie in (0,1), got b=0.0"),
+        ("gn", ["alpha=1", "beta=0.5"], "orders must satisfy 0 <= alpha < beta, got 1.0, 0.5"),
+        (
+            "gn",
+            ["alpha=0", "beta=0.25", "q=2", "r=4"],
+            "no admissible interpolation exponent for these indices",
+        ),
+        ("gn", ["r=1"], "exponent r must lie in (1, inf), got 1.0"),
+        ("interpolation", ["a=0"], "orders must be positive, got a=0.0, b=1.0"),
+        ("interpolation", ["theta=1.5"], "interpolation parameter must lie in [0,1], got 1.5"),
+        ("commutator_leibniz", ["alpha=1"], "order must lie in (0,1), got alpha=1.0"),
+        ("commutator_leibniz", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
+        ("commutator_hilbert", ["l=0", "m=0"], "need l, m >= 0 with l + m >= 1"),
+        ("commutator_hilbert", ["p=inf"], "exponent must lie in (1, inf), got p=inf"),
+        ("ap_hilbert", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
@@ -407,6 +453,43 @@ def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, param
     err = capsys.readouterr().err
     assert err == f"check error: {name}: {cause}\n"
     assert not (tmp_path / "checks.csv").exists()
+
+
+def test_param_without_equals_sign_is_rejected(tmp_path, capsys):
+    assert main(["check", "scaling", "--param", "a5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "bad --param 'a5', expected KEY=VALUE\n"
+    assert not (tmp_path / "checks.csv").exists()
+
+
+# the focusing quintic at a grossly unstable step: the stepper fails at t=0.5
+BLOWUP_CFG = """
+command = solve
+equation.model = nls
+equation.a = 5
+equation.mu = -1
+grid.n = 128
+grid.L = 10
+stepper.dt = 0.5
+stepper.T = 50
+solve.amplitude = 40
+"""
+BLOWUP_PARAMS = ["model=nls", "a=5", "mu=-1", "n=128", "L=10", "dt=0.5", "T=50", "amplitude=40"]
+
+
+def test_solve_reports_solver_failure(tmp_path, capsys):
+    path = tmp_path / "blowup.cfg"
+    path.write_text(BLOWUP_CFG)
+    with pytest.warns(CFLWarning), np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "solver failure at t=0.5\n"
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_persistence_fails_on_solver_failure(tmp_path, capsys):
+    argv = ["check", "persistence", *(a for p in BLOWUP_PARAMS for a in ("--param", p))]
+    with pytest.warns(CFLWarning), np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "persistence: fail (worst_ratio=1)\n"
 
 
 def test_emit_reports_requires_rows(tmp_path):

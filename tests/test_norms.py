@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersivelab.laws import moment
 from dispersivelab.norms import (
     ap_constant,
     lebesgue,
@@ -8,7 +9,7 @@ from dispersivelab.norms import (
     sobolev,
     weighted_l2,
 )
-from dispersivelab.spectral import Field, Grid
+from dispersivelab.spectral import Field, Grid, boundary_gate
 
 from .test_spectral import random_band_limited
 
@@ -31,6 +32,15 @@ def test_weighted_l2_gaussian_moment():
     f = Field.from_function(g, lambda x: np.exp(-(x**2)))
     expected = np.sqrt(np.sqrt(np.pi / 2.0) / 4.0)
     assert weighted_l2(f, 1.0) == pytest.approx(expected, abs=1e-12)
+
+
+def test_weighted_l2_and_moment_run_no_boundary_gate(recwarn):
+    # a field that fails the gate: the gate belongs to where fields enter
+    g = Grid(256, 10.0)
+    f = Field.from_function(g, lambda x: np.exp(-(x**2) / 16))
+    assert not boundary_gate(f)[0]
+    assert weighted_l2(f, 1.0) > 0 and abs(moment(f, 0)) > 0
+    assert not recwarn.list
 
 
 def test_weighted_l2_bracket_variant():
