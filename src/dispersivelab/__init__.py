@@ -4,7 +4,6 @@ integrating-factor stepper, conservation-law diagnostics, and a numerical
 verification harness for weighted-norm estimates."""
 
 from .spectral import (
-    BoundaryWarning,
     Field,
     Grid,
     apply_multiplier,

@@ -28,8 +28,8 @@ from .operators import (
     riesz_deriv,
     stein_deriv,
 )
-from .propagators import EquationSpec, StepperConfig, _group_scan, evolve, linear_group
-from .spectral import BOUNDARY_TOL, Field, Grid, boundary_gate
+from .propagators import EquationSpec, StepperConfig, _group_scan, check_times, evolve, linear_group
+from .spectral import BOUNDARY_TOL, Field, Grid, _require_gate, boundary_gate
 
 __all__ = [
     "CheckReport",
@@ -122,8 +122,8 @@ def check_chirp_stein(
     fit's periodic-tail bias below the stability tolerance over the tested t."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
-    if not t > 0:
-        raise ValueError(f"chirp time must be positive, got t={t}")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"chirp time must be finite and positive, got t={t}")
 
     def fit(g: Grid) -> float:
         freq_max = 2.0 * t * g.length
@@ -213,7 +213,7 @@ def check_gamma_identity(
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"order must lie in [0,1], got b={b}")
     spec = EquationSpec.nls()
-    f = initial_data("gaussian", grid)
+    f = _GAUSSIAN.realize(grid)
     evolved = linear_group(f, spec, t)
 
     if b == 0.0:
@@ -323,8 +323,10 @@ def gn_theta(alpha: float, beta: float, p: float, q: float, r: float) -> float:
     """Interpolation exponent from the scaling relation
     1/p - alpha = (1-theta)/r + theta (1/q - beta); rejects tuples with no
     admissible theta in [alpha/beta, 1]."""
-    if not (0.0 <= alpha < beta):
-        raise ValueError(f"orders must satisfy 0 <= alpha < beta, got {alpha}, {beta}")
+    if not (0.0 <= alpha < beta < np.inf):
+        raise ValueError(
+            f"orders must satisfy 0 <= alpha < beta < inf, got alpha={alpha}, beta={beta}"
+        )
     denom = (1.0 / q - beta) - 1.0 / r
     num = (1.0 / p - alpha) - 1.0 / r
     if denom == 0:
@@ -356,7 +358,7 @@ def check_gn(
     (5%) under the dilations f -> f(x/2), f(2x) and refinement stable."""
     for name, val in (("p", p), ("q", q), ("r", r)):
         if not (1.0 < val < np.inf):
-            raise ValueError(f"exponent {name} must lie in (1, inf), got {val}")
+            raise ValueError(f"exponent {name} must lie in (1, inf), got {name}={val}")
     theta = gn_theta(alpha, beta, p, q, r)
     corpus = corpus or Corpus(size=10)
 
@@ -402,10 +404,10 @@ def check_interpolation(
     """Bracket-weight interpolation
     ||J^(theta a) (<x>^((1-theta) b) f)|| <= c ||<x>^b f||^(1-theta) ||J^a f||^theta,
     exact (ratio one) at the endpoints theta = 0, 1."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"orders must be positive, got a={a}, b={b}")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValueError(f"orders must be positive and finite, got a={a}, b={b}")
     if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"interpolation parameter must lie in [0,1], got {theta}")
+        raise ValueError(f"interpolation parameter must lie in [0,1], got theta={theta}")
     corpus = corpus or Corpus(size=10)
 
     def ratio_of(g: Grid, f: Field) -> float:
@@ -644,7 +646,7 @@ def check_strichartz(
     Each scale takes one forward FFT and scans the times in blocks (see
     ``propagators._group_scan``): the L^p norm of every U(t) u0 is taken
     row by row and no snapshot is stored."""
-    if not abs(2.0 / q + 1.0 / p - 0.5) <= 1e-12:  # NaN fails it too
+    if not (q > 0 and p > 0 and abs(2.0 / q + 1.0 / p - 0.5) <= 1e-12):  # NaN fails it too
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
         )
@@ -701,7 +703,7 @@ def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport
     lam_values = (0.5, 1.0, 2.0)
     norms = []
     for lam in lam_values:
-        f = _GAUSSIAN.realize(grid, scale=lam, check_gate=False)
+        f = _GAUSSIAN.realize(grid, scale=lam)
         f = Field(grid, lam ** (2.0 / (a - 1.0)) * f.values)
         norms.append(_l2(riesz_deriv(f, sc)))
     spread = (max(norms) - min(norms)) / norms[1]
@@ -734,10 +736,11 @@ def persistence_experiment(
 
     Verdict semantics: in the persistence regime m <= s the weighted norm
     must stay within 10x its initial value; for m > s the growth curves are
-    emitted report-only."""
+    emitted report-only.  ``u0`` must clear the boundary gate (else
+    ValueError), and its gate ratio is noted."""
     cfg = cfg or StepperConfig(dt=1e-3)
     g = u0.grid
-    ok, ratio = boundary_gate(u0, warn=True, context="persistence_experiment")
+    ratio = _require_gate(u0, "the persistence initial data")
     base = standard_diagnostics(spec, s=s, m=m)
     m_int = int(np.floor(m))
     m_frac = m - m_int
@@ -751,6 +754,7 @@ def persistence_experiment(
         out["moment0"] = abs(moment(fld, 0))
         return out
 
+    check_times(T, (), cfg.dt)  # before linspace spreads a bad T over the snapshots
     times = list(np.linspace(0.0, T, snapshots))
     traj = evolve(u0, spec, cfg, T, snapshot_times=times, diagnostics=diagnostics)
 
@@ -802,8 +806,7 @@ def bo_domain_comparison(
     spec = EquationSpec.bo()
     growth = {}
     for L in domains:
-        u0 = initial_data("gaussian_deriv", Grid(n, L))
-        boundary_gate(u0, warn=True, context="bo_domain_comparison")
+        u0 = NAMED_FIELDS["gaussian_deriv"].realize(Grid(n, L))
         traj = evolve(u0, spec, cfg, T)
         for r in r_values:
             w0, wT = (weighted_l2(traj.snapshots[i], r) for i in (0, -1))
@@ -873,20 +876,26 @@ def _coerce(key: str, value, default):
     return type(default)(value if isinstance(value, int) else number)
 
 
-def _arguments(fn, params: dict) -> dict:
-    """Keyword arguments of ``fn`` from a flat table.  Its parameters are the
-    keywords with an int, float or str default, ``n`` and ``L`` of the
-    default grid and, when it takes a corpus, the corpus keys.  Each value
-    is coerced to its default's type; ``n`` or ``L`` overrides that
-    coordinate of the default grid, and ``seed``/``corpus_size`` build a
-    fresh corpus."""
+def _parameters(fn) -> dict:
+    """The flat parameter table of a check, key -> default: the keywords of
+    ``fn`` with an int, float or str default, ``n`` and ``L`` of its default
+    grid and, when it takes a corpus, the corpus keys."""
     sig = inspect.signature(fn).parameters
     table = {key: p.default for key, p in sig.items() if type(p.default) in (int, float, str)}
     grid = sig["grid"].default
     table.update(n=grid.n, L=grid.length)
     if "corpus" in sig:
         table.update(_CORPUS_KEYS)
-    else:  # a check without a corpus ignores the corpus keys
+    return table
+
+
+def _arguments(fn, params: dict) -> dict:
+    """Keyword arguments of ``fn`` from a flat table of its
+    :func:`_parameters`.  Each value is coerced to its default's type; ``n``
+    or ``L`` overrides that coordinate of the default grid, and
+    ``seed``/``corpus_size`` build a fresh corpus."""
+    table = _parameters(fn)
+    if "seed" not in table:  # a check without a corpus ignores the corpus keys
         params = {k: v for k, v in params.items() if k not in _CORPUS_KEYS}
     unknown = sorted(set(params) - set(table))
     if unknown:

@@ -27,8 +27,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .checks import CHECKS, CheckReport, run_check
 from .corpus import initial_data
 from .laws import standard_diagnostics
@@ -175,8 +173,6 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _parse_scalar(value: str):
-    if value.lower() in ("inf", "+inf"):
-        return np.inf
     try:
         return float(value)
     except ValueError:
@@ -213,8 +209,6 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if np.isinf(v):
-            return "inf"
         return f"{v:.17g}"
     return str(v)
 

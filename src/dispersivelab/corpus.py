@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, boundary_gate
+from .spectral import Field, _require_gate
 
 __all__ = [
     "CorpusMember",
@@ -55,17 +55,11 @@ class CorpusMember:
         """The member's values at the points ``scale * grid.x``."""
         return self.fn(scale * grid.x)
 
-    def realize(self, grid, scale: float = 1.0, *, check_gate: bool = True) -> Field:
-        """Sample the member, optionally dilated to f(scale * x)."""
-        vals = np.asarray(self.sample(grid, scale), dtype=np.complex128)
-        f = Field(grid, vals)
-        if check_gate:
-            ok, ratio = boundary_gate(f)
-            if not ok:
-                raise ValueError(
-                    f"corpus member {self.name!r} fails the boundary gate "
-                    f"(ratio {ratio:.2e}) on L={grid.length}, scale={scale}"
-                )
+    def realize(self, grid, scale: float = 1.0) -> Field:
+        """Sample the member, optionally dilated to f(scale * x).  A field
+        that fails the boundary gate raises ValueError."""
+        f = Field(grid, np.asarray(self.sample(grid, scale), dtype=np.complex128))
+        _require_gate(f, f"corpus member {self.name!r} at scale={scale:g}")
         return f
 
 
@@ -76,9 +70,10 @@ NAMED_FIELDS = {
 
 
 def initial_data(name: str, grid, amplitude: float = 1.0) -> Field:
-    """``amplitude`` times the named field on ``grid``.  It is not gated: a
-    caller that needs whole-line norms runs :func:`boundary_gate` on it.
-    An unknown name or a non-finite amplitude raises ValueError."""
+    """``amplitude`` times the named field on ``grid``.  It is not gated, since
+    a solve takes any data; the checks gate a named field where it enters,
+    through :meth:`CorpusMember.realize` or ``persistence_experiment``.  An
+    unknown name or a non-finite amplitude raises ValueError."""
     if name not in NAMED_FIELDS:
         raise ValueError(f"unknown initial data {name!r}; available: {sorted(NAMED_FIELDS)}")
     if not np.isfinite(amplitude):

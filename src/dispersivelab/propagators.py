@@ -46,7 +46,7 @@ class EquationSpec:
     """One of the three model equations with its parameters."""
 
     model: str             # 'nls' | 'gkdv' | 'bo'
-    a: float = 3.0         # NLS nonlinearity power, a > 1
+    a: float = 3.0         # NLS nonlinearity power, finite and > 1
     mu: int = 1            # NLS sign, +1 defocusing / -1 focusing
     k: int = 1             # gKdV nonlinearity degree, k >= 1
 
@@ -54,8 +54,8 @@ class EquationSpec:
         if self.model not in ("nls", "gkdv", "bo"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "nls":
-            if not self.a > 1:
-                raise ValueError(f"NLS power must satisfy a > 1, got a={self.a}")
+            if not 1 < self.a < np.inf:
+                raise ValueError(f"NLS power must satisfy 1 < a < inf, got a={self.a}")
             if self.mu not in (-1, 1):
                 raise ValueError(f"NLS sign must be +-1, got mu={self.mu}")
         if self.model == "gkdv" and (self.k < 1 or self.k != int(self.k)):
@@ -144,7 +144,7 @@ class StepperConfig:
         if not self.dt > 0:
             raise ValueError(f"step size must be positive, got dt={self.dt}")
         if not 0 < self.dealias <= 1:
-            raise ValueError(f"dealias fraction must lie in (0, 1], got {self.dealias}")
+            raise ValueError(f"dealias fraction must lie in (0, 1], got dealias={self.dealias}")
 
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
@@ -254,9 +254,9 @@ def check_times(T: float, snapshot_times, dt: float) -> None:
         raise ValueError(f"final time must be finite and nonnegative, got T={T}")
     if T > 0 and round(T / dt) == 0:
         raise ValueError(f"final time T={T:g} rounds to zero steps of dt={dt:g}")
-    for t in snapshot_times:
-        if not -1e-12 <= t <= T + 1e-12:
-            raise ValueError(f"snapshot times must lie in [0, T={T:g}], got {t:g}")
+    if not all(-1e-12 <= t <= T + 1e-12 for t in snapshot_times):
+        times = ", ".join(f"{t:g}" for t in snapshot_times)
+        raise ValueError(f"snapshot times must lie in [0, T={T:g}], got snapshots={times}")
 
 
 def evolve(

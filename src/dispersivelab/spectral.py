@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,7 +26,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "BoundaryWarning",
     "apply_multiplier",
     "integrate",
     "boundary_gate",
@@ -37,10 +35,6 @@ __all__ = [
 BOUNDARY_FRACTION = 0.1    # outer fraction of the cell inspected by the gate
 BOUNDARY_TOL = 1e-10       # max |f| there must stay below tol * max |f|
 REAL_TOL = 1e-10           # imaginary residue tolerated on a real model's field
-
-
-class BoundaryWarning(UserWarning):
-    """A field carries non-negligible mass near the periodic boundary."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +234,7 @@ def integrate(f: Field) -> complex:
     return complex(f.grid.h * np.sum(f.values))
 
 
-def boundary_gate(f: Field, *, warn: bool = False, context: str = "") -> tuple[bool, float]:
+def boundary_gate(f: Field) -> tuple[bool, float]:
     """Check that a field is negligible on the outer 10% of the cell.
 
     Returns ``(ok, ratio)`` where ratio = max |f| on |x| >= 0.9 L divided by
@@ -254,13 +248,17 @@ def boundary_gate(f: Field, *, warn: bool = False, context: str = "") -> tuple[b
         return True, 0.0
     outer = np.abs(g.x) >= (1.0 - BOUNDARY_FRACTION) * g.length
     ratio = float(np.max(mags[outer]) / peak)
-    ok = ratio < BOUNDARY_TOL
-    if warn and not ok:
-        where = f" in {context}" if context else ""
-        warnings.warn(
-            f"boundary-negligibility gate violated{where}: "
-            f"outer-cell ratio {ratio:.3e} >= {BOUNDARY_TOL:.0e}",
-            BoundaryWarning,
-            stacklevel=2,
+    return ratio < BOUNDARY_TOL, ratio
+
+
+def _require_gate(f: Field, what: str) -> float:
+    """The gate ratio of ``f``, the field that ``what`` names, where it enters
+    a measurement.  A field that fails the gate raises ValueError naming it,
+    its cell and the ratio: the one wording of that error."""
+    ok, ratio = boundary_gate(f)
+    if not ok:
+        raise ValueError(
+            f"{what} fails the boundary gate on the cell L={f.grid.length:g}: "
+            f"outer-cell ratio {ratio:.2e} >= {BOUNDARY_TOL:.0e}"
         )
-    return ok, ratio
+    return ratio

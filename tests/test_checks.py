@@ -234,6 +234,8 @@ def test_bo_domain_comparison_report_only():
     rep = bo_domain_comparison(T=0.2, n=256, cfg=StepperConfig(dt=2e-3))
     assert rep.verdict == "report-only"
     assert np.isfinite(rep.worst_ratio)
+    with pytest.raises(ValueError, match="'gaussian_deriv' at scale=1 fails the boundary gate"):
+        bo_domain_comparison(domains=(3.0, 20.0))
 
 
 def test_bo_domain_comparison_matches_one_experiment_per_cell():

@@ -96,6 +96,7 @@ check.id = gn
 check.params.corpus_size = 5
 check.params.alpha = 0.25
 check.params.p = inf
+check.params.q = -inf
 check.params.label = word
 sweep.checks = gn, leibniz
 sweep.jobs = 3
@@ -115,7 +116,9 @@ def test_full_config_round_trip():
     for name, _ in _SCHEMA.values():
         assert any(getattr(c, name) != getattr(defaults, name) for c in (cfg, gkdv)), name
     assert cfg.linear_only is True
-    assert cfg.check_params == {"corpus_size": 5.0, "alpha": 0.25, "p": np.inf, "label": "word"}
+    assert cfg.check_params == {
+        "corpus_size": 5.0, "alpha": 0.25, "p": np.inf, "q": -np.inf, "label": "word"
+    }
     assert parse_config_text(emit_config(cfg)) == cfg
     assert parse_config_text(emit_config(gkdv)) == gkdv
 
@@ -142,7 +145,7 @@ def test_linear_only_accepts_flags(value):
         ("command = solve\nstepper.T = -1\n", "final time must be finite and nonnegative"),
         (
             "command = solve\nstepper.T = 0.01\nstepper.snapshots = 0, 0.5\n",
-            "snapshot times must lie in [0, T=0.01], got 0.5",
+            "snapshot times must lie in [0, T=0.01], got snapshots=0, 0.5",
         ),
         (
             "command = solve\nequation.model = gkdv\ngrid.n = 64\nstepper.T = 0.0004\n",
@@ -160,11 +163,15 @@ def test_linear_only_accepts_flags(value):
         ("command = solve\nsolve.s = inf\n", "Sobolev index must be finite, got s=inf"),
         ("command = solve\nsolve.m = -1\n", "weight exponent must be finite and >= 0, got m=-1.0"),
         ("command = solve\nsolve.m = nan\n", "weight exponent must be finite and >= 0, got m=nan"),
+        (
+            "command = solve\nequation.model = nls\nequation.a = inf\n",
+            "NLS power must satisfy 1 < a < inf, got a=inf",
+        ),
     ],
     ids=[
         "linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
         "zero_step_T", "off_model_key", "command", "unknown_u0", "nan_amplitude",
-        "inf_amplitude", "nan_s", "inf_s", "negative_m", "nan_m",
+        "inf_amplitude", "nan_s", "inf_s", "negative_m", "nan_m", "inf_a",
     ],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
@@ -427,24 +434,42 @@ def test_config_check_error_exit_code(tmp_path, capsys, command):
             "inadmissible pair (q=8.0, p=nan): need 2/q + 1/p = 1/2 in one dimension",
         ),
         ("chirp_stein", ["b=1"], "order must lie in (0,1), got b=1.0"),
-        ("chirp_stein", ["t=0"], "chirp time must be positive, got t=0.0"),
+        ("chirp_stein", ["t=0"], "chirp time must be finite and positive, got t=0.0"),
         ("weighted_free", ["b=1"], "order must lie in (0,1), got b=1.0"),
         ("gamma_identity", ["b=1.5"], "order must lie in [0,1], got b=1.5"),
         ("leibniz", ["b=0"], "order must lie in (0,1), got b=0.0"),
-        ("gn", ["alpha=1", "beta=0.5"], "orders must satisfy 0 <= alpha < beta, got 1.0, 0.5"),
+        (
+            "gn",
+            ["alpha=1", "beta=0.5"],
+            "orders must satisfy 0 <= alpha < beta < inf, got alpha=1.0, beta=0.5",
+        ),
         (
             "gn",
             ["alpha=0", "beta=0.25", "q=2", "r=4"],
             "no admissible interpolation exponent for these indices",
         ),
-        ("gn", ["r=1"], "exponent r must lie in (1, inf), got 1.0"),
-        ("interpolation", ["a=0"], "orders must be positive, got a=0.0, b=1.0"),
-        ("interpolation", ["theta=1.5"], "interpolation parameter must lie in [0,1], got 1.5"),
+        ("gn", ["r=1"], "exponent r must lie in (1, inf), got r=1.0"),
+        ("interpolation", ["a=0"], "orders must be positive and finite, got a=0.0, b=1.0"),
+        ("interpolation", ["theta=1.5"], "interpolation parameter must lie in [0,1], got theta=1.5"),
         ("commutator_leibniz", ["alpha=1"], "order must lie in (0,1), got alpha=1.0"),
         ("commutator_leibniz", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
         ("commutator_hilbert", ["l=0", "m=0"], "need l, m >= 0 with l + m >= 1"),
         ("commutator_hilbert", ["p=inf"], "exponent must lie in (1, inf), got p=inf"),
         ("ap_hilbert", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
+        ("scaling", ["a=inf"], "NLS power must satisfy 1 < a < inf, got a=inf"),
+        ("persistence", ["a=inf"], "NLS power must satisfy 1 < a < inf, got a=inf"),
+        (
+            "strichartz",
+            ["q=0"],
+            "inadmissible pair (q=0.0, p=4.0): need 2/q + 1/p = 1/2 in one dimension",
+        ),
+        (
+            "strichartz",
+            ["p=0"],
+            "inadmissible pair (q=8.0, p=0.0): need 2/q + 1/p = 1/2 in one dimension",
+        ),
+        ("gn", ["beta=inf"], "orders must satisfy 0 <= alpha < beta < inf, got alpha=0.5, beta=inf"),
+        ("interpolation", ["b=inf"], "orders must be positive and finite, got a=1.0, b=inf"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dispersivelab.spectral import (
-    BoundaryWarning,
     Field,
     Grid,
     apply_multiplier,
@@ -121,7 +120,8 @@ def test_boundary_gate():
     g = Grid(256, 10.0)
     ok, ratio = boundary_gate(Field.from_function(g, lambda x: np.exp(-(x**2))))
     assert ok and ratio < 1e-10
+    # the wide field peaks at the node x = 0, and the outer tenth |x| >= 9
+    # starts at the node x = -9.0625
     wide = Field.from_function(g, lambda x: np.exp(-((x / 8.0) ** 2)))
-    with pytest.warns(BoundaryWarning):
-        ok, ratio = boundary_gate(wide, warn=True)
-    assert not ok
+    ok, ratio = boundary_gate(wide)
+    assert not ok and ratio == np.exp(-((9.0625 / 8.0) ** 2))
