@@ -332,10 +332,10 @@ def gn_theta(alpha: float, beta: float, p: float, q: float, r: float) -> float:
     if denom == 0:
         if abs(num) > 1e-14:
             raise ValueError("no admissible interpolation exponent for these indices")
-        theta = alpha / beta if beta > 0 else 0.0
+        theta = alpha / beta
     else:
         theta = num / denom
-    lo = alpha / beta if beta > 0 else 0.0
+    lo = alpha / beta
     if not (lo - 1e-12 <= theta <= 1.0 + 1e-12):
         raise ValueError(
             f"interpolation exponent theta={theta:.6g} outside [{lo:.6g}, 1]"

@@ -158,7 +158,8 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         try:
             setattr(cfg, name, parse(value))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            cause = f"{name}={value} is not an integer" if parse is int else exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {cause}") from exc
     _validate(cfg, path)
     return cfg
 
@@ -289,11 +290,26 @@ def _run_checks(names: list, params: dict, out_dir: str, jobs: int = 1) -> int:
     return 0 if all(r.verdict in ("pass", "report-only") for r in reports) else 1
 
 
+# the subcommand whose --config runs each config command
+_SUBCOMMAND = {"solve": "solve", "check": "sweep", "sweep": "sweep"}
+
+
 def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -> int:
     """Execute a config file; exit 0 iff every pass-class verdict passed."""
+    return _run(config_path, out_dir, jobs, None)
+
+
+def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: str | None) -> int:
+    """:func:`run` under ``subcommand``, a config error unless it is the one
+    of ``_SUBCOMMAND`` for the config's command; None runs any command."""
     env_seed = os.environ.get(SEED_ENV)
     try:
         cfg = _load_config(config_path)
+        if subcommand not in (None, _SUBCOMMAND[cfg.command]):
+            raise ConfigError(
+                f"{config_path}: command = {cfg.command} runs under "
+                f"'{_SUBCOMMAND[cfg.command]} --config', not '{subcommand} --config'"
+            )
         if env_seed is not None:
             try:
                 cfg = replace(cfg, seed=int(env_seed))
@@ -345,7 +361,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "solve":
-        return run(args.config, args.out)
+        return _run(args.config, args.out, None, "solve")
     if args.cmd == "check":
         params = {}
         for item in args.param:
@@ -356,7 +372,7 @@ def main(argv=None) -> int:
             params[key.strip()] = _parse_scalar(value.strip())
         return _run_checks([args.name], params, args.out)
     if args.cmd == "sweep":
-        return run(args.config, args.out, jobs=args.jobs)
+        return _run(args.config, args.out, args.jobs, "sweep")
     parser.print_help()
     return 2
 

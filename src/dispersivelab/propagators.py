@@ -121,8 +121,7 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     diagnostics: dict = field(default_factory=dict)
-    failed: bool = False
-    failure_time: float | None = None
+    failure_time: float | None = None   # time of the first non-finite step
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -132,6 +131,11 @@ class Trajectory:
             g0 = self.snapshots[0].grid
             if any(s.grid is not g0 and s.grid != g0 for s in self.snapshots):
                 raise ValueError("all snapshots must share one grid")
+
+    @property
+    def failed(self) -> bool:
+        """True when the run ended at ``failure_time`` on a non-finite step."""
+        return self.failure_time is not None
 
 
 @dataclass(frozen=True)
@@ -272,21 +276,23 @@ def evolve(
     Snapshot times are snapped to the nearest step multiple (the actual
     times are stored); ``None`` records t = 0 and T, and an empty list is
     an error.  ``diagnostics`` is an optional callable
-    ``(field, t) -> dict of named reals``.  A mid-run NaN truncates the
-    trajectory and sets the failure marker instead of raising.
+    ``(field, t) -> dict of named reals``, applied to the recorded
+    snapshots after the march.  A step that yields a non-finite value ends
+    the run: the trajectory keeps the snapshots before it and
+    ``failure_time`` marks it, with no numpy warning and no raise.
 
     gKdV and BO evolve real fields: data whose imaginary part exceeds
     1e-10 of max|u| raises ValueError, and below that the real part is
     evolved, so every snapshot is real.
     """
     if snapshot_times is None:
-        snapshot_times = [0.0, T] if T > 0 else [0.0]
+        snapshot_times = [0.0, T]
     elif len(snapshot_times) == 0:
         raise ValueError("snapshot_times is empty; pass None to record t = 0 and T")
     check_times(T, snapshot_times, cfg.dt)
     g = u0.grid
     values = real_values(u0, f"the {spec.model} flow") if spec.is_real else u0.values
-    n_steps = int(round(T / cfg.dt)) if T > 0 else 0
+    n_steps = int(round(T / cfg.dt))
     snap_steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps) for t in snapshot_times})
 
     stepper = _Stepper(g, spec, cfg)
@@ -294,36 +300,26 @@ def evolve(
     # the transport heuristic at t = 0 and at every snapshot; one warning
     # names the worst violation
     cfl_worst, cfl_time = stepper.cfl_ratio(values), 0.0
-
-    times, snaps, diag_rows = [], [], []
-    failed = False
-    failure_time = None
-    step_idx = 0
-    pending = list(snap_steps)
-
-    def record(idx, fld):
-        t = idx * cfg.dt
-        times.append(t)
-        snaps.append(fld)
-        diag_rows.append(diagnostics(fld, t) if diagnostics is not None else {})
-
-    if pending and pending[0] == 0:
-        record(0, Field(g, np.array(values, dtype=complex)))
-        pending.pop(0)
-    while step_idx < n_steps and pending:
-        u_hat = stepper.step(u_hat)
-        step_idx += 1
-        if not np.isfinite(u_hat).all():
-            failed = True
-            failure_time = step_idx * cfg.dt
-            break
-        if pending and pending[0] == step_idx:
-            fld = Field(g, stepper.inverse(u_hat))
-            record(step_idx, fld)
-            pending.pop(0)
+    times, snaps, failure_time, step = [], [], None, 0
+    # an overflow or invalid value in a step reaches u_hat, where the
+    # finiteness test ends the run: the failure marker is its one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in snap_steps:
+            while step < target:
+                u_hat = stepper.step(u_hat)
+                step += 1
+                if not np.isfinite(u_hat).all():
+                    failure_time = step * cfg.dt
+                    break
+            if failure_time is not None:
+                break
+            t = step * cfg.dt
+            fld = Field(g, stepper.inverse(u_hat) if step else np.array(values, dtype=complex))
             ratio = stepper.cfl_ratio(fld.values)
             if ratio > cfl_worst:
-                cfl_worst, cfl_time = ratio, step_idx * cfg.dt
+                cfl_worst, cfl_time = ratio, t
+            times.append(t)
+            snaps.append(fld)
     if cfl_worst > 1.0:
         warnings.warn(
             f"dt={cfg.dt:.3g} exceeds the transport heuristic h/(pi max|u|) "
@@ -333,14 +329,13 @@ def evolve(
         )
 
     diag = {}
-    if diag_rows and diag_rows[0]:
-        for key in diag_rows[0]:
-            diag[key] = np.array([row[key] for row in diag_rows])
+    if diagnostics is not None and snaps:
+        rows = [diagnostics(fld, t) for fld, t in zip(snaps, times)]
+        diag = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     return Trajectory(
         spec=spec,
         times=np.array(times),
         snapshots=snaps,
         diagnostics=diag,
-        failed=failed,
         failure_time=failure_time,
     )

@@ -128,6 +128,8 @@ def test_leibniz_constant_factor_degenerate():
 def test_gn_theta_resolution():
     assert gn_theta(0.5, 1.0, 2.0, 2.0, 2.0) == pytest.approx(0.5)
     assert gn_theta(0.5, 1.0, 8.0, 2.0, 2.0) == pytest.approx(0.875)
+    # every theta solves the scaling relation (0 = theta * 0): theta = alpha / beta
+    assert gn_theta(0.0, 0.25, 4.0, 2.0, 4.0) == 0.0
     with pytest.raises(ValueError):
         gn_theta(0.5, 1.0, 2.0, 2.0, 4.0)  # theta = 1/3 < alpha/beta
 

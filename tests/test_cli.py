@@ -294,6 +294,56 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["solve"],
+            "command = sweep\nsweep.checks = scaling\n",
+            "command = sweep runs under 'sweep --config', not 'solve --config'",
+        ),
+        (
+            ["solve"],
+            "command = check\ncheck.id = scaling\n",
+            "command = check runs under 'sweep --config', not 'solve --config'",
+        ),
+        (
+            ["sweep", "--jobs", "2"],
+            "command = solve\nstepper.T = 0.01\n",
+            "command = solve runs under 'solve --config', not 'sweep --config'",
+        ),
+    ],
+    ids=["sweep_under_solve", "check_under_solve", "solve_under_sweep"],
+)
+def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, cause",
+    [
+        (["solve", "--config", "{tmp}/missing.cfg"], None, "config error: cannot read config: "),
+        (["--print-config", "{tmp}/run.cfg"], "grid.n = 100\n", "power of two >= 8, got n=100"),
+        (["sweep", "--config", "{tmp}/run.cfg"], "command = sweep\nsweep.checks = nosuch\n",
+         "unknown sweep check 'nosuch'"),
+        ([], None, "usage: dispersivelab"),
+    ],
+    ids=["unreadable_config", "print_bad_config", "unknown_sweep_check", "no_subcommand"],
+)
+def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    # an input error goes to stderr; a bare invocation prints the usage
+    assert cause in (captured.err if argv else captured.out)
+
+
 def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text("command = sweep\nsweep.checks = scaling\n")
@@ -504,7 +554,7 @@ BLOWUP_PARAMS = ["model=nls", "a=5", "mu=-1", "n=128", "L=10", "dt=0.5", "T=50",
 def test_solve_reports_solver_failure(tmp_path, capsys):
     path = tmp_path / "blowup.cfg"
     path.write_text(BLOWUP_CFG)
-    with pytest.warns(CFLWarning), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(CFLWarning):
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "solver failure at t=0.5\n"
     assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -512,7 +562,7 @@ def test_solve_reports_solver_failure(tmp_path, capsys):
 
 def test_persistence_fails_on_solver_failure(tmp_path, capsys):
     argv = ["check", "persistence", *(a for p in BLOWUP_PARAMS for a in ("--param", p))]
-    with pytest.warns(CFLWarning), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(CFLWarning):
         assert main([*argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "persistence: fail (worst_ratio=1)\n"
 

@@ -24,7 +24,8 @@ CHECK_KEYS = {
     for name, fn in checks.CHECKS.items()
 }
 # the numeric config keys, by field: float-parsed ones carry a non-finite
-# value to the module that owns it, int-parsed ones reject it as they parse
+# value to the module that owns it, int-parsed ones reject it as they parse;
+# either way the error names the field as name=value
 CONFIG_KEYS = [
     f for f in dataclasses.fields(RunConfig) if f.metadata.get("parse") in (int, float, _floats)
 ]
@@ -74,10 +75,7 @@ def test_config_keys_named_and_exit_cleanly(tmp_path, capsys):
         key = f.metadata["key"]
         for value in NON_FINITE:
             rc, err = _solve(key, value, tmp_path, capsys)
-            named = _names(f.name, err) if f.metadata["parse"] is not int else (
-                f"bad value for {key}: " in err
-            )
-            if rc != 2 or not named:
+            if rc != 2 or not _names(f.name, err):
                 wrong.append((key, value, rc, err))
         for value in EDGE:
             rc, err = _solve(key, value, tmp_path, capsys)

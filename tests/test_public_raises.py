@@ -1,0 +1,61 @@
+"""The ValueError of each public entry point on an input it rejects, one row
+per raise, each matched on the value or cause its message names."""
+
+import numpy as np
+import pytest
+
+from dispersivelab.laws import kato_residual
+from dispersivelab.norms import ap_constant, weighted_l2
+from dispersivelab.operators import (
+    bessel_potential,
+    derivative,
+    gamma_schrodinger,
+    lp_block,
+    riesz_deriv,
+    stein_deriv,
+)
+from dispersivelab.propagators import EquationSpec, Trajectory
+from dispersivelab.spectral import Field, Grid, apply_multiplier
+
+G = Grid(64, 10.0)
+F = Field.from_function(G, lambda x: np.exp(-(x**2)))
+
+
+def _trajectory(times, grids):
+    return Trajectory(EquationSpec.gkdv(), times, [Field(g, np.exp(-(g.x**2))) for g in grids])
+
+
+CASES = {
+    "weighted_l2_m": (lambda: weighted_l2(F, -1), "got m=-1"),
+    "ap_constant_p": (lambda: ap_constant(F, 1.0), "got p=1.0"),
+    "derivative_order": (lambda: derivative(F, -1), "got -1"),
+    "riesz_deriv_b": (lambda: riesz_deriv(F, np.nan), "got b=nan"),
+    "bessel_potential_s": (lambda: bessel_potential(F, np.nan), "got s=nan"),
+    "stein_deriv_tail": (lambda: stein_deriv(F, 0.5, tail="x"), "unknown tail mode 'x'"),
+    "lp_block_N": (lambda: lp_block(F, 61), "N=61"),
+    "gamma_schrodinger_b": (lambda: gamma_schrodinger(F, 0.5, 1.5), "got b=1.5"),
+    "s_critical_gkdv": (lambda: EquationSpec.gkdv().s_critical, "defined for the NLS model"),
+    "trajectory_lengths": (
+        lambda: Trajectory(EquationSpec.gkdv(), [0.0, 0.1], [F]),
+        "times and snapshots must have the same length",
+    ),
+    "trajectory_grids": (
+        lambda: _trajectory([0.0, 0.1], [G, Grid(64, 12.0)]),
+        "all snapshots must share one grid",
+    ),
+    "field_shape": (lambda: Field(G, np.ones(3)), r"expected 64 samples, got shape \(3,\)"),
+    "multiplier_length": (
+        lambda: apply_multiplier(F, np.ones(3)),
+        r"multiplier must have 64 values, got shape \(3,\)",
+    ),
+    "kato_residual_spacing": (
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),
+        "snapshots must be uniformly spaced in time",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", CASES.values(), ids=CASES.keys())
+def test_public_raise_names_its_cause(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

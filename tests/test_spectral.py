@@ -47,6 +47,20 @@ def test_field_rejects_non_finite():
         Field(g, vals)
 
 
+def test_field_arithmetic_is_samplewise():
+    # each arm of +, - and * on a Field or a scalar acts on the samples
+    g = Grid(64, 10.0)
+    f, h = random_band_limited(g, seed=1), random_band_limited(g, seed=2)
+    cases = [
+        (f + h, f.values + h.values), (f + 2.0, f.values + 2.0),
+        (f - h, f.values - h.values), (f - 2.0, f.values - 2.0),
+        (f * h, f.values * h.values), (f * 2.0, f.values * 2.0), (2.0 * f, 2.0 * f.values),
+    ]
+    for got, want in cases:
+        assert got.grid is g
+        np.testing.assert_array_equal(got.values, want)
+
+
 def test_multiplier_identity():
     g = Grid(128, 10.0)
     f = random_band_limited(g, seed=3)
