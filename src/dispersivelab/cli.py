@@ -52,16 +52,9 @@ class ConfigError(ValueError):
 
 
 def _command(value: str) -> str:
-    if value not in ("solve", "check", "sweep"):
-        raise ValueError(f"expected solve|check|sweep, got {value!r}")
+    if value not in ("solve", "sweep"):
+        raise ValueError(f"expected solve|sweep, got {value!r}")
     return value
-
-
-def _flag(value: str) -> bool:
-    low = value.lower()
-    if low not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
-    return low in ("1", "true", "yes")
 
 
 def _names(value: str) -> tuple:
@@ -78,57 +71,61 @@ def _path(value: str) -> str:
     return value
 
 
-def _key(key: str, parse, default):
-    """A RunConfig field read from config key ``key`` by ``parse``."""
-    return field(default=default, metadata={"key": key, "parse": parse})
+def _key(key: str, parse, default, command=None):
+    """A RunConfig field read from config key ``key`` by ``parse`` and used
+    by ``command`` (None: by both commands)."""
+    return field(default=default, metadata={"key": key, "parse": parse, "command": command})
 
 
 @dataclass
 class RunConfig:
-    """One run, declared once: each field carries its config key and the
-    parser of its value, in --print-config order.  A field whose default is
-    unset (None, "" or ()) is printed only when set.  ``check_params`` has
-    no key: it holds the free-form check.params.* table, printed after
-    check.id.
+    """One run, declared once: each field carries its config key, the
+    parser of its value and the command that reads it (None: both), in
+    --print-config order.  A field whose default is unset (None, "" or ())
+    is printed only when set.  ``check_params`` has no key: it holds the
+    free-form check.params.* table that a sweep reads, printed after solve.m.
 
-    Parsing checks what the modules would reject later: the equation, grid,
-    stepper and times of every command and, for a solve, its initial data
-    (a name of ``corpus.NAMED_FIELDS``, a finite amplitude) and its
-    diagnostics (a finite ``s``, a finite ``m`` >= 0)."""
+    Parsing checks what the modules would reject later: a key that the
+    command does not read must keep its default; a solve's equation, grid,
+    stepper, times, initial data (a name of ``corpus.NAMED_FIELDS``, a
+    finite amplitude) and diagnostics (a finite ``s``, a finite ``m`` >= 0)
+    are checked, and a sweep needs known ``sweep.checks``.  A solve runs
+    the nonlinear flow; the exact linear flow is
+    :func:`dispersivelab.propagators.linear_group`."""
 
     command: str = _key("command", _command, "solve")
-    seed: int | None = _key("seed", int, None)
-    model: str = _key("equation.model", str, "gkdv")
-    a: float = _key("equation.a", float, 3.0)
-    mu: int = _key("equation.mu", int, 1)
-    k: int = _key("equation.k", int, 1)
-    n: int = _key("grid.n", int, 512)
-    L: float = _key("grid.L", float, 20.0)
-    dt: float = _key("stepper.dt", float, 1e-3)
-    T: float = _key("stepper.T", float, 1.0)
-    dealias: float = _key("stepper.dealias", float, 2.0 / 3.0)
-    snapshots: tuple = _key("stepper.snapshots", _floats, ())
-    linear_only: bool = _key("stepper.linear_only", _flag, False)
-    u0: str = _key("solve.u0", str, "gaussian")
-    amplitude: float = _key("solve.amplitude", float, 1.0)
-    jobs: int = _key("sweep.jobs", int, 1)
+    seed: int | None = _key("seed", int, None, "sweep")
+    model: str = _key("equation.model", str, "gkdv", "solve")
+    a: float = _key("equation.a", float, 3.0, "solve")
+    mu: int = _key("equation.mu", int, 1, "solve")
+    k: int = _key("equation.k", int, 1, "solve")
+    n: int = _key("grid.n", int, 512, "solve")
+    L: float = _key("grid.L", float, 20.0, "solve")
+    dt: float = _key("stepper.dt", float, 1e-3, "solve")
+    T: float = _key("stepper.T", float, 1.0, "solve")
+    dealias: float = _key("stepper.dealias", float, 2.0 / 3.0, "solve")
+    snapshots: tuple = _key("stepper.snapshots", _floats, (), "solve")
+    u0: str = _key("solve.u0", str, "gaussian", "solve")
+    amplitude: float = _key("solve.amplitude", float, 1.0, "solve")
+    jobs: int = _key("sweep.jobs", int, 1, "sweep")
     out_dir: str = _key("output.dir", _path, "out")
-    s: float | None = _key("solve.s", float, None)
-    m: float | None = _key("solve.m", float, None)
-    check_id: str = _key("check.id", str, "")
-    check_params: dict = field(default_factory=dict)
-    sweep_checks: tuple = _key("sweep.checks", _names, ())
+    s: float | None = _key("solve.s", float, None, "solve")
+    m: float | None = _key("solve.m", float, None, "solve")
+    check_params: dict = field(default_factory=dict, metadata={"command": "sweep"})
+    sweep_checks: tuple = _key("sweep.checks", _names, (), "sweep")
 
     def equation_spec(self) -> EquationSpec:
         return EquationSpec(self.model, a=self.a, mu=self.mu, k=self.k)
 
     def stepper_config(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, dealias=self.dealias, linear_only=self.linear_only)
+        return StepperConfig(dt=self.dt, dealias=self.dealias)
 
 
 # the config schema, key -> (RunConfig field, parser), in --print-config order
 _SCHEMA = {
-    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig) if f.metadata
+    f.metadata["key"]: (f.name, f.metadata["parse"])
+    for f in fields(RunConfig)
+    if "key" in f.metadata
 }
 _PARAMS_PREFIX = "check.params."
 _DEFAULTS = RunConfig()
@@ -181,47 +178,52 @@ def _parse_scalar(value: str):
 
 
 def _validate(cfg: RunConfig, path: str):
-    # surface module invariant violations at parse time
-    try:
-        spec = cfg.equation_spec()
-        grid = Grid(cfg.n, cfg.L)
-        cfg.stepper_config()
-        check_times(cfg.T, cfg.snapshots, cfg.dt)
-        if cfg.command == "solve":
-            initial_data(cfg.u0, grid, cfg.amplitude)
-            standard_diagnostics(spec, s=cfg.s, m=cfg.m)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if cfg.command == "check" and cfg.check_id not in CHECKS:
-        raise ConfigError(
-            f"{path}: unknown check {cfg.check_id!r}; available: {sorted(CHECKS)}"
-        )
+    # a key that the command does not read must keep its default
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.metadata["command"] not in (None, cfg.command) and value != getattr(_DEFAULTS, f.name):
+            line = _lines(f, value)[0]
+            raise ConfigError(f"{path}: {line} is not read by command = {cfg.command}")
     if cfg.command == "sweep":
         if not cfg.sweep_checks:
             raise ConfigError(f"{path}: a sweep needs sweep.checks")
         for name in cfg.sweep_checks:
             if name not in CHECKS:
                 raise ConfigError(f"{path}: unknown sweep check {name!r}")
+        return
+    # surface module invariant violations at parse time
+    try:
+        spec = cfg.equation_spec()
+        grid = Grid(cfg.n, cfg.L)
+        cfg.stepper_config()
+        check_times(cfg.T, cfg.snapshots, cfg.dt)
+        initial_data(cfg.u0, grid, cfg.amplitude)
+        standard_diagnostics(spec, s=cfg.s, m=cfg.m)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _fmt(v) -> str:
     if isinstance(v, tuple):
         return ", ".join(_fmt(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
+
+
+def _lines(f, value) -> list:
+    """The config lines of RunConfig field ``f`` set to ``value``."""
+    if "key" not in f.metadata:  # the check.params.* table
+        return [f"{_PARAMS_PREFIX}{k} = {_fmt(v)}" for k, v in sorted(value.items())]
+    return [f"{f.metadata['key']} = {_fmt(value)}"]
 
 
 def emit_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
         value, default = getattr(cfg, f.name), getattr(_DEFAULTS, f.name)
-        if not f.metadata:  # the check.params.* table
-            lines += [f"{_PARAMS_PREFIX}{k} = {_fmt(v)}" for k, v in sorted(value.items())]
-        elif not (value == default and default in (None, "", ())):
-            lines.append(f"{f.metadata['key']} = {_fmt(value)}")
+        if "key" not in f.metadata or not (value == default and default in (None, "", ())):
+            lines += _lines(f, value)
     return "\n".join(lines) + "\n"
 
 
@@ -290,25 +292,21 @@ def _run_checks(names: list, params: dict, out_dir: str, jobs: int = 1) -> int:
     return 0 if all(r.verdict in ("pass", "report-only") for r in reports) else 1
 
 
-# the subcommand whose --config runs each config command
-_SUBCOMMAND = {"solve": "solve", "check": "sweep", "sweep": "sweep"}
-
-
 def run(config_path: str, out_dir: str | None = None, jobs: int | None = None) -> int:
     """Execute a config file; exit 0 iff every pass-class verdict passed."""
     return _run(config_path, out_dir, jobs, None)
 
 
 def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: str | None) -> int:
-    """:func:`run` under ``subcommand``, a config error unless it is the one
-    of ``_SUBCOMMAND`` for the config's command; None runs any command."""
+    """:func:`run` under ``subcommand``, a config error unless it equals
+    the config's command; None runs either command."""
     env_seed = os.environ.get(SEED_ENV)
     try:
         cfg = _load_config(config_path)
-        if subcommand not in (None, _SUBCOMMAND[cfg.command]):
+        if subcommand not in (None, cfg.command):
             raise ConfigError(
                 f"{config_path}: command = {cfg.command} runs under "
-                f"'{_SUBCOMMAND[cfg.command]} --config', not '{subcommand} --config'"
+                f"'{cfg.command} --config', not '{subcommand} --config'"
             )
         if env_seed is not None:
             try:
@@ -322,8 +320,6 @@ def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: st
     if cfg.command == "solve":
         return _run_solve(cfg, out)
     params = dict(cfg.check_params) if cfg.seed is None else {"seed": cfg.seed, **cfg.check_params}
-    if cfg.command == "check":
-        return _run_checks([cfg.check_id], params, out)
     return _run_checks(list(cfg.sweep_checks), params, out, jobs=cfg.jobs if jobs is None else jobs)
 
 
@@ -373,7 +369,8 @@ def main(argv=None) -> int:
         return _run_checks([args.name], params, args.out)
     if args.cmd == "sweep":
         return _run(args.config, args.out, args.jobs, "sweep")
-    parser.print_help()
+    parser.print_usage(sys.stderr)
+    print("dispersivelab: error: a subcommand is required: solve, check or sweep", file=sys.stderr)
     return 2
 
 

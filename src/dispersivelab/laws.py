@@ -106,8 +106,9 @@ def kato_residual(
                          - 2/(k+2) int u^(k+2) phi'  =  0.
 
     ``nonlinear=False`` drops the u^(k+2) term, the identity satisfied by
-    linear-only runs.  The returned sequence decays like O(dt^2) from the
-    time difference; the spatial terms are spectrally exact.
+    the linear flow (:func:`dispersivelab.propagators.linear_group`).  The
+    returned sequence decays like O(dt^2) from the time difference; the
+    spatial terms are spectrally exact.
     """
     times = traj.times
     if len(times) < 3:
@@ -143,7 +144,7 @@ def moment(f: Field, j: int) -> complex:
     boundary gate runs here: callers run
     :func:`dispersivelab.spectral.boundary_gate` where a field enters."""
     if j < 0 or j != int(j):
-        raise ValueError(f"moment order must be a nonnegative integer, got {j}")
+        raise ValueError(f"moment order must be a nonnegative integer, got j={j}")
     g = f.grid
     return complex(g.h * np.sum(g.x**j * f.values))
 

@@ -41,7 +41,7 @@ def hilbert(f: Field) -> Field:
 def derivative(f: Field, order: int = 1) -> Field:
     """Spectral derivative d^order/dx^order, multiplier (i*xi)^order."""
     if order < 0 or order != int(order):
-        raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
+        raise ValueError(f"derivative order must be a nonnegative integer, got order={order}")
     if order == 0:
         return f.copy()
     return _multiply(f, f.grid._table(("derivative", order), lambda xi: (1j * xi) ** order))

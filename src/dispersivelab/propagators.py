@@ -142,7 +142,6 @@ class Trajectory:
 class StepperConfig:
     dt: float
     dealias: float = 2.0 / 3.0
-    linear_only: bool = False   # zero the nonlinearity (consistency runs)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -190,8 +189,8 @@ class _Stepper:
     ``[: n//2 + 1]``.  Index n//2 keeps xi = -xi_max, so the Nyquist bin
     evolves as in the full spectrum, whose real projection drops the same
     imaginary part that irfft ignores.  NLS marches the full complex
-    spectrum.  Each model's nonlinear multiplier is built once here, and a
-    linear-only step is the exact group phase ``E2 * u_hat``.
+    spectrum.  Each model's nonlinear multiplier is built once here.  The
+    exact linear flow is :func:`linear_group`.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, cfg: StepperConfig):
@@ -217,7 +216,6 @@ class _Stepper:
         else:
             self.power = spec.k + 1 if spec.model == "gkdv" else 2
             self.multiplier = -(1j * xi) * mask / float(self.power)
-        self.step = self._linear_step if cfg.linear_only else self._rk4_step
 
     def nonlinear_hat(self, u_hat: np.ndarray) -> np.ndarray:
         u = self.inverse(u_hat)
@@ -229,10 +227,7 @@ class _Stepper:
                 w *= u
         return self.multiplier * self.forward(w)
 
-    def _linear_step(self, u_hat: np.ndarray) -> np.ndarray:
-        return self.E2 * u_hat
-
-    def _rk4_step(self, u_hat: np.ndarray) -> np.ndarray:
+    def step(self, u_hat: np.ndarray) -> np.ndarray:
         dt, E, E2 = self.cfg.dt, self.E, self.E2
         n1 = self.nonlinear_hat(u_hat)
         s1 = E * (u_hat + 0.5 * dt * n1)
@@ -244,9 +239,7 @@ class _Stepper:
         return E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
 
     def cfl_ratio(self, values: np.ndarray) -> float:
-        """dt over the transport heuristic h / (pi max|u|); 0 for a linear-only run."""
-        if self.cfg.linear_only:
-            return 0.0
+        """dt over the transport heuristic h / (pi max|u|)."""
         return self.cfg.dt * np.pi * float(np.max(np.abs(values))) / self.grid.h
 
 

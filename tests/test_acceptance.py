@@ -22,7 +22,6 @@ grow 1.3x.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -59,10 +58,6 @@ from dispersivelab.propagators import (
     linear_group,
 )
 from dispersivelab.spectral import Field, Grid
-
-warnings.simplefilter("ignore", UserWarning)
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 
 def conclude(num: int, ok: bool, detail: str):

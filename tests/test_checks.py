@@ -29,8 +29,6 @@ from dispersivelab.corpus import Corpus, gaussian, gaussian_deriv
 from dispersivelab.propagators import EquationSpec, StepperConfig
 from dispersivelab.spectral import Field, Grid
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def test_corpus_reproducible_and_gated():
     g = Grid(512, 20.0)

@@ -20,8 +20,6 @@ from dispersivelab.cli import (
 from dispersivelab.checks import CHECKS, CheckReport
 from dispersivelab.propagators import CFLWarning
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 SOLVE_CFG = """
 # gKdV short run
 command = solve
@@ -64,7 +62,6 @@ stepper.dt = 0.002
 stepper.T = 0.10000000000000001
 stepper.dealias = 0.66666666666666663
 stepper.snapshots = 0, 0.050000000000000003, 0.10000000000000001
-stepper.linear_only = false
 solve.u0 = gaussian
 solve.amplitude = 0.80000000000000004
 sweep.jobs = 1
@@ -73,11 +70,11 @@ solve.s = 1
 solve.m = 0.5
 """
 
-# every schema key away from its default in one of the two configs (a model
-# reads only its own equation keys), plus a check.params table
-FULL_CFG = """
-command = sweep
-seed = 7
+# every schema key away from its default in one of these configs (a command
+# reads only its own keys, a model only its own equation keys), plus a
+# check.params table
+FULL_SOLVE_CFG = """
+command = solve
 equation.model = nls
 equation.a = 5
 equation.mu = -1
@@ -87,12 +84,16 @@ stepper.dt = 0.0001
 stepper.T = 2
 stepper.dealias = 0.5
 stepper.snapshots = 0, 1, 2
-stepper.linear_only = true
 solve.u0 = sech2
 solve.amplitude = 0.3
 solve.s = 1.5
 solve.m = 0.25
-check.id = gn
+output.dir = results
+"""
+GKDV_CFG = "equation.model = gkdv\nequation.k = 3\n"
+FULL_SWEEP_CFG = """
+command = sweep
+seed = 7
 check.params.corpus_size = 5
 check.params.alpha = 0.25
 check.params.p = inf
@@ -102,7 +103,7 @@ sweep.checks = gn, leibniz
 sweep.jobs = 3
 output.dir = results
 """
-GKDV_CFG = "equation.model = gkdv\nequation.k = 3\n"
+FULL_CFGS = (FULL_SOLVE_CFG, GKDV_CFG, FULL_SWEEP_CFG)
 
 
 def test_schema_covers_run_config():
@@ -111,16 +112,54 @@ def test_schema_covers_run_config():
 
 
 def test_full_config_round_trip():
-    cfg, gkdv = parse_config_text(FULL_CFG), parse_config_text(GKDV_CFG)
+    cfgs = [parse_config_text(text) for text in FULL_CFGS]
     defaults = RunConfig()
     for name, _ in _SCHEMA.values():
-        assert any(getattr(c, name) != getattr(defaults, name) for c in (cfg, gkdv)), name
-    assert cfg.linear_only is True
-    assert cfg.check_params == {
+        assert any(getattr(c, name) != getattr(defaults, name) for c in cfgs), name
+    assert cfgs[-1].check_params == {
         "corpus_size": 5.0, "alpha": 0.25, "p": np.inf, "q": -np.inf, "label": "word"
     }
-    assert parse_config_text(emit_config(cfg)) == cfg
-    assert parse_config_text(emit_config(gkdv)) == gkdv
+    for cfg in cfgs:
+        assert parse_config_text(emit_config(cfg)) == cfg
+
+
+def _key_lines(text: str) -> list:
+    """The (command, line) pairs of config ``text`` whose line sets a key
+    away from its default, but for the keys that both commands read."""
+    cfg, default = parse_config_text(text), RunConfig()
+    pairs = []
+    for line in text.strip().splitlines():
+        key = line.partition(" =")[0]
+        if key in ("command", "output.dir"):
+            continue
+        name = _SCHEMA[key][0] if key in _SCHEMA else "check_params"
+        if getattr(cfg, name) != getattr(default, name):
+            pairs.append((cfg.command, line))
+    return pairs
+
+
+OTHER_COMMAND = {"solve": "sweep", "sweep": "solve"}
+MINIMAL_CFG = {
+    "solve": "command = solve\nstepper.T = 0.01\n",
+    "sweep": "command = sweep\nsweep.checks = scaling\n",
+}
+KEY_LINES = [pair for text in FULL_CFGS for pair in _key_lines(text)]
+
+
+@pytest.mark.parametrize(
+    "command, line", KEY_LINES, ids=[line.partition(" =")[0] for _, line in KEY_LINES]
+)
+def test_key_of_the_other_command_is_a_config_error(tmp_path, capsys, command, line):
+    other = OTHER_COMMAND[command]
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL_CFG[other] + line + "\n")
+    out = tmp_path / "out"
+    assert main([other, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    key = line.partition(" =")[0]
+    assert err.startswith(f"config error: {path}: {key} = ")
+    assert err.endswith(f" is not read by command = {other}\n")
+    assert not out.exists()
 
 
 def test_print_config_matches_recorded_text(tmp_path, capsys):
@@ -130,16 +169,9 @@ def test_print_config_matches_recorded_text(tmp_path, capsys):
     assert capsys.readouterr().out == SOLVE_CFG_PRINTED
 
 
-@pytest.mark.parametrize("value", ["1", "TRUE", "Yes", "0", "false", "NO"])
-def test_linear_only_accepts_flags(value):
-    cfg = parse_config_text(f"stepper.linear_only = {value}\n")
-    assert cfg.linear_only is (value.lower() in ("1", "true", "yes"))
-
-
 @pytest.mark.parametrize(
     "text, cause",
     [
-        ("command = solve\nstepper.linear_only = maybe\n", "bad value for stepper.linear_only"),
         ("command = solve\noutput.dir =\n", "bad value for output.dir"),
         ("command = sweep\n", "a sweep needs sweep.checks"),
         ("command = solve\nstepper.T = -1\n", "final time must be finite and nonnegative"),
@@ -152,7 +184,8 @@ def test_linear_only_accepts_flags(value):
             "final time T=0.0004 rounds to zero steps of dt=0.001",
         ),
         ("command = solve\nequation.model = nls\nequation.k = 3\n", "k=3 is not read by the nls model"),
-        ("command = run\n", "bad value for command: expected solve|check|sweep, got 'run'"),
+        ("command = run\n", "bad value for command: expected solve|sweep, got 'run'"),
+        ("command = check\n", "bad value for command: expected solve|sweep, got 'check'"),
         (
             "command = solve\nsolve.u0 = bump\n",
             "unknown initial data 'bump'; available: ['gaussian', 'gaussian_deriv', 'sech2']",
@@ -169,8 +202,9 @@ def test_linear_only_accepts_flags(value):
         ),
     ],
     ids=[
-        "linear_only", "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
-        "zero_step_T", "off_model_key", "command", "unknown_u0", "nan_amplitude",
+        "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
+        "zero_step_T", "off_model_key", "command", "check_command", "unknown_u0",
+        "nan_amplitude",
         "inf_amplitude", "nan_s", "inf_s", "negative_m", "nan_m", "inf_a",
     ],
 )
@@ -199,8 +233,8 @@ def test_parse_rejects_invariant_violations():
         parse_config_text("command = solve\nequation.model = gkdv\nequation.k = 0\n")
     with pytest.raises(ConfigError):
         parse_config_text("command = solve\ngrid.n = 100\n")
-    with pytest.raises(ConfigError, match="unknown check"):
-        parse_config_text("command = check\ncheck.id = bogus\n")
+    with pytest.raises(ConfigError, match="unknown sweep check 'bogus'"):
+        parse_config_text("command = sweep\nsweep.checks = bogus\n")
 
 
 def test_solve_writes_trajectory_and_curves(tmp_path):
@@ -235,8 +269,8 @@ def test_empty_snapshots_single_row(tmp_path):
 
 def test_check_command_reports(tmp_path):
     cfg_text = (
-        "command = check\n"
-        "check.id = gamma_identity\n"
+        "command = sweep\n"
+        "sweep.checks = gamma_identity\n"
         "check.params.b = 1.0\n"
         "check.params.t = 0.5\n"
     )
@@ -286,7 +320,7 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
-    cfg_text = "command = check\ncheck.id = scaling\ncheck.params.a = 5.0\n"
+    cfg_text = "command = sweep\nsweep.checks = scaling\ncheck.params.a = 5.0\n"
     path = tmp_path / "run.cfg"
     path.write_text(cfg_text)
     monkeypatch.setenv("DISPERSIVELAB_SEED", "42")
@@ -303,17 +337,12 @@ def test_seed_env_override(tmp_path, monkeypatch):
             "command = sweep runs under 'sweep --config', not 'solve --config'",
         ),
         (
-            ["solve"],
-            "command = check\ncheck.id = scaling\n",
-            "command = check runs under 'sweep --config', not 'solve --config'",
-        ),
-        (
             ["sweep", "--jobs", "2"],
             "command = solve\nstepper.T = 0.01\n",
             "command = solve runs under 'solve --config', not 'sweep --config'",
         ),
     ],
-    ids=["sweep_under_solve", "check_under_solve", "solve_under_sweep"],
+    ids=["sweep_under_solve", "solve_under_sweep"],
 )
 def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message):
     path = tmp_path / "run.cfg"
@@ -331,7 +360,7 @@ def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message
         (["--print-config", "{tmp}/run.cfg"], "grid.n = 100\n", "power of two >= 8, got n=100"),
         (["sweep", "--config", "{tmp}/run.cfg"], "command = sweep\nsweep.checks = nosuch\n",
          "unknown sweep check 'nosuch'"),
-        ([], None, "usage: dispersivelab"),
+        ([], None, "a subcommand is required: solve, check or sweep"),
     ],
     ids=["unreadable_config", "print_bad_config", "unknown_sweep_check", "no_subcommand"],
 )
@@ -340,8 +369,8 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
         (tmp_path / "run.cfg").write_text(text)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
-    # an input error goes to stderr; a bare invocation prints the usage
-    assert cause in (captured.err if argv else captured.out)
+    # an input error goes to stderr, with nothing on stdout
+    assert cause in captured.err and captured.out == ""
 
 
 def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -357,7 +386,8 @@ def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
 CORPUS_CHECKS = [name for name, fn in CHECKS.items() if "corpus" in inspect.signature(fn).parameters]
 
 
-# each corpus check at its defaults, then gn under each way a config sets a corpus key
+# each corpus check at its defaults, then gn under each way a config sets a
+# corpus key: a one-check sweep writes the check command's checks.csv
 @pytest.mark.parametrize(
     "name, config, env, params",
     [(name, "", None, []) for name in CORPUS_CHECKS]
@@ -372,7 +402,7 @@ def test_config_check_equals_check_command(tmp_path, monkeypatch, name, config, 
     if env is not None:
         monkeypatch.setenv("DISPERSIVELAB_SEED", env)
     path = tmp_path / "run.cfg"
-    path.write_text(f"command = check\ncheck.id = {name}\n{config}")
+    path.write_text(f"command = sweep\nsweep.checks = {name}\n{config}")
     assert run(str(path), out_dir=str(tmp_path / "cfg")) == 0
     argv = ["check", name, *(a for p in params for a in ("--param", p))]
     assert main([*argv, "--out", str(tmp_path / "cli")]) == 0
@@ -412,12 +442,10 @@ def test_main_bad_config_exit_code(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("command", ["check", "sweep"])
-def test_config_check_error_exit_code(tmp_path, capsys, command):
+@pytest.mark.parametrize("checks", ["gn", "leibniz, gn"], ids=["check", "sweep"])
+def test_config_check_error_exit_code(tmp_path, capsys, checks):
     # gn takes no parameter b: a message on stderr and exit 2, no traceback
-    cfg_text = f"command = {command}\ncheck.params.b = 0.5\n" + (
-        "check.id = gn\n" if command == "check" else "sweep.checks = leibniz, gn\n"
-    )
+    cfg_text = f"command = sweep\ncheck.params.b = 0.5\nsweep.checks = {checks}\n"
     path = tmp_path / "run.cfg"
     path.write_text(cfg_text)
     assert run(str(path), out_dir=str(tmp_path / "out")) == 2

@@ -24,7 +24,6 @@ with its relative deviation) and writes only those: a value within
 
 import inspect
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -43,9 +42,7 @@ REFINE_SKIP = ("persistence",)         # a stepper run, not an operator check
 
 
 def _measure(name: str, params: dict | None = None) -> dict:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = run_check(name, params)
+    report = run_check(name, params)
     row = {key: float(getattr(report, key)) for key in NUMBERS}
     row["verdict"] = report.verdict
     return row

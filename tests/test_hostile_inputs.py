@@ -1,9 +1,9 @@
 """Hostile inputs, generated from the parameter tables: every numeric check
 parameter (``checks._parameters``) and every numeric config key (the
-``RunConfig`` fields) is given non-finite, zero and negative values through
-``cli.main``, and every check whose fields enter through the boundary gate
-runs on a cell they do not fit.  A new parameter or key is covered without
-an edit here."""
+``RunConfig`` fields, each in a config of the command that reads it) is
+given non-finite, zero and negative values through ``cli.main``, and every
+check whose fields enter through the boundary gate runs on a cell they do
+not fit.  A new parameter or key is covered without an edit here."""
 
 import dataclasses
 import re
@@ -12,8 +12,6 @@ import pytest
 
 from dispersivelab import checks
 from dispersivelab.cli import RunConfig, _floats, main
-
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 NON_FINITE = ("nan", "inf", "-inf")
 EDGE = ("0", "-1")
@@ -29,8 +27,12 @@ CHECK_KEYS = {
 CONFIG_KEYS = [
     f for f in dataclasses.fields(RunConfig) if f.metadata.get("parse") in (int, float, _floats)
 ]
-# a solve config that runs in a few steps; NLS reads every equation key but k
-SOLVE_BASE = {"command": "solve", "equation.model": "nls", "stepper.T": "0.01"}
+# a config of each command: a solve that runs in a few steps (NLS reads
+# every equation key but k) and a sweep of one fast check
+BASE = {
+    "solve": {"command": "solve", "equation.model": "nls", "stepper.T": "0.01"},
+    "sweep": {"command": "sweep", "sweep.checks": "scaling"},
+}
 
 
 def _names(key: str, err: str) -> bool:
@@ -43,10 +45,13 @@ def _check(name, key, value, out, capsys):
     return rc, capsys.readouterr().err
 
 
-def _solve(key, value, tmp_path, capsys):
+def _config(f, value, tmp_path, capsys):
+    """Run field ``f``'s key at ``value`` in a config of the command that reads it."""
+    command = f.metadata["command"]
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in {**SOLVE_BASE, key: value}.items()))
-    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    lines = {**BASE[command], f.metadata["key"]: value}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     return rc, capsys.readouterr().err
 
 
@@ -74,11 +79,11 @@ def test_config_keys_named_and_exit_cleanly(tmp_path, capsys):
     for f in CONFIG_KEYS:
         key = f.metadata["key"]
         for value in NON_FINITE:
-            rc, err = _solve(key, value, tmp_path, capsys)
+            rc, err = _config(f, value, tmp_path, capsys)
             if rc != 2 or not _names(f.name, err):
                 wrong.append((key, value, rc, err))
         for value in EDGE:
-            rc, err = _solve(key, value, tmp_path, capsys)
+            rc, err = _config(f, value, tmp_path, capsys)
             if rc not in (0, 1, 2):
                 wrong.append((key, value, rc, err))
     assert not wrong

@@ -10,7 +10,13 @@ from dispersivelab.laws import (
     standard_diagnostics,
 )
 from dispersivelab.operators import riesz_deriv, stein_l2_norm
-from dispersivelab.propagators import EquationSpec, StepperConfig, evolve
+from dispersivelab.propagators import (
+    EquationSpec,
+    StepperConfig,
+    Trajectory,
+    evolve,
+    linear_group,
+)
 from dispersivelab.spectral import Field, Grid, integrate
 
 
@@ -86,18 +92,20 @@ def test_kato_identity_second_order_in_snapshot_spacing():
 
 
 def test_kato_identity_linear_variant():
+    # the identity without its u^(k+2) term along the exact linear flow
     g = Grid(256, 15.0)
     u0 = Field.from_function(g, lambda x: 0.8 * np.exp(-(x**2)))
-    cfg = StepperConfig(dt=1e-3, linear_only=True)
-    times = [i * 0.02 for i in range(9)]
-    traj = evolve(u0, EquationSpec.gkdv(k=1), cfg, times[-1], snapshot_times=times)
+    spec = EquationSpec.gkdv(k=1)
     phi = Field.from_function(g, lambda x: (1.0 + x**2) ** 0.25)
-    res = kato_residual(traj, phi, k=1, nonlinear=False)
+
+    def residual(spacing):
+        times = [i * spacing for i in range(9)]
+        traj = Trajectory(spec, times, [linear_group(u0, spec, t) for t in times])
+        return np.max(np.abs(kato_residual(traj, phi, k=1, nonlinear=False)))
+
     # pure centered-difference error at this snapshot spacing
-    assert np.max(np.abs(res)) <= 2e-2
-    fine = evolve(u0, EquationSpec.gkdv(k=1), cfg, 0.08, snapshot_times=[i * 0.01 for i in range(9)])
-    r_fine = np.max(np.abs(kato_residual(fine, phi, k=1, nonlinear=False)))
-    order = np.log2(np.max(np.abs(res)) / r_fine)
+    assert residual(0.02) <= 2e-2
+    order = np.log2(residual(0.02) / residual(0.01))
     assert 1.7 <= order <= 2.3
 
 

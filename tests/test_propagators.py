@@ -229,10 +229,12 @@ def test_time_reversibility_gkdv():
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
-def test_linear_only_run_matches_linear_group(spec):
+def test_small_data_run_matches_linear_group(spec):
+    # the nonlinear term moves a run relative to the linear group by an
+    # amount that scales with the amplitude (its square for NLS), here 1e-12
     g = Grid(256, 15.0)
-    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
-    cfg = StepperConfig(dt=1e-2, linear_only=True)
+    u0 = Field.from_function(g, lambda x: 1e-12 * np.exp(-(x**2)))
+    cfg = StepperConfig(dt=1e-2)
     times = [0.0, 0.25, 0.5, 1.0]
     traj = evolve(u0, spec, cfg, 1.0, snapshot_times=times)
     for t, snap in zip(traj.times, traj.snapshots):
@@ -334,7 +336,7 @@ def test_evolve_mass_conservation_nls():
 def test_evolve_snapshot_snapping_and_validation():
     g = Grid(128, 10.0)
     u0 = random_band_limited(g, seed=61)
-    cfg = StepperConfig(dt=1e-2, linear_only=True)
+    cfg = StepperConfig(dt=1e-2)
     traj = evolve(u0, EquationSpec.nls(), cfg, 0.5, snapshot_times=[0.0, 0.123, 0.5])
     assert traj.times[1] == pytest.approx(0.12)
     with pytest.raises(ValueError):
@@ -370,12 +372,12 @@ def test_cfl_warning():
         one_step(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=0.1))
 
 
-def _focusing_cfl_run(**cfg_kwargs):
+def _focusing_cfl_run():
     # max|u| grows from 3 under the focusing flow: dt passes the transport
     # heuristic at t = 0 and exceeds it 1.19x at t = 0.35
     g = Grid(256, 10.0)
     u0 = Field.from_function(g, lambda x: 3.0 * np.exp(-(x**2)))
-    cfg = StepperConfig(dt=0.007, **cfg_kwargs)
+    cfg = StepperConfig(dt=0.007)
     spec = EquationSpec.nls(a=3.0, mu=-1)
     return evolve(u0, spec, cfg, 0.7, snapshot_times=np.linspace(0.0, 0.7, 11))
 
@@ -385,12 +387,6 @@ def test_cfl_checked_at_every_snapshot():
         _focusing_cfl_run()
     assert len(caught) == 1
     assert "by 1.19x at t=0.35" in str(caught[0].message)
-
-
-@pytest.mark.parametrize("cfg_kwargs", [{"linear_only": True}])
-def test_cfl_check_silenced(cfg_kwargs, recwarn):
-    _focusing_cfl_run(**cfg_kwargs)
-    assert not [w for w in recwarn if issubclass(w.category, CFLWarning)]
 
 
 def test_evolve_failure_marker_on_blowup():

@@ -4,7 +4,7 @@ per raise, each matched on the value or cause its message names."""
 import numpy as np
 import pytest
 
-from dispersivelab.laws import kato_residual
+from dispersivelab.laws import kato_residual, moment
 from dispersivelab.norms import ap_constant, weighted_l2
 from dispersivelab.operators import (
     bessel_potential,
@@ -28,7 +28,8 @@ def _trajectory(times, grids):
 CASES = {
     "weighted_l2_m": (lambda: weighted_l2(F, -1), "got m=-1"),
     "ap_constant_p": (lambda: ap_constant(F, 1.0), "got p=1.0"),
-    "derivative_order": (lambda: derivative(F, -1), "got -1"),
+    "derivative_order": (lambda: derivative(F, -1), "got order=-1"),
+    "moment_order": (lambda: moment(F, -1), "got j=-1"),
     "riesz_deriv_b": (lambda: riesz_deriv(F, np.nan), "got b=nan"),
     "bessel_potential_s": (lambda: bessel_potential(F, np.nan), "got s=nan"),
     "stein_deriv_tail": (lambda: stein_deriv(F, 0.5, tail="x"), "unknown tail mode 'x'"),
