@@ -13,12 +13,28 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .corpus import NAMED_FIELDS, Corpus, DEFAULT_SEED, initial_data
+from .corpus import (
+    NAMED_FIELDS,
+    Corpus,
+    DEFAULT_SEED,
+    _realize_blocks,
+    _require_corpus_keys,
+    initial_data,
+)
 from .laws import moment, standard_diagnostics
-from .norms import _lebesgue_rows, ap_constant, lebesgue, power_weight, weighted_l2
+from .norms import (
+    _lebesgue_rows,
+    _powers,
+    _weighted_l2_rows,
+    ap_constant,
+    lebesgue,
+    power_weight,
+    weighted_l2,
+)
 from .operators import (
     bessel_potential,
     derivative,
@@ -29,7 +45,7 @@ from .operators import (
     stein_deriv,
 )
 from .propagators import EquationSpec, StepperConfig, _group_scan, check_times, evolve, linear_group
-from .spectral import BOUNDARY_TOL, Field, Grid, _require_gate, boundary_gate
+from .spectral import BOUNDARY_TOL, Field, Grid, _gate_ratios, _require_gate, _row_blocks
 
 __all__ = [
     "CheckReport",
@@ -73,8 +89,22 @@ class CheckReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def _l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.h * np.sum(np.abs(f.values) ** 2)))
+def _l2(f: Field):
+    """The L^2 norm of a field (a float), or of each row of a block."""
+    norms = np.sqrt(f.grid.h * np.sum(np.abs(f.values) ** 2, axis=-1))
+    return norms if norms.ndim else float(norms)
+
+
+def _ratios(lhs, rhs, zero: float = np.inf) -> np.ndarray:
+    """lhs / rhs row by row; where rhs is 0 the ratio is 0 if lhs <= zero,
+    and inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs == 0, np.where(lhs <= zero, 0.0, np.inf), lhs / rhs)
+
+
+def _worst(ratios, blocks) -> float:
+    """The largest of the row ratios ``ratios(block)`` over ``blocks``."""
+    return max(float(np.max(ratios(f))) for f in blocks)
 
 
 def _stable(trend) -> bool:
@@ -164,32 +194,32 @@ def check_weighted_free(
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
-    fields = corpus.realize(grid)
-    for adjusted in range(4):
-        t_used = t / 2.0**adjusted
-        evolved = [linear_group(f, spec, t_used) for f in fields]
-        if all(boundary_gate(e)[0] for e in evolved):
-            break
-    else:
-        worst = max(boundary_gate(e)[1] for e in evolved)
-        raise ValueError(
-            f"the free flow fails the boundary gate at t={t_used:g}, three halvings "
-            f"of t={t:g} (outer-cell ratio {worst:.2e} >= {BOUNDARY_TOL:.0e})"
-        )
-
-    def ratio_of(f: Field, flow: Field) -> float:
-        lhs = weighted_l2(flow, b)
+    def ratios(f: Field, flow: Field) -> np.ndarray:
+        lhs = _weighted_l2_rows(flow, b, False)
         rhs = (
             t_used ** (b / 2.0) * _l2(f)
             + t_used**b * _l2(riesz_deriv(f, b))
-            + weighted_l2(f, b)
+            + _weighted_l2_rows(f, b, False)
         )
         return lhs / rhs
 
-    fine_grid = grid.refine()
-    fine = (m.realize(fine_grid) for m in corpus.members)  # one member at a time
-    coarse = max(0.0, *map(ratio_of, fields, evolved))
-    trend = [coarse, max(0.0, *(ratio_of(f, linear_group(f, spec, t_used)) for f in fine))]
+    for adjusted in range(4):
+        t_used = t / 2.0**adjusted
+        gate = coarse = 0.0
+        for f in corpus.realize(grid):
+            flow = linear_group(f, spec, t_used)
+            gate = max(gate, float(np.max(_gate_ratios(flow))))
+            coarse = max(coarse, float(np.max(ratios(f, flow))))
+        if gate < BOUNDARY_TOL:
+            break
+    else:
+        raise ValueError(
+            f"the free flow fails the boundary gate at t={t_used:g}, three halvings "
+            f"of t={t:g} (outer-cell ratio {gate:.2e} >= {BOUNDARY_TOL:.0e})"
+        )
+
+    fine = corpus.realize(grid.refine())
+    trend = [coarse, max(0.0, _worst(lambda f: ratios(f, linear_group(f, spec, t_used)), fine))]
     return _refinement_report(
         "weighted_free",
         {"t": t_used, "b": b, "n": grid.n, "L": grid.length},
@@ -362,15 +392,18 @@ def check_gn(
     theta = gn_theta(alpha, beta, p, q, r)
     corpus = corpus or Corpus(size=10)
 
-    def ratio_of(f: Field) -> float:
-        num = lebesgue(riesz_deriv(f, alpha), p)
-        den = lebesgue(f, r) ** (1.0 - theta) * lebesgue(riesz_deriv(f, beta), q) ** theta
-        return num / den if den > 0 else 0.0
+    def ratios(f: Field) -> np.ndarray:
+        h = f.grid.h
+        num = _lebesgue_rows(riesz_deriv(f, alpha).values, h, p)
+        den = _powers(_lebesgue_rows(f.values, h, r), 1.0 - theta) * _powers(
+            _lebesgue_rows(riesz_deriv(f, beta).values, h, q), theta
+        )
+        return _ratios(num, den)
 
-    trend = [max(ratio_of(f) for f in corpus.realize(g)) for g in (grid, grid.refine())]
-    base = ratio_of(_GAUSSIAN.realize(grid))
+    trend = [_worst(ratios, corpus.realize(g)) for g in (grid, grid.refine())]
+    base = float(ratios(_GAUSSIAN.realize(grid)))
     scale_dev = max(
-        abs(ratio_of(_GAUSSIAN.realize(grid, scale=lam)) / base - 1.0) for lam in (0.5, 2.0)
+        abs(float(ratios(_GAUSSIAN.realize(grid, scale=lam))) / base - 1.0) for lam in (0.5, 2.0)
     )
     return _refinement_report(
         "gn",
@@ -410,15 +443,16 @@ def check_interpolation(
         raise ValueError(f"interpolation parameter must lie in [0,1], got theta={theta}")
     corpus = corpus or Corpus(size=10)
 
-    def ratio_of(g: Grid, f: Field) -> float:
+    def ratios(f: Field) -> np.ndarray:
+        g = f.grid
         bracket = (1.0 + g.x**2) ** ((1.0 - theta) * b / 2.0)
         lhs = _l2(bessel_potential(Field(g, bracket * f.values), theta * a))
-        rhs = weighted_l2(f, b, bracket=True) ** (1.0 - theta) * _l2(
-            bessel_potential(f, a)
-        ) ** theta
-        return lhs / rhs if rhs > 0 else 0.0
+        rhs = _powers(_weighted_l2_rows(f, b, True), 1.0 - theta) * _powers(
+            _l2(bessel_potential(f, a)), theta
+        )
+        return _ratios(lhs, rhs)
 
-    trend = [max(ratio_of(g, f) for f in corpus.realize(g)) for g in (grid, grid.refine())]
+    trend = [_worst(ratios, corpus.realize(g)) for g in (grid, grid.refine())]
     # the endpoints are exact: both levels must read one (which implies stability)
     endpoint = theta in (0.0, 1.0)
     return _refinement_report(
@@ -447,25 +481,25 @@ def check_commutator_leibniz(
         raise ValueError(f"exponent must lie in (1, inf), got p={p}")
     corpus = corpus or Corpus(size=10)
 
-    def ratio_of(g: Grid, fa: Field, fb: Field) -> float:
-        prod = Field(g, fa.values * fb.values)
-        lhs = lebesgue(
-            riesz_deriv(prod, alpha) - Field(g, fa.values * riesz_deriv(fb, alpha).values),
-            p,
-        )
-        rhs = lp_linf_l1(riesz_deriv(fa, alpha)) * _l2(fb)
-        if rhs == 0:
-            return 0.0 if lhs <= 1e-13 else np.inf
-        return lhs / rhs
+    def ratios(fa: Field, fb: Field) -> np.ndarray:
+        """The ratio of each pair of rows of two blocks."""
+        g = fa.grid
+        lhs = riesz_deriv(fa * fb, alpha) - fa * riesz_deriv(fb, alpha)
+        block_norms = [lp_linf_l1(Field(g, row)) for row in riesz_deriv(fa, alpha).values]
+        return _ratios(_lebesgue_rows(lhs.values, g.h, p), np.array(block_norms) * _l2(fb), 1e-13)
+
+    # the members paired in twos: each even one with the odd one after it
+    pairs = len(corpus) // 2
+    evens, odds = corpus.members[0 : 2 * pairs : 2], corpus.members[1 : 2 * pairs : 2]
 
     def worst(g: Grid) -> float:
-        fields = [m.realize(g) for m in corpus.members]
-        return max(ratio_of(g, fa, fb) for fa, fb in zip(fields[::2], fields[1::2]))
+        blocks = zip(_realize_blocks(evens, g), _realize_blocks(odds, g))
+        return max(float(np.max(ratios(fa, fb))) for fa, fb in blocks)
 
     trend = [worst(g) for g in (grid, grid.refine())]
     # constant f degenerates: both sides vanish
-    const = Field(grid, np.full(grid.n, 0.7, dtype=complex))
-    degen = ratio_of(grid, const, _GAUSSIAN.realize(grid))
+    const = Field(grid, np.full((1, grid.n), 0.7, dtype=complex))
+    degen = float(ratios(const, next(_realize_blocks([_GAUSSIAN], grid)))[0])
     return _refinement_report(
         "commutator_leibniz",
         {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
@@ -494,29 +528,25 @@ def check_commutator_hilbert(
         raise ValueError(f"exponent must lie in (1, inf), got p={p}")
     corpus = corpus or Corpus(size=10)
 
-    def commutator_norm(a_fn: Field, f: Field) -> float:
-        g = f.grid
+    def commutator_norms(a_fn: Field, f: Field) -> np.ndarray:
         dmf = derivative(f, m)
-        inner = hilbert(Field(g, a_fn.values * dmf.values)) - Field(
-            g, a_fn.values * hilbert(dmf).values
-        )
-        return lebesgue(derivative(inner, l), p)
-
-    def commutator_ratio(a_fn: Field, f: Field) -> float:
-        lhs = commutator_norm(a_fn, f)
-        rhs = lebesgue(derivative(a_fn, l + m), np.inf) * lebesgue(f, p)
-        if rhs == 0:
-            return 0.0 if lhs <= 1e-13 else np.inf
-        return lhs / rhs
+        inner = hilbert(a_fn * dmf) - a_fn * hilbert(dmf)
+        return _lebesgue_rows(derivative(inner, l).values, f.grid.h, p)
 
     def worst(g: Grid) -> float:
         a_fn = _GAUSSIAN.realize(g)
-        return max(commutator_ratio(a_fn, f) for f in corpus.realize(g))
+        a_sup = lebesgue(derivative(a_fn, l + m), np.inf)
+
+        def ratios(f: Field) -> np.ndarray:
+            rhs = a_sup * _lebesgue_rows(f.values, g.h, p)
+            return _ratios(commutator_norms(a_fn, f), rhs, 1e-13)
+
+        return _worst(ratios, corpus.realize(g))
 
     trend = [worst(g) for g in (grid, grid.refine())]
     # a constant symbol commutes with H
     const_a = Field(grid, np.full(grid.n, 1.3, dtype=complex))
-    degen = commutator_norm(const_a, corpus.members[0].realize(grid))
+    degen = float(commutator_norms(const_a, corpus.members[0].realize(grid)))
     return _refinement_report(
         "commutator_hilbert",
         {"l": l, "m": m, "p": p, "n": grid.n, "L": grid.length},
@@ -529,25 +559,23 @@ def check_commutator_hilbert(
 
 # ------------------------------------------------------ weighted Hilbert
 
-def _weighted_lp(f_vals: np.ndarray, w: np.ndarray, h: float, p: float) -> float:
-    return float((h * np.sum(w * np.abs(f_vals) ** p)) ** (1.0 / p))
-
-
 def _ap_probes(g: Grid, w: Field, p: float):
     """Testing functions of the A_p necessity argument: w^(1-p') on dyadic
-    intervals touching the origin, both sides, all scales."""
+    intervals touching the origin, both sides, all scales; yielded as blocks
+    of rows."""
     pprime = p / (p - 1.0)
     dual = w.values.real ** (1.0 - pprime)
-    probes = []
-    levels = int(np.log2(g.n))
-    for j in range(1, levels):
-        width = g.n >> j
-        mid = g.n // 2
-        for sl in (slice(mid, mid + width), slice(mid - width, mid)):
-            vals = np.zeros(g.n, dtype=complex)
-            vals[sl] = dual[sl]
-            probes.append(vals)
-    return probes
+    mid = g.n // 2
+    cells = [
+        cell
+        for j in range(1, int(np.log2(g.n)))
+        for cell in (slice(mid, mid + (g.n >> j)), slice(mid - (g.n >> j), mid))
+    ]
+    for block in _row_blocks(len(cells), g.n):
+        vals = np.zeros((block.stop - block.start, g.n), dtype=complex)
+        for row, cell in zip(vals, cells[block]):
+            row[cell] = dual[cell]
+        yield Field(g, vals)
 
 
 def check_ap_hilbert(
@@ -585,19 +613,17 @@ def check_ap_hilbert(
         w = power_weight(g, alpha)
         ap_trend.append(ap_constant(w, p).value)
         wr = w.values.real
-        worst = 0.0
-        probe_vals = [m.realize(g).values for m in members]
-        probe_vals += _ap_probes(g, w, p)
-        # mean-free member: the sharp alpha = 0 case
-        mean_free = probe_vals[0] - np.mean(probe_vals[0])
-        probe_vals.append(mean_free)
-        for vals in probe_vals:
-            fnorm = _weighted_lp(vals, wr, g.h, p)
-            if fnorm == 0:
-                continue
-            hnorm = _weighted_lp(hilbert(Field(g, vals)).values, wr, g.h, p)
-            worst = max(worst, hnorm / fnorm)
-        ratio_trend.append(worst)
+
+        def ratios(f: Field) -> np.ndarray:
+            norms = _lebesgue_rows(f.values, g.h, p, wr)
+            return _ratios(_lebesgue_rows(hilbert(f).values, g.h, p, wr), norms)
+
+        worst, mean_free = 0.0, None
+        for f in chain(_realize_blocks(members, g), _ap_probes(g, w, p)):
+            if mean_free is None:  # the first probe made mean-free: the sharp alpha = 0 case
+                mean_free = Field(g, f.values[0] - np.mean(f.values[0]))
+            worst = max(worst, float(np.max(ratios(f))))
+        ratio_trend.append(max(worst, float(ratios(mean_free))))
 
     ap_growth = ap_trend[1] / ap_trend[0]
     ratio_growth = ratio_trend[1] / ratio_trend[0]
@@ -858,7 +884,8 @@ CHECKS = {
     "persistence": check_persistence,
 }
 
-# keys that build a fresh Corpus(seed, size) for a check taking ``corpus``
+# keys that build a fresh Corpus(seed, size) for a check taking ``corpus``;
+# every check accepts and checks them
 _CORPUS_KEYS = {"seed": DEFAULT_SEED, "corpus_size": 20}
 
 
@@ -879,13 +906,11 @@ def _coerce(key: str, value, default):
 def _parameters(fn) -> dict:
     """The flat parameter table of a check, key -> default: the keywords of
     ``fn`` with an int, float or str default, ``n`` and ``L`` of its default
-    grid and, when it takes a corpus, the corpus keys."""
+    grid, and the corpus keys."""
     sig = inspect.signature(fn).parameters
     table = {key: p.default for key, p in sig.items() if type(p.default) in (int, float, str)}
     grid = sig["grid"].default
-    table.update(n=grid.n, L=grid.length)
-    if "corpus" in sig:
-        table.update(_CORPUS_KEYS)
+    table.update(n=grid.n, L=grid.length, **_CORPUS_KEYS)
     return table
 
 
@@ -893,19 +918,21 @@ def _arguments(fn, params: dict) -> dict:
     """Keyword arguments of ``fn`` from a flat table of its
     :func:`_parameters`.  Each value is coerced to its default's type; ``n``
     or ``L`` overrides that coordinate of the default grid, and
-    ``seed``/``corpus_size`` build a fresh corpus."""
+    ``seed``/``corpus_size`` must be nonnegative integers: they build a
+    fresh corpus for a check that takes one, and a check without a corpus
+    drops them once checked."""
     table = _parameters(fn)
-    if "seed" not in table:  # a check without a corpus ignores the corpus keys
-        params = {k: v for k, v in params.items() if k not in _CORPUS_KEYS}
     unknown = sorted(set(params) - set(table))
     if unknown:
         raise ValueError(f"unknown parameters: {unknown}")
     values = {k: _coerce(k, v, table[k]) for k, v in params.items()}
     table.update(values)
+    _require_corpus_keys(table["seed"], table["corpus_size"])
     kwargs = {k: v for k, v in values.items() if k not in ("n", "L", *_CORPUS_KEYS)}
     if "n" in values or "L" in values:
         kwargs["grid"] = Grid(table["n"], table["L"])
-    if "seed" in values or "corpus_size" in values:
+    takes_corpus = "corpus" in inspect.signature(fn).parameters
+    if takes_corpus and ("seed" in values or "corpus_size" in values):
         kwargs["corpus"] = Corpus(seed=table["seed"], size=table["corpus_size"])
     return kwargs
 

@@ -187,6 +187,7 @@ def _validate(cfg: RunConfig, path: str):
     if cfg.command == "sweep":
         if not cfg.sweep_checks:
             raise ConfigError(f"{path}: a sweep needs sweep.checks")
+        _require_workers(cfg.jobs, path)
         for name in cfg.sweep_checks:
             if name not in CHECKS:
                 raise ConfigError(f"{path}: unknown sweep check {name!r}")
@@ -201,6 +202,11 @@ def _validate(cfg: RunConfig, path: str):
         standard_diagnostics(spec, s=cfg.s, m=cfg.m)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _require_workers(jobs: int, where: str):
+    if jobs < 1:
+        raise ConfigError(f"{where}: a sweep needs at least one worker, got jobs={jobs}")
 
 
 def _fmt(v) -> str:
@@ -308,6 +314,8 @@ def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: st
                 f"{config_path}: command = {cfg.command} runs under "
                 f"'{cfg.command} --config', not '{subcommand} --config'"
             )
+        if jobs is not None:
+            _require_workers(jobs, "--jobs")
         if env_seed is not None:
             try:
                 cfg = replace(cfg, seed=int(env_seed))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _require_gate
+from .spectral import Field, _require_gate, _row_blocks
 
 __all__ = [
     "CorpusMember",
@@ -125,23 +125,41 @@ def _random_member(rng, idx: int) -> WavePacket:
     return WavePacket(f"rand_cplx_{idx}", w=w, poly=poly, ks=ks, amps=amps)
 
 
+def _require_corpus_keys(seed: int, size: int) -> None:
+    """Raise ValueError naming a negative corpus seed or size."""
+    if size < 0:
+        raise ValueError(f"corpus size must be nonnegative, got corpus_size={size}")
+    if seed < 0:
+        raise ValueError(f"corpus seed must be nonnegative, got seed={seed}")
+
+
+def _realize_blocks(members, grid):
+    """The fields of ``members`` on ``grid``, in member order, yielded as
+    blocks of at most BLOCK_SAMPLES samples (``spectral._row_blocks``): each
+    member is realized and gated by :meth:`CorpusMember.realize` into its
+    row, so no block is held beyond its turn."""
+    for block in _row_blocks(len(members), grid.n):
+        values = np.empty((block.stop - block.start, grid.n), dtype=complex)
+        for row, m in zip(values, members[block]):
+            row[:] = m.realize(grid).values
+        yield Field(grid, values)
+
+
 class Corpus:
     """Seeded corpus: ``size`` random band-limited members, then the named
     canonical fields of ``NAMED_FIELDS``."""
 
     def __init__(self, seed: int = DEFAULT_SEED, size: int = 20):
-        if size < 0:
-            raise ValueError(f"corpus size must be nonnegative, got corpus_size={size}")
-        if seed < 0:
-            raise ValueError(f"corpus seed must be nonnegative, got seed={seed}")
+        _require_corpus_keys(seed, size)
         self.seed = seed
         self.size = size
         rng = np.random.default_rng(seed)
         self.members = [_random_member(rng, i) for i in range(size)] + list(NAMED_FIELDS.values())
 
     def realize(self, grid):
-        """Every member's field on ``grid``, in member order."""
-        return [m.realize(grid) for m in self.members]
+        """Every member's field on ``grid``, in member order, as blocks of
+        rows (see :func:`_realize_blocks`)."""
+        return _realize_blocks(self.members, grid)
 
     def __len__(self):
         return len(self.members)

@@ -9,7 +9,7 @@ import numpy as np
 from .norms import sobolev, weighted_l2
 from .operators import derivative, riesz_deriv
 from .propagators import EquationSpec, Trajectory
-from .spectral import Field, integrate, real_values
+from .spectral import Field, _one_row, integrate, real_values
 
 __all__ = [
     "invariants",
@@ -33,6 +33,7 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
     u_t = d/dx dE/du for E = -I3/2, so I3 is exactly conserved; under the
     opposite Hilbert-transform sign the cubic term flips.
     """
+    _one_row(f, "invariants")
     g = f.grid
     if spec.model == "nls":
         mass = float(np.real(integrate(Field(g, np.abs(f.values) ** 2))))
@@ -110,6 +111,7 @@ def kato_residual(
     returned sequence decays like O(dt^2) from the time difference; the
     spatial terms are spectrally exact.
     """
+    _one_row(phi, "kato_residual")
     times = traj.times
     if len(times) < 3:
         raise ValueError("the residual needs at least 3 snapshots")
@@ -143,6 +145,7 @@ def moment(f: Field, j: int) -> complex:
     """j-th moment integral of x^j f(x); moment(f, 0) equals fhat(0).  No
     boundary gate runs here: callers run
     :func:`dispersivelab.spectral.boundary_gate` where a field enters."""
+    _one_row(f, "moment")
     if j < 0 or j != int(j):
         raise ValueError(f"moment order must be a nonnegative integer, got j={j}")
     g = f.grid

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import bessel_potential
-from .spectral import Field
+from .spectral import Field, _one_row
 
 __all__ = [
     "weighted_l2",
@@ -29,35 +29,49 @@ def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
     amplifies exactly the region it inspects: callers run
     :func:`dispersivelab.spectral.boundary_gate` where a field enters.
     """
+    _one_row(f, "weighted_l2")
     if m < 0:
         raise ValueError(f"weight exponent must be >= 0, got m={m}")
+    return float(_weighted_l2_rows(f, m, bracket))
+
+
+def _weighted_l2_rows(f: Field, m: float, bracket: bool) -> np.ndarray:
+    """The formula of :func:`weighted_l2`, one norm per row of ``f``."""
     g = f.grid
     w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
-    return float(np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2)))
+    return np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1))
 
 
 def sobolev(f: Field, s: float) -> float:
     """H^s norm || (1+xi^2)^(s/2) fhat ||, computed via the Bessel potential."""
+    _one_row(f, "sobolev")
     js = bessel_potential(f, s)
     return float(np.sqrt(f.grid.h * np.sum(np.abs(js.values) ** 2)))
 
 
 def lebesgue(f: Field, p: float) -> float:
     """L^p norm; p = inf gives the lattice max norm."""
+    _one_row(f, "lebesgue")
     return float(_lebesgue_rows(f.values, f.grid.h, p))
 
 
-def _lebesgue_rows(values: np.ndarray, h: float, p: float) -> np.ndarray:
+def _lebesgue_rows(values: np.ndarray, h: float, p: float, weight=None) -> np.ndarray:
     """L^p norm of lattice samples with spacing h along the last axis of
-    ``values``: the formula of :func:`lebesgue`, one norm per row."""
+    ``values``: the formula of :func:`lebesgue`, one norm per row; a
+    ``weight`` (finite p only) multiplies |values|^p in the integrand."""
     if p == np.inf:
         return np.max(np.abs(values), axis=-1)
     if p < 1:
         raise ValueError(f"Lebesgue exponent must satisfy p >= 1, got p={p}")
-    integrals = h * np.sum(np.abs(values) ** p, axis=-1)
-    # the root number by number: numpy's array power and its scalar power
-    # can round differently in the last bit
-    return np.array([s ** (1.0 / p) for s in integrals.flat]).reshape(np.shape(integrals))
+    powers = np.abs(values) ** p
+    integrals = h * np.sum(powers if weight is None else weight * powers, axis=-1)
+    return _powers(integrals, 1.0 / p)
+
+
+def _powers(values, e) -> np.ndarray:
+    """Each of ``values`` to the power ``e``, number by number: numpy's array
+    power and Python's scalar power can round differently in the last bit."""
+    return np.array([float(v) ** e for v in np.ravel(values)]).reshape(np.shape(values))
 
 
 class ApConstant(NamedTuple):
@@ -76,6 +90,7 @@ def ap_constant(w: Field, p: float) -> ApConstant:
     trends are what the verdicts assert.  Returns the sup and the interval
     attaining it.
     """
+    _one_row(w, "ap_constant")
     if not (1.0 < p < np.inf):
         raise ValueError(f"A_p requires p in (1, inf), got p={p}")
     vals = w.values.real

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, _apply_table, _multiply
+from .spectral import Field, _apply_table, _multiply, _one_row, _real_rows, _row_blocks
 
 __all__ = [
     "hilbert",
@@ -111,6 +111,7 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     Output is the nonnegative real field; summation order is fixed, so the
     result is deterministic.
     """
+    _one_row(f, "stein_deriv")
     if not (0.0 < b < 1.0):
         raise ValueError(f"square-function order must lie in (0,1), got b={b}")
     if tail not in ("decay", "stationary"):
@@ -178,6 +179,7 @@ def stein_l2_norm(f: Field, b: float) -> float:
 
     exact when f vanishes off the cell; it is added here.
     """
+    _one_row(f, "stein_l2_norm")
     g = f.grid
     inner = stein_deriv(f, b)
     cell = g.h * float(np.sum(inner.values.real**2))
@@ -220,26 +222,49 @@ def lp_block_range(grid) -> range:
     return range(n_lo, n_hi + 1)
 
 
-def _lp_table(grid, N: int):
-    if abs(N) > 60:
-        raise ValueError(f"dyadic index out of the representable range: N={N}")
-    scale = 2.0 ** N
-    return grid._table(("lp_block", N), lambda xi: _eta(np.abs(xi) / scale).astype(complex))
+def _lp_symbol(xi: np.ndarray, scale) -> np.ndarray:
+    return _eta(np.abs(xi) / scale).astype(complex)
+
+
+def _lp_tables(grid):
+    """The blocks of ``lp_block_range(grid)`` as one table, a row per block
+    (each evaluated on its own), stored once per grid."""
+
+    def rows(xi):
+        blocks = lp_block_range(grid)
+        out = np.empty((len(blocks), grid.n), dtype=complex)
+        for row, N in zip(out, blocks):
+            row[:] = _lp_symbol(xi, 2.0**N)
+        return out
+
+    return grid._table("lp_blocks", rows)
 
 
 def lp_block(f: Field, N: int) -> Field:
-    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N."""
-    return _multiply(f, _lp_table(f.grid, N))
+    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N.  A block
+    of ``lp_block_range`` applies its row of the grid's stored table."""
+    if abs(N) > 60:
+        raise ValueError(f"dyadic index out of the representable range: N={N}")
+    blocks = lp_block_range(f.grid)
+    if N in blocks:
+        table = _lp_tables(f.grid).rows(N - blocks.start)
+    else:
+        table = f.grid._table(("lp_block", N), lambda xi: _lp_symbol(xi, 2.0**N))
+    return _multiply(f, table)
 
 
 def lp_linf_l1(f: Field) -> float:
     """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm, from one forward
-    FFT of f."""
+    FFT of f; the blocks are applied in batches of rows and summed in the
+    order of N."""
+    _one_row(f, "lp_linf_l1")
+    table = _lp_tables(f.grid)
     fhat = np.fft.fft(f.values)
-    real = f.is_real
+    real = _real_rows(f.values)
     total = np.zeros(f.grid.n, dtype=float)
-    for N in lp_block_range(f.grid):
-        total += np.abs(_apply_table(_lp_table(f.grid, N), fhat, real))
+    for block in _row_blocks(len(table.values), f.grid.n):
+        for mags in np.abs(_apply_table(table.rows(block), fhat, real)):
+            total += mags
     return float(np.max(total))
 
 

@@ -24,7 +24,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import Field, Grid, _apply_table, _build_table, real_values
+from .spectral import (
+    Field,
+    Grid,
+    _apply_table,
+    _build_table,
+    _multiply,
+    _real_rows,
+    _row_blocks,
+    real_values,
+)
 
 __all__ = [
     "EquationSpec",
@@ -151,33 +160,35 @@ class StepperConfig:
 
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
-    """Exact linear flow U(t) of the model's dispersive part: the group phase
-    under the realness rule of :func:`apply_multiplier`.  The gKdV and BO
-    phases, and every model's phase at t = 0, are Hermitian, so a real field
-    stays real there.  This is the one-time scan of :func:`_group_scan`: the
-    phase is built on each call and no table is stored on the grid."""
-    return Field(f.grid, next(_group_scan(f, spec, [t]))[0])
+    """Exact linear flow U(t) of the model's dispersive part, applied to a
+    field or to each row of a block: the group phase under the realness rule
+    of :func:`apply_multiplier`.  The gKdV and BO phases, and every model's
+    phase at t = 0, are Hermitian, so a real field stays real there.  The
+    phase is built on each call and no table is stored on the grid; a time
+    that is not finite raises ValueError naming it."""
+    return _multiply(f, _group_table(f.grid, spec, np.asarray(t, dtype=float)))
 
 
-SCAN_BLOCK = 16  # times per batched inverse FFT of a scan: 1 MB of phases at n = 4096
+def _group_table(g: Grid, spec: EquationSpec, times: np.ndarray):
+    """The table of the group phases at ``times`` (a scalar or a column of
+    one row per time); a time that is not finite raises ValueError."""
+    if not np.isfinite(times).all():
+        raise ValueError(f"group time must be finite, got t={times[~np.isfinite(times)][0]}")
+    return _build_table(g, spec.group_phase(g.xi, times))
 
 
 def _group_scan(f: Field, spec: EquationSpec, times):
-    """Samples of U(t) f for every t in ``times``, yielded as blocks of up to
-    SCAN_BLOCK rows, one row per time: one forward FFT of f, then for each
-    block the group phases, the table rules of :func:`apply_multiplier`
-    row by row and one batched inverse FFT.  Each row is bitwise
-    ``apply_multiplier(f, lambda xi: spec.group_phase(xi, t)).values``.
-    A time that is not finite raises ValueError naming it."""
+    """Samples of U(t) f for every t in ``times``, yielded as blocks of rows
+    (at most BLOCK_SAMPLES samples each), one row per time: one forward FFT
+    of f, then for each block the group phases, the table rules of
+    :func:`apply_multiplier` row by row and one batched inverse FFT.  Each
+    row is bitwise ``linear_group(f, spec, t).values``."""
     times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError(f"group time must be finite, got t={times[~np.isfinite(times)][0]}")
     g = f.grid
     fhat = np.fft.fft(f.values)
-    real = f.is_real
-    for start in range(0, times.size, SCAN_BLOCK):
-        phases = spec.group_phase(g.xi, times[start : start + SCAN_BLOCK, None])
-        yield _apply_table(_build_table(g, phases), fhat, real)
+    real = _real_rows(f.values)
+    for block in _row_blocks(times.size, g.n):
+        yield _apply_table(_group_table(g, spec, times[block, None]), fhat, real)
 
 
 class _Stepper:

@@ -271,8 +271,12 @@ def test_run_check_reads_the_signature():
     assert run_check("weighted_free", {"seed": 5}).corpus_size == 23
     assert run_check("ap_hilbert", {"seed": 5}).corpus_size == 20
     assert run_check("ap_hilbert", {"corpus_size": 4}) == check_ap_hilbert(corpus=Corpus(size=4))
-    # a check without a corpus ignores the corpus keys, whatever their value
-    assert run_check("chirp_stein", {"seed": "x", "corpus_size": 2.5}) == check_chirp_stein()
+    # a check without a corpus checks the corpus keys, then drops them
+    assert run_check("chirp_stein", {"seed": 7, "corpus_size": 2}) == check_chirp_stein()
+    with pytest.raises(ValueError, match="chirp_stein: seed='x' is not an integer"):
+        run_check("chirp_stein", {"seed": "x"})
+    with pytest.raises(ValueError, match="chirp_stein: corpus_size=2.5 is not an integer"):
+        run_check("chirp_stein", {"corpus_size": 2.5})
     # integral floats, as the CLI parses them, are coerced to int
     assert run_check("commutator_hilbert", {"l": 2.0, "m": 0.0}).params["l"] == 2
 

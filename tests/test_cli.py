@@ -361,8 +361,20 @@ def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message
         (["sweep", "--config", "{tmp}/run.cfg"], "command = sweep\nsweep.checks = nosuch\n",
          "unknown sweep check 'nosuch'"),
         ([], None, "a subcommand is required: solve, check or sweep"),
+        (["sweep", "--config", "{tmp}/run.cfg"], "command = sweep\nsweep.checks = scaling\n"
+         "sweep.jobs = -1\n", "a sweep needs at least one worker, got jobs=-1"),
+        (["sweep", "--config", "{tmp}/run.cfg", "--jobs", "0"],
+         "command = sweep\nsweep.checks = scaling\n",
+         "--jobs: a sweep needs at least one worker, got jobs=0"),
     ],
-    ids=["unreadable_config", "print_bad_config", "unknown_sweep_check", "no_subcommand"],
+    ids=[
+        "unreadable_config",
+        "print_bad_config",
+        "unknown_sweep_check",
+        "no_subcommand",
+        "config_jobs_below_one",
+        "flag_jobs_below_one",
+    ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
     if text is not None:

@@ -1,5 +1,6 @@
 """Hostile inputs, generated from the parameter tables: every numeric check
-parameter (``checks._parameters``) and every numeric config key (the
+parameter (``checks._parameters``, the corpus keys of every check included)
+and every numeric config key (the
 ``RunConfig`` fields, each in a config of the command that reads it) is
 given non-finite, zero and negative values through ``cli.main``, and every
 check whose fields enter through the boundary gate runs on a cell they do
@@ -72,6 +73,19 @@ def test_zero_and_negative_check_parameters_exit_cleanly(tmp_path, capsys, name)
         for value in EDGE:
             rc, err = _check(name, key, value, tmp_path, capsys)
             assert rc in (0, 1, 2), (key, value, rc, err)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_KEYS))
+def test_corpus_keys_checked_for_every_check(tmp_path, capsys, name):
+    """A negative or fractional seed or corpus size is a named parameter error
+    for every check, one that takes no corpus included."""
+    wrong = []
+    for key in checks._CORPUS_KEYS:
+        for value in ("-1", "0.5"):
+            rc, err = _check(name, key, value, tmp_path, capsys)
+            if rc != 2 or not _names(key, err):
+                wrong.append((key, value, rc, err))
+    assert not wrong
 
 
 def test_config_keys_named_and_exit_cleanly(tmp_path, capsys):

@@ -1,24 +1,36 @@
 """The ValueError of each public entry point on an input it rejects, one row
-per raise, each matched on the value or cause its message names."""
+per raise, each matched on the value or cause its message names; and the
+ValueError, naming the function, of each public function that reduces one
+field when it is given a block of rows."""
 
 import numpy as np
 import pytest
 
-from dispersivelab.laws import kato_residual, moment
-from dispersivelab.norms import ap_constant, weighted_l2
+from dispersivelab.laws import invariants, kato_residual, moment
+from dispersivelab.norms import ap_constant, lebesgue, sobolev, weighted_l2
 from dispersivelab.operators import (
     bessel_potential,
     derivative,
     gamma_schrodinger,
     lp_block,
+    lp_linf_l1,
     riesz_deriv,
     stein_deriv,
+    stein_l2_norm,
 )
 from dispersivelab.propagators import EquationSpec, Trajectory
-from dispersivelab.spectral import Field, Grid, apply_multiplier
+from dispersivelab.spectral import (
+    Field,
+    Grid,
+    apply_multiplier,
+    boundary_gate,
+    integrate,
+    real_values,
+)
 
 G = Grid(64, 10.0)
 F = Field.from_function(G, lambda x: np.exp(-(x**2)))
+BLOCK = Field(G, np.stack([F.values] * 3))  # a (3, 64) block of rows
 
 
 def _trajectory(times, grids):
@@ -49,6 +61,10 @@ CASES = {
         lambda: apply_multiplier(F, np.ones(3)),
         r"multiplier must have 64 values, got shape \(3,\)",
     ),
+    "multiplier_no_rows": (
+        lambda: apply_multiplier(F, np.ones((0, 64))),
+        r"multiplier must have 64 values, got shape \(0, 64\)",
+    ),
     "kato_residual_spacing": (
         lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),
         "snapshots must be uniformly spaced in time",
@@ -59,4 +75,29 @@ CASES = {
 @pytest.mark.parametrize("call, match", CASES.values(), ids=CASES.keys())
 def test_public_raise_names_its_cause(call, match):
     with pytest.raises(ValueError, match=match):
+        call()
+
+
+# each public function that reduces one field, called on BLOCK
+REDUCERS = {
+    "integrate": lambda: integrate(BLOCK),
+    "boundary_gate": lambda: boundary_gate(BLOCK),
+    "real_values": lambda: real_values(BLOCK, "a test"),
+    "Field.is_real": lambda: BLOCK.is_real,
+    "moment": lambda: moment(BLOCK, 0),
+    "invariants": lambda: invariants(BLOCK, EquationSpec.nls()),
+    "kato_residual": lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), BLOCK, 1),
+    "weighted_l2": lambda: weighted_l2(BLOCK, 1.0),
+    "sobolev": lambda: sobolev(BLOCK, 1.0),
+    "lebesgue": lambda: lebesgue(BLOCK, 2.0),
+    "ap_constant": lambda: ap_constant(BLOCK, 2.0),
+    "stein_deriv": lambda: stein_deriv(BLOCK, 0.5),
+    "stein_l2_norm": lambda: stein_l2_norm(BLOCK, 0.5),
+    "lp_linf_l1": lambda: lp_linf_l1(BLOCK),
+}
+
+
+@pytest.mark.parametrize("name, call", REDUCERS.items(), ids=REDUCERS.keys())
+def test_reducer_rejects_a_block(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} takes one field, got a block of shape \(3, 64\)$"):
         call()

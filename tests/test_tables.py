@@ -28,8 +28,8 @@ from dispersivelab.operators import (
     lp_linf_l1,
     riesz_deriv,
 )
-from dispersivelab.propagators import SCAN_BLOCK, EquationSpec, _group_scan, linear_group
-from dispersivelab.spectral import Field, Grid, apply_multiplier
+from dispersivelab.propagators import EquationSpec, _group_scan, linear_group
+from dispersivelab.spectral import BLOCK_SAMPLES, Field, Grid, apply_multiplier
 
 GRIDS = [(8, 1.0), (512, 20.0), (4096, 20.0)]
 MODELS = [EquationSpec.nls(), EquationSpec.gkdv(), EquationSpec.bo()]
@@ -98,9 +98,9 @@ def test_linear_group_tables_match_apply_multiplier(n, L, real):
             assert _same_bits(linear_group(f, spec, t), want), f"{spec.model} at t={t!r}"
 
 
-# time counts of one time, one full block, one full and one partial block,
-# and 8 full blocks and a partial one; all but the first hold both t = 0.0
-# and t = -0.0
+# time counts of 1, 16, 17 and 129: at n = 4096 (4 rows per block) the
+# last two end in a partial block; all but the first hold both t = 0.0 and
+# t = -0.0
 SCAN_TIMES = [
     np.array([-0.0]),
     np.where(np.arange(16) == 5, -0.0, np.linspace(0.0, 1.5, 16)),
@@ -128,7 +128,7 @@ def test_group_scan_rows_match_linear_group(n, L, spec, real):
     f = _field(grid, real)
     for times in SCAN_TIMES:
         blocks = list(_group_scan(f, spec, times))
-        assert all(1 <= len(rows) <= SCAN_BLOCK for rows in blocks)
+        assert all(1 <= len(rows) <= max(1, BLOCK_SAMPLES // n) for rows in blocks)
         rows = np.concatenate(blocks)
         assert rows.shape == (times.size, n)
         for t, row in zip(times, rows):
