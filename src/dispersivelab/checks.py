@@ -26,15 +26,7 @@ from .corpus import (
     initial_data,
 )
 from .laws import moment, standard_diagnostics
-from .norms import (
-    _lebesgue_rows,
-    _powers,
-    _weighted_l2_rows,
-    ap_constant,
-    lebesgue,
-    power_weight,
-    weighted_l2,
-)
+from .norms import _lebesgue_rows, _powers, ap_constant, lebesgue, power_weight, weighted_l2
 from .operators import (
     bessel_potential,
     derivative,
@@ -45,7 +37,7 @@ from .operators import (
     stein_deriv,
 )
 from .propagators import EquationSpec, StepperConfig, _group_scan, check_times, evolve, linear_group
-from .spectral import BOUNDARY_TOL, Field, Grid, _gate_ratios, _require_gate, _row_blocks
+from .spectral import BOUNDARY_TOL, Field, Grid, _require_gate, _row_blocks, boundary_gate
 
 __all__ = [
     "CheckReport",
@@ -87,12 +79,6 @@ class CheckReport:
     def __post_init__(self):
         if self.verdict not in ("pass", "fail", "report-only"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-
-
-def _l2(f: Field):
-    """The L^2 norm of a field (a float), or of each row of a block."""
-    norms = np.sqrt(f.grid.h * np.sum(np.abs(f.values) ** 2, axis=-1))
-    return norms if norms.ndim else float(norms)
 
 
 def _ratios(lhs, rhs, zero: float = np.inf) -> np.ndarray:
@@ -194,12 +180,13 @@ def check_weighted_free(
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
-    def ratios(f: Field, flow: Field) -> np.ndarray:
-        lhs = _weighted_l2_rows(flow, b, False)
+    def ratios(f: Field, flow: Field, t: float) -> np.ndarray:
+        """The ratio of each row of ``f``, whose free flow to time ``t`` is ``flow``."""
+        lhs = weighted_l2(flow, b)
         rhs = (
-            t_used ** (b / 2.0) * _l2(f)
-            + t_used**b * _l2(riesz_deriv(f, b))
-            + _weighted_l2_rows(f, b, False)
+            t ** (b / 2.0) * weighted_l2(f, 0.0)
+            + t**b * weighted_l2(riesz_deriv(f, b), 0.0)
+            + weighted_l2(f, b)
         )
         return lhs / rhs
 
@@ -208,8 +195,8 @@ def check_weighted_free(
         gate = coarse = 0.0
         for f in corpus.realize(grid):
             flow = linear_group(f, spec, t_used)
-            gate = max(gate, float(np.max(_gate_ratios(flow))))
-            coarse = max(coarse, float(np.max(ratios(f, flow))))
+            gate = max(gate, float(np.max(boundary_gate(flow)[1])))
+            coarse = max(coarse, float(np.max(ratios(f, flow, t_used))))
         if gate < BOUNDARY_TOL:
             break
     else:
@@ -219,7 +206,10 @@ def check_weighted_free(
         )
 
     fine = corpus.realize(grid.refine())
-    trend = [coarse, max(0.0, _worst(lambda f: ratios(f, linear_group(f, spec, t_used)), fine))]
+    trend = [
+        coarse,
+        max(0.0, _worst(lambda f: ratios(f, linear_group(f, spec, t_used), t_used), fine)),
+    ]
     return _refinement_report(
         "weighted_free",
         {"t": t_used, "b": b, "n": grid.n, "L": grid.length},
@@ -248,7 +238,7 @@ def check_gamma_identity(
 
     if b == 0.0:
         lhs, rhs, tol = evolved, evolved.copy(), 1e-12
-        weight_norm = _l2(f)
+        weight_norm = weighted_l2(f, 0.0)
     elif b == 1.0:
         lhs = gamma_schrodinger(evolved, t, 1.0)
         rhs = linear_group(Field(grid, grid.x * f.values), spec, t)
@@ -259,7 +249,7 @@ def check_gamma_identity(
         rhs = linear_group(Field(grid, np.abs(grid.x) ** b * f.values), spec, t)
         weight_norm = weighted_l2(f, b)
         tol = 1e-6
-    residual = _l2(lhs - rhs) / weight_norm
+    residual = weighted_l2(lhs - rhs, 0.0) / weight_norm
     return CheckReport(
         check_id="gamma_identity",
         params={"b": b, "t": t, "n": grid.n, "L": grid.length, "tol": tol},
@@ -273,26 +263,6 @@ def check_gamma_identity(
 
 
 # ----------------------------------------------------------------- Leibniz
-
-def _leibniz_pair_ratio(f: Field, g_: Field, b: float):
-    prod = Field(f.grid, f.values * g_.values)
-    d_prod = stein_deriv(prod, b)
-    d_f = stein_deriv(f, b)
-    d_g = stein_deriv(g_, b)
-    rhs1 = Field(f.grid, f.values * d_g.values)
-    rhs2 = Field(f.grid, g_.values * d_f.values)
-    denom = _l2(rhs1) + _l2(rhs2)
-    ratio = _l2(d_prod) / denom if denom > 0 else (0.0 if _l2(d_prod) == 0 else np.inf)
-
-    # pointwise product bound, checked away from the boundary
-    window = np.abs(f.grid.x) <= 0.9 * f.grid.length
-    bound = (
-        np.max(np.abs(f.values)) * d_g.values.real + np.abs(g_.values) * d_f.values.real
-    )
-    slack = bound[window] - d_prod.values.real[window]
-    scale = float(np.max(bound)) or 1.0
-    return ratio, float(np.min(slack) / scale)
-
 
 def check_leibniz(
     b: float = 0.5,
@@ -318,23 +288,39 @@ def check_leibniz(
     if pairs < 0:
         raise ValueError(f"pairs must be nonnegative, got pairs={pairs}")
     corpus = corpus or Corpus(size=pairs)
+
+    def measure(fa: Field, fb: Field) -> tuple:
+        """The L^2 ratio and the relative pointwise slack of each pair of rows
+        of two blocks."""
+        d_prod, d_a, d_b = (stein_deriv(f, b) for f in (fa * fb, fa, fb))
+        rhs = weighted_l2(fa * d_b, 0.0) + weighted_l2(fb * d_a, 0.0)
+        ratio = _ratios(weighted_l2(d_prod, 0.0), rhs, 0.0)
+        # pointwise product bound, checked away from the boundary
+        window = np.abs(fa.grid.x) <= 0.9 * fa.grid.length
+        sup_a = lebesgue(fa, np.inf)[:, None]
+        bound = sup_a * d_b.values.real + np.abs(fb.values) * d_a.values.real
+        slack = np.min(bound[:, window] - d_prod.values.real[:, window], axis=-1)
+        scale = np.max(bound, axis=-1)
+        return ratio, slack / np.where(scale == 0.0, 1.0, scale)
+
+    # the Gaussian with itself, then the first pairs + 2 members paired in twos
+    count = min(pairs + 2, len(corpus)) // 2
+    members = corpus.members[: 2 * count]
+    lefts, rights = [_GAUSSIAN, *members[0::2]], [_GAUSSIAN, *members[1::2]]
     trend = []
     slack_min = np.inf
     dvariant = 0.0
     for g in (grid, grid.refine()):
         worst = 0.0
-        fields = [m.realize(g) for m in corpus.members[: pairs + 2]]
-        gauss = _GAUSSIAN.realize(g)
-        pair_list = [(gauss, gauss)] + list(zip(fields[::2], fields[1::2]))
-        for fa, fb in pair_list:
-            ratio, slack = _leibniz_pair_ratio(fa, fb, b)
-            worst = max(worst, ratio)
-            slack_min = min(slack_min, slack)
+        for fa, fb in zip(_realize_blocks(lefts, g), _realize_blocks(rights, g)):
+            ratio, slack = measure(fa, fb)
+            worst = max(worst, float(np.max(ratio)))
+            slack_min = min(slack_min, float(np.min(slack)))
         trend.append(worst)
         # report-only: the open D^b variant of the product estimate
-        prod = Field(g, gauss.values * gauss.values)
-        lhs_d = _l2(riesz_deriv(prod, b))
-        den_d = _l2(Field(g, gauss.values * riesz_deriv(gauss, b).values)) * 2.0
+        gauss = _GAUSSIAN.realize(g)
+        lhs_d = weighted_l2(riesz_deriv(gauss * gauss, b), 0.0)
+        den_d = weighted_l2(gauss * riesz_deriv(gauss, b), 0.0) * 2.0
         dvariant = lhs_d / den_d
     return _refinement_report(
         "leibniz",
@@ -393,10 +379,9 @@ def check_gn(
     corpus = corpus or Corpus(size=10)
 
     def ratios(f: Field) -> np.ndarray:
-        h = f.grid.h
-        num = _lebesgue_rows(riesz_deriv(f, alpha).values, h, p)
-        den = _powers(_lebesgue_rows(f.values, h, r), 1.0 - theta) * _powers(
-            _lebesgue_rows(riesz_deriv(f, beta).values, h, q), theta
+        num = lebesgue(riesz_deriv(f, alpha), p)
+        den = _powers(lebesgue(f, r), 1.0 - theta) * _powers(
+            lebesgue(riesz_deriv(f, beta), q), theta
         )
         return _ratios(num, den)
 
@@ -446,9 +431,9 @@ def check_interpolation(
     def ratios(f: Field) -> np.ndarray:
         g = f.grid
         bracket = (1.0 + g.x**2) ** ((1.0 - theta) * b / 2.0)
-        lhs = _l2(bessel_potential(Field(g, bracket * f.values), theta * a))
-        rhs = _powers(_weighted_l2_rows(f, b, True), 1.0 - theta) * _powers(
-            _l2(bessel_potential(f, a)), theta
+        lhs = weighted_l2(bessel_potential(Field(g, bracket * f.values), theta * a), 0.0)
+        rhs = _powers(weighted_l2(f, b, bracket=True), 1.0 - theta) * _powers(
+            weighted_l2(bessel_potential(f, a), 0.0), theta
         )
         return _ratios(lhs, rhs)
 
@@ -483,10 +468,9 @@ def check_commutator_leibniz(
 
     def ratios(fa: Field, fb: Field) -> np.ndarray:
         """The ratio of each pair of rows of two blocks."""
-        g = fa.grid
         lhs = riesz_deriv(fa * fb, alpha) - fa * riesz_deriv(fb, alpha)
-        block_norms = [lp_linf_l1(Field(g, row)) for row in riesz_deriv(fa, alpha).values]
-        return _ratios(_lebesgue_rows(lhs.values, g.h, p), np.array(block_norms) * _l2(fb), 1e-13)
+        rhs = lp_linf_l1(riesz_deriv(fa, alpha)) * weighted_l2(fb, 0.0)
+        return _ratios(lebesgue(lhs, p), rhs, 1e-13)
 
     # the members paired in twos: each even one with the odd one after it
     pairs = len(corpus) // 2
@@ -531,14 +515,14 @@ def check_commutator_hilbert(
     def commutator_norms(a_fn: Field, f: Field) -> np.ndarray:
         dmf = derivative(f, m)
         inner = hilbert(a_fn * dmf) - a_fn * hilbert(dmf)
-        return _lebesgue_rows(derivative(inner, l).values, f.grid.h, p)
+        return lebesgue(derivative(inner, l), p)
 
     def worst(g: Grid) -> float:
         a_fn = _GAUSSIAN.realize(g)
         a_sup = lebesgue(derivative(a_fn, l + m), np.inf)
 
         def ratios(f: Field) -> np.ndarray:
-            rhs = a_sup * _lebesgue_rows(f.values, g.h, p)
+            rhs = a_sup * lebesgue(f, p)
             return _ratios(commutator_norms(a_fn, f), rhs, 1e-13)
 
         return _worst(ratios, corpus.realize(g))
@@ -620,7 +604,9 @@ def check_ap_hilbert(
 
         worst, mean_free = 0.0, None
         for f in chain(_realize_blocks(members, g), _ap_probes(g, w, p)):
-            if mean_free is None:  # the first probe made mean-free: the sharp alpha = 0 case
+            # the first row swept, made mean-free: the sharp alpha = 0 case.  It
+            # is the first random member, or an A_p probe when there is none
+            if mean_free is None:
                 mean_free = Field(g, f.values[0] - np.mean(f.values[0]))
             worst = max(worst, float(np.max(ratios(f))))
         ratio_trend.append(max(worst, float(ratios(mean_free))))
@@ -690,7 +676,7 @@ def check_strichartz(
             value = float(np.max(norms))
         else:
             value = float(np.trapezoid(norms**q, times) ** (1.0 / q))
-        return value / _l2(f)
+        return value / weighted_l2(f, 0.0)
 
     base = truncated_ratio(1.0, T)
     scaled = truncated_ratio(2.0, T / 4.0)
@@ -731,7 +717,7 @@ def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport
     for lam in lam_values:
         f = _GAUSSIAN.realize(grid, scale=lam)
         f = Field(grid, lam ** (2.0 / (a - 1.0)) * f.values)
-        norms.append(_l2(riesz_deriv(f, sc)))
+        norms.append(weighted_l2(riesz_deriv(f, sc), 0.0))
     spread = (max(norms) - min(norms)) / norms[1]
     return CheckReport(
         check_id="scaling",

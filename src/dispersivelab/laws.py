@@ -9,7 +9,7 @@ import numpy as np
 from .norms import sobolev, weighted_l2
 from .operators import derivative, riesz_deriv
 from .propagators import EquationSpec, Trajectory
-from .spectral import Field, _one_row, integrate, real_values
+from .spectral import Field, _one_row, _per_row, integrate, real_values
 
 __all__ = [
     "invariants",
@@ -21,7 +21,8 @@ __all__ = [
 ]
 
 def invariants(f: Field, spec: EquationSpec) -> dict:
-    """The model's conserved functionals evaluated on one snapshot.
+    """The model's conserved functionals evaluated on one snapshot, or on
+    each row of a block.
 
     NLS: mass int |u|^2 and energy int (|u_x|^2 + 2 mu/(a+1) |u|^(a+1)).
     gKdV: I1 = int u, I2 = int u^2,
@@ -33,21 +34,20 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
     u_t = d/dx dE/du for E = -I3/2, so I3 is exactly conserved; under the
     opposite Hilbert-transform sign the cubic term flips.
     """
-    _one_row(f, "invariants")
     g = f.grid
     if spec.model == "nls":
-        mass = float(np.real(integrate(Field(g, np.abs(f.values) ** 2))))
+        mass = integrate(Field(g, np.abs(f.values) ** 2)).real
         ux = derivative(f, 1)
         dens = np.abs(ux.values) ** 2 + (2.0 * spec.mu / (spec.a + 1.0)) * np.abs(
             f.values
         ) ** (spec.a + 1.0)
-        energy = float(np.real(integrate(Field(g, dens))))
+        energy = integrate(Field(g, dens)).real
         return {"mass": mass, "energy": energy}
 
     u = real_values(f, f"{spec.model} invariants")
     rf = Field(g, u.astype(complex))
-    i1 = float(np.real(integrate(rf)))
-    i2 = float(np.real(integrate(Field(g, u**2))))
+    i1 = integrate(rf).real
+    i2 = integrate(Field(g, u**2)).real
     if spec.model == "gkdv":
         k = spec.k
         ux = derivative(rf, 1).values.real
@@ -55,7 +55,7 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
     else:
         half = riesz_deriv(rf, 0.5).values
         dens = np.abs(half) ** 2 + u**3 / 3.0
-    i3 = float(np.real(integrate(Field(g, dens))))
+    i3 = integrate(Field(g, dens)).real
     return {"I1": i1, "I2": i2, "I3": i3}
 
 
@@ -145,11 +145,10 @@ def moment(f: Field, j: int) -> complex:
     """j-th moment integral of x^j f(x); moment(f, 0) equals fhat(0).  No
     boundary gate runs here: callers run
     :func:`dispersivelab.spectral.boundary_gate` where a field enters."""
-    _one_row(f, "moment")
     if j < 0 or j != int(j):
         raise ValueError(f"moment order must be a nonnegative integer, got j={j}")
     g = f.grid
-    return complex(g.h * np.sum(g.x**j * f.values))
+    return _per_row(f, g.h * np.sum(g.x**j * f.values, axis=-1))
 
 
 def standard_diagnostics(spec: EquationSpec, s: float | None = None, m: float | None = None):

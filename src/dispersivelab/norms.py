@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import bessel_potential
-from .spectral import Field, _one_row
+from .spectral import Field, _one_row, _per_row
 
 __all__ = [
     "weighted_l2",
@@ -21,7 +21,8 @@ __all__ = [
 
 
 def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
-    """Weighted norm ( integral |x|^(2m) |f|^2 dx )^(1/2).
+    """Weighted norm ( integral |x|^(2m) |f|^2 dx )^(1/2); m = 0 gives the
+    L^2 norm.
 
     With ``bracket=True`` the Japanese bracket <x> = (1+x^2)^(1/2) replaces
     |x|.  The exponent convention is explicit: the integrand carries the
@@ -29,30 +30,21 @@ def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
     amplifies exactly the region it inspects: callers run
     :func:`dispersivelab.spectral.boundary_gate` where a field enters.
     """
-    _one_row(f, "weighted_l2")
-    if m < 0:
-        raise ValueError(f"weight exponent must be >= 0, got m={m}")
-    return float(_weighted_l2_rows(f, m, bracket))
-
-
-def _weighted_l2_rows(f: Field, m: float, bracket: bool) -> np.ndarray:
-    """The formula of :func:`weighted_l2`, one norm per row of ``f``."""
+    if not (np.isfinite(m) and m >= 0):
+        raise ValueError(f"weight exponent must be finite and >= 0, got m={m}")
     g = f.grid
     w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
-    return np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1))
+    return _per_row(f, np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1)))
 
 
 def sobolev(f: Field, s: float) -> float:
     """H^s norm || (1+xi^2)^(s/2) fhat ||, computed via the Bessel potential."""
-    _one_row(f, "sobolev")
-    js = bessel_potential(f, s)
-    return float(np.sqrt(f.grid.h * np.sum(np.abs(js.values) ** 2)))
+    return weighted_l2(bessel_potential(f, s), 0.0)
 
 
 def lebesgue(f: Field, p: float) -> float:
     """L^p norm; p = inf gives the lattice max norm."""
-    _one_row(f, "lebesgue")
-    return float(_lebesgue_rows(f.values, f.grid.h, p))
+    return _per_row(f, _lebesgue_rows(f.values, f.grid.h, p))
 
 
 def _lebesgue_rows(values: np.ndarray, h: float, p: float, weight=None) -> np.ndarray:
@@ -61,8 +53,8 @@ def _lebesgue_rows(values: np.ndarray, h: float, p: float, weight=None) -> np.nd
     ``weight`` (finite p only) multiplies |values|^p in the integrand."""
     if p == np.inf:
         return np.max(np.abs(values), axis=-1)
-    if p < 1:
-        raise ValueError(f"Lebesgue exponent must satisfy p >= 1, got p={p}")
+    if not p >= 1:  # NaN fails it too
+        raise ValueError(f"Lebesgue exponent must satisfy p >= 1 or p = inf, got p={p}")
     powers = np.abs(values) ** p
     integrals = h * np.sum(powers if weight is None else weight * powers, axis=-1)
     return _powers(integrals, 1.0 / p)

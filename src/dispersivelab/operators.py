@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, _apply_table, _multiply, _one_row, _real_rows, _row_blocks
+from .spectral import Field, _apply_table, _multiply, _per_row, _real_rows, _row_blocks
 
 __all__ = [
     "hilbert",
@@ -108,10 +108,9 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     The convolutions are circular of length n for ``'stationary'`` and of
     length 2n, padded with samples that read as zero, for ``'decay'``.
 
-    Output is the nonnegative real field; summation order is fixed, so the
-    result is deterministic.
+    Output is the nonnegative real field, row by row for a block; summation
+    order is fixed, so the result is deterministic.
     """
-    _one_row(f, "stein_deriv")
     if not (0.0 < b < 1.0):
         raise ValueError(f"square-function order must lie in (0,1), got b={b}")
     if tail not in ("decay", "stationary"):
@@ -120,6 +119,7 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     n, h, L = g.n, g.h, g.length
     half = n // 2
     vals = f.values
+    rows = vals.shape[:-1]
     fhat = np.fft.fft(vals)
     stag = np.fft.ifft(np.exp(1j * g.xi * h / 2.0) * fhat)
     weights = h / ((np.arange(half) + 0.5) * h) ** (1.0 + 2.0 * b)
@@ -128,28 +128,29 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     # ext[k + m] is the staggered sample at index m
     k = min(_NEAR_CELLS, half)
     if tail == "decay":
-        pad = np.zeros(k, dtype=complex)
-        ext = np.concatenate([pad, stag, pad])
+        pad = np.zeros(rows + (k,), dtype=complex)
+        ext = np.concatenate([pad, stag, pad], axis=-1)
     else:
-        ext = np.concatenate([stag[n - k :], stag, stag[:k]])
-    acc = np.zeros(n, dtype=float)
+        ext = np.concatenate([stag[..., n - k :], stag, stag[..., :k]], axis=-1)
+    acc = np.zeros(vals.shape, dtype=float)
     for j in range(k):
-        dplus = vals - ext[k + j : k + j + n]
-        dminus = vals - ext[k - j - 1 : k - j - 1 + n]
+        dplus = vals - ext[..., k + j : k + j + n]
+        dminus = vals - ext[..., k - j - 1 : k - j - 1 + n]
         acc += weights[j] * (np.abs(dplus) ** 2 + np.abs(dminus) ** 2)
 
     if half > k:
-        c = np.mean(stag)
+        c = np.mean(stag, axis=-1, keepdims=True)
         size = 2 * n if tail == "decay" else n
         # kernel by index offset d between sample and node: offset d >= 0 is
         # cell j = d, offset d < 0 is cell j = -d - 1
         kern = np.zeros(size)
         kern[k:half] = weights[k:]
         kern[size - half : size - k] = weights[k:][::-1]
-        s = np.full(size, -c)  # samples outside the cell read as 0
-        s[:n] = stag - c
-        both = np.fft.ifft(np.fft.fft([s, np.abs(s) ** 2]) * np.conj(np.fft.fft(kern)))
-        far_s, far_sq = both[0, :n], both[1, :n].real
+        s = np.empty(rows + (size,), dtype=complex)
+        s[...] = -c  # samples outside the cell read as 0
+        s[..., :n] = stag - c
+        both = np.fft.ifft(np.fft.fft(np.stack([s, np.abs(s) ** 2])) * np.conj(np.fft.fft(kern)))
+        far_s, far_sq = both[0, ..., :n], both[1, ..., :n].real
         v = vals - c
         acc += 2.0 * weights[k:].sum() * np.abs(v) ** 2
         acc += far_sq - 2.0 * (np.conj(v) * far_s).real
@@ -161,8 +162,8 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     if tail == "decay":
         acc += np.abs(vals) ** 2 * L ** (-2.0 * b) / b
     else:
-        mu = np.mean(vals)
-        var = float(np.mean(np.abs(vals - mu) ** 2))
+        mu = np.mean(vals, axis=-1, keepdims=True)
+        var = np.mean(np.abs(vals - mu) ** 2, axis=-1, keepdims=True)
         acc += (np.abs(vals - mu) ** 2 + var) * L ** (-2.0 * b) / b
     return Field(g, np.sqrt(np.maximum(acc, 0.0)))
 
@@ -179,10 +180,9 @@ def stein_l2_norm(f: Field, b: float) -> float:
 
     exact when f vanishes off the cell; it is added here.
     """
-    _one_row(f, "stein_l2_norm")
     g = f.grid
     inner = stein_deriv(f, b)
-    cell = g.h * float(np.sum(inner.values.real**2))
+    cell = g.h * np.sum(inner.values.real**2, axis=-1)
     # clamp the boundary nodes, where (L +- y) vanishes; gate-passing fields
     # carry no mass there
     dplus = np.maximum(g.length - g.x, g.h / 2.0)
@@ -190,9 +190,9 @@ def stein_l2_norm(f: Field, b: float) -> float:
     outer = (
         g.h
         / (2.0 * b)
-        * float(np.sum(np.abs(f.values) ** 2 * (dplus ** (-2.0 * b) + dminus ** (-2.0 * b))))
+        * np.sum(np.abs(f.values) ** 2 * (dplus ** (-2.0 * b) + dminus ** (-2.0 * b)), axis=-1)
     )
-    return float(np.sqrt(cell + outer))
+    return _per_row(f, np.sqrt(cell + outer))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,9 @@ def _lp_tables(grid):
 def lp_block(f: Field, N: int) -> Field:
     """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N.  A block
     of ``lp_block_range`` applies its row of the grid's stored table."""
-    if abs(N) > 60:
-        raise ValueError(f"dyadic index out of the representable range: N={N}")
+    if not (float(N).is_integer() and abs(N) <= 60):  # NaN and inf fail it too
+        raise ValueError(f"dyadic index must be an integer with |N| <= 60, got N={N}")
+    N = int(N)
     blocks = lp_block_range(f.grid)
     if N in blocks:
         table = _lp_tables(f.grid).rows(N - blocks.start)
@@ -255,17 +256,19 @@ def lp_block(f: Field, N: int) -> Field:
 
 def lp_linf_l1(f: Field) -> float:
     """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm, from one forward
-    FFT of f; the blocks are applied in batches of rows and summed in the
-    order of N."""
-    _one_row(f, "lp_linf_l1")
+    FFT of f; the blocks are applied in batches of table rows, each batch
+    within BLOCK_SAMPLES samples of output, and summed in the order of N."""
     table = _lp_tables(f.grid)
     fhat = np.fft.fft(f.values)
     real = _real_rows(f.values)
-    total = np.zeros(f.grid.n, dtype=float)
-    for block in _row_blocks(len(table.values), f.grid.n):
-        for mags in np.abs(_apply_table(table.rows(block), fhat, real)):
+    # on a block, each table row meets every input row: batches (rows, k, n);
+    # an empty block takes one batch
+    each = (None,) * (f.values.ndim - 1)
+    total = np.zeros(f.values.shape, dtype=float)
+    for block in _row_blocks(len(table.values), max(f.values.size, 1)):
+        for mags in np.abs(_apply_table(table.rows((block, *each)), fhat, real)):
             total += mags
-    return float(np.max(total))
+    return _per_row(f, np.max(total, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +278,12 @@ def gamma_t_min(grid) -> float:
     """Smallest |t| at which the quadratic phase exp(i x^2 / 4t) is
     resolvable on the lattice (local wavelength at |x| = L exceeds 4h)."""
     return grid.length * grid.h / np.pi
+
+
+def _require_time(t: float) -> None:
+    """Raise ValueError naming a time ``t`` of a vector field that is not finite."""
+    if not np.isfinite(t):
+        raise ValueError(f"vector-field time must be finite, got t={t}")
 
 
 def gamma_schrodinger(f: Field, t: float, b: float) -> Field:
@@ -287,6 +296,7 @@ def gamma_schrodinger(f: Field, t: float, b: float) -> Field:
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"vector-field order must lie in [0,1], got b={b}")
+    _require_time(t)
     g = f.grid
     if b == 0.0:
         return f.copy()
@@ -306,9 +316,11 @@ def gamma_schrodinger(f: Field, t: float, b: float) -> Field:
 
 def gamma_airy(f: Field, t: float) -> Field:
     """Vector field commuting with the Airy group exp(it xi^3): x - 3t d^2/dx^2."""
+    _require_time(t)
     return Field(f.grid, f.grid.x * f.values) - (3.0 * t) * derivative(f, 2)
 
 
 def gamma_bo(f: Field, t: float) -> Field:
     """Vector field commuting with the Benjamin-Ono group: x - 2t H d/dx."""
+    _require_time(t)
     return Field(f.grid, f.grid.x * f.values) - (2.0 * t) * hilbert(derivative(f, 1))

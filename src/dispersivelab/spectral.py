@@ -103,9 +103,9 @@ def _row_blocks(count: int, n: int) -> list:
 @dataclass
 class Field:
     """Complex samples of a function bound to a grid: one row of n samples,
-    or a block of k rows, shape (k, n).  The operators and the arithmetic
-    act on a block row by row; a function that reduces a field to numbers
-    takes one row and raises ValueError on a block."""
+    or a block of k rows, shape (k, n).  Every function of a field acts on a
+    block row by row; one that reduces a field to numbers returns a Python
+    number for one row and one value per row for a block (``_per_row``)."""
 
     grid: Grid
     values: np.ndarray
@@ -124,8 +124,7 @@ class Field:
 
     @property
     def is_real(self) -> bool:
-        _one_row(self, "Field.is_real")
-        return not self.values.imag.any()
+        return _per_row(self, _real_rows(self.values))
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
@@ -256,14 +255,13 @@ def apply_multiplier(f: Field, m) -> Field:
 def real_values(f: Field, what: str) -> np.ndarray:
     """The real part of a field that ``what`` (a gKdV or BO computation)
     requires to be real.  An imaginary residue up to REAL_TOL of max|f| is
-    dropped; a larger one raises ValueError naming ``what`` and the residue.
-    This is the one realness rule of the real models."""
-    _one_row(f, "real_values")
-    scale = float(np.max(np.abs(f.values))) or 1.0
-    residue = float(np.max(np.abs(f.values.imag))) / scale
-    if residue > REAL_TOL:
+    dropped, row by row; a larger one raises ValueError naming ``what`` and
+    the largest residue.  This is the one realness rule of the real models."""
+    scale = np.max(np.abs(f.values), axis=-1)
+    residue = np.max(np.abs(f.values.imag), axis=-1) / np.where(scale == 0.0, 1.0, scale)
+    if np.any(residue > REAL_TOL):
         raise ValueError(
-            f"{what} requires a real field: its imaginary part is {residue:.3g} "
+            f"{what} requires a real field: its imaginary part is {np.max(residue):.3g} "
             f"of max|u|, above the {REAL_TOL:g} tolerance"
         )
     return f.values.real
@@ -271,44 +269,45 @@ def real_values(f: Field, what: str) -> np.ndarray:
 
 def integrate(f: Field) -> complex:
     """Trapezoid rule h*sum f(x_j); spectrally accurate for smooth periodic f."""
-    _one_row(f, "integrate")
-    return complex(f.grid.h * np.sum(f.values))
+    return _per_row(f, f.grid.h * np.sum(f.values, axis=-1))
 
 
 def boundary_gate(f: Field) -> tuple[bool, float]:
     """Check that a field is negligible on the outer 10% of the cell.
 
     Returns ``(ok, ratio)`` where ratio = max |f| on |x| >= 0.9 L divided by
-    the global max.  Whole-line norms computed on the periodic cell are only
-    meaningful when the gate passes.
+    the global max (0 for a zero field).  Whole-line norms computed on the
+    periodic cell are only meaningful when the gate passes.
     """
-    _one_row(f, "boundary_gate")
-    ratio = float(_gate_ratios(f))
-    return ratio < BOUNDARY_TOL, ratio
-
-
-def _gate_ratios(f: Field) -> np.ndarray:
-    """The gate ratio of each row of ``f``: max |f| on the outer cell over
-    the global max, 0 for a zero row."""
     g = f.grid
     mags = np.abs(f.values)
     peak = np.max(mags, axis=-1)
     outer = np.abs(g.x) >= (1.0 - BOUNDARY_FRACTION) * g.length
     # a zero row has a zero outer max: 0 / inf
-    return np.max(mags[..., outer], axis=-1) / np.where(peak == 0.0, np.inf, peak)
+    ratio = _per_row(f, np.max(mags[..., outer], axis=-1) / np.where(peak == 0.0, np.inf, peak))
+    return ratio < BOUNDARY_TOL, ratio
+
+
+def _per_row(f: Field, values):
+    """``values``, one per row of ``f``, as a reduction of ``f`` returns
+    them: a Python number for one row, the array for a block."""
+    return values.item() if f.values.ndim == 1 else values
 
 
 def _one_row(f: Field, what: str) -> None:
     """Raise ValueError naming ``what`` when ``f`` is a block of rows: a
-    function that reduces one field never sums or maxes over a block."""
+    function that takes one field as a weight, or one field into a
+    measurement, never reads a block."""
     if f.values.ndim != 1:
         raise ValueError(f"{what} takes one field, got a block of shape {f.values.shape}")
 
 
 def _require_gate(f: Field, what: str) -> float:
-    """The gate ratio of ``f``, the field that ``what`` names, where it enters
-    a measurement.  A field that fails the gate raises ValueError naming it,
-    its cell and the ratio: the one wording of that error."""
+    """The gate ratio of ``f``, the one field that ``what`` names, where it
+    enters a measurement.  A block, or a field that fails the gate, raises
+    ValueError naming it (with its cell and the ratio: the one wording of
+    that error)."""
+    _one_row(f, what)
     ok, ratio = boundary_gate(f)
     if not ok:
         raise ValueError(

@@ -1,12 +1,13 @@
 """Row blocks against the row-by-row path they replace.
 
 A ``Field`` may hold a block of rows, shape (k, n).  Every operator built on
-the multiplier kernel, and the linear groups, must give each row of a block
-the bits that the same call gives that row alone, with the realness rule
-applied row by row: a block may mix real and complex rows.  Blocks come
-from the corpus realizer, cut at ``BLOCK_SAMPLES`` samples, so the grids
-below leave a partial last block.  ``lp_linf_l1`` applies the rows of one
-stacked table in blocks; it is held to the per-table loop it replaced
+the multiplier kernel, the linear groups, and every function that reduces a
+field to numbers must give each row of a block the bits that the same call
+gives that row alone, with the realness rule applied row by row: a block may
+mix real and complex rows.  A reduction of one row returns Python numbers.
+Blocks come from the corpus realizer, cut at ``BLOCK_SAMPLES`` samples, so
+the grids below leave a partial last block.  ``lp_linf_l1`` applies the rows
+of one stacked table in blocks; it is held to the per-table loop it replaced
 (``_lp_loop_oracle``).  Tolerance: 0, compared as bytes.
 """
 
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from dispersivelab.corpus import NAMED_FIELDS, Corpus
+from dispersivelab.laws import invariants, moment
+from dispersivelab.norms import lebesgue, sobolev, weighted_l2
 from dispersivelab.operators import (
     _eta,
     bessel_potential,
@@ -23,6 +26,8 @@ from dispersivelab.operators import (
     lp_block_range,
     lp_linf_l1,
     riesz_deriv,
+    stein_deriv,
+    stein_l2_norm,
 )
 from dispersivelab.propagators import EquationSpec, linear_group
 from dispersivelab.spectral import (
@@ -32,6 +37,9 @@ from dispersivelab.spectral import (
     _apply_table,
     _build_table,
     apply_multiplier,
+    boundary_gate,
+    integrate,
+    real_values,
 )
 
 # each (name, operator, Hermitian symbol); the symbols cover odd and
@@ -89,6 +97,78 @@ def test_operator_on_blocks_matches_rows(grid, name, op, hermitian):
     blocks = [_mixed_block(grid), *Corpus(size=10).realize(grid)]
     for block in blocks:
         _assert_rows_match(name, op, hermitian, block)
+
+
+def _real(f):
+    """The real part of each row of ``f``, for the functions of real models."""
+    return Field(f.grid, f.values.real)
+
+
+# each function that reduces a field to numbers, with the arguments that
+# cover its branches; real_values reads rows whose imaginary residue, zero
+# or below REAL_TOL, it drops
+REDUCERS = {
+    "integrate": integrate,
+    "boundary_gate": boundary_gate,
+    "real_values": lambda f: real_values(
+        Field(f.grid, f.values.real + 1e-12j * f.values.imag), "a test"
+    ),
+    "Field.is_real": lambda f: f.is_real,
+    "moment": lambda f: (moment(f, 0), moment(f, 3)),
+    "invariants": lambda f: (
+        invariants(f, EquationSpec.nls()),
+        invariants(_real(f), EquationSpec.gkdv(k=2)),
+        invariants(_real(f), EquationSpec.bo()),
+    ),
+    "weighted_l2": lambda f: (weighted_l2(f, 0.0), weighted_l2(f, 1.5, bracket=True)),
+    "sobolev": lambda f: sobolev(f, 2.0),
+    "lebesgue": lambda f: (lebesgue(f, 1.0), lebesgue(f, 3.0), lebesgue(f, np.inf)),
+    "stein_deriv": lambda f: (stein_deriv(f, 0.5), stein_deriv(f, 0.3, tail="stationary")),
+    "stein_l2_norm": lambda f: stein_l2_norm(f, 0.5),
+    "lp_linf_l1": lp_linf_l1,
+}
+
+
+def _leaves(result) -> list:
+    """The values in a reducer's result, its tuples and dicts flattened in
+    order."""
+    if isinstance(result, dict):
+        result = tuple(result.values())
+    if isinstance(result, tuple):
+        return [leaf for item in result for leaf in _leaves(item)]
+    return [result]
+
+
+def _arrays(result) -> list:
+    return [np.asarray(v.values if isinstance(v, Field) else v) for v in _leaves(result)]
+
+
+@pytest.mark.parametrize("name", REDUCERS)
+def test_reducer_on_blocks_matches_rows(name):
+    reduce = REDUCERS[name]
+    for grid in (Grid(512, 20.0), *GRIDS):
+        block = _mixed_block(grid)
+        out = _arrays(reduce(block))
+        for i, row in enumerate(block.values):
+            want = _arrays(reduce(Field(grid, row)))
+            got = [a[i].tobytes() for a in out]
+            assert got == [w.tobytes() for w in want], f"{name}: n={grid.n}, row {i}"
+
+
+def test_reducer_of_an_empty_block_returns_no_values():
+    empty = Field(Grid(512, 20.0), np.zeros((0, 512)))
+    for name, reduce in REDUCERS.items():
+        assert all(len(a) == 0 for a in _arrays(reduce(empty))), name
+
+
+def test_reducer_of_one_row_returns_python_numbers():
+    grid = Grid(512, 20.0)
+    for name, reduce in REDUCERS.items():
+        if name in ("real_values", "stein_deriv"):  # these return samples
+            continue
+        for row in _mixed_block(grid).values:
+            for leaf in _leaves(reduce(Field(grid, row))):
+                assert type(leaf) in (float, complex, bool), f"{name}: {type(leaf)}"
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

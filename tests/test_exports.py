@@ -1,6 +1,8 @@
 """The package's public surface: every module defines ``__all__``, every
 name in it exists, and ``dispersivelab/__init__.py`` re-exports only names
-in the ``__all__`` of the module it imports them from."""
+in the ``__all__`` of the module it imports them from.  The private names
+that each module imports from a sibling are pinned, so a new private twin
+of a public function shows up as an edit to that table."""
 
 import ast
 import importlib
@@ -22,3 +24,34 @@ def test_star_imports_and_package_reexports_are_public():
         public = importlib.import_module(f"dispersivelab.{node.module}").__all__
         stale = [a.name for a in node.names if a.name not in public]
         assert not stale, f"dispersivelab re-exports {stale} outside {node.module}.__all__"
+
+
+# module -> sibling -> the private names it imports from that sibling
+PRIVATE_IMPORTS = {
+    "checks": {
+        "corpus": {"_realize_blocks", "_require_corpus_keys"},
+        "norms": {"_lebesgue_rows", "_powers"},
+        "propagators": {"_group_scan"},
+        "spectral": {"_require_gate", "_row_blocks"},
+    },
+    "corpus": {"spectral": {"_require_gate", "_row_blocks"}},
+    "laws": {"spectral": {"_one_row", "_per_row"}},
+    "norms": {"spectral": {"_one_row", "_per_row"}},
+    "operators": {
+        "spectral": {"_apply_table", "_multiply", "_per_row", "_real_rows", "_row_blocks"},
+    },
+    "propagators": {
+        "spectral": {"_apply_table", "_build_table", "_multiply", "_real_rows", "_row_blocks"},
+    },
+}
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {}
+    for path in sorted(Path(dispersivelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                if private:
+                    found.setdefault(path.stem, {}).setdefault(node.module, set()).update(private)
+    assert found == PRIVATE_IMPORTS

@@ -1,32 +1,26 @@
 """The ValueError of each public entry point on an input it rejects, one row
 per raise, each matched on the value or cause its message names; and the
-ValueError, naming the function, of each public function that reduces one
-field when it is given a block of rows."""
+ValueError, naming the function or the field, of the functions that take
+one field when they are given a block of rows."""
 
 import numpy as np
 import pytest
 
-from dispersivelab.laws import invariants, kato_residual, moment
-from dispersivelab.norms import ap_constant, lebesgue, sobolev, weighted_l2
+from dispersivelab.checks import persistence_experiment
+from dispersivelab.laws import kato_residual, moment
+from dispersivelab.norms import ap_constant, lebesgue, weighted_l2
 from dispersivelab.operators import (
     bessel_potential,
     derivative,
+    gamma_airy,
+    gamma_bo,
     gamma_schrodinger,
     lp_block,
-    lp_linf_l1,
     riesz_deriv,
     stein_deriv,
-    stein_l2_norm,
 )
 from dispersivelab.propagators import EquationSpec, Trajectory
-from dispersivelab.spectral import (
-    Field,
-    Grid,
-    apply_multiplier,
-    boundary_gate,
-    integrate,
-    real_values,
-)
+from dispersivelab.spectral import Field, Grid, apply_multiplier
 
 G = Grid(64, 10.0)
 F = Field.from_function(G, lambda x: np.exp(-(x**2)))
@@ -39,6 +33,9 @@ def _trajectory(times, grids):
 
 CASES = {
     "weighted_l2_m": (lambda: weighted_l2(F, -1), "got m=-1"),
+    "weighted_l2_m_nan": (lambda: weighted_l2(F, np.nan), "got m=nan"),
+    "weighted_l2_m_inf": (lambda: weighted_l2(F, np.inf), "got m=inf"),
+    "lebesgue_p_nan": (lambda: lebesgue(F, np.nan), "got p=nan"),
     "ap_constant_p": (lambda: ap_constant(F, 1.0), "got p=1.0"),
     "derivative_order": (lambda: derivative(F, -1), "got order=-1"),
     "moment_order": (lambda: moment(F, -1), "got j=-1"),
@@ -46,7 +43,12 @@ CASES = {
     "bessel_potential_s": (lambda: bessel_potential(F, np.nan), "got s=nan"),
     "stein_deriv_tail": (lambda: stein_deriv(F, 0.5, tail="x"), "unknown tail mode 'x'"),
     "lp_block_N": (lambda: lp_block(F, 61), "N=61"),
+    "lp_block_N_nan": (lambda: lp_block(F, np.nan), "got N=nan"),
+    "lp_block_N_fraction": (lambda: lp_block(F, 2.5), "got N=2.5"),
     "gamma_schrodinger_b": (lambda: gamma_schrodinger(F, 0.5, 1.5), "got b=1.5"),
+    "gamma_schrodinger_t": (lambda: gamma_schrodinger(F, np.nan, 0.5), "got t=nan"),
+    "gamma_airy_t": (lambda: gamma_airy(F, np.nan), "got t=nan"),
+    "gamma_bo_t": (lambda: gamma_bo(F, np.inf), "got t=inf"),
     "s_critical_gkdv": (lambda: EquationSpec.gkdv().s_critical, "defined for the NLS model"),
     "trajectory_lengths": (
         lambda: Trajectory(EquationSpec.gkdv(), [0.0, 0.1], [F]),
@@ -78,22 +80,15 @@ def test_public_raise_names_its_cause(call, match):
         call()
 
 
-# each public function that reduces one field, called on BLOCK
+# each public function that takes one field as a weight, or one initial
+# datum into a report, called on BLOCK; every other function of a field acts
+# on a block row by row (tests/test_blocks.py)
 REDUCERS = {
-    "integrate": lambda: integrate(BLOCK),
-    "boundary_gate": lambda: boundary_gate(BLOCK),
-    "real_values": lambda: real_values(BLOCK, "a test"),
-    "Field.is_real": lambda: BLOCK.is_real,
-    "moment": lambda: moment(BLOCK, 0),
-    "invariants": lambda: invariants(BLOCK, EquationSpec.nls()),
     "kato_residual": lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), BLOCK, 1),
-    "weighted_l2": lambda: weighted_l2(BLOCK, 1.0),
-    "sobolev": lambda: sobolev(BLOCK, 1.0),
-    "lebesgue": lambda: lebesgue(BLOCK, 2.0),
     "ap_constant": lambda: ap_constant(BLOCK, 2.0),
-    "stein_deriv": lambda: stein_deriv(BLOCK, 0.5),
-    "stein_l2_norm": lambda: stein_l2_norm(BLOCK, 0.5),
-    "lp_linf_l1": lambda: lp_linf_l1(BLOCK),
+    "the persistence initial data": lambda: persistence_experiment(
+        EquationSpec.nls(), BLOCK, 1.0, 1.0, 0.01
+    ),
 }
 
 
