@@ -876,17 +876,22 @@ _CORPUS_KEYS = {"seed": DEFAULT_SEED, "corpus_size": 20}
 
 
 def _coerce(key: str, value, default):
-    """``value`` as the type of ``default``; an int must be integral."""
+    """``value`` as the type of ``default``; an int must be integral, and an
+    int value reaches an int parameter exactly."""
     if isinstance(default, str):
         return str(value)
+    integral = isinstance(default, int)
+    if integral and isinstance(value, int):
+        return int(value)
     try:
         number = float(value)
+    except OverflowError:  # an int beyond the float range, read as float() reads its digits
+        number = np.inf if value > 0 else -np.inf
     except (TypeError, ValueError):
         number = None
-    integral = isinstance(default, int)
     if number is None or (integral and not number.is_integer()):
         raise ValueError(f"{key}={value!r} is not {'an integer' if integral else 'a number'}")
-    return type(default)(value if isinstance(value, int) else number)
+    return type(default)(number)
 
 
 def _parameters(fn) -> dict:

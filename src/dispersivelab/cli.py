@@ -143,14 +143,14 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first at line {seen[key]})")
+        seen[key] = lineno
         if key.startswith(_PARAMS_PREFIX):
             cfg.check_params[key[len(_PARAMS_PREFIX):]] = _parse_scalar(value)
             continue
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first at line {seen[key]})")
-        seen[key] = lineno
         name, parse = _SCHEMA[key]
         try:
             setattr(cfg, name, parse(value))
@@ -171,10 +171,17 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _parse_scalar(value: str):
+    """A check parameter: an integer literal as an exact int (but ``-0`` as
+    the float -0.0, whose sign a float parameter keeps), another number as
+    a float, anything else as the string."""
     try:
-        return float(value)
+        number = int(value)
     except ValueError:
-        return value  # bare string parameter
+        try:
+            return float(value)
+        except ValueError:
+            return value  # bare string parameter
+    return -0.0 if number == 0 and value.startswith("-") else number
 
 
 def _validate(cfg: RunConfig, path: str):
@@ -373,7 +380,11 @@ def main(argv=None) -> int:
                 print(f"bad --param {item!r}, expected KEY=VALUE", file=sys.stderr)
                 return 2
             key, _, value = item.partition("=")
-            params[key.strip()] = _parse_scalar(value.strip())
+            key = key.strip()
+            if key in params:
+                print(f"bad --param {item!r}, duplicate key {key!r}", file=sys.stderr)
+                return 2
+            params[key] = _parse_scalar(value.strip())
         return _run_checks([args.name], params, args.out)
     if args.cmd == "sweep":
         return _run(args.config, args.out, args.jobs, "sweep")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, _apply_table, _multiply, _per_row, _real_rows, _row_blocks
+from .spectral import Field, _multiply, _multiply_rows, _per_row
 
 __all__ = [
     "hilbert",
@@ -222,10 +222,6 @@ def lp_block_range(grid) -> range:
     return range(n_lo, n_hi + 1)
 
 
-def _lp_symbol(xi: np.ndarray, scale) -> np.ndarray:
-    return _eta(np.abs(xi) / scale).astype(complex)
-
-
 def _lp_tables(grid):
     """The blocks of ``lp_block_range(grid)`` as one table, a row per block
     (each evaluated on its own), stored once per grid."""
@@ -234,40 +230,38 @@ def _lp_tables(grid):
         blocks = lp_block_range(grid)
         out = np.empty((len(blocks), grid.n), dtype=complex)
         for row, N in zip(out, blocks):
-            row[:] = _lp_symbol(xi, 2.0**N)
+            row[:] = _eta(np.abs(xi) / 2.0**N)
         return out
 
     return grid._table("lp_blocks", rows)
 
 
 def lp_block(f: Field, N: int) -> Field:
-    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N.  A block
-    of ``lp_block_range`` applies its row of the grid's stored table."""
+    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N, the row
+    of the grid's stored table for N in ``lp_block_range``.  Off that range
+    the symbol is exactly 0 on the lattice, and Q_N f is the zero field."""
     if not (float(N).is_integer() and abs(N) <= 60):  # NaN and inf fail it too
         raise ValueError(f"dyadic index must be an integer with |N| <= 60, got N={N}")
     N = int(N)
     blocks = lp_block_range(f.grid)
-    if N in blocks:
-        table = _lp_tables(f.grid).rows(N - blocks.start)
-    else:
-        table = f.grid._table(("lp_block", N), lambda xi: _lp_symbol(xi, 2.0**N))
-    return _multiply(f, table)
+    if N not in blocks:
+        return Field(f.grid, np.zeros(f.values.shape))
+    return _multiply(f, _lp_tables(f.grid).rows(N - blocks.start))
 
 
 def lp_linf_l1(f: Field) -> float:
     """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm, from one forward
-    FFT of f; the blocks are applied in batches of table rows, each batch
-    within BLOCK_SAMPLES samples of output, and summed in the order of N."""
+    FFT of f; the blocks are applied in batches of table rows
+    (``spectral._multiply_rows``) and summed in the order of N."""
     table = _lp_tables(f.grid)
-    fhat = np.fft.fft(f.values)
-    real = _real_rows(f.values)
-    # on a block, each table row meets every input row: batches (rows, k, n);
-    # an empty block takes one batch
+    # on a block, each table row meets every input row: batches (rows, k, n)
     each = (None,) * (f.values.ndim - 1)
+    batches = _multiply_rows(f, len(table.values), lambda block: table.rows((block, *each)))
     total = np.zeros(f.values.shape, dtype=float)
-    for block in _row_blocks(len(table.values), max(f.values.size, 1)):
-        for mags in np.abs(_apply_table(table.rows((block, *each)), fhat, real)):
-            total += mags
+    # map drops each batch once its magnitudes are taken, before the next is built
+    for mags in map(np.abs, batches):
+        for row in mags:
+            total += row
     return _per_row(f, np.max(total, axis=-1))
 
 

@@ -24,16 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    Grid,
-    _apply_table,
-    _build_table,
-    _multiply,
-    _real_rows,
-    _row_blocks,
-    real_values,
-)
+from .spectral import Field, Grid, _build_table, _multiply_rows, apply_multiplier, real_values
 
 __all__ = [
     "EquationSpec",
@@ -161,34 +152,33 @@ class StepperConfig:
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     """Exact linear flow U(t) of the model's dispersive part, applied to a
-    field or to each row of a block: the group phase under the realness rule
-    of :func:`apply_multiplier`.  The gKdV and BO phases, and every model's
-    phase at t = 0, are Hermitian, so a real field stays real there.  The
-    phase is built on each call and no table is stored on the grid; a time
-    that is not finite raises ValueError naming it."""
-    return _multiply(f, _group_table(f.grid, spec, np.asarray(t, dtype=float)))
+    field or to each row of a block: :func:`apply_multiplier` under the
+    group phase at the one time ``t``, built on each call.  The gKdV and BO
+    phases, and every model's phase at t = 0, are Hermitian, so a real field
+    stays real there.  A ``t`` that is not one finite time raises ValueError."""
+    t = _group_times(t)
+    if t.ndim:
+        raise ValueError(f"linear_group takes one time, got t of shape {t.shape}")
+    return apply_multiplier(f, spec.group_phase(f.grid.xi, t))
 
 
-def _group_table(g: Grid, spec: EquationSpec, times: np.ndarray):
-    """The table of the group phases at ``times`` (a scalar or a column of
-    one row per time); a time that is not finite raises ValueError."""
+def _group_times(times) -> np.ndarray:
+    """``times`` as floats; a time that is not finite raises ValueError."""
+    times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError(f"group time must be finite, got t={times[~np.isfinite(times)][0]}")
-    return _build_table(g, spec.group_phase(g.xi, times))
+    return times
 
 
 def _group_scan(f: Field, spec: EquationSpec, times):
-    """Samples of U(t) f for every t in ``times``, yielded as blocks of rows
-    (at most BLOCK_SAMPLES samples each), one row per time: one forward FFT
-    of f, then for each block the group phases, the table rules of
-    :func:`apply_multiplier` row by row and one batched inverse FFT.  Each
-    row is bitwise ``linear_group(f, spec, t).values``."""
-    times = np.asarray(times, dtype=float)
+    """Samples of U(t) f for every t in ``times``, yielded as blocks of rows,
+    one row per time, from one forward FFT of f (``spectral._multiply_rows``
+    over the group phases).  Each row is bitwise ``linear_group(f, spec, t)``."""
+    times = _group_times(times)
     g = f.grid
-    fhat = np.fft.fft(f.values)
-    real = _real_rows(f.values)
-    for block in _row_blocks(times.size, g.n):
-        yield _apply_table(_group_table(g, spec, times[block, None]), fhat, real)
+    return _multiply_rows(
+        f, times.size, lambda block: _build_table(g, spec.group_phase(g.xi, times[block, None]))
+    )
 
 
 class _Stepper:

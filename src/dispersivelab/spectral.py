@@ -227,6 +227,18 @@ def _multiply(f: Field, table: _Table) -> Field:
     return Field(f.grid, _apply_table(table, np.fft.fft(f.values), _real_rows(f.values)))
 
 
+def _multiply_rows(f: Field, count: int, table_of):
+    """``count`` multipliers applied to ``f``, yielded in batches of at most
+    BLOCK_SAMPLES samples (``_row_blocks``): one forward FFT of f, then each
+    slice ``block`` of the multipliers under its table ``table_of(block)``
+    by the rules of :func:`apply_multiplier`, with one batched inverse FFT."""
+    fhat = np.fft.fft(f.values)
+    real = _real_rows(f.values)
+    # an empty block takes one batch
+    for block in _row_blocks(count, max(f.values.size, 1)):
+        yield _apply_table(table_of(block), fhat, real)
+
+
 def apply_multiplier(f: Field, m) -> Field:
     """Apply a frequency multiplier m(xi) to a field, or to each row of a
     block.
@@ -246,10 +258,13 @@ def apply_multiplier(f: Field, m) -> Field:
 
     The package's own operators follow the same rules through tables their
     grid builds once per symbol (``Grid._table``), so they skip the
-    evaluation and the scans on a repeated call; the linear groups build
-    their phases on each call (``propagators._group_scan``).
+    evaluation and the scans on a repeated call.  One multiplier is applied
+    here: an array of any shape other than (n,) raises ValueError.
     """
-    return _multiply(f, _build_table(f.grid, m))
+    table = _build_table(f.grid, m)
+    if table.values.ndim != 1:  # stacks of multipliers go through _multiply_rows
+        raise ValueError(f"multiplier must have {f.grid.n} values, got shape {table.values.shape}")
+    return _multiply(f, table)
 
 
 def real_values(f: Field, what: str) -> np.ndarray:

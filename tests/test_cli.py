@@ -17,8 +17,9 @@ from dispersivelab.cli import (
     parse_config_text,
     run,
 )
-from dispersivelab.checks import CHECKS, CheckReport
+from dispersivelab.checks import CHECKS, CheckReport, _arguments
 from dispersivelab.propagators import CFLWarning
+from dispersivelab.spectral import Grid
 
 SOLVE_CFG = """
 # gKdV short run
@@ -226,6 +227,12 @@ def test_parse_rejects_duplicate_and_garbage():
         parse_config_text("grid.n = 256\ngrid.n = 512\n")
     with pytest.raises(ConfigError, match="expected"):
         parse_config_text("this is not a key value line\n")
+
+
+def test_parse_rejects_a_duplicate_check_parameter():
+    text = "command = sweep\ncheck.params.a = 9\ncheck.params.a = 13\nsweep.checks = scaling\n"
+    with pytest.raises(ConfigError, match=r"^<config>:3: duplicate key 'check.params.a' \(first at line 2\)$"):
+        parse_config_text(text)
 
 
 def test_parse_rejects_invariant_violations():
@@ -560,6 +567,8 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
         ),
         ("gn", ["beta=inf"], "orders must satisfy 0 <= alpha < beta < inf, got alpha=0.5, beta=inf"),
         ("interpolation", ["b=inf"], "orders must be positive and finite, got a=1.0, b=inf"),
+        # an integer literal beyond the float range reads as inf, as its digits do
+        ("scaling", [f"a={10**400}"], "NLS power must satisfy 1 < a < inf, got a=inf"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
@@ -574,6 +583,71 @@ def test_param_without_equals_sign_is_rejected(tmp_path, capsys):
     assert main(["check", "scaling", "--param", "a5", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "bad --param 'a5', expected KEY=VALUE\n"
     assert not (tmp_path / "checks.csv").exists()
+
+
+def test_repeated_param_is_rejected(tmp_path, capsys):
+    assert main(["check", "scaling", "--param", "a=9", "--param", "a=13", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "bad --param 'a=13', duplicate key 'a'\n"
+    assert not (tmp_path / "checks.csv").exists()
+
+
+BIG = 2**53 + 1  # the first integer that a float cannot hold
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (str(BIG), BIG),
+        ("3", 3),
+        ("-5", -5),
+        ("0", 0),
+        ("-0", -0.0),  # a signed zero keeps its sign as a float
+        ("-0.0", -0.0),
+        ("2.5", 2.5),
+        ("1e3", 1000.0),
+        ("inf", float("inf")),
+        ("nls", "nls"),
+    ],
+)
+def test_parse_scalar_reads_integer_literals_exactly(text, value):
+    got = cli._parse_scalar(text)
+    assert type(got) is type(value) and repr(got) == repr(value)
+
+
+def _check_params(monkeypatch, argv) -> dict:
+    """The parameter table that ``main(argv)`` passes to its checks."""
+    seen = []
+    monkeypatch.setattr(cli, "_run_checks", lambda names, params, out, jobs=1: seen.append(params) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("where", ["--param", "check.params.seed", "seed"])
+def test_integer_seed_reaches_the_checks_exactly(tmp_path, monkeypatch, where):
+    if where == "--param":
+        argv = ["check", "gn", "--param", f"seed={BIG}"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"command = sweep\nsweep.checks = gn\n{where} = {BIG}\n")
+        argv = ["sweep", "--config", str(path)]
+    params = _check_params(monkeypatch, [*argv, "--out", str(tmp_path / "out")])
+    assert params == {"seed": BIG} and type(params["seed"]) is int
+    assert _arguments(CHECKS["gn"], params)["corpus"].seed == BIG
+
+
+def test_bench_parameters_reach_the_checks_unchanged(tmp_path, monkeypatch):
+    # the parameters of a refine op: a corpus seed, n and a float's repr as L
+    argv = ["check", "gn", *("--param", "seed=101", "--param", "n=4096", "--param", "L=40.0")]
+    params = _check_params(monkeypatch, [*argv, "--out", str(tmp_path)])
+    assert params == {"seed": 101, "n": 4096, "L": 40.0}
+    assert [type(v) for v in params.values()] == [int, int, float]
+    kwargs = _arguments(CHECKS["gn"], params)
+    assert kwargs["grid"] == Grid(4096, 40.0) and kwargs["corpus"].seed == 101
+
+
+def test_integer_literal_of_a_string_parameter_keeps_its_digits(tmp_path, capsys):
+    assert main(["check", "persistence", "--param", "model=3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "check error: persistence: unknown model '3'\n"
 
 
 # the focusing quintic at a grossly unstable step: the stepper fails at t=0.5

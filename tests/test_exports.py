@@ -37,12 +37,8 @@ PRIVATE_IMPORTS = {
     "corpus": {"spectral": {"_require_gate", "_row_blocks"}},
     "laws": {"spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},
-    "operators": {
-        "spectral": {"_apply_table", "_multiply", "_per_row", "_real_rows", "_row_blocks"},
-    },
-    "propagators": {
-        "spectral": {"_apply_table", "_build_table", "_multiply", "_real_rows", "_row_blocks"},
-    },
+    "operators": {"spectral": {"_multiply", "_multiply_rows", "_per_row"}},
+    "propagators": {"spectral": {"_build_table", "_multiply_rows"}},
 }
 
 

@@ -19,7 +19,7 @@ from dispersivelab.operators import (
     riesz_deriv,
     stein_deriv,
 )
-from dispersivelab.propagators import EquationSpec, Trajectory
+from dispersivelab.propagators import EquationSpec, Trajectory, linear_group
 from dispersivelab.spectral import Field, Grid, apply_multiplier
 
 G = Grid(64, 10.0)
@@ -66,6 +66,22 @@ CASES = {
     "multiplier_no_rows": (
         lambda: apply_multiplier(F, np.ones((0, 64))),
         r"multiplier must have 64 values, got shape \(0, 64\)",
+    ),
+    "multiplier_stack": (
+        lambda: apply_multiplier(F, np.ones((2, 64))),
+        r"multiplier must have 64 values, got shape \(2, 64\)",
+    ),
+    "linear_group_t_per_frequency": (
+        lambda: linear_group(F, EquationSpec.gkdv(), np.zeros(64)),
+        r"linear_group takes one time, got t of shape \(64,\)",
+    ),
+    "linear_group_t_list": (
+        lambda: linear_group(F, EquationSpec.bo(), [0.0, 0.1, 0.2]),
+        r"linear_group takes one time, got t of shape \(3,\)",
+    ),
+    "linear_group_t_column": (
+        lambda: linear_group(BLOCK, EquationSpec.nls(), np.zeros((3, 1))),
+        r"linear_group takes one time, got t of shape \(3, 1\)",
     ),
     "kato_residual_spacing": (
         lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),

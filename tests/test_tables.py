@@ -5,9 +5,11 @@ The package's operators apply tables that their grid builds once per symbol
 and never replaces; ``apply_multiplier`` evaluates and scans its symbol on
 every call.  Both must give the same bits (tolerance 0) on the first call,
 which builds the table, and on a repeated call, which reuses it.  The linear
-groups store no table: ``linear_group`` is the one-time case of the scan
-``_group_scan``, and every scan row must give the bits of
-``apply_multiplier`` under the group phase at its time.
+groups store no table: ``linear_group`` is ``apply_multiplier`` under the
+group phase, and every row of the time scan ``_group_scan`` must give the
+bits of ``apply_multiplier`` under the group phase at its time.  An
+``lp_block`` off ``lp_block_range`` equals its symbol, 0 on the lattice,
+under ``apply_multiplier`` in value.
 ``apply_multiplier`` itself is held to the single-function form it had
 before the build and the application were split (``_old_apply_multiplier``).
 """
@@ -147,6 +149,26 @@ def test_lp_sums_match_per_block_sum(n, L, real):
     for N in lp_block_range(grid):
         norm += np.abs(lp_block(f, N).values)
     assert lp_linf_l1(f) == float(np.max(norm))
+
+
+@pytest.mark.parametrize(
+    "n,L", [(8, 1.0), (64, 10.0), (256, 3.0), (512, 20.0), (1024, 40.0), (2048, 160.0), (4096, 20.0)]
+)
+def test_lp_block_off_its_range_is_the_old_table_path_in_value(n, L):
+    """Off ``lp_block_range`` the block symbol is 0 on the lattice: Q_N f is
+    the zero field of f's shape, equal in value (not in the sign of zero)
+    to the symbol applied per row, the path these N took before."""
+    grid = Grid(n, L)
+    block = Field(grid, np.stack([_field(grid, True).values, _field(grid, False).values]))
+    off = [N for N in range(-60, 61) if N not in lp_block_range(grid)]
+    assert off[0] == -60 and off[-1] == 60
+    for N in off:
+        got = lp_block(block, N).values
+        assert got.shape == block.values.shape and not got.any()
+        for row, got_row in zip(block.values, got, strict=True):
+            old = apply_multiplier(Field(grid, row), lambda xi: _eta(np.abs(xi) / 2.0**N).astype(complex))
+            assert np.array_equal(got_row, old.values), f"N={N}"
+    assert grid._tables == {}  # no table per N
 
 
 def _old_apply_multiplier(f, m):
