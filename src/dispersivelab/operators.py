@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, _multiply, _multiply_rows, _per_row
+from .spectral import Field, _fft, _ifft, _multiply, _multiply_rows, _per_row
 
 __all__ = [
     "hilbert",
@@ -120,8 +120,8 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     half = n // 2
     vals = f.values
     rows = vals.shape[:-1]
-    fhat = np.fft.fft(vals)
-    stag = np.fft.ifft(np.exp(1j * g.xi * h / 2.0) * fhat)
+    fhat = _fft(vals)
+    stag = _ifft(np.exp(1j * g.xi * h / 2.0) * fhat)
     weights = h / ((np.arange(half) + 0.5) * h) ** (1.0 + 2.0 * b)
 
     # near cells: stag read through k pad samples per side, so that
@@ -149,13 +149,13 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
         s = np.empty(rows + (size,), dtype=complex)
         s[...] = -c  # samples outside the cell read as 0
         s[..., :n] = stag - c
-        both = np.fft.ifft(np.fft.fft(np.stack([s, np.abs(s) ** 2])) * np.conj(np.fft.fft(kern)))
+        both = _ifft(_fft(np.stack([s, np.abs(s) ** 2])) * np.conj(_fft(kern)))
         far_s, far_sq = both[0, ..., :n], both[1, ..., :n].real
         v = vals - c
         acc += 2.0 * weights[k:].sum() * np.abs(v) ** 2
         acc += far_sq - 2.0 * (np.conj(v) * far_s).real
 
-    fprime = np.fft.ifft((1j * g.xi) * fhat)
+    fprime = _ifft((1j * g.xi) * fhat)
     cell = (1.0 / (2.0 - 2.0 * b) - 2.0 ** (2.0 * b - 1.0)) * h ** (2.0 - 2.0 * b)
     acc += 2.0 * cell * np.abs(fprime) ** 2
 

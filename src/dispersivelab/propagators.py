@@ -24,7 +24,18 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spectral import Field, Grid, _build_table, _multiply_rows, apply_multiplier, real_values
+from .spectral import (
+    Field,
+    Grid,
+    _build_table,
+    _fft,
+    _ifft,
+    _irfft,
+    _multiply_rows,
+    _rfft,
+    apply_multiplier,
+    real_values,
+)
 
 __all__ = [
     "EquationSpec",
@@ -144,8 +155,8 @@ class StepperConfig:
     dealias: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"step size must be positive, got dt={self.dt}")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError(f"step size must be positive and finite, got dt={self.dt}")
         if not 0 < self.dealias <= 1:
             raise ValueError(f"dealias fraction must lie in (0, 1], got dealias={self.dealias}")
 
@@ -190,8 +201,10 @@ class _Stepper:
     ``[: n//2 + 1]``.  Index n//2 keeps xi = -xi_max, so the Nyquist bin
     evolves as in the full spectrum, whose real projection drops the same
     imaginary part that irfft ignores.  NLS marches the full complex
-    spectrum.  Each model's nonlinear multiplier is built once here.  The
-    exact linear flow is :func:`linear_group`.
+    spectrum.  Each model's nonlinear multiplier, ``dt*E`` and ``2*E`` are
+    built once here, and the inverse transform of each stage writes into
+    one buffer of this instance.  The exact linear flow is
+    :func:`linear_group`.
     """
 
     def __init__(self, grid: Grid, spec: EquationSpec, cfg: StepperConfig):
@@ -202,16 +215,19 @@ class _Stepper:
         xi = grid.xi
         if spec.is_real:
             xi = xi[: n // 2 + 1]
-            self.forward = np.fft.rfft
-            self.inverse = lambda u_hat: np.fft.irfft(u_hat, n)
+            self.forward = _rfft
+            self.inverse = lambda u_hat, out=None: _irfft(u_hat, n, out)
         else:
-            self.forward, self.inverse = np.fft.fft, np.fft.ifft
+            self.forward, self.inverse = _fft, _ifft
+        self._u = np.empty(n, float if spec.is_real else complex)
         mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
         dt = cfg.dt
         # group_phase takes the full lattice; a half spectrum keeps a copy of
         # its head, so the full phases are freed
         self.E = spec.group_phase(grid.xi, dt / 2.0)[: xi.size].copy()   # half-step linear flow
         self.E2 = spec.group_phase(grid.xi, dt)[: xi.size].copy()
+        self.dtE = dt * self.E
+        self.twoE = 2.0 * self.E
         if spec.model == "nls":
             self.multiplier = (-1j * spec.mu) * mask
         else:
@@ -219,25 +235,46 @@ class _Stepper:
             self.multiplier = -(1j * xi) * mask / float(self.power)
 
     def nonlinear_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        u = self.inverse(u_hat)
+        """The nonlinear term's coefficients, a new array on each call."""
+        u = self._u
+        if u.shape[:-1] != u_hat.shape[:-1]:  # a block of rows takes its own buffer
+            u = self._u = np.empty(u_hat.shape[:-1] + u.shape[-1:], u.dtype)
+        u = self.inverse(u_hat, u)
         if self.spec.model == "nls":
             w = np.abs(u) ** (self.spec.a - 1.0) * u
         else:
             w = u * u
             for _ in range(self.power - 2):
                 w *= u
-        return self.multiplier * self.forward(w)
+        w_hat = self.forward(w)
+        return np.multiply(self.multiplier, w_hat, out=w_hat)
 
     def step(self, u_hat: np.ndarray) -> np.ndarray:
-        dt, E, E2 = self.cfg.dt, self.E, self.E2
+        """One RK4 step from ``u_hat``, left unchanged, to a new array.  The
+        stages are formed in place, each product with its operands in the
+        order of the formula (complex multiplication is not bitwise
+        commutative in numpy), so the step is bitwise
+
+            s1 = E*(u_hat + dt/2*n1),  s2 = E*u_hat + dt/2*n2,
+            s3 = E2*u_hat + dt*E*n3,
+            E2*u_hat + dt/6*(E2*n1 + 2*E*(n2 + n3) + n4)."""
+        dt, E = self.cfg.dt, self.E
+        E2u = self.E2 * u_hat
         n1 = self.nonlinear_hat(u_hat)
-        s1 = E * (u_hat + 0.5 * dt * n1)
-        n2 = self.nonlinear_hat(s1)
-        s2 = E * u_hat + 0.5 * dt * n2
-        n3 = self.nonlinear_hat(s2)
-        s3 = E2 * u_hat + dt * E * n3
-        n4 = self.nonlinear_hat(s3)
-        return E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
+        s = 0.5 * dt * n1
+        np.add(u_hat, s, out=s)
+        n2 = self.nonlinear_hat(np.multiply(E, s, out=s))
+        np.multiply(0.5 * dt, n2, out=s)
+        n3 = self.nonlinear_hat(np.add(E * u_hat, s, out=s))
+        np.multiply(self.dtE, n3, out=s)
+        n4 = self.nonlinear_hat(np.add(E2u, s, out=s))
+        np.add(n2, n3, out=n2)
+        np.multiply(self.twoE, n2, out=n2)
+        np.multiply(self.E2, n1, out=n1)
+        np.add(n1, n2, out=n1)
+        np.add(n1, n4, out=n1)
+        np.multiply(dt / 6.0, n1, out=n1)
+        return np.add(E2u, n1, out=n1)
 
     def cfl_ratio(self, values: np.ndarray) -> float:
         """dt over the transport heuristic h / (pi max|u|)."""

@@ -13,6 +13,12 @@ Conventions used throughout the package:
   xi_k is h * exp(i xi_k L) * fhat_k, but that factor cancels between the
   forward and the inverse transform, so a multiplier m(xi) acts as
   ifft(m(xi_k) fhat_k).
+
+Every FFT of the package goes through the four private transforms below
+(``_fft``, ``_ifft``, ``_rfft``, ``_irfft``).  They call numpy's pocketfft
+gufuncs, the kernels under ``np.fft.*``, directly, so each result is
+bitwise the ``np.fft`` one without that wrapper's per-call overhead, and
+each takes an optional ``out``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "Grid",
@@ -91,6 +98,31 @@ class Grid:
     def refine(self) -> "Grid":
         """Same cell, twice the resolution."""
         return Grid(2 * self.n, self.length)
+
+
+def _fft(a: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.fft(a)`` along the last axis, written into ``out`` if given."""
+    return _pocketfft.fft(a, 1.0, out=np.empty(a.shape, complex) if out is None else out)
+
+
+def _ifft(a: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.ifft(a)`` along the last axis, written into ``out`` if given."""
+    out = np.empty(a.shape, complex) if out is None else out
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
+def _rfft(a: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.rfft(a)`` of real rows of even length along the last axis,
+    written into ``out`` if given."""
+    shape = a.shape[:-1] + (a.shape[-1] // 2 + 1,)
+    return _pocketfft.rfft_n_even(a, 1.0, out=np.empty(shape, complex) if out is None else out)
+
+
+def _irfft(a: np.ndarray, n: int, out=None) -> np.ndarray:
+    """``np.fft.irfft(a, n)`` along the last axis, written into ``out`` (n
+    real samples per row) if given."""
+    out = np.empty(a.shape[:-1] + (n,)) if out is None else out
+    return _pocketfft.irfft(a, 1.0 / n, out=out)
 
 
 def _row_blocks(count: int, n: int) -> list:
@@ -217,14 +249,14 @@ def _apply_table(table: _Table, fhat: np.ndarray, real: np.ndarray) -> np.ndarra
     # one flag over every row
     rows = np.zeros(out.shape[:-1], dtype=bool)
     out[..., out.shape[-1] // 2][table.odd | rows] = 0.0
-    result = np.fft.ifft(out)
+    result = _ifft(out)
     result.imag[table.hermitian & real | rows] = 0.0
     return result
 
 
 def _multiply(f: Field, table: _Table) -> Field:
     """``f``, one row or a block, under a table built on its grid."""
-    return Field(f.grid, _apply_table(table, np.fft.fft(f.values), _real_rows(f.values)))
+    return Field(f.grid, _apply_table(table, _fft(f.values), _real_rows(f.values)))
 
 
 def _multiply_rows(f: Field, count: int, table_of):
@@ -232,7 +264,7 @@ def _multiply_rows(f: Field, count: int, table_of):
     BLOCK_SAMPLES samples (``_row_blocks``): one forward FFT of f, then each
     slice ``block`` of the multipliers under its table ``table_of(block)``
     by the rules of :func:`apply_multiplier`, with one batched inverse FFT."""
-    fhat = np.fft.fft(f.values)
+    fhat = _fft(f.values)
     real = _real_rows(f.values)
     # an empty block takes one batch
     for block in _row_blocks(count, max(f.values.size, 1)):

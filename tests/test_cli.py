@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,23 @@ def test_empty_snapshots_single_row(tmp_path):
     assert rc == 0
     csv = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert len(csv) == 2
+
+
+def test_infinite_step_size_is_a_config_error(tmp_path, capsys):
+    # T = 0 passes the time checks at any dt; the step size itself is
+    # refused before any phase or CFL ratio is formed from it
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "command = solve\nequation.model = gkdv\ngrid.n = 64\nstepper.dt = inf\nstepper.T = 0\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert not caught
+    message = "step size must be positive and finite, got dt=inf"
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_check_command_reports(tmp_path):

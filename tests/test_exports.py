@@ -2,7 +2,8 @@
 name in it exists, and ``dispersivelab/__init__.py`` re-exports only names
 in the ``__all__`` of the module it imports them from.  The private names
 that each module imports from a sibling are pinned, so a new private twin
-of a public function shows up as an edit to that table."""
+of a public function shows up as an edit to that table.  Only ``spectral``
+reaches numpy's FFT module: every transform goes through its door."""
 
 import ast
 import importlib
@@ -37,8 +38,10 @@ PRIVATE_IMPORTS = {
     "corpus": {"spectral": {"_require_gate", "_row_blocks"}},
     "laws": {"spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},
-    "operators": {"spectral": {"_multiply", "_multiply_rows", "_per_row"}},
-    "propagators": {"spectral": {"_build_table", "_multiply_rows"}},
+    "operators": {"spectral": {"_fft", "_ifft", "_multiply", "_multiply_rows", "_per_row"}},
+    "propagators": {
+        "spectral": {"_build_table", "_fft", "_ifft", "_irfft", "_multiply_rows", "_rfft"}
+    },
 }
 
 
@@ -51,3 +54,10 @@ def test_private_imports_between_modules_are_pinned():
                 if private:
                     found.setdefault(path.stem, {}).setdefault(node.module, set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+def test_only_spectral_reaches_numpy_fft():
+    for path in sorted(Path(dispersivelab.__file__).parent.glob("*.py")):
+        if path.stem != "spectral":
+            text = path.read_text()
+            assert "np.fft" not in text and "numpy.fft" not in text, path.name

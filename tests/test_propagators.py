@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersivelab import propagators
 from dispersivelab.operators import gamma_airy, gamma_bo, gamma_schrodinger
 from dispersivelab.propagators import (
     CFLWarning,
@@ -292,6 +293,124 @@ def test_real_half_spectrum_matches_complex_oracle(spec, n, dealias):
     out = traj.snapshots[-1]
     assert traj.times[-1] == pytest.approx(steps * cfg.dt) and out.is_real
     assert np.max(np.abs(out.values.real - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+
+def _if_rk4_oracle(g, values, spec, cfg, steps):
+    """The stepper's integrating-factor RK4, written out of place on the
+    public ``np.fft`` transforms: gKdV and BO march the rfft half spectrum,
+    NLS the full one.  Returns the coefficients after ``steps`` steps."""
+    n, xi = g.n, g.xi
+    if spec.is_real:
+        xi = xi[: n // 2 + 1]
+        forward, inverse = np.fft.rfft, lambda u_hat: np.fft.irfft(u_hat, n)
+    else:
+        forward, inverse = np.fft.fft, np.fft.ifft
+    mask = (np.abs(xi) <= cfg.dealias * g.xi_max + 1e-12).astype(float)
+    dt = cfg.dt
+    E = spec.group_phase(g.xi, dt / 2.0)[: xi.size]
+    E2 = spec.group_phase(g.xi, dt)[: xi.size]
+    if spec.model == "nls":
+        multiplier = (-1j * spec.mu) * mask
+    else:
+        power = spec.k + 1 if spec.model == "gkdv" else 2
+        multiplier = -(1j * xi) * mask / float(power)
+
+    def nonlinear_hat(u_hat):
+        u = inverse(u_hat)
+        if spec.model == "nls":
+            w = np.abs(u) ** (spec.a - 1.0) * u
+        else:
+            w = u * u
+            for _ in range(power - 2):
+                w *= u
+        return multiplier * forward(w)
+
+    u_hat = forward(values)
+    for _ in range(steps):
+        n1 = nonlinear_hat(u_hat)
+        s1 = E * (u_hat + 0.5 * dt * n1)
+        n2 = nonlinear_hat(s1)
+        s2 = E * u_hat + 0.5 * dt * n2
+        n3 = nonlinear_hat(s2)
+        s3 = E2 * u_hat + dt * E * n3
+        n4 = nonlinear_hat(s3)
+        u_hat = E2 * u_hat + dt / 6.0 * (E2 * n1 + 2.0 * E * (n2 + n3) + n4)
+    return u_hat
+
+
+EXACT_SPECS = [
+    EquationSpec.nls(a=3.0, mu=1),
+    EquationSpec.nls(a=5.0, mu=-1),
+    *(EquationSpec.gkdv(k=k) for k in (1, 2, 3)),
+    EquationSpec.bo(),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", EXACT_SPECS, ids=["nls3", "nls5_focusing", "gkdv1", "gkdv2", "gkdv3", "bo"]
+)
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("dealias", [2.0 / 3.0, 1.0])
+def test_stepper_is_bitwise_the_out_of_place_formula(spec, n, dealias):
+    # the stepper forms its stages in place through the spectral FFT door;
+    # after 200 steps its coefficients, and evolve's last snapshot, are
+    # bitwise the formula on np.fft with every product in its written order
+    g = Grid(n, 20.0)
+    rng = np.random.default_rng(11)
+    vals = np.exp(-(g.x**2)) + 1e-3 * np.exp(-((g.x / 4.0) ** 2)) * rng.standard_normal(n)
+    if not spec.is_real:
+        vals = vals * np.exp(1j * g.x)
+    cfg = StepperConfig(dt=1e-3, dealias=dealias)
+    steps = 200
+    ref = _if_rk4_oracle(g, vals, spec, cfg, steps)
+    stepper = propagators._Stepper(g, spec, cfg)
+    u_hat = stepper.forward(vals)
+    for _ in range(steps):
+        u_hat = stepper.step(u_hat)
+    assert np.array_equal(u_hat, ref)
+    traj = evolve(Field(g, vals), spec, cfg, steps * cfg.dt, snapshot_times=[steps * cfg.dt])
+    last = np.fft.irfft(ref, n) if spec.is_real else np.fft.ifft(ref)
+    assert np.array_equal(traj.snapshots[-1].values, last)
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.nls(a=3.0, mu=1), EquationSpec.gkdv(k=2)])
+def test_snapshots_own_their_samples(spec, monkeypatch):
+    # the stepper reuses one inverse-transform buffer; no snapshot may be a
+    # view of it, or of another snapshot
+    made = []
+
+    class Recorded(propagators._Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(propagators, "_Stepper", Recorded)
+    g = Grid(256, 15.0)
+    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
+    traj = evolve(u0, spec, StepperConfig(dt=1e-3), 0.01, snapshot_times=np.linspace(0, 0.01, 6))
+    (stepper,) = made
+    buffers = [v for v in vars(stepper).values() if isinstance(v, np.ndarray)]
+    assert any(b is stepper._u for b in buffers)
+    arrays = [snap.values for snap in traj.snapshots] + [u0.values]
+    for i, a in enumerate(arrays[:-1]):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + buffers)
+    # each step returns a new array, apart from its input and the buffers
+    u_hat = stepper.forward(u0.values.real if spec.is_real else u0.values)
+    following = stepper.step(u_hat)
+    assert not any(np.shares_memory(following, b) for b in [u_hat] + buffers)
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.nls(a=3.0, mu=1), EquationSpec.gkdv(k=2)])
+def test_block_run_rows_are_row_runs(spec):
+    # the stepper's buffer takes the block's row shape
+    g = Grid(256, 15.0)
+    rows = np.stack([np.exp(-(g.x**2)), 0.5 * np.exp(-((g.x - 1.0) ** 2))])
+    cfg = StepperConfig(dt=1e-3)
+    block = evolve(Field(g, rows), spec, cfg, 0.01)
+    for i, row in enumerate(rows):
+        single = evolve(Field(g, row), spec, cfg, 0.01)
+        for b, r in zip(block.snapshots, single.snapshots, strict=True):
+            assert np.array_equal(b.values[i], r.values)
 
 
 @pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.bo()])

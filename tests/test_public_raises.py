@@ -19,7 +19,7 @@ from dispersivelab.operators import (
     riesz_deriv,
     stein_deriv,
 )
-from dispersivelab.propagators import EquationSpec, Trajectory, linear_group
+from dispersivelab.propagators import EquationSpec, StepperConfig, Trajectory, linear_group
 from dispersivelab.spectral import Field, Grid, apply_multiplier
 
 G = Grid(64, 10.0)
@@ -83,6 +83,9 @@ CASES = {
         lambda: linear_group(BLOCK, EquationSpec.nls(), np.zeros((3, 1))),
         r"linear_group takes one time, got t of shape \(3, 1\)",
     ),
+    "stepper_dt_inf": (lambda: StepperConfig(dt=np.inf), "got dt=inf"),
+    "stepper_dt_nan": (lambda: StepperConfig(dt=np.nan), "got dt=nan"),
+    "stepper_dt_zero": (lambda: StepperConfig(dt=0.0), "got dt=0.0"),
     "kato_residual_spacing": (
         lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),
         "snapshots must be uniformly spaced in time",

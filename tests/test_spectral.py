@@ -4,6 +4,10 @@ import pytest
 from dispersivelab.spectral import (
     Field,
     Grid,
+    _fft,
+    _ifft,
+    _irfft,
+    _rfft,
     apply_multiplier,
     boundary_gate,
     integrate,
@@ -139,3 +143,43 @@ def test_boundary_gate():
     wide = Field.from_function(g, lambda x: np.exp(-((x / 8.0) ** 2)))
     ok, ratio = boundary_gate(wide)
     assert not ok and ratio == np.exp(-((9.0625 / 8.0) ** 2))
+
+
+# each door transform, its np.fft counterpart, the output's last-axis length
+# and dtype for n input samples, and the input dtypes it is tested on
+DOOR = {
+    "fft": (_fft, np.fft.fft, lambda n: n, complex, (float, complex)),
+    "ifft": (_ifft, np.fft.ifft, lambda n: n, complex, (float, complex)),
+    "rfft": (_rfft, np.fft.rfft, lambda n: n // 2 + 1, complex, (float,)),
+    "irfft": (
+        lambda a, out=None: _irfft(a, 2 * (a.shape[-1] - 1), out),
+        np.fft.irfft,
+        lambda n: 2 * (n - 1),
+        float,
+        (float, complex),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOOR))
+@pytest.mark.parametrize("n", [8, 512, 4096])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["row", "block"])
+def test_fft_door_is_bitwise_numpy_fft(name, n, rows):
+    # the door calls numpy's private pocketfft gufuncs; this pins them to
+    # the public transforms, bit for bit, with and without ``out``
+    door, public, length, out_dtype, in_dtypes = DOOR[name]
+    rng = np.random.default_rng(n + len(rows))
+    if name == "irfft":
+        n = n // 2 + 1  # a half spectrum of 2(n - 1) samples
+    for dtype in in_dtypes:
+        a = rng.standard_normal(rows + (n,))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal(rows + (n,))
+        expected = public(a)
+        first, second = door(a), door(a)
+        assert first.dtype == expected.dtype == out_dtype
+        assert np.array_equal(first, expected) and np.array_equal(second, expected)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, a)
+        out = np.full(rows + (length(n),), np.nan, dtype=out_dtype)
+        assert door(a, out=out) is out
+        assert np.array_equal(out, expected)
