@@ -163,11 +163,23 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
 
 def _load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return parse_config_text(text, path)
+
+
+def _output_dir(path: str) -> str:
+    """``path``, created as the output directory of a run before anything
+    runs; an empty path, or one that cannot be created, is a ConfigError."""
+    if not path:
+        raise ConfigError("--out: the path is empty")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory: {exc}") from exc
+    return path
 
 
 def _parse_scalar(value: str):
@@ -258,7 +270,6 @@ def _run_solve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _write_trajectory(traj, out_dir: str, stem: str):
-    os.makedirs(out_dir, exist_ok=True)
     names = sorted(traj.diagnostics)
     rows = [["t"] + names]
     for i, t in enumerate(traj.times):
@@ -328,10 +339,10 @@ def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: st
                 cfg = replace(cfg, seed=int(env_seed))
             except ValueError:
                 raise ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer") from None
+        out = _output_dir(cfg.out_dir if out_dir is None else out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = out_dir or cfg.out_dir
     if cfg.command == "solve":
         return _run_solve(cfg, out)
     params = dict(cfg.check_params) if cfg.seed is None else {"seed": cfg.seed, **cfg.check_params}
@@ -385,7 +396,12 @@ def main(argv=None) -> int:
                 print(f"bad --param {item!r}, duplicate key {key!r}", file=sys.stderr)
                 return 2
             params[key] = _parse_scalar(value.strip())
-        return _run_checks([args.name], params, args.out)
+        try:
+            out = _output_dir(args.out)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        return _run_checks([args.name], params, out)
     if args.cmd == "sweep":
         return _run(args.config, args.out, args.jobs, "sweep")
     parser.print_usage(sys.stderr)

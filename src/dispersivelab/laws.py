@@ -61,35 +61,40 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
 
 @dataclass
 class InvariantReport:
-    """Invariant values along a trajectory with their drifts from t = 0.
+    """Invariant values along a trajectory with their drifts from t = 0,
+    one column per row of a block trajectory.
 
     The drift of a name is relative, |v(t) - v(0)| / |v(0)|, unless v(0) is
     at roundoff (|v(0)| <= EPS, e.g. I1 of mean-free data): a relative
     figure would then divide by noise, so the drift is the absolute change
-    |v(t) - v(0)|.  ``kind`` records which of the two each name uses.
+    |v(t) - v(0)|.  ``kind`` records which of the two each name uses: a
+    string for one row, a list of one per row for a block.
     """
 
     names: list
-    values: dict      # name -> array over snapshots
-    drift: dict       # name -> drift array over snapshots
-    kind: dict        # name -> 'relative' | 'absolute'
+    values: dict      # name -> array over snapshots (by rows for a block)
+    drift: dict       # name -> drift array over snapshots (by rows for a block)
+    kind: dict        # name -> 'relative' | 'absolute', or a list of them per row
 
     EPS = 1e-14
 
-    def max_drift(self, name: str) -> float:
-        return float(np.max(self.drift[name]))
+    def max_drift(self, name: str):
+        """The largest drift of ``name``: a Python number for one row, one
+        value per row for a block."""
+        worst = np.max(self.drift[name], axis=0)
+        return worst.item() if worst.ndim == 0 else worst
 
 
 def invariant_report(traj: Trajectory) -> InvariantReport:
     rows = [invariants(s, traj.spec) for s in traj.snapshots]
     names = list(rows[0])
     values = {k: np.array([r[k] for r in rows]) for k in names}
+    absolute = {k: np.abs(v[0]) <= InvariantReport.EPS for k, v in values.items()}
     kind = {
-        k: "absolute" if abs(v[0]) <= InvariantReport.EPS else "relative"
-        for k, v in values.items()
+        k: np.where(a, "absolute", "relative").tolist() for k, a in absolute.items()
     }
     drift = {
-        k: np.abs(v - v[0]) / (1.0 if kind[k] == "absolute" else abs(v[0]))
+        k: np.abs(v - v[0]) / np.where(absolute[k], 1.0, np.abs(v[0]))
         for k, v in values.items()
     }
     return InvariantReport(names, values, drift, kind)
@@ -109,7 +114,8 @@ def kato_residual(
     ``nonlinear=False`` drops the u^(k+2) term, the identity satisfied by
     the linear flow (:func:`dispersivelab.propagators.linear_group`).  The
     returned sequence decays like O(dt^2) from the time difference; the
-    spatial terms are spectrally exact.
+    spatial terms are spectrally exact.  A block trajectory gives one
+    residual column per row.
     """
     _one_row(phi, "kato_residual")
     times = traj.times
@@ -130,10 +136,10 @@ def kato_residual(
     for snap in traj.snapshots:
         u = real_values(snap, "the weighted-energy identity")
         ux = derivative(Field(g, u.astype(complex)), 1).values.real
-        weighted.append(g.h * np.sum(u**2 * pv))
-        term = 3.0 * g.h * np.sum(ux**2 * phi1) - g.h * np.sum(u**2 * phi3)
+        weighted.append(g.h * np.sum(u**2 * pv, axis=-1))
+        term = 3.0 * g.h * np.sum(ux**2 * phi1, axis=-1) - g.h * np.sum(u**2 * phi3, axis=-1)
         if nonlinear:
-            term -= (2.0 / (k + 2.0)) * g.h * np.sum(u ** (k + 2) * phi1)
+            term -= (2.0 / (k + 2.0)) * g.h * np.sum(u ** (k + 2) * phi1, axis=-1)
         spatial.append(term)
     weighted = np.array(weighted)
     spatial = np.array(spatial)

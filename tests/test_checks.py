@@ -26,6 +26,7 @@ from dispersivelab.checks import (
     run_check,
 )
 from dispersivelab.corpus import Corpus, gaussian, gaussian_deriv
+from dispersivelab.operators import gamma_schrodinger, riesz_deriv
 from dispersivelab.propagators import EquationSpec, StepperConfig
 from dispersivelab.spectral import Field, Grid
 
@@ -95,6 +96,22 @@ def test_gamma_identity_integer_and_zero_orders():
     assert rep0.verdict == "pass" and rep0.residual_max <= 1e-12
 
 
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0])
+def test_gamma_identity_applies_the_vector_field_at_every_order(monkeypatch, b):
+    # one path: the left side is gamma_schrodinger(U(t) f) at b = 0 too
+    import dispersivelab.checks as checks
+
+    orders = []
+
+    def spy(f, t, order):
+        orders.append(order)
+        return gamma_schrodinger(f, t, order)
+
+    monkeypatch.setattr(checks, "gamma_schrodinger", spy)
+    check_gamma_identity(b=b, t=0.5)
+    assert orders == [b]
+
+
 def test_gamma_identity_fractional_reports_periodization_floor():
     # the fractional conjugation identity holds on the line; on the periodic
     # cell both routes differ by the wrapped algebraic dispersion tails, so
@@ -109,6 +126,22 @@ def test_leibniz_pointwise_and_l2():
     assert rep.verdict == "pass"
     assert rep.notes["pointwise_slack_min"] >= -1e-8
     assert np.isfinite(rep.notes["riesz_variant_ratio"])
+
+
+def test_leibniz_takes_the_riesz_variant_at_the_fine_level_only(monkeypatch):
+    # the report-only D^b variant is noted at the refined grid, so the coarse
+    # level computes none of it
+    import dispersivelab.checks as checks
+
+    sizes = []
+
+    def spy(f, b):
+        sizes.append(f.grid.n)
+        return riesz_deriv(f, b)
+
+    monkeypatch.setattr(checks, "riesz_deriv", spy)
+    check_leibniz(b=0.5, grid=Grid(256, 20.0), pairs=2)
+    assert sizes == [512, 512]
 
 
 def test_leibniz_constant_factor_degenerate():

@@ -378,6 +378,12 @@ def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message
     assert not out.exists()
 
 
+NON_UTF8_SWEEP = b"command = sweep\nsweep.checks = scaling  # \xff\n"
+NON_UTF8_CAUSE = "config error: cannot read config: 'utf-8' codec can't decode byte 0xff"
+EMPTY_OUT_CAUSE = "config error: --out: the path is empty\n"
+FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] File exists: '{tmp}/run.cfg'\n"
+
+
 @pytest.mark.parametrize(
     "argv, text, cause",
     [
@@ -391,6 +397,18 @@ def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message
         (["sweep", "--config", "{tmp}/run.cfg", "--jobs", "0"],
          "command = sweep\nsweep.checks = scaling\n",
          "--jobs: a sweep needs at least one worker, got jobs=0"),
+        (["sweep", "--config", "{tmp}/run.cfg"], NON_UTF8_SWEEP, NON_UTF8_CAUSE),
+        (["--print-config", "{tmp}/run.cfg"], NON_UTF8_SWEEP, NON_UTF8_CAUSE),
+        (["check", "scaling", "--out", ""], None, EMPTY_OUT_CAUSE),
+        (["solve", "--config", "{tmp}/run.cfg", "--out", ""],
+         "command = solve\nstepper.T = 0.01\noutput.dir = {tmp}/out\n", EMPTY_OUT_CAUSE),
+        (["sweep", "--config", "{tmp}/run.cfg", "--out", ""],
+         "command = sweep\nsweep.checks = scaling\noutput.dir = {tmp}/out\n", EMPTY_OUT_CAUSE),
+        (["check", "scaling", "--out", "{tmp}/run.cfg"], "a file\n", FILE_OUT_CAUSE),
+        (["solve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run.cfg"],
+         "command = solve\nstepper.T = 0.01\n", FILE_OUT_CAUSE),
+        (["sweep", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run.cfg"],
+         "command = sweep\nsweep.checks = scaling\n", FILE_OUT_CAUSE),
     ],
     ids=[
         "unreadable_config",
@@ -399,15 +417,27 @@ def test_subcommand_runs_only_its_commands(tmp_path, capsys, argv, text, message
         "no_subcommand",
         "config_jobs_below_one",
         "flag_jobs_below_one",
+        "sweep_non_utf8_config",
+        "print_non_utf8_config",
+        "check_empty_out",
+        "solve_empty_out",
+        "sweep_empty_out",
+        "check_out_is_a_file",
+        "solve_out_is_a_file",
+        "sweep_out_is_a_file",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
-    if text is not None:
-        (tmp_path / "run.cfg").write_text(text)
+    if isinstance(text, bytes):
+        (tmp_path / "run.cfg").write_bytes(text)
+    elif text is not None:
+        (tmp_path / "run.cfg").write_text(text.format(tmp=tmp_path))
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
-    # an input error goes to stderr, with nothing on stdout
-    assert cause in captured.err and captured.out == ""
+    # an input error goes to stderr, with nothing on stdout: no check or
+    # solve has run, and no output directory is made
+    assert cause.format(tmp=tmp_path) in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):

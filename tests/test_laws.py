@@ -116,6 +116,51 @@ def test_kato_residual_needs_enough_snapshots():
         kato_residual(traj, phi, k=1)
 
 
+BLOCK_ROWS = (
+    lambda x: 0.5 * np.exp(-(x**2)),
+    lambda x: 0.8 * np.exp(-((x - 1.0) ** 2)),
+    lambda x: 0.6 * gaussian_deriv(x),  # mean-free: I1 drifts absolutely
+)
+
+
+def _block_and_row_trajectories(spec):
+    """A trajectory of a block of rows and the trajectory of each row alone."""
+    g = Grid(256, 20.0)
+    rows = [Field.from_function(g, fn).values for fn in BLOCK_ROWS]
+    cfg = StepperConfig(dt=1e-3)
+    times = [0.0, 0.01, 0.02, 0.03]
+    block = evolve(Field(g, np.stack(rows)), spec, cfg, 0.03, snapshot_times=times)
+    singles = [evolve(Field(g, row), spec, cfg, 0.03, snapshot_times=times) for row in rows]
+    return g, block, singles
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.gkdv(k=2), EquationSpec.bo()])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_kato_residual_of_a_block_is_its_rows_residuals(spec, nonlinear):
+    g, block, singles = _block_and_row_trajectories(spec)
+    phi = Field.from_function(g, np.tanh)
+    res = kato_residual(block, phi, k=spec.k, nonlinear=nonlinear)
+    assert res.shape == (2, len(singles))
+    for i, single in enumerate(singles):
+        assert np.array_equal(res[:, i], kato_residual(single, phi, k=spec.k, nonlinear=nonlinear))
+
+
+@pytest.mark.parametrize("spec", [EquationSpec.nls(), EquationSpec.gkdv(k=2), EquationSpec.bo()])
+def test_invariant_report_of_a_block_is_its_rows_reports(spec):
+    _, block, singles = _block_and_row_trajectories(spec)
+    rep = invariant_report(block)
+    for i, single in enumerate(singles):
+        one = invariant_report(single)
+        assert rep.names == one.names
+        for name in one.names:
+            assert np.array_equal(rep.values[name][:, i], one.values[name])
+            assert np.array_equal(rep.drift[name][:, i], one.drift[name])
+            assert rep.kind[name][i] == one.kind[name]
+            assert rep.max_drift(name)[i] == one.max_drift(name)
+    if spec.model != "nls":
+        assert rep.kind["I1"] == ["relative", "relative", "absolute"]
+
+
 def test_moment_parity_and_gaussian():
     g = Grid(512, 20.0)
     odd = Field.from_function(g, lambda x: x * np.exp(-(x**2)))
