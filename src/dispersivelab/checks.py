@@ -88,9 +88,10 @@ def _ratios(lhs, rhs, zero: float = np.inf) -> np.ndarray:
         return np.where(rhs == 0, np.where(lhs <= zero, 0.0, np.inf), lhs / rhs)
 
 
-def _worst(ratios, blocks) -> float:
-    """The largest of the row ratios ``ratios(block)`` over ``blocks``."""
-    return max(float(np.max(ratios(f))) for f in blocks)
+def _worst(ratios, *blocks) -> float:
+    """The largest of the row ratios ``ratios(*fields)`` over the zipped row
+    blocks of ``blocks``, one source of blocks per argument of ``ratios``."""
+    return max(float(np.max(ratios(*fields))) for fields in zip(*blocks))
 
 
 def _stable(trend) -> bool:
@@ -370,10 +371,9 @@ def check_gn(
         return _ratios(num, den)
 
     trend = [_worst(ratios, corpus.realize(g)) for g in (grid, grid.refine())]
-    base = float(ratios(_GAUSSIAN.realize(grid)))
-    scale_dev = max(
-        abs(float(ratios(_GAUSSIAN.realize(grid, scale=lam))) / base - 1.0) for lam in (0.5, 2.0)
-    )
+    dilations = [_GAUSSIAN.realize(grid, scale=lam).values for lam in (1.0, 0.5, 2.0)]
+    base, *dilated = ratios(Field(grid, np.stack(dilations))).tolist()
+    scale_dev = max(abs(r / base - 1.0) for r in dilated)
     return _report(
         "gn",
         {
@@ -460,14 +460,13 @@ def check_commutator_leibniz(
     pairs = len(corpus) // 2
     evens, odds = corpus.members[0 : 2 * pairs : 2], corpus.members[1 : 2 * pairs : 2]
 
-    def worst(g: Grid) -> float:
-        blocks = zip(_realize_blocks(evens, g), _realize_blocks(odds, g))
-        return max(float(np.max(ratios(fa, fb))) for fa, fb in blocks)
-
-    trend = [worst(g) for g in (grid, grid.refine())]
+    trend = [
+        _worst(ratios, _realize_blocks(evens, g), _realize_blocks(odds, g))
+        for g in (grid, grid.refine())
+    ]
     # constant f degenerates: both sides vanish
     const = Field(grid, np.full((1, grid.n), 0.7, dtype=complex))
-    degen = float(ratios(const, next(_realize_blocks([_GAUSSIAN], grid)))[0])
+    degen = float(ratios(const, _GAUSSIAN.realize(grid))[0])
     return _report(
         "commutator_leibniz",
         {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
@@ -586,14 +585,12 @@ def check_ap_hilbert(
             norms = _lebesgue_rows(f.values, g.h, p, wr)
             return _ratios(_lebesgue_rows(hilbert(f).values, g.h, p, wr), norms)
 
-        worst, mean_free = 0.0, None
-        for f in chain(_realize_blocks(members, g), _ap_probes(g, w, p)):
-            # the first row swept, made mean-free: the sharp alpha = 0 case.  It
-            # is the first random member, or an A_p probe when there is none
-            if mean_free is None:
-                mean_free = Field(g, f.values[0] - np.mean(f.values[0]))
-            worst = max(worst, float(np.max(ratios(f))))
-        ratio_trend.append(max(worst, float(ratios(mean_free))))
+        blocks = chain(_realize_blocks(members, g), _ap_probes(g, w, p))
+        # the first row swept, made mean-free: the sharp alpha = 0 case.  It
+        # is the first random member, or an A_p probe when there is none
+        first = next(blocks)
+        mean_free = Field(g, first.values[0] - np.mean(first.values[0]))
+        ratio_trend.append(max(_worst(ratios, chain([first], blocks)), float(ratios(mean_free))))
 
     ap_growth = ap_trend[1] / ap_trend[0]
     ratio_growth = ratio_trend[1] / ratio_trend[0]
@@ -688,12 +685,11 @@ def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport
         raise ValueError(
             f"negative critical index s_c={sc:.3g} (a={a}) is out of scope; need a >= 5"
         )
-    lam_values = (0.5, 1.0, 2.0)
-    norms = []
-    for lam in lam_values:
-        f = _GAUSSIAN.realize(grid, scale=lam)
-        f = Field(grid, lam ** (2.0 / (a - 1.0)) * f.values)
-        norms.append(weighted_l2(riesz_deriv(f, sc), 0.0))
+    u_lam = [
+        lam ** (2.0 / (a - 1.0)) * _GAUSSIAN.realize(grid, scale=lam).values
+        for lam in (0.5, 1.0, 2.0)
+    ]
+    norms = weighted_l2(riesz_deriv(Field(grid, np.stack(u_lam)), sc), 0.0).tolist()
     spread = (max(norms) - min(norms)) / norms[1]
     return _report(
         "scaling", {"a": a, "s_c": sc, "n": grid.n, "L": grid.length}, 1, norms,

@@ -114,12 +114,6 @@ class RunConfig:
     check_params: dict = field(default_factory=dict, metadata={"command": "sweep"})
     sweep_checks: tuple = _key("sweep.checks", _names, (), "sweep")
 
-    def equation_spec(self) -> EquationSpec:
-        return EquationSpec(self.model, a=self.a, mu=self.mu, k=self.k)
-
-    def stepper_config(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, dealias=self.dealias)
-
 
 # the config schema, key -> (RunConfig field, parser), in --print-config order
 _SCHEMA = {
@@ -213,14 +207,23 @@ def _validate(cfg: RunConfig, path: str):
         return
     # surface module invariant violations at parse time
     try:
-        spec = cfg.equation_spec()
-        grid = Grid(cfg.n, cfg.L)
-        cfg.stepper_config()
-        check_times(cfg.T, cfg.snapshots, cfg.dt)
-        initial_data(cfg.u0, grid, cfg.amplitude)
-        standard_diagnostics(spec, s=cfg.s, m=cfg.m)
+        _evolve_arguments(cfg)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _evolve_arguments(cfg: RunConfig) -> dict:
+    """The keyword arguments of :func:`evolve` for a solve config, built in
+    the order whose first ValueError is the config's first error."""
+    spec = EquationSpec(cfg.model, a=cfg.a, mu=cfg.mu, k=cfg.k)
+    grid = Grid(cfg.n, cfg.L)
+    stepper = StepperConfig(dt=cfg.dt, dealias=cfg.dealias)
+    check_times(cfg.T, cfg.snapshots, cfg.dt)
+    return dict(
+        u0=initial_data(cfg.u0, grid, cfg.amplitude), spec=spec, cfg=stepper, T=cfg.T,
+        snapshot_times=list(cfg.snapshots) if cfg.snapshots else None,
+        diagnostics=standard_diagnostics(spec, s=cfg.s, m=cfg.m),
+    )
 
 
 def _require_workers(jobs: int, where: str):
@@ -255,13 +258,7 @@ def emit_config(cfg: RunConfig) -> str:
 # ------------------------------------------------------------- execution
 
 def _run_solve(cfg: RunConfig, out_dir: str) -> int:
-    spec = cfg.equation_spec()
-    grid = Grid(cfg.n, cfg.L)
-    u0 = initial_data(cfg.u0, grid, cfg.amplitude)
-    stepper = cfg.stepper_config()
-    snaps = list(cfg.snapshots) if cfg.snapshots else None
-    diag = standard_diagnostics(spec, s=cfg.s, m=cfg.m)
-    traj = evolve(u0, spec, stepper, cfg.T, snapshot_times=snaps, diagnostics=diag)
+    traj = evolve(**_evolve_arguments(cfg))
     _write_trajectory(traj, out_dir, "trajectory")
     if traj.failed:
         print(f"solver failure at t={traj.failure_time}", file=sys.stderr)

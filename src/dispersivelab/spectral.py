@@ -161,20 +161,20 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def __add__(self, other):
+    def _combine(self, op, other) -> "Field":
+        """The field of ``op(self.values, other)``, ``other`` a Field or an array."""
         if isinstance(other, Field):
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + other)
+            other = other.values
+        return Field(self.grid, op(self.values, other))
+
+    def __add__(self, other):
+        return self._combine(np.add, other)
 
     def __sub__(self, other):
-        if isinstance(other, Field):
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - other)
+        return self._combine(np.subtract, other)
 
     def __mul__(self, other):
-        if isinstance(other, Field):
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
+        return self._combine(np.multiply, other)
 
     __rmul__ = __mul__
 
