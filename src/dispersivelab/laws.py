@@ -86,6 +86,10 @@ class InvariantReport:
 
 
 def invariant_report(traj: Trajectory) -> InvariantReport:
+    """The invariants of every snapshot of ``traj``, which needs at least one."""
+    if not traj.snapshots:
+        cause = f": its run failed at t={traj.failure_time:g}" if traj.failed else ""
+        raise ValueError(f"invariant_report needs a snapshot, and the trajectory has none{cause}")
     rows = [invariants(s, traj.spec) for s in traj.snapshots]
     names = list(rows[0])
     values = {k: np.array([r[k] for r in rows]) for k in names}
@@ -115,7 +119,8 @@ def kato_residual(
     the linear flow (:func:`dispersivelab.propagators.linear_group`).  The
     returned sequence decays like O(dt^2) from the time difference; the
     spatial terms are spectrally exact.  A block trajectory gives one
-    residual column per row.
+    residual column per row.  ``phi`` must be one real field on the
+    trajectory's grid, and ``k`` the trajectory's degree.
     """
     _one_row(phi, "kato_residual")
     times = traj.times
@@ -126,10 +131,14 @@ def kato_residual(
         raise ValueError("snapshots must be uniformly spaced in time")
     dt = float(dts[0])
 
-    g = phi.grid
+    g = traj.snapshots[0].grid
+    if phi.grid is not g and phi.grid != g:
+        raise ValueError(f"the weight phi is on {phi.grid}, the trajectory on {g}")
+    if k != traj.spec.k:
+        raise ValueError(f"k={k} is not the trajectory's degree k={traj.spec.k}")
+    pv = real_values(phi, "the weight phi of the weighted-energy identity")
     phi1 = derivative(phi, 1).values.real
     phi3 = derivative(phi, 3).values.real
-    pv = phi.values.real
 
     weighted = []
     spatial = []

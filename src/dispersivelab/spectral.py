@@ -162,8 +162,13 @@ class Field:
         return Field(self.grid, self.values.copy())
 
     def _combine(self, op, other) -> "Field":
-        """The field of ``op(self.values, other)``, ``other`` a Field or an array."""
+        """The field of ``op(self.values, other)``, ``other`` a Field on the
+        same grid (else ValueError) or an array."""
         if isinstance(other, Field):
+            if other.grid is not self.grid and other.grid != self.grid:
+                raise ValueError(
+                    f"fields on two grids do not combine: {self.grid} and {other.grid}"
+                )
             other = other.values
         return Field(self.grid, op(self.values, other))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dispersivelab.checks import persistence_experiment
-from dispersivelab.laws import kato_residual, moment
+from dispersivelab.laws import invariant_report, kato_residual, moment
 from dispersivelab.norms import ap_constant, lebesgue, weighted_l2
 from dispersivelab.operators import (
     bessel_potential,
@@ -25,6 +25,7 @@ from dispersivelab.spectral import Field, Grid, apply_multiplier
 G = Grid(64, 10.0)
 F = Field.from_function(G, lambda x: np.exp(-(x**2)))
 BLOCK = Field(G, np.stack([F.values] * 3))  # a (3, 64) block of rows
+G2_FIELD = Field.from_function(Grid(64, 12.0), lambda x: np.exp(-(x**2)))  # F on another cell
 
 
 def _trajectory(times, grids):
@@ -89,6 +90,38 @@ CASES = {
     "kato_residual_spacing": (
         lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),
         "snapshots must be uniformly spaced in time",
+    ),
+    "kato_residual_grid": (
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), G2_FIELD, 1),
+        r"the weight phi is on Grid\(n=64, length=12.0\), "
+        r"the trajectory on Grid\(n=64, length=10.0\)",
+    ),
+    "kato_residual_degree": (
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), F, 3),
+        "k=3 is not the trajectory's degree k=1",
+    ),
+    "kato_residual_complex_phi": (
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), F * (1 + 0.5j), 1),
+        "the weight phi of the weighted-energy identity requires a real field",
+    ),
+    "field_grids": (
+        lambda: F + G2_FIELD,
+        r"fields on two grids do not combine: "
+        r"Grid\(n=64, length=10.0\) and Grid\(n=64, length=12.0\)",
+    ),
+    "field_grids_n": (
+        lambda: F * Field.from_function(Grid(128, 10.0), np.cos),
+        r"fields on two grids do not combine: "
+        r"Grid\(n=64, length=10.0\) and Grid\(n=128, length=10.0\)",
+    ),
+    "invariant_report_no_snapshots": (
+        lambda: invariant_report(Trajectory(EquationSpec.nls(), [], [])),
+        "^invariant_report needs a snapshot, and the trajectory has none$",
+    ),
+    "invariant_report_failed_run": (
+        lambda: invariant_report(Trajectory(EquationSpec.nls(), [], [], failure_time=0.01)),
+        "^invariant_report needs a snapshot, and the trajectory has none: "
+        "its run failed at t=0.01$",
     ),
 }
 
