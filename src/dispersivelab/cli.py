@@ -213,8 +213,9 @@ def _validate(cfg: RunConfig, path: str):
 
 
 def _evolve_arguments(cfg: RunConfig) -> dict:
-    """The keyword arguments of :func:`evolve` for a solve config, built in
-    the order whose first ValueError is the config's first error."""
+    """The keyword arguments of :func:`evolve` for a solve config.  The spec,
+    grid, stepper, times, initial data and diagnostics are built in that
+    order, so the first ValueError raised names the config's first error."""
     spec = EquationSpec(cfg.model, a=cfg.a, mu=cfg.mu, k=cfg.k)
     grid = Grid(cfg.n, cfg.L)
     stepper = StepperConfig(dt=cfg.dt, dealias=cfg.dealias)

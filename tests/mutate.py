@@ -1,0 +1,340 @@
+"""Mutation suite: each row breaks the package in one known way, and the tests
+the row names must catch it.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m tests.mutate
+
+Each row of ``MUTANTS`` holds a file under ``src/dispersivelab``, an exact
+snippet of it, the snippet that replaces it, and a test selection (pytest
+node ids or files).  First the union of every selection runs on an unmutated
+copy and must pass.  Then, for each row, ``src/``, ``tests/`` and
+``pyproject.toml`` (the pytest settings) are copied to a temporary directory,
+the row is applied, and its selection runs in one pytest process, stopping at
+the first failure.  The mutant is killed when a test fails and survives when
+all pass.
+
+It prints the kill matrix as one JSON document: per row, whether it was
+killed, the first failing test, and the wall time.  It exits 0 when every
+mutant not listed as equivalent is killed, 1 when one survives, and 2 on an
+error: a stale row (its snippet is not found exactly once), a selection that
+collects no tests, or a baseline that fails.  A run takes about 70 s on a
+2-vCPU x86_64 VM (Python 3.11, numpy 2.4).
+
+Rows marked ``equivalent`` change no output that any test can see, so they
+are expected to survive and do not fail the run:
+
+* the dealias mask with ``<`` for ``<=``: under the mask's 1e-12 slack the
+  two differ only at a frequency exactly 1e-12 above the cutoff, which no
+  tested grid has; the same mask without the slack is a killed row;
+* ``linear_group`` passed ``t + 0.0``: it drops the sign of a zero time,
+  and the phases at +0 and -0 give the same output bits on these fields.
+
+Mutants named in the project's history that are listed differently here:
+
+* LP blocks with ``real=False``: that code is gone.  The Littlewood-Paley
+  norm and the group scan share ``spectral._multiply_rows``, whose
+  ``real = False`` row stands for both;
+* the Nyquist sign flip (the gKdV/BO half spectrum with +xi_max at index
+  n/2) was equivalent once.  The bin's imaginary part, which ``irfft``
+  ignores, is carried from step to step and mixed into the real part by the
+  next phase, and the half-spectrum oracle test at dealias 1 kills it.
+
+pytest does not collect this module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "dispersivelab"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str            # a module of the package, e.g. "spectral.py"
+    old: str             # must occur exactly once in the file
+    new: str
+    selection: tuple     # pytest node ids or test files
+    equivalent: bool = False
+
+
+MUTANTS = (
+    Mutant(
+        "rk4_weights_scaled",
+        "propagators.py",
+        "np.multiply(dt / 6.0, n1, out=n1)",
+        "np.multiply(dt / 6.0 * (1 + 1e-6), n1, out=n1)",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "stein_weights_scaled",
+        "operators.py",
+        "weights = h / ((np.arange(half) + 0.5) * h) ** (1.0 + 2.0 * b)",
+        "weights = (1 + 1e-6) * h / ((np.arange(half) + 0.5) * h) ** (1.0 + 2.0 * b)",
+        ("tests/test_operators.py",),
+    ),
+    Mutant(
+        "gkdv_power_off_by_one",
+        "propagators.py",
+        "for _ in range(self.power - 2):",
+        "for _ in range(self.power - 1):",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "gkdv_multiplier_without_power",
+        "propagators.py",
+        "self.multiplier = -(1j * xi) * mask / float(self.power)",
+        "self.multiplier = -(1j * xi) * mask",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "dealias_mask_without_slack",
+        "propagators.py",
+        "mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12)",
+        "mask = (np.abs(xi) < cfg.dealias * grid.xi_max)",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "odd_flag_false",
+        "spectral.py",
+        "return _Table(mvals, odd, hermitian)",
+        "return _Table(mvals, odd & False, hermitian)",
+        ("tests/test_operators.py", "tests/test_tables.py"),
+    ),
+    Mutant(
+        "corpus_anchors_at_block_starts",
+        "corpus.py",
+        "anchors = np.concatenate((starts[1 : half + 1], starts[half:]))",
+        "anchors = np.concatenate((starts[:half], starts[half:]))",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "weighted_free_three_halvings",
+        "checks.py",
+        "for adjusted in range(4):",
+        "for adjusted in range(3):",
+        ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
+    ),
+    Mutant(
+        "multiply_rows_real_false",
+        "spectral.py",
+        "    fhat = _fft(f.values)\n    real = _real_rows(f.values)\n",
+        "    fhat = _fft(f.values)\n    real = np.zeros(f.values.shape[:-1], bool)\n",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "real_rows_from_row_0",
+        "spectral.py",
+        "return ~values.imag.any(axis=-1)",
+        "return np.full(values.shape[:-1], not values.reshape(-1, values.shape[-1])[0]"
+        ".imag.any())",
+        ("tests/test_blocks.py",),
+    ),
+    Mutant(
+        "row_blocks_skip_partial_last",
+        "spectral.py",
+        "for start in range(0, count, rows)]",
+        "for start in range(0, count - count % rows or count, rows)]",
+        ("tests/test_blocks.py", "tests/test_tables.py"),
+    ),
+    Mutant(
+        "per_row_without_item",
+        "spectral.py",
+        "return values.item() if f.values.ndim == 1 else values",
+        "return values",
+        ("tests/test_blocks.py",),
+    ),
+    Mutant(
+        "real_projection_only_if_all_rows_hermitian",
+        "spectral.py",
+        "result.imag[table.hermitian & real | rows] = 0.0",
+        "result.imag[np.all(table.hermitian) & real | rows] = 0.0",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "nls_mirror_shifted",
+        "propagators.py",
+        "half[..., n // 2 - 1 : 0 : -1]",
+        "half[..., n // 2 : 1 : -1]",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "bo_domains_snapshot_minus_2",
+        "checks.py",
+        "for i in (0, -1))",
+        "for i in (0, -2))",
+        ("tests/test_checks.py::test_bo_domain_comparison_matches_one_experiment_per_cell",),
+    ),
+    Mutant(
+        "worst_drops_last_block",
+        "checks.py",
+        "for fields in zip(*blocks))",
+        "for fields in list(zip(*blocks))[:-1])",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "gamma_identity_ungated",
+        "checks.py",
+        '    _require_gate(flow, f"the free flow U(t)f at t={t:g}")\n',
+        "",
+        ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
+    ),
+    Mutant(
+        "kato_phi_on_any_grid",
+        "laws.py",
+        "if phi.grid is not g and phi.grid != g:",
+        "if False:",
+        ("tests/test_public_raises.py",),
+    ),
+    Mutant(
+        "kato_any_degree",
+        "laws.py",
+        "if k != traj.spec.k:",
+        "if False:",
+        ("tests/test_public_raises.py",),
+    ),
+    Mutant(
+        "kato_phi_real_part",
+        "laws.py",
+        'pv = real_values(phi, "the weight phi of the weighted-energy identity")',
+        "pv = phi.values.real",
+        ("tests/test_public_raises.py",),
+    ),
+    Mutant(
+        "field_arithmetic_across_grids",
+        "spectral.py",
+        "if other.grid is not self.grid and other.grid != self.grid:",
+        "if False:",
+        ("tests/test_public_raises.py",),
+    ),
+    Mutant(
+        "invariant_report_of_no_snapshots",
+        "laws.py",
+        "    if not traj.snapshots:\n        cause",
+        "    if False:\n        cause",
+        ("tests/test_public_raises.py",),
+    ),
+    Mutant(
+        "dealias_mask_strict",
+        "propagators.py",
+        "mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12)",
+        "mask = (np.abs(xi) < cfg.dealias * grid.xi_max + 1e-12)",
+        ("tests/test_propagators.py",),
+        equivalent=True,
+    ),
+    Mutant(
+        "nyquist_sign_flip",
+        "propagators.py",
+        "xi = xi[: n // 2 + 1]",
+        "xi = np.abs(xi[: n // 2 + 1])",
+        ("tests/test_propagators.py",),
+    ),
+    Mutant(
+        "linear_group_t_plus_zero",
+        "propagators.py",
+        "return apply_multiplier(f, spec.group_phase(f.grid.xi, t))",
+        "return apply_multiplier(f, spec.group_phase(f.grid.xi, t + 0.0))",
+        ("tests/test_tables.py", "tests/test_propagators.py"),
+        equivalent=True,
+    ),
+)
+
+
+class MutationError(Exception):
+    pass
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _check_rows() -> None:
+    """Raise on a stale row: one whose snippet does not occur exactly once in
+    its file."""
+    for m in MUTANTS:
+        count = (ROOT / PACKAGE / m.file).read_text().count(m.old)
+        if count != 1:
+            raise MutationError(f"{m.name}: stale row, its snippet occurs {count}x in {m.file}")
+
+
+def _apply(dest: Path, mutant: Mutant) -> None:
+    path = dest / PACKAGE / mutant.file
+    path.write_text(path.read_text().replace(mutant.old, mutant.new))
+
+
+def _pytest(dest: Path, selection, stop_first: bool) -> tuple:
+    """The exit code of pytest over ``selection`` in ``dest`` and the id of
+    its first failing test (None when none failed)."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
+    argv += ["-x", *selection] if stop_first else selection
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"))
+    proc = subprocess.run(argv, cwd=dest, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    return proc.returncode, (failed[0] if failed else None)
+
+
+def _check_exit(code: int, what: str) -> None:
+    """Raise on a pytest exit code that is neither all-passed (0) nor
+    some-failed (1): 5 collects no tests, 2-4 are usage or collection errors."""
+    if code == 5:
+        raise MutationError(f"{what}: the selection collects no tests")
+    if code not in (0, 1):
+        raise MutationError(f"{what}: pytest exited {code}")
+
+
+def run() -> dict:
+    start = time.perf_counter()
+    _check_rows()
+    union = sorted({s for m in MUTANTS for s in m.selection})
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy_tree(Path(tmp))
+        code, failed = _pytest(Path(tmp), union, stop_first=False)
+    _check_exit(code, "baseline")
+    if code:
+        raise MutationError(f"baseline: the unmutated selections fail ({failed})")
+    rows = []
+    for mutant in MUTANTS:
+        began = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy_tree(Path(tmp))
+            _apply(Path(tmp), mutant)
+            code, failed = _pytest(Path(tmp), mutant.selection, stop_first=True)
+        _check_exit(code, mutant.name)
+        rows.append({
+            "name": mutant.name,
+            "file": mutant.file,
+            "equivalent": mutant.equivalent,
+            "killed": code == 1,
+            "killed_by": failed,
+            "seconds": round(time.perf_counter() - began, 2),
+        })
+    survivors = [r["name"] for r in rows if not r["killed"] and not r["equivalent"]]
+    seconds = round(time.perf_counter() - start, 1)
+    return {"mutants": rows, "survivors": survivors, "seconds": seconds}
+
+
+def main() -> int:
+    try:
+        matrix = run()
+    except MutationError as exc:
+        print(f"mutation error: {exc}", file=sys.stderr)
+        return 2
+    print(json.dumps(matrix, indent=1))
+    return 1 if matrix["survivors"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
