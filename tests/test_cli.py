@@ -542,12 +542,6 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "the free flow fails the boundary gate at t=1, three halvings of t=8 "
             "(outer-cell ratio 3.66e-05 >= 1e-10)",
         ),
-        (
-            "gamma_identity",
-            ["t=2"],
-            "the free flow U(t)f at t=2 fails the boundary gate on the cell L=20: "
-            "outer-cell ratio 7.25e-03 >= 1e-10",
-        ),
         ("leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3"),
         ("gn", ["corpus_size=-2"], "corpus size must be nonnegative, got corpus_size=-2"),
         ("ap_hilbert", ["corpus_size=-1"], "corpus size must be nonnegative, got corpus_size=-1"),
@@ -623,6 +617,12 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
         ("interpolation", ["b=inf"], "orders must be positive and finite, got a=1.0, b=inf"),
         # an integer literal beyond the float range reads as inf, as its digits do
         ("scaling", [f"a={10**400}"], "NLS power must satisfy 1 < a < inf, got a=inf"),
+        (
+            "gamma_identity",
+            ["t=2"],
+            "the free flow U(t)f at t=2 fails the boundary gate on the cell L=20: "
+            "outer-cell ratio 7.25e-03 >= 1e-10",
+        ),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
