@@ -811,9 +811,9 @@ def bo_domain_comparison(
 
 
 def check_persistence(
-    model: str = "nls", a: float = 3.0, mu: int = 1, k: int = 1, amplitude: float = 1.0,
-    dt: float = 1e-3, s: float = 2.0, m: float = 1.0, T: float = 1.0,
-    grid: Grid = Grid(512, 20.0),
+    model: str = "nls", a: float = EquationSpec.a, mu: int = EquationSpec.mu,
+    k: int = EquationSpec.k, amplitude: float = 1.0, dt: float = 1e-3, s: float = 2.0,
+    m: float = 1.0, T: float = 1.0, grid: Grid = Grid(512, 20.0),
 ) -> CheckReport:
     """:func:`persistence_experiment` from ``amplitude`` times the Gaussian
     (NLS, gKdV) or its derivative (BO, zero mean).  Only NLS reads ``a`` and

@@ -96,14 +96,14 @@ class RunConfig:
     command: str = _key("command", _command, "solve")
     seed: int | None = _key("seed", int, None, "sweep")
     model: str = _key("equation.model", str, "gkdv", "solve")
-    a: float = _key("equation.a", float, 3.0, "solve")
-    mu: int = _key("equation.mu", int, 1, "solve")
-    k: int = _key("equation.k", int, 1, "solve")
+    a: float = _key("equation.a", float, EquationSpec.a, "solve")
+    mu: int = _key("equation.mu", int, EquationSpec.mu, "solve")
+    k: int = _key("equation.k", int, EquationSpec.k, "solve")
     n: int = _key("grid.n", int, 512, "solve")
     L: float = _key("grid.L", float, 20.0, "solve")
     dt: float = _key("stepper.dt", float, 1e-3, "solve")
     T: float = _key("stepper.T", float, 1.0, "solve")
-    dealias: float = _key("stepper.dealias", float, 2.0 / 3.0, "solve")
+    dealias: float = _key("stepper.dealias", float, StepperConfig.dealias, "solve")
     snapshots: tuple = _key("stepper.snapshots", _floats, (), "solve")
     u0: str = _key("solve.u0", str, "gaussian", "solve")
     amplitude: float = _key("solve.amplitude", float, 1.0, "solve")

@@ -104,9 +104,7 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     return InvariantReport(names, values, drift, kind)
 
 
-def kato_residual(
-    traj: Trajectory, phi: Field, k: int, *, nonlinear: bool = True
-) -> np.ndarray:
+def kato_residual(traj: Trajectory, phi: Field, *, nonlinear: bool = True) -> np.ndarray:
     """Residual of the weighted-energy identity along a gKdV trajectory.
 
     At every interior snapshot (uniform spacing dt) the centered difference
@@ -119,9 +117,11 @@ def kato_residual(
     the linear flow (:func:`dispersivelab.propagators.linear_group`).  The
     returned sequence decays like O(dt^2) from the time difference; the
     spatial terms are spectrally exact.  A block trajectory gives one
-    residual column per row.  ``phi`` must be one real field on the
-    trajectory's grid, and ``k`` the trajectory's degree.
+    residual column per row.  The degree k is ``traj.spec.k``, the model
+    must be gKdV, and ``phi`` one real field on the trajectory's grid.
     """
+    if traj.spec.model != "gkdv":
+        raise ValueError(f"the weighted-energy identity is gKdV's, not {traj.spec.model}'s")
     _one_row(phi, "kato_residual")
     times = traj.times
     if len(times) < 3:
@@ -134,8 +134,7 @@ def kato_residual(
     g = traj.snapshots[0].grid
     if phi.grid is not g and phi.grid != g:
         raise ValueError(f"the weight phi is on {phi.grid}, the trajectory on {g}")
-    if k != traj.spec.k:
-        raise ValueError(f"k={k} is not the trajectory's degree k={traj.spec.k}")
+    k = traj.spec.k
     pv = real_values(phi, "the weight phi of the weighted-energy identity")
     phi1 = derivative(phi, 1).values.real
     phi3 = derivative(phi, 3).values.real

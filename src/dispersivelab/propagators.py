@@ -52,17 +52,20 @@ class CFLWarning(UserWarning):
     """The step size exceeds the transport heuristic h / (pi max|u|)."""
 
 
+_READS = {"nls": ("a", "mu"), "gkdv": ("k",), "bo": ()}  # the parameters each model reads
+
+
 @dataclass(frozen=True)
 class EquationSpec:
-    """One of the three model equations with its parameters."""
+    """One of the three model equations with its parameters, each default stated only here."""
 
-    model: str             # 'nls' | 'gkdv' | 'bo'
+    model: str             # a key of _READS
     a: float = 3.0         # NLS nonlinearity power, finite and > 1
     mu: int = 1            # NLS sign, +1 defocusing / -1 focusing
     k: int = 1             # gKdV nonlinearity degree, k >= 1
 
     def __post_init__(self):
-        if self.model not in ("nls", "gkdv", "bo"):
+        if self.model not in _READS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "nls":
             if not 1 < self.a < np.inf:
@@ -71,29 +74,27 @@ class EquationSpec:
                 raise ValueError(f"NLS sign must be +-1, got mu={self.mu}")
         if self.model == "gkdv" and (self.k < 1 or self.k != int(self.k)):
             raise ValueError(f"gKdV degree must be a positive integer, got k={self.k}")
-        # a parameter that the model does not read must keep its default
-        read = {"nls": ("a", "mu"), "gkdv": ("k",), "bo": ()}[self.model]
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
-            if f.name not in read and value != f.default:
+            if f.name not in _READS[self.model] and value != f.default:
                 raise ValueError(f"{f.name}={value} is not read by the {self.model} model")
 
     @classmethod
-    def nls(cls, a: float = 3.0, mu: int = 1) -> "EquationSpec":
-        return cls("nls", a=a, mu=mu)
+    def nls(cls, **params) -> "EquationSpec":
+        return cls("nls", **params)
 
     @classmethod
-    def gkdv(cls, k: int = 1) -> "EquationSpec":
-        return cls("gkdv", k=k)
+    def gkdv(cls, **params) -> "EquationSpec":
+        return cls("gkdv", **params)
 
     @classmethod
-    def bo(cls) -> "EquationSpec":
-        return cls("bo")
+    def bo(cls, **params) -> "EquationSpec":
+        return cls("bo", **params)
 
     @property
     def is_real(self) -> bool:
         """gKdV and BO propagate real fields."""
-        return self.model in ("gkdv", "bo")
+        return self.model != "nls"
 
     @property
     def s_critical(self) -> float:
@@ -107,21 +108,21 @@ class EquationSpec:
         grid's full FFT-ordered lattice; a column of times (shape (k, 1))
         gives one row per time.
 
-        The NLS phase is even in xi and the lattice is symmetric but for its
-        lone Nyquist mode, so the phase is evaluated on the n/2 + 1
-        frequencies ``xi[: n/2 + 1]`` and mirrored: bitwise the full
-        evaluation, at half the exponentials.  The gKdV and BO phases are
-        evaluated in full: their conjugate mirror differs from it in the
-        sign of an imaginary zero at t = 0."""
+        It is evaluated on ``xi[: n/2 + 1]`` and extended to the mirrored
+        rest by the model's symmetry: evenly for NLS, conjugated for the odd
+        gKdV and BO relations, whose phases are so Hermitian by construction.
+        At t != 0 that is bitwise the full evaluation (gKdV's x * x * x, not
+        x**3, keeps the bits); at t = +-0 imaginary zeros may change sign."""
+        n = xi.shape[-1]
+        x = xi[: n // 2 + 1]
         if self.model == "nls":
-            n = xi.shape[-1]
-            half = np.exp(-1j * t * xi[: n // 2 + 1] ** 2)
-            return np.concatenate([half, half[..., n // 2 - 1 : 0 : -1]], axis=-1)
-        if self.model == "gkdv":
-            # xi * xi * xi is exactly odd on the lattice (xi**3 is not), so
-            # the phase is exactly Hermitian and keeps a real field real
-            return np.exp(1j * t * (xi * xi * xi))
-        return np.exp(-1j * t * xi * np.abs(xi))
+            half = np.exp(-1j * t * x**2)
+        elif self.model == "gkdv":
+            half = np.exp(1j * t * (x * x * x))
+        else:
+            half = np.exp(-1j * t * x * np.abs(x))
+        mirror = half[..., n // 2 - 1 : 0 : -1]
+        return np.concatenate([half, mirror.conj() if self.is_real else mirror], axis=-1)
 
 
 @dataclass
@@ -228,11 +229,11 @@ class _Stepper:
         self.E2 = spec.group_phase(grid.xi, dt)[: xi.size].copy()
         self.dtE = dt * self.E
         self.twoE = 2.0 * self.E
-        if spec.model == "nls":
-            self.multiplier = (-1j * spec.mu) * mask
-        else:
-            self.power = spec.k + 1 if spec.model == "gkdv" else 2
+        if spec.is_real:
+            self.power = spec.k + 1
             self.multiplier = -(1j * xi) * mask / float(self.power)
+        else:
+            self.multiplier = (-1j * spec.mu) * mask
 
     def nonlinear_hat(self, u_hat: np.ndarray) -> np.ndarray:
         """The nonlinear term's coefficients, a new array on each call."""

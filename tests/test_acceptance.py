@@ -204,7 +204,7 @@ def test_criterion_7_kato_identity():
     def max_residual(dt_snap):
         times = [i * dt_snap for i in range(9)]
         traj = evolve(u0, spec, cfg, times[-1], snapshot_times=times)
-        return float(np.max(np.abs(kato_residual(traj, phi, k=1))))
+        return float(np.max(np.abs(kato_residual(traj, phi))))
 
     r_coarse = max_residual(0.04)
     r_fine = max_residual(0.02)
@@ -213,7 +213,7 @@ def test_criterion_7_kato_identity():
     times = [i * 0.04 for i in range(9)]
     traj = evolve(u0, spec, cfg, times[-1], snapshot_times=times)
     flat = Field(g, np.ones(g.n))
-    res_flat = kato_residual(traj, flat, k=1)
+    res_flat = kato_residual(traj, flat)
     rep = invariant_report(traj)
     i2_drift = rep.max_drift("I2")
     centered = (rep.values["I2"][2:] - rep.values["I2"][:-2]) / (2 * 0.04)

@@ -71,7 +71,7 @@ def _gkdv_trajectory(n_snaps=9, dt_snap=0.02, k=1, n=256, L=15.0, amp=0.8):
 def test_kato_identity_constant_weight_collapses_to_mass():
     g, traj = _gkdv_trajectory()
     phi = Field(g, np.ones(g.n))
-    res = kato_residual(traj, phi, k=1)
+    res = kato_residual(traj, phi)
     rep = invariant_report(traj)
     i2 = rep.values["I2"]
     # residual equals the centered difference of I2, which drifts at 1e-9
@@ -85,8 +85,8 @@ def test_kato_identity_second_order_in_snapshot_spacing():
     g, coarse = _gkdv_trajectory(n_snaps=5, dt_snap=0.04)
     _, fine = _gkdv_trajectory(n_snaps=9, dt_snap=0.02)
     phi = Field.from_function(g, lambda x: (1.0 + x**2) ** 0.25)
-    r_coarse = np.max(np.abs(kato_residual(coarse, phi, k=1)))
-    r_fine = np.max(np.abs(kato_residual(fine, phi, k=1)))
+    r_coarse = np.max(np.abs(kato_residual(coarse, phi)))
+    r_fine = np.max(np.abs(kato_residual(fine, phi)))
     order = np.log2(r_coarse / r_fine)
     assert 1.7 <= order <= 2.3
 
@@ -101,7 +101,7 @@ def test_kato_identity_linear_variant():
     def residual(spacing):
         times = [i * spacing for i in range(9)]
         traj = Trajectory(spec, times, [linear_group(u0, spec, t) for t in times])
-        return np.max(np.abs(kato_residual(traj, phi, k=1, nonlinear=False)))
+        return np.max(np.abs(kato_residual(traj, phi, nonlinear=False)))
 
     # pure centered-difference error at this snapshot spacing
     assert residual(0.02) <= 2e-2
@@ -113,7 +113,7 @@ def test_kato_residual_needs_enough_snapshots():
     g, traj = _gkdv_trajectory(n_snaps=2)
     phi = Field(g, np.ones(g.n))
     with pytest.raises(ValueError):
-        kato_residual(traj, phi, k=1)
+        kato_residual(traj, phi)
 
 
 BLOCK_ROWS = (
@@ -134,15 +134,15 @@ def _block_and_row_trajectories(spec):
     return g, block, singles
 
 
-@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.gkdv(k=2), EquationSpec.bo()])
+@pytest.mark.parametrize("spec", [EquationSpec.gkdv(k=1), EquationSpec.gkdv(k=2)])
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_kato_residual_of_a_block_is_its_rows_residuals(spec, nonlinear):
     g, block, singles = _block_and_row_trajectories(spec)
     phi = Field.from_function(g, np.tanh)
-    res = kato_residual(block, phi, k=spec.k, nonlinear=nonlinear)
+    res = kato_residual(block, phi, nonlinear=nonlinear)
     assert res.shape == (2, len(singles))
     for i, single in enumerate(singles):
-        assert np.array_equal(res[:, i], kato_residual(single, phi, k=spec.k, nonlinear=nonlinear))
+        assert np.array_equal(res[:, i], kato_residual(single, phi, nonlinear=nonlinear))
 
 
 @pytest.mark.parametrize("spec", [EquationSpec.nls(), EquationSpec.gkdv(k=2), EquationSpec.bo()])

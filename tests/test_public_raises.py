@@ -51,6 +51,7 @@ CASES = {
     "gamma_airy_t": (lambda: gamma_airy(F, np.nan), "got t=nan"),
     "gamma_bo_t": (lambda: gamma_bo(F, np.inf), "got t=inf"),
     "s_critical_gkdv": (lambda: EquationSpec.gkdv().s_critical, "defined for the NLS model"),
+    "bo_factory_k": (lambda: EquationSpec.bo(k=2), "^k=2 is not read by the bo model$"),
     "trajectory_lengths": (
         lambda: Trajectory(EquationSpec.gkdv(), [0.0, 0.1], [F]),
         "times and snapshots must have the same length",
@@ -88,20 +89,20 @@ CASES = {
     "stepper_dt_nan": (lambda: StepperConfig(dt=np.nan), "got dt=nan"),
     "stepper_dt_zero": (lambda: StepperConfig(dt=0.0), "got dt=0.0"),
     "kato_residual_spacing": (
-        lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F, 1),
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.3], [G] * 3), F),
         "snapshots must be uniformly spaced in time",
     ),
     "kato_residual_grid": (
-        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), G2_FIELD, 1),
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), G2_FIELD),
         r"the weight phi is on Grid\(n=64, length=12.0\), "
         r"the trajectory on Grid\(n=64, length=10.0\)",
     ),
-    "kato_residual_degree": (
-        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), F, 3),
-        "k=3 is not the trajectory's degree k=1",
+    "kato_residual_model": (
+        lambda: kato_residual(Trajectory(EquationSpec.bo(), [0.0, 0.1, 0.2], [F] * 3), F),
+        "^the weighted-energy identity is gKdV's, not bo's$",
     ),
     "kato_residual_complex_phi": (
-        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), F * (1 + 0.5j), 1),
+        lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), F * (1 + 0.5j)),
         "the weight phi of the weighted-energy identity requires a real field",
     ),
     "field_grids": (
@@ -136,7 +137,7 @@ def test_public_raise_names_its_cause(call, match):
 # datum into a report, called on BLOCK; every other function of a field acts
 # on a block row by row (tests/test_blocks.py)
 REDUCERS = {
-    "kato_residual": lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), BLOCK, 1),
+    "kato_residual": lambda: kato_residual(_trajectory([0.0, 0.1, 0.2], [G] * 3), BLOCK),
     "ap_constant": lambda: ap_constant(BLOCK, 2.0),
     "the persistence initial data": lambda: persistence_experiment(
         EquationSpec.nls(), BLOCK, 1.0, 1.0, 0.01
