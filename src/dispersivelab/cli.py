@@ -205,9 +205,11 @@ def _validate(cfg: RunConfig, path: str):
             if name not in CHECKS:
                 raise ConfigError(f"{path}: unknown sweep check {name!r}")
         return
-    # surface module invariant violations at parse time
+    # surface module invariant violations at parse time, the diagnostics'
+    # among them by one evaluation on the initial data
     try:
-        _evolve_arguments(cfg)
+        args = _evolve_arguments(cfg)
+        args["diagnostics"](args["u0"], 0.0)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -28,12 +28,15 @@ def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
     |x|.  The exponent convention is explicit: the integrand carries the
     weight to the power 2m.  No boundary gate runs here, though the weight
     amplifies exactly the region it inspects: callers run
-    :func:`dispersivelab.spectral.boundary_gate` where a field enters.
+    :func:`dispersivelab.spectral.boundary_gate` where a field enters.  A
+    weight that overflows on the cell raises ValueError.
     """
     if not (np.isfinite(m) and m >= 0):
         raise ValueError(f"weight exponent must be finite and >= 0, got m={m}")
     g = f.grid
-    w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
+    with np.errstate(over="ignore"):
+        w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
+    _require_finite(w, f"{'<x>' if bracket else '|x|'}^(2m)", g, f"m={m}")
     return _per_row(f, np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1)))
 
 
@@ -116,7 +119,8 @@ def power_weight(grid, alpha: float) -> Field:
     (1/h) int_{-h/2}^{h/2} |x|^alpha dx = (h/2)^alpha / (alpha+1), the
     quadrature-consistent regularization of the singular value (finite for
     every alpha > -1).  alpha = 0 gives the constant weight 1 exactly; an
-    alpha that is not finite or not above -1 raises ValueError.
+    alpha that is not finite or not above -1, or whose weight overflows on
+    the cell, raises ValueError.
     """
     if not (np.isfinite(alpha) and alpha > -1):
         raise ValueError(
@@ -127,6 +131,17 @@ def power_weight(grid, alpha: float) -> Field:
     x = grid.x
     w = np.zeros(grid.n)
     nz = x != 0.0
-    w[nz] = np.abs(x[nz]) ** alpha
+    with np.errstate(over="ignore"):
+        w[nz] = np.abs(x[nz]) ** alpha
+    _require_finite(w, "|x|^alpha", grid, f"alpha={alpha}")
     w[~nz] = (grid.h / 2.0) ** alpha / (alpha + 1.0)
     return Field(grid, w)
+
+
+def _require_finite(w: np.ndarray, weight: str, grid, exponent: str) -> None:
+    """Raise ValueError, naming the exponent and the cell, unless the samples
+    ``w`` of ``weight`` are finite."""
+    if not np.isfinite(w).all():
+        raise ValueError(
+            f"the weight {weight} overflows on the cell L={grid.length:g}, got {exponent}"
+        )

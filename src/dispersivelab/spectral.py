@@ -203,7 +203,8 @@ def _build_table(g: Grid, m) -> _Table:
     """Evaluate ``m`` (a callable of xi, or an array whose last axis has
     length n) on the lattice, reject a non-finite value and detect the
     symmetry of each row to 1e-13 of its max|m|."""
-    mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # an overflow is the non-finite value named below
+        mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
     if mvals.ndim == 0 or mvals.shape[-1] != g.n or mvals.size == 0:
         raise ValueError(f"multiplier must have {g.n} values, got shape {mvals.shape}")
     bad = ~np.isfinite(mvals)

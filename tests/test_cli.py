@@ -409,6 +409,14 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
          "command = solve\nstepper.T = 0.01\n", FILE_OUT_CAUSE),
         (["sweep", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run.cfg"],
          "command = sweep\nsweep.checks = scaling\n", FILE_OUT_CAUSE),
+        # a diagnostic that cannot be evaluated stops a solve before its first step
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nstepper.T = 0.01\nsolve.s = 400\noutput.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: multiplier is not finite at xi=5.81195"),
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nstepper.T = 0.01\nsolve.m = 200\noutput.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: the weight |x|^(2m) overflows on the cell L=20, "
+         "got m=200.0\n"),
     ],
     ids=[
         "unreadable_config",
@@ -425,6 +433,8 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
         "check_out_is_a_file",
         "solve_out_is_a_file",
         "sweep_out_is_a_file",
+        "solve_sobolev_overflow",
+        "solve_weight_overflow",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
@@ -623,6 +633,13 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "the free flow U(t)f at t=2 fails the boundary gate on the cell L=20: "
             "outer-cell ratio 7.25e-03 >= 1e-10",
         ),
+        ("interpolation", ["b=400"], "the weight <x>^(2m) overflows on the cell L=20, got m=400.0"),
+        (
+            "gamma_identity",
+            ["b=1", "t=0.9"],
+            "the weighted flow U(t)(x f) at t=0.9 fails the boundary gate on the cell L=20: "
+            "outer-cell ratio 9.17e-10 >= 1e-10",
+        ),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
@@ -631,6 +648,14 @@ def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, param
     err = capsys.readouterr().err
     assert err == f"check error: {name}: {cause}\n"
     assert not (tmp_path / "checks.csv").exists()
+
+
+@pytest.mark.parametrize("name, params", [("chirp_stein", ["t=1e-170"])])  # a trend of zeros
+def test_degenerate_check_gets_a_verdict(tmp_path, capsys, name, params):
+    argv = ["check", name, *(a for p in params for a in ("--param", p)), "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{name}: ") and captured.err == ""
 
 
 def test_param_without_equals_sign_is_rejected(tmp_path, capsys):

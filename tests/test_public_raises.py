@@ -8,7 +8,7 @@ import pytest
 
 from dispersivelab.checks import persistence_experiment
 from dispersivelab.laws import invariant_report, kato_residual, moment
-from dispersivelab.norms import ap_constant, lebesgue, weighted_l2
+from dispersivelab.norms import ap_constant, lebesgue, power_weight, weighted_l2
 from dispersivelab.operators import (
     bessel_potential,
     derivative,
@@ -36,6 +36,18 @@ CASES = {
     "weighted_l2_m": (lambda: weighted_l2(F, -1), "got m=-1"),
     "weighted_l2_m_nan": (lambda: weighted_l2(F, np.nan), "got m=nan"),
     "weighted_l2_m_inf": (lambda: weighted_l2(F, np.inf), "got m=inf"),
+    "weighted_l2_overflow": (
+        lambda: weighted_l2(F, 200),
+        r"^the weight \|x\|\^\(2m\) overflows on the cell L=10, got m=200$",
+    ),
+    "weighted_l2_bracket_overflow": (
+        lambda: weighted_l2(F, 200, bracket=True),
+        r"^the weight <x>\^\(2m\) overflows on the cell L=10, got m=200$",
+    ),
+    "power_weight_overflow": (
+        lambda: power_weight(G, 400),
+        r"^the weight \|x\|\^alpha overflows on the cell L=10, got alpha=400$",
+    ),
     "lebesgue_p_nan": (lambda: lebesgue(F, np.nan), "got p=nan"),
     "ap_constant_p": (lambda: ap_constant(F, 1.0), "got p=1.0"),
     "derivative_order": (lambda: derivative(F, -1), "got order=-1"),
