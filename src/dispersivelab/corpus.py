@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _require_gate, _row_blocks
+from .spectral import Field, _gate_error, _require_gate, _row_blocks, boundary_gate
 
 __all__ = [
     "CorpusMember",
@@ -59,8 +59,12 @@ class CorpusMember:
         """Sample the member, optionally dilated to f(scale * x).  A field
         that fails the boundary gate raises ValueError."""
         f = Field(grid, np.asarray(self.sample(grid, scale), dtype=np.complex128))
-        _require_gate(f, f"corpus member {self.name!r} at scale={scale:g}")
+        _require_gate(f, self._gated_as(scale))
         return f
+
+    def _gated_as(self, scale: float) -> str:
+        """The member's name in a boundary-gate error at ``scale``."""
+        return f"corpus member {self.name!r} at scale={scale:g}"
 
 
 # the named canonical fields, by name
@@ -135,14 +139,25 @@ def _require_corpus_keys(seed: int, size: int) -> None:
 
 def _realize_blocks(members, grid):
     """The fields of ``members`` on ``grid``, in member order, yielded as
-    blocks of at most BLOCK_SAMPLES samples (``spectral._row_blocks``): each
-    member is realized and gated by :meth:`CorpusMember.realize` into its
-    row, so no block is held beyond its turn."""
+    blocks of at most BLOCK_SAMPLES samples (``spectral._row_blocks``), so
+    no block is held beyond its turn.  Each member is sampled into its row
+    as :meth:`CorpusMember.realize` samples it, and the block is validated
+    as one field and gated as one, a ratio per row.  A member that is not
+    n values, and the first member that fails the gate, raise the
+    ValueError that its ``realize`` raises."""
     for block in _row_blocks(len(members), grid.n):
         values = np.empty((block.stop - block.start, grid.n), dtype=complex)
         for row, m in zip(values, members[block]):
-            row[:] = m.realize(grid).values
-        yield Field(grid, values)
+            sample = m.sample(grid)
+            if np.shape(sample) != row.shape:
+                m.realize(grid)  # raises the error of a member that is not n values
+            row[:] = sample
+        f = Field(grid, values)
+        ok, ratio = boundary_gate(f)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise _gate_error(grid, members[block][i]._gated_as(1.0), ratio[i])
+        yield f
 
 
 class Corpus:

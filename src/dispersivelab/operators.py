@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, _fft, _ifft, _multiply, _multiply_rows, _per_row
+from .spectral import (
+    Field,
+    _Table,
+    _build_table,
+    _fft,
+    _frozen,
+    _ifft,
+    _multiply,
+    _multiply_rows,
+    _per_row,
+)
 
 __all__ = [
     "hilbert",
@@ -35,7 +45,7 @@ def hilbert(f: Field) -> Field:
     multiplier), so real input gives real output and H o H = -identity on
     mean-free, Nyquist-free fields.
     """
-    return _multiply(f, f.grid._table("hilbert", lambda xi: -1j * np.sign(xi)))
+    return _multiply(f, f.grid._table("hilbert", _build_table, lambda xi: -1j * np.sign(xi)))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -44,7 +54,8 @@ def derivative(f: Field, order: int = 1) -> Field:
         raise ValueError(f"derivative order must be a nonnegative integer, got order={order}")
     if order == 0:
         return f.copy()
-    return _multiply(f, f.grid._table(("derivative", order), lambda xi: (1j * xi) ** order))
+    table = f.grid._table(("derivative", order), _build_table, lambda xi: (1j * xi) ** order)
+    return _multiply(f, table)
 
 
 def riesz_deriv(f: Field, b: float) -> Field:
@@ -60,14 +71,26 @@ def riesz_deriv(f: Field, b: float) -> Field:
         raise ValueError(f"order must be finite and >= 0, got b={b}")
     if b == 0:
         return f.copy()
-    return _multiply(f, f.grid._table(("riesz_deriv", b), lambda xi: np.abs(xi) ** b))
+    return _multiply(f, _riesz_table(f.grid, b))
+
+
+def _riesz_table(grid, b: float) -> _Table:
+    """The grid's stored table of |xi|^b, b > 0."""
+    return grid._table(("riesz_deriv", b), _build_table, lambda xi: np.abs(xi) ** b)
 
 
 def bessel_potential(f: Field, s: float) -> Field:
-    """Bessel potential J^s, multiplier (1 + xi^2)^(s/2); J^s o J^-s = id."""
+    """Bessel potential J^s, multiplier (1 + xi^2)^(s/2); J^s o J^-s = id.
+    An ``s`` whose multiplier overflows on the lattice raises ValueError
+    naming ``s`` and the overflow."""
     if not np.isfinite(s):
         raise ValueError(f"order must be finite, got s={s}")
-    table = f.grid._table(("bessel_potential", s), lambda xi: (1.0 + xi**2) ** (s / 2.0))
+    table = f.grid._table(
+        ("bessel_potential", s),
+        _build_table,
+        lambda xi: (1.0 + xi**2) ** (s / 2.0),
+        f"bessel_potential overflows there at s={s:g}",
+    )
     return _multiply(f, table)
 
 
@@ -215,25 +238,42 @@ def _eta(s: np.ndarray) -> np.ndarray:
 
 
 def lp_block_range(grid) -> range:
-    """Dyadic indices N whose blocks meet the grid's frequency lattice."""
-    xi_min = np.pi / grid.length
-    n_lo = int(np.floor(np.log2(xi_min))) - 1
-    n_hi = int(np.ceil(np.log2(grid.xi_max))) + 1
+    """Dyadic indices N whose blocks meet the grid's frequency lattice,
+    pi/L <= |xi| <= xi_max: from floor(log2(pi/L)), whose band
+    2^(N-1) < |xi| < 2^(N+1) holds pi/L, to ceil(log2 xi_max), whose band
+    holds xi_max.  The symbol of every other block is exactly 0 there."""
+    n_lo = int(np.floor(np.log2(np.pi / grid.length)))
+    n_hi = int(np.ceil(np.log2(grid.xi_max)))
     return range(n_lo, n_hi + 1)
 
 
-def _lp_tables(grid):
-    """The blocks of ``lp_block_range(grid)`` as one table, a row per block
-    (each evaluated on its own), stored once per grid."""
+def _lp_stack(grid) -> _Table:
+    """The blocks of ``lp_block_range(grid)`` as one table, a row per block.
+    Each row is eta(|xi|/2^N) evaluated on the frequencies of its band
+    1/2 < |xi|/2^N < 2 in the half lattice, where |xi| increases, then
+    mirrored; off the band eta is exactly 0.  A row is real and even, so
+    it is Hermitian.  By the scan's odd test (2 max|m| over 0 < |xi| <
+    xi_max within 1e-13 of max|m|) it is odd only where it vanishes there:
+    an all-zero row, or one whose only nonzero is the Nyquist mode."""
+    n = grid.n
+    blocks = lp_block_range(grid)
+    axi = np.abs(grid.xi[: n // 2 + 1])
+    out = np.zeros((len(blocks), n), dtype=complex)
+    odd = np.empty(len(blocks), dtype=bool)
+    for i, N in enumerate(blocks):
+        lo = np.searchsorted(axi, 2.0 ** (N - 1), side="right")
+        hi = np.searchsorted(axi, 2.0 ** (N + 1), side="left")
+        eta = _eta(axi[lo:hi] / 2.0**N)
+        out[i, lo:hi] = eta
+        inner = eta[: n // 2 - lo]  # all but the Nyquist mode
+        odd[i] = 2.0 * inner.max(initial=0.0) <= 1e-13 * eta.max(initial=0.0)
+    out[:, n // 2 + 1 :] = out[:, n // 2 - 1 : 0 : -1]
+    return _frozen(out, odd, np.ones(len(blocks), dtype=bool))
 
-    def rows(xi):
-        blocks = lp_block_range(grid)
-        out = np.empty((len(blocks), grid.n), dtype=complex)
-        for row, N in zip(out, blocks):
-            row[:] = _eta(np.abs(xi) / 2.0**N)
-        return out
 
-    return grid._table("lp_blocks", rows)
+def _lp_tables(grid) -> _Table:
+    """The grid's stored table of ``_lp_stack``."""
+    return grid._table("lp_blocks", _lp_stack)
 
 
 def lp_block(f: Field, N: int) -> Field:

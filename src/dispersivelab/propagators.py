@@ -27,13 +27,14 @@ import numpy as np
 from .spectral import (
     Field,
     Grid,
-    _build_table,
+    _Table,
     _fft,
     _ifft,
     _irfft,
+    _mirrored_table,
+    _multiply,
     _multiply_rows,
     _rfft,
-    apply_multiplier,
     real_values,
 )
 
@@ -164,14 +165,28 @@ class StepperConfig:
 
 def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     """Exact linear flow U(t) of the model's dispersive part, applied to a
-    field or to each row of a block: :func:`apply_multiplier` under the
-    group phase at the one time ``t``, built on each call.  The gKdV and BO
+    field or to each row of a block: the group phase at the one time ``t``
+    under the rules of :func:`apply_multiplier`, and bitwise its result.
+    The phase's table (``_group_table``) is built on each call, with its
+    flags from its construction, and stored on no grid.  The gKdV and BO
     phases, and every model's phase at t = 0, are Hermitian, so a real field
     stays real there.  A ``t`` that is not one finite time raises ValueError."""
     t = _group_times(t)
     if t.ndim:
         raise ValueError(f"linear_group takes one time, got t of shape {t.shape}")
-    return apply_multiplier(f, spec.group_phase(f.grid.xi, t))
+    return _multiply(f, _group_table(f.grid, spec, t))
+
+
+def _group_table(g: Grid, spec: EquationSpec, times) -> _Table:
+    """The table of ``spec.group_phase(g.xi, times)``, one row per time for a
+    column of times.  The phase mirrors its half lattice by the model's
+    symmetry, so its finiteness test and its flags read that half
+    (``spectral._mirrored_table``) and are bitwise those of a scan of the
+    full table; a phase that is not finite (a huge ``t``) raises the scan's
+    ValueError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite value named there
+        phase = spec.group_phase(g.xi, times)
+    return _mirrored_table(g, phase, conjugate=spec.is_real)
 
 
 def _group_times(times) -> np.ndarray:
@@ -185,12 +200,11 @@ def _group_times(times) -> np.ndarray:
 def _group_scan(f: Field, spec: EquationSpec, times):
     """Samples of U(t) f for every t in ``times``, yielded as blocks of rows,
     one row per time, from one forward FFT of f (``spectral._multiply_rows``
-    over the group phases).  Each row is bitwise ``linear_group(f, spec, t)``."""
+    over the group phases, one ``_group_table`` per block of times).  Each
+    row is bitwise ``linear_group(f, spec, t)``."""
     times = _group_times(times)
     g = f.grid
-    return _multiply_rows(
-        f, times.size, lambda block: _build_table(g, spec.group_phase(g.xi, times[block, None]))
-    )
+    return _multiply_rows(f, times.size, lambda block: _group_table(g, spec, times[block, None]))
 
 
 class _Stepper:

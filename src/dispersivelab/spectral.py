@@ -86,14 +86,23 @@ class Grid:
         # parameter; see _table
         return {}
 
-    def _table(self, key, symbol) -> "_Table":
-        """The table of ``symbol`` (a callable of xi) stored under ``key``,
-        built on first use and never replaced.  Threads sharing the grid may
-        at worst build the same table twice."""
+    def _table(self, key, build, *args) -> "_Table":
+        """The table ``build(self, *args)`` stored under ``key``, built on
+        first use and never replaced: ``_build_table`` and a symbol for one
+        scanned on the lattice, or a builder that knows its table's symmetry
+        by construction.  Threads sharing the grid may at worst build the
+        same table twice."""
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = _build_table(self, symbol)
+            table = self._tables[key] = build(self, *args)
         return table
+
+    @cached_property
+    def _outer(self) -> tuple:
+        """``(head, tail)``: the outer cell |x| >= (1 - BOUNDARY_FRACTION) L
+        of the gate is ``x[:head]`` and ``x[tail:]``, since x increases."""
+        outer = np.abs(self.x) >= (1.0 - BOUNDARY_FRACTION) * self.length
+        return int(np.argmin(outer)), self.n - int(np.argmin(outer[::-1]))
 
     def refine(self) -> "Grid":
         """Same cell, twice the resolution."""
@@ -199,29 +208,64 @@ class _Table(NamedTuple):
         return _Table(self.values[index], self.odd[index], self.hermitian[index])
 
 
-def _build_table(g: Grid, m) -> _Table:
+_SINGULAR = "singular multipliers must define m there explicitly"
+
+
+def _build_table(g: Grid, m, cause: str = _SINGULAR) -> _Table:
     """Evaluate ``m`` (a callable of xi, or an array whose last axis has
-    length n) on the lattice, reject a non-finite value and detect the
-    symmetry of each row to 1e-13 of its max|m|."""
+    length n) on the lattice, reject a non-finite value (the error ends in
+    ``cause``) and detect the symmetry of each row to 1e-13 of its max|m|."""
     with np.errstate(over="ignore"):  # an overflow is the non-finite value named below
         mvals = np.asarray(m(g.xi) if callable(m) else m, dtype=np.complex128)
     if mvals.ndim == 0 or mvals.shape[-1] != g.n or mvals.size == 0:
         raise ValueError(f"multiplier must have {g.n} values, got shape {mvals.shape}")
-    bad = ~np.isfinite(mvals)
-    if np.any(bad):
-        k = int(np.nonzero(bad)[-1][0])
-        raise ValueError(
-            f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); "
-            "singular multipliers must define m there explicitly"
-        )
+    _require_finite_symbol(g, mvals, cause)
     # the scans run on blocks of rows, which bounds their temporaries
     rows = mvals.reshape(-1, g.n)
     flags = [_symmetry(rows[block]) for block in _row_blocks(len(rows), g.n)]
     odd, hermitian = (np.concatenate(f).reshape(mvals.shape[:-1]) for f in zip(*flags))
-    # a read-only view: the caller's own array stays writeable
+    return _frozen(mvals, odd, hermitian)
+
+
+def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool) -> _Table:
+    """The table of ``mvals``, finite or not, whose rows were built on the
+    half lattice ``[: n/2 + 1]`` and mirrored onto the rest: m(-xi) is
+    conj(m(xi)) when ``conjugate``, else m(xi).  The finiteness test and
+    the flags read the half alone and are bitwise those of _build_table's
+    scan: the mirror repeats the half or its conjugates, so max|m| is the
+    half's, and finite only when every value is; a conjugated mirror
+    makes pos - conj(neg) exactly 0, an even one exactly 2i Im(pos); and
+    the odd test forms pos + neg as the scan does, past the same m(0)
+    test."""
+    half = mvals[..., : g.n // 2 + 1]
+    tol = 1e-13 * np.max(np.abs(half), axis=-1)
+    if not np.isfinite(tol).all():  # a non-finite value, or one whose |m| overflows
+        _require_finite_symbol(g, half, _SINGULAR)
+    zero, pos = half[..., 0], half[..., 1 : g.n // 2]
+    odd = np.abs(zero) <= tol
+    if np.any(odd):
+        odd &= np.max(np.abs(pos + (np.conj(pos) if conjugate else pos)), axis=-1) <= tol
+    hermitian = np.abs(zero.imag) <= tol
+    if not conjugate:
+        hermitian &= 2.0 * np.max(np.abs(pos.imag), axis=-1) <= tol
+    return _frozen(mvals, odd, hermitian)
+
+
+def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause: str) -> None:
+    """Raise ValueError at the first non-finite value of ``mvals``, a table's
+    rows or their heads, naming its frequency and index and then ``cause``."""
+    bad = ~np.isfinite(mvals)
+    if np.any(bad):
+        k = int(np.nonzero(bad)[-1][0])
+        raise ValueError(f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); {cause}")
+
+
+def _frozen(mvals: np.ndarray, odd, hermitian) -> _Table:
+    """The table of ``mvals`` as a read-only view, so the caller's own array
+    stays writeable, with its flags as arrays of the row shape."""
     mvals = mvals.view()
     mvals.flags.writeable = False
-    return _Table(mvals, odd, hermitian)
+    return _Table(mvals, np.asarray(odd), np.asarray(hermitian))
 
 
 def _symmetry(rows: np.ndarray) -> tuple:
@@ -294,10 +338,14 @@ def apply_multiplier(f: Field, m) -> Field:
       at xi = 0) gives a real output; in a block the rule holds row by row.
       This is the one realness rule of the operators and the linear groups.
 
-    The package's own operators follow the same rules through tables their
-    grid builds once per symbol (``Grid._table``), so they skip the
-    evaluation and the scans on a repeated call.  One multiplier is applied
-    here: an array of any shape other than (n,) raises ValueError.
+    The package's own operators follow the same rules through tables that
+    carry the same flags: the grid stores one per operator and parameter
+    (``Grid._table``), so a repeated call skips the evaluation and the
+    scans, and the group phases (``_mirrored_table``) and the
+    Littlewood-Paley blocks (``operators._lp_stack``) take theirs from how
+    they are built, with no scan at all.  One
+    multiplier is applied here: an array of any shape other than (n,)
+    raises ValueError.
     """
     table = _build_table(f.grid, m)
     if table.values.ndim != 1:  # stacks of multipliers go through _multiply_rows
@@ -329,15 +377,19 @@ def boundary_gate(f: Field) -> tuple[bool, float]:
     """Check that a field is negligible on the outer 10% of the cell.
 
     Returns ``(ok, ratio)`` where ratio = max |f| on |x| >= 0.9 L divided by
-    the global max (0 for a zero field).  Whole-line norms computed on the
-    periodic cell are only meaningful when the gate passes.
+    the global max (0 for a zero field), one of each per row of a block.
+    The outer cell is read as the two end slices that the grid finds once
+    (``Grid._outer``).  Whole-line norms computed on the periodic cell are
+    only meaningful when the gate passes.
     """
-    g = f.grid
+    head, tail = f.grid._outer
     mags = np.abs(f.values)
     peak = np.max(mags, axis=-1)
-    outer = np.abs(g.x) >= (1.0 - BOUNDARY_FRACTION) * g.length
+    outer = np.max(mags[..., :head], axis=-1)
+    if tail < f.grid.n:  # a grid of n <= 16 has no outer points at x > 0
+        outer = np.maximum(outer, np.max(mags[..., tail:], axis=-1))
     # a zero row has a zero outer max: 0 / inf
-    ratio = _per_row(f, np.max(mags[..., outer], axis=-1) / np.where(peak == 0.0, np.inf, peak))
+    ratio = _per_row(f, outer / np.where(peak == 0.0, np.inf, peak))
     return ratio < BOUNDARY_TOL, ratio
 
 
@@ -363,8 +415,14 @@ def _require_gate(f: Field, what: str) -> float:
     _one_row(f, what)
     ok, ratio = boundary_gate(f)
     if not ok:
-        raise ValueError(
-            f"{what} fails the boundary gate on the cell L={f.grid.length:g}: "
-            f"outer-cell ratio {ratio:.2e} >= {BOUNDARY_TOL:.0e}"
-        )
+        raise _gate_error(f.grid, what, ratio)
     return ratio
+
+
+def _gate_error(g: Grid, what: str, ratio: float) -> ValueError:
+    """The error of a field, named by ``what``, whose gate ``ratio`` on the
+    grid ``g`` fails: the one wording of that error."""
+    return ValueError(
+        f"{what} fails the boundary gate on the cell L={g.length:g}: "
+        f"outer-cell ratio {ratio:.2e} >= {BOUNDARY_TOL:.0e}"
+    )

@@ -18,7 +18,7 @@ It prints the kill matrix as one JSON document: per row, whether it was
 killed, the first failing test, and the wall time.  It exits 0 when every
 mutant not listed as equivalent is killed, 1 when one survives, and 2 on an
 error: a stale row (its snippet is not found exactly once), a selection that
-collects no tests, or a baseline that fails.  A run takes about 60 s on a
+collects no tests, or a baseline that fails.  A run takes about 80 s on a
 2-vCPU x86_64 VM (Python 3.11, numpy 2.4).
 
 Rows marked ``equivalent`` change no output that any test can see, so they
@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(
         "odd_flag_false",
         "spectral.py",
-        "return _Table(mvals, odd, hermitian)",
-        "return _Table(mvals, odd & False, hermitian)",
+        "    return _frozen(mvals, odd, hermitian)\n\n\ndef _mirrored_table",
+        "    return _frozen(mvals, odd & False, hermitian)\n\n\ndef _mirrored_table",
         ("tests/test_operators.py", "tests/test_tables.py"),
     ),
     Mutant(
@@ -284,10 +284,59 @@ MUTANTS = (
     Mutant(
         "linear_group_t_plus_zero",
         "propagators.py",
-        "return apply_multiplier(f, spec.group_phase(f.grid.xi, t))",
-        "return apply_multiplier(f, spec.group_phase(f.grid.xi, t + 0.0))",
+        "return _multiply(f, _group_table(f.grid, spec, t))",
+        "return _multiply(f, _group_table(f.grid, spec, t + 0.0))",
         ("tests/test_tables.py", "tests/test_propagators.py"),
         equivalent=True,
+    ),
+    Mutant(
+        "nls_group_hermitian_forced",
+        "spectral.py",
+        "    if not conjugate:\n        hermitian &=",
+        "    if False:\n        hermitian &=",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "group_odd_forced",
+        "spectral.py",
+        "<= tol\n    return _frozen(mvals, odd, hermitian)",
+        "<= tol\n    return _frozen(mvals, odd | True, hermitian)",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "lp_range_drops_top_row",
+        "operators.py",
+        "n_hi = int(np.ceil(np.log2(grid.xi_max)))",
+        "n_hi = int(np.ceil(np.log2(grid.xi_max))) - 1",
+        ("tests/test_tables.py", "tests/test_operators.py"),
+    ),
+    Mutant(
+        "block_gate_skips_last_row",
+        "corpus.py",
+        "        if not ok.all():",
+        "        if not ok[:-1].all():",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "gate_tail_slice_dropped",
+        "spectral.py",
+        "    if tail < f.grid.n:",
+        "    if False:",
+        ("tests/test_spectral.py",),
+    ),
+    Mutant(
+        "weighted_free_deriv_row_is_the_flow",
+        "checks.py",
+        "+ t**b * weighted_l2(deriv, 0.0)",
+        "+ t**b * weighted_l2(flow, 0.0)",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "persistence_diagnostics_unprobed",
+        "checks.py",
+        "    diagnostics(Field(g, real_values(u0, f\"the {spec.model} flow\")) if spec.is_real else u0, 0.0)\n",
+        "",
+        ("tests/test_checks.py::test_persistence_probes_its_diagnostics_before_the_march",),
     ),
 )
 

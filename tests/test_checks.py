@@ -252,6 +252,26 @@ def test_persistence_regime_pass_and_report_only():
     assert rep2.verdict == "report-only"
 
 
+@pytest.mark.parametrize(
+    "params, cause",
+    [
+        ({"s": 400.0}, "bessel_potential overflows there at s=400"),
+        ({"m": 200.0}, "the weight |x|^(2m) overflows on the cell L=20, got m=200.0"),
+        ({"model": "gkdv", "s": 400.0}, "bessel_potential overflows there at s=400"),
+    ],
+)
+def test_persistence_probes_its_diagnostics_before_the_march(monkeypatch, params, cause):
+    import dispersivelab.checks as checks
+
+    def march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr(checks, "evolve", march)
+    with pytest.raises(ValueError) as exc:
+        run_check("persistence", params)
+    assert str(exc.value).startswith("persistence: ") and str(exc.value).endswith(cause)
+
+
 def test_persistence_m_zero_is_mass():
     g = Grid(256, 20.0)
     u0 = Field.from_function(g, gaussian)

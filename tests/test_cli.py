@@ -417,6 +417,10 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
          "command = solve\nstepper.T = 0.01\nsolve.m = 200\noutput.dir = {tmp}/out\n",
          "config error: {tmp}/run.cfg: the weight |x|^(2m) overflows on the cell L=20, "
          "got m=200.0\n"),
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nstepper.T = 0.01\nsolve.s = 400\noutput.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: multiplier is not finite at xi=5.81195 (index 37); "
+         "bessel_potential overflows there at s=400\n"),
     ],
     ids=[
         "unreadable_config",
@@ -435,6 +439,7 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
         "sweep_out_is_a_file",
         "solve_sobolev_overflow",
         "solve_weight_overflow",
+        "solve_sobolev_overflow_names_s",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
@@ -633,12 +638,18 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "the free flow U(t)f at t=2 fails the boundary gate on the cell L=20: "
             "outer-cell ratio 7.25e-03 >= 1e-10",
         ),
-        ("interpolation", ["b=400"], "the weight <x>^(2m) overflows on the cell L=20, got m=400.0"),
+        ("interpolation", ["b=400"], "the weight <x>^(2b) overflows on the cell L=20, got b=400.0"),
         (
             "gamma_identity",
             ["b=1", "t=0.9"],
             "the weighted flow U(t)(x f) at t=0.9 fails the boundary gate on the cell L=20: "
             "outer-cell ratio 9.17e-10 >= 1e-10",
+        ),
+        (
+            "persistence",
+            ["s=400"],
+            "multiplier is not finite at xi=5.81195 (index 37); "
+            "bessel_potential overflows there at s=400",
         ),
     ],
 )

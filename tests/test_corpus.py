@@ -5,8 +5,8 @@ of a realized member."""
 import numpy as np
 import pytest
 
-from dispersivelab.corpus import NAMED_FIELDS, Corpus, WavePacket
-from dispersivelab.spectral import Grid
+from dispersivelab.corpus import NAMED_FIELDS, Corpus, CorpusMember, WavePacket, _realize_blocks
+from dispersivelab.spectral import BLOCK_SAMPLES, Grid
 
 SAMPLER_TOL = 1e-14  # |lattice - closure| <= SAMPLER_TOL * max|closure|, fixed before the switch
 
@@ -51,3 +51,56 @@ def test_realize_gates_the_member():
     with pytest.raises(ValueError, match="'gaussian' at scale=0.5 fails the boundary gate"):
         gauss.realize(wide, scale=0.5)
     np.testing.assert_array_equal(gauss.realize(wide).values, np.exp(-(wide.x**2)))
+
+
+@pytest.mark.parametrize("n,L", [(512, 20.0), (4096, 20.0), (8192, 20.0)])
+def test_realized_blocks_are_the_members_realized_one_by_one(n, L):
+    grid = Grid(n, L)
+    corpus = Corpus(seed=101, size=9)
+    blocks = list(corpus.realize(grid))
+    assert [len(b.values) for b in blocks[:-1]] == [BLOCK_SAMPLES // n] * (len(blocks) - 1)
+    rows = np.concatenate([b.values for b in blocks])
+    assert rows.shape == (len(corpus), n)
+    for row, m in zip(rows, corpus.members):
+        assert row.tobytes() == m.realize(grid).values.tobytes(), m.name
+
+
+def _gate_error(member, grid) -> str:
+    with pytest.raises(ValueError) as exc:
+        member.realize(grid)
+    return str(exc.value)
+
+
+# on [-10, 10) the Gaussian and its derivative clear the gate and sech^2,
+# 6e-8 of its peak at |x| = 9, does not
+GAUSS, DERIV = NAMED_FIELDS["gaussian"], NAMED_FIELDS["gaussian_deriv"]
+WIDE = [CorpusMember(f"wide_{i}", NAMED_FIELDS["sech2"].fn) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "n, members",
+    [
+        (64, [GAUSS, DERIV, WIDE[0]]),                  # the last row of one block
+        (64, [GAUSS, WIDE[1], DERIV, WIDE[2]]),          # the first of two failing rows
+        (8192, [GAUSS, DERIV, GAUSS, WIDE[0]]),          # the last row of the second block
+        (8192, [GAUSS, DERIV, WIDE[2], WIDE[1], GAUSS]),  # the first row of the second block
+    ],
+)
+def test_block_gate_raises_the_first_failing_members_error(n, members):
+    grid = Grid(n, 10.0)
+    first = next(m for m in members if m.name.startswith("wide"))
+    with pytest.raises(ValueError) as exc:
+        list(_realize_blocks(members, grid))
+    assert str(exc.value) == _gate_error(first, grid)
+    assert str(exc.value).startswith(f"corpus member {first.name!r} at scale=1 fails")
+
+
+@pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: x[:-1], lambda x: np.exp(-x[None] ** 2)])
+def test_a_member_that_is_not_n_values_raises_its_own_error(fn):
+    grid = Grid(64, 10.0)
+    bad = CorpusMember("bad", fn)
+    with pytest.raises(ValueError) as want:
+        bad.realize(grid)
+    with pytest.raises(ValueError) as got:
+        list(_realize_blocks([GAUSS, bad, DERIV], grid))
+    assert str(got.value) == str(want.value)

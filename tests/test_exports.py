@@ -31,16 +31,25 @@ def test_star_imports_and_package_reexports_are_public():
 PRIVATE_IMPORTS = {
     "checks": {
         "corpus": {"_realize_blocks", "_require_corpus_keys"},
-        "norms": {"_lebesgue_rows", "_powers"},
-        "propagators": {"_group_scan"},
-        "spectral": {"_require_gate", "_row_blocks"},
+        "norms": {"_lebesgue_rows", "_powers", "_require_finite"},
+        "operators": {"_riesz_table"},
+        "propagators": {"_group_scan", "_group_table"},
+        "spectral": {"_Table", "_multiply_rows", "_require_gate", "_row_blocks"},
     },
-    "corpus": {"spectral": {"_require_gate", "_row_blocks"}},
+    "corpus": {"spectral": {"_gate_error", "_require_gate", "_row_blocks"}},
     "laws": {"spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},
-    "operators": {"spectral": {"_fft", "_ifft", "_multiply", "_multiply_rows", "_per_row"}},
+    "operators": {
+        "spectral": {
+            "_Table", "_build_table", "_fft", "_frozen", "_ifft", "_multiply", "_multiply_rows",
+            "_per_row",
+        }
+    },
     "propagators": {
-        "spectral": {"_build_table", "_fft", "_ifft", "_irfft", "_multiply_rows", "_rfft"}
+        "spectral": {
+            "_Table", "_fft", "_ifft", "_irfft", "_mirrored_table", "_multiply", "_multiply_rows",
+            "_rfft",
+        }
     },
 }
 

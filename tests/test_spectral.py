@@ -145,6 +145,24 @@ def test_boundary_gate():
     assert not ok and ratio == np.exp(-((9.0625 / 8.0) ** 2))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 4096])
+@pytest.mark.parametrize("L", [1.0, 3.0, 20.0])
+def test_boundary_gate_end_slices_are_the_outer_mask(n, L):
+    """The gate reads the outer cell as the grid's two end slices; its ratio
+    is bitwise the one of the |x| >= 0.9 L mask, on one row and on a block."""
+    g = Grid(n, L)
+    block = np.stack([random_band_limited(g, seed, width=L / 3).values for seed in range(3)])
+    block[1, 0] = 5.0  # the outer max at x = -L
+    block[2, -1] = 7.0  # the outer max at x = L - h, where that node is outer
+    mags = np.abs(block)
+    mask = np.abs(g.x) >= 0.9 * g.length
+    want = np.max(mags[:, mask], axis=-1) / np.max(mags, axis=-1)
+    ok, ratio = boundary_gate(Field(g, block))
+    assert ratio.tobytes() == want.tobytes() and np.array_equal(ok, want < 1e-10)
+    for row, value in zip(block, want):
+        assert boundary_gate(Field(g, row))[1] == value
+
+
 # each door transform, its np.fft counterpart, the output's last-axis length
 # and dtype for n input samples, and the input dtypes it is tested on
 DOOR = {

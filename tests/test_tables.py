@@ -12,6 +12,10 @@ bits of ``apply_multiplier`` under the group phase at its time.  An
 under ``apply_multiplier`` in value.
 ``apply_multiplier`` itself is held to the single-function form it had
 before the build and the application were split (``_old_apply_multiplier``).
+
+The group-phase tables (``_group_table``) and the Littlewood-Paley stack
+(``_lp_stack``) take their symmetry flags from their construction; each is
+held to ``_build_table``'s scan of the same values at tolerance 0.
 """
 
 import sys
@@ -22,6 +26,7 @@ import pytest
 
 from dispersivelab.operators import (
     _eta,
+    _lp_stack,
     bessel_potential,
     derivative,
     hilbert,
@@ -30,8 +35,8 @@ from dispersivelab.operators import (
     lp_linf_l1,
     riesz_deriv,
 )
-from dispersivelab.propagators import EquationSpec, _group_scan, linear_group
-from dispersivelab.spectral import BLOCK_SAMPLES, Field, Grid, apply_multiplier
+from dispersivelab.propagators import EquationSpec, _group_scan, _group_table, linear_group
+from dispersivelab.spectral import BLOCK_SAMPLES, Field, Grid, _build_table, apply_multiplier
 
 GRIDS = [(8, 1.0), (512, 20.0), (4096, 20.0)]
 MODELS = [EquationSpec.nls(), EquationSpec.gkdv(), EquationSpec.bo()]
@@ -269,3 +274,108 @@ def test_threads_sharing_a_grid_get_their_own_tables():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert failures == []
+
+
+def _same_table(got, want) -> bool:
+    """Two tables with the same value bits and the same flags, row by row."""
+    return (
+        got.values.tobytes() == want.values.tobytes()
+        and got.values.shape == want.values.shape
+        and np.array_equal(got.odd, want.odd)
+        and np.array_equal(got.hermitian, want.hermitian)
+        and got.odd.shape == want.odd.shape
+    )
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+@pytest.mark.parametrize("spec", MODELS, ids=lambda spec: spec.model)
+def test_group_table_flags_equal_the_scan(spec, n):
+    """The flags of a group-phase table, read off its half lattice, are the
+    scan's: at t = L^2/pi the NLS phase exp(-i pi k^2) is real on the
+    lattice in exact arithmetic, so the NLS Hermitian flag turns on the
+    rounding of each grid."""
+    for L in (1.0, 20.0, 40.0):
+        grid = Grid(n, L)
+        times = [0.0, -0.0, 0.5, -0.5, 2.0, L * L / np.pi]
+        for t in times:
+            want = _build_table(grid, spec.group_phase(grid.xi, t))
+            assert _same_table(_group_table(grid, spec, t), want), (L, t)
+        column = np.array(times)[:, None]
+        want = _build_table(grid, spec.group_phase(grid.xi, column))
+        assert _same_table(_group_table(grid, spec, column), want), L
+
+
+def test_group_table_hermitian_flag_is_not_constant():
+    """The NLS flag takes both values over the tested times (so the oracle
+    above sees both), and the gKdV and BO flags are always on."""
+    grid = Grid(8, 1.0)
+    flags = {bool(_group_table(grid, EquationSpec.nls(), t).hermitian) for t in (0.5, 1.0 / np.pi)}
+    assert flags == {True, False}
+    for spec in MODELS[1:]:
+        assert bool(_group_table(grid, spec, 0.5).hermitian)
+        assert not bool(_group_table(grid, spec, 0.5).odd)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, 1e306])
+def test_huge_group_time_raises_the_scan_error(t):
+    grid = Grid(64, 10.0)
+    f = _field(grid, real=True)
+    for spec in MODELS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = spec.group_phase(grid.xi, t)
+        if np.isfinite(phase).all():
+            continue  # 1e306 overflows gKdV's xi^3 only
+        with pytest.raises(ValueError) as want:
+            _build_table(grid, phase)
+        assert str(want.value).startswith("multiplier is not finite at xi=")
+        for call in (
+            lambda: _group_table(grid, spec, t),
+            lambda: linear_group(f, spec, t),
+            lambda: list(_group_scan(f, spec, [0.0, t])),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value), spec.model
+
+
+def _old_lp_rows(grid, blocks):
+    """The Littlewood-Paley rows as they were built before: eta of the whole
+    lattice, one row per N of ``blocks``."""
+    out = np.empty((len(blocks), grid.n), dtype=complex)
+    for row, N in zip(out, blocks):
+        row[:] = _eta(np.abs(grid.xi) / 2.0**N)
+    return out
+
+
+# every grid the checks and the tests use, the refine battery's, and an n = 8
+# cell whose top block meets the lattice at the Nyquist mode alone
+LP_GRIDS = [
+    (8, 1.0), (8, 4.0 * np.pi / 2.4), (16, 3.0), (64, 10.0), (256, 3.0), (512, 10.0),
+    (512, 20.0), (1024, 20.0), (1024, 40.0), (2048, 160.0), (4096, 20.0), (4096, 40.0),
+    (8192, 10.0), (8192, 30.0), (8192, 160.0),
+]
+
+
+@pytest.mark.parametrize("n,L", LP_GRIDS)
+def test_lp_stack_equals_the_scan_of_the_old_rows(n, L):
+    grid = Grid(n, L)
+    blocks = lp_block_range(grid)
+    assert _same_table(_lp_stack(grid), _build_table(grid, _old_lp_rows(grid, blocks)))
+    # the rows the range dropped at each end are 0 on the lattice
+    ends = range(blocks.start - 1, blocks.stop + 1, len(blocks) + 1)
+    assert not _old_lp_rows(grid, ends).any()
+
+
+def test_lp_stack_odd_only_where_a_row_vanishes_off_nyquist():
+    grid = Grid(8, 4.0 * np.pi / 2.4)  # |xi| = 0.6 k: the top band (2, 8) holds 2.4 alone
+    table = _lp_stack(grid)
+    top = table.values[-1]
+    assert np.flatnonzero(top).tolist() == [grid.n // 2]
+    assert table.odd.tolist() == [False] * (len(table.odd) - 1) + [True]
+    assert table.hermitian.all()
+
+
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_no_lp_row_is_all_zero(n, L):
+    rows = _lp_stack(Grid(n, L)).values
+    assert rows.any(axis=-1).all()
