@@ -36,12 +36,12 @@ from .norms import (
     weighted_l2,
 )
 from .operators import (
+    _lp_deriv_linf_l1,
     _riesz_table,
     bessel_potential,
     derivative,
     gamma_schrodinger,
     hilbert,
-    lp_linf_l1,
     riesz_deriv,
     stein_deriv,
 )
@@ -458,6 +458,14 @@ def check_interpolation(
     # the weight <x>^(2b) peaks at x = -L on both levels; an overflow names b
     with np.errstate(over="ignore"):
         _require_finite((1.0 + grid.x**2) ** b, "<x>^(2b)", grid, f"b={b}")
+        # J^a and J^(theta a) peak on the refined lattice, and J^(theta a) <= J^a
+        # there (1 + xi^2 >= 1, theta <= 1): an overflow of either names a
+        fine = grid.refine().xi
+        if not np.isfinite((1.0 + fine**2) ** (a / 2.0)).all():
+            raise ValueError(
+                f"the multiplier J^a overflows on the refined lattice "
+                f"|xi| <= {np.max(np.abs(fine)):g}, got a={a}"
+            )
     corpus = corpus or Corpus(size=10)
 
     def ratios(f: Field) -> np.ndarray:
@@ -492,7 +500,10 @@ def check_commutator_leibniz(
     corpus: Corpus | None = None,
 ) -> CheckReport:
     """Commutator estimate ||D^alpha(fg) - f D^alpha g||_p controlled by
-    the L^inf l^1_N block norm of D^alpha f times ||g||_2."""
+    the L^inf l^1_N block norm of D^alpha f times ||g||_2.  The block norm
+    is summed from one forward FFT of f under the blocks composed with
+    |xi|^alpha, one table per grid and alpha kept across calls
+    (``operators._lp_deriv_linf_l1``)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"order must lie in (0,1), got alpha={alpha}")
     if not (1.0 < p < np.inf):
@@ -502,7 +513,7 @@ def check_commutator_leibniz(
     def ratios(fa: Field, fb: Field) -> np.ndarray:
         """The ratio of each pair of rows of two blocks."""
         lhs = riesz_deriv(fa * fb, alpha) - fa * riesz_deriv(fb, alpha)
-        rhs = lp_linf_l1(riesz_deriv(fa, alpha)) * weighted_l2(fb, 0.0)
+        rhs = _lp_deriv_linf_l1(fa, alpha) * weighted_l2(fb, 0.0)
         return _ratios(lebesgue(lhs, p), rhs, 1e-13)
 
     # the members paired in twos: each even one with the odd one after it
@@ -673,6 +684,9 @@ def check_ap_hilbert(
 
 # ----------------------------------------------------------- Strichartz
 
+_STRICHARTZ_TIMES = 129  # evenly spaced times in [0, T], both ends included
+
+
 def check_strichartz(
     q: float = 8.0,
     p: float = 4.0,
@@ -685,9 +699,11 @@ def check_strichartz(
     invariant under u0 -> u0(2x), T -> T/4 (asserted at 5%), and the (inf, 2)
     pair returns exactly one by unitarity.
 
-    Each scale takes one forward FFT and scans the times in blocks (see
-    ``propagators._group_scan``): the L^p norm of every U(t) u0 is taken
-    row by row and no snapshot is stored."""
+    Each scale takes one forward FFT and scans the evenly spaced times in
+    blocks (see ``propagators._group_scan``), advancing the phase by the
+    group law, so each U(t) u0 is the per-time flow to a relative error of
+    max|t xi^2| times the double-precision epsilon: the L^p norm of every
+    U(t) u0 is taken row by row and no snapshot is stored."""
     if not (q > 0 and p > 0 and abs(2.0 / q + 1.0 / p - 0.5) <= 1e-12):  # NaN fails it too
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
@@ -698,10 +714,9 @@ def check_strichartz(
 
     def truncated_ratio(scale: float, horizon: float) -> float:
         f = _GAUSSIAN.realize(grid, scale=scale)
-        times = np.linspace(0.0, horizon, 129)
-        norms = np.concatenate(
-            [_lebesgue_rows(rows, grid.h, p) for rows in _group_scan(f, spec, times)]
-        )
+        times = np.linspace(0.0, horizon, _STRICHARTZ_TIMES)
+        scan = _group_scan(f, spec, 0.0, horizon / (_STRICHARTZ_TIMES - 1), _STRICHARTZ_TIMES)
+        norms = np.concatenate([_lebesgue_rows(rows, grid.h, p) for rows in scan])
         if q == np.inf:
             value = float(np.max(norms))
         else:

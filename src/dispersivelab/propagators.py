@@ -122,8 +122,15 @@ class EquationSpec:
             half = np.exp(1j * t * (x * x * x))
         else:
             half = np.exp(-1j * t * x * np.abs(x))
-        mirror = half[..., n // 2 - 1 : 0 : -1]
-        return np.concatenate([half, mirror.conj() if self.is_real else mirror], axis=-1)
+        return _mirror(half, n, self.is_real)
+
+
+def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
+    """Rows on the half lattice ``xi[: n/2 + 1]`` extended to the whole
+    FFT-ordered lattice of n modes: m(-xi) is conj(m(xi)) when
+    ``conjugate``, else m(xi)."""
+    mirror = half[..., n // 2 - 1 : 0 : -1]
+    return np.concatenate([half, mirror.conj() if conjugate else mirror], axis=-1)
 
 
 @dataclass
@@ -182,11 +189,18 @@ def _group_table(g: Grid, spec: EquationSpec, times) -> _Table:
     column of times.  The phase mirrors its half lattice by the model's
     symmetry, so its finiteness test and its flags read that half
     (``spectral._mirrored_table``) and are bitwise those of a scan of the
-    full table; a phase that is not finite (a huge ``t``) raises the scan's
-    ValueError, with no numpy warning."""
+    full table.  A phase that is not finite, where a huge ``t`` overflows
+    the angle t*omega(xi), raises ValueError naming the frequency, the
+    model and that time, with no numpy warning."""
+    times = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite value named there
         phase = spec.group_phase(g.xi, times)
-    return _mirrored_table(g, phase, conjugate=spec.is_real)
+    return _mirrored_table(
+        g,
+        phase,
+        conjugate=spec.is_real,
+        cause=lambda row: f"the {spec.model} group phase overflows there at t={times[row].item():g}",
+    )
 
 
 def _group_times(times) -> np.ndarray:
@@ -197,14 +211,38 @@ def _group_times(times) -> np.ndarray:
     return times
 
 
-def _group_scan(f: Field, spec: EquationSpec, times):
-    """Samples of U(t) f for every t in ``times``, yielded as blocks of rows,
-    one row per time, from one forward FFT of f (``spectral._multiply_rows``
-    over the group phases, one ``_group_table`` per block of times).  Each
-    row is bitwise ``linear_group(f, spec, t)``."""
-    times = _group_times(times)
+def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
+    """Samples of U(t) f at the ``count`` times t = t0 + j*dt, yielded as
+    blocks of rows, one row per time, from one forward FFT of f
+    (``spectral._multiply_rows``).
+
+    The phases advance by the group law U(t + dt) = U(dt) U(t): the exact
+    phases of t0 and dt are built once (``_group_table``), and each later
+    time takes one complex multiply per mode of the half lattice, mirrored
+    as ``group_phase`` mirrors it, so every row's table takes its flags
+    from ``spectral._mirrored_table``.  Hence row 0 is bitwise
+    ``linear_group(f, spec, t0)`` (at t0 = +-0 the phase is exactly 1), a
+    real field stays exactly real under the gKdV and BO phases, and row j
+    is ``linear_group(f, spec, t0 + j*dt)`` to a relative L^2 error of at
+    most theta_max * eps (theta_max = max|t omega(xi)| over the scan, eps
+    the double-precision epsilon): the rounding of the angle in the
+    per-time phase is of that size too."""
+    _group_times([t0, dt, t0 + (count - 1) * dt])
     g = f.grid
-    return _multiply_rows(f, times.size, lambda block: _group_table(g, spec, times[block, None]))
+    n = g.n
+    phase = _group_table(g, spec, t0).values[: n // 2 + 1]
+    step = _group_table(g, spec, dt).values[: n // 2 + 1] if count > 1 else None
+
+    def table_of(block):
+        nonlocal phase
+        half = np.empty((block.stop - block.start, n // 2 + 1), dtype=complex)
+        for j, row in zip(range(block.start, block.stop), half):
+            if j:
+                phase = step * phase
+            row[:] = phase
+        return _mirrored_table(g, _mirror(half, n, spec.is_real), conjugate=spec.is_real)
+
+    return _multiply_rows(f, count, table_of)
 
 
 class _Stepper:

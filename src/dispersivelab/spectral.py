@@ -227,7 +227,7 @@ def _build_table(g: Grid, m, cause: str = _SINGULAR) -> _Table:
     return _frozen(mvals, odd, hermitian)
 
 
-def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool) -> _Table:
+def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool, cause=_SINGULAR) -> _Table:
     """The table of ``mvals``, finite or not, whose rows were built on the
     half lattice ``[: n/2 + 1]`` and mirrored onto the rest: m(-xi) is
     conj(m(xi)) when ``conjugate``, else m(xi).  The finiteness test and
@@ -236,11 +236,12 @@ def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool) -> _Table:
     half's, and finite only when every value is; a conjugated mirror
     makes pos - conj(neg) exactly 0, an even one exactly 2i Im(pos); and
     the odd test forms pos + neg as the scan does, past the same m(0)
-    test."""
+    test.  A non-finite value raises ValueError ending in ``cause``, as
+    ``_require_finite_symbol`` reads it."""
     half = mvals[..., : g.n // 2 + 1]
     tol = 1e-13 * np.max(np.abs(half), axis=-1)
     if not np.isfinite(tol).all():  # a non-finite value, or one whose |m| overflows
-        _require_finite_symbol(g, half, _SINGULAR)
+        _require_finite_symbol(g, half, cause)
     zero, pos = half[..., 0], half[..., 1 : g.n // 2]
     odd = np.abs(zero) <= tol
     if np.any(odd):
@@ -251,12 +252,16 @@ def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool) -> _Table:
     return _frozen(mvals, odd, hermitian)
 
 
-def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause: str) -> None:
+def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause) -> None:
     """Raise ValueError at the first non-finite value of ``mvals``, a table's
-    rows or their heads, naming its frequency and index and then ``cause``."""
+    rows or their heads, naming its frequency and index and then ``cause``:
+    a string, or a callable of the index of that value's row (a tuple into
+    the row shape) that returns one."""
     bad = ~np.isfinite(mvals)
     if np.any(bad):
-        k = int(np.nonzero(bad)[-1][0])
+        *row, k = (int(i) for i in np.argwhere(bad)[0])
+        if callable(cause):
+            cause = cause(tuple(row))
         raise ValueError(f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); {cause}")
 
 

@@ -18,7 +18,7 @@ It prints the kill matrix as one JSON document: per row, whether it was
 killed, the first failing test, and the wall time.  It exits 0 when every
 mutant not listed as equivalent is killed, 1 when one survives, and 2 on an
 error: a stale row (its snippet is not found exactly once), a selection that
-collects no tests, or a baseline that fails.  A run takes about 80 s on a
+collects no tests, or a baseline that fails.  A run takes about 100 s on a
 2-vCPU x86_64 VM (Python 3.11, numpy 2.4).
 
 Rows marked ``equivalent`` change no output that any test can see, so they
@@ -227,7 +227,7 @@ MUTANTS = (
     Mutant(
         "group_phase_conjugate_dropped",
         "propagators.py",
-        "mirror.conj() if self.is_real else mirror",
+        "mirror.conj() if conjugate else mirror",
         "mirror",
         ("tests/test_propagators.py",),
     ),
@@ -337,6 +337,41 @@ MUTANTS = (
         "    diagnostics(Field(g, real_values(u0, f\"the {spec.model} flow\")) if spec.is_real else u0, 0.0)\n",
         "",
         ("tests/test_checks.py::test_persistence_probes_its_diagnostics_before_the_march",),
+    ),
+    Mutant(
+        "scan_step_at_twice_dt",
+        "propagators.py",
+        "step = _group_table(g, spec, dt)",
+        "step = _group_table(g, spec, 2 * dt)",
+        ("tests/test_tables.py::test_group_scan_rows_match_linear_group",),
+    ),
+    Mutant(
+        "scan_first_row_not_u_t0",
+        "propagators.py",
+        "phase = _group_table(g, spec, t0)",
+        "phase = _group_table(g, spec, t0 + dt)",
+        ("tests/test_tables.py::test_group_scan_rows_match_linear_group",),
+    ),
+    Mutant(
+        "lp_deriv_table_without_riesz",
+        "operators.py",
+        "row = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b",
+        "row = _eta(axi[lo:hi] / 2.0**N)",
+        ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
+    ),
+    Mutant(
+        "lp_store_key_ignores_b",
+        "operators.py",
+        "key = (grid.n, grid.length, b)",
+        "key = (grid.n, grid.length)",
+        ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
+    ),
+    Mutant(
+        "lp_store_unbounded",
+        "operators.py",
+        "while len(_lp_store) >= _LP_STORE_KEYS:",
+        "while False:",
+        ("tests/test_call_counts.py::test_lp_store_stays_within_its_bound",),
     ),
 )
 

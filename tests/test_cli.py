@@ -651,6 +651,11 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "multiplier is not finite at xi=5.81195 (index 37); "
             "bessel_potential overflows there at s=400",
         ),
+        (
+            "interpolation",
+            ["a=400"],
+            "the multiplier J^a overflows on the refined lattice |xi| <= 80.4248, got a=400.0",
+        ),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

@@ -32,7 +32,7 @@ PRIVATE_IMPORTS = {
     "checks": {
         "corpus": {"_realize_blocks", "_require_corpus_keys"},
         "norms": {"_lebesgue_rows", "_powers", "_require_finite"},
-        "operators": {"_riesz_table"},
+        "operators": {"_lp_deriv_linf_l1", "_riesz_table"},
         "propagators": {"_group_scan", "_group_table"},
         "spectral": {"_Table", "_multiply_rows", "_require_gate", "_row_blocks"},
     },
