@@ -450,7 +450,8 @@ def check_interpolation(
 ) -> CheckReport:
     """Bracket-weight interpolation
     ||J^(theta a) (<x>^((1-theta) b) f)|| <= c ||<x>^b f||^(1-theta) ||J^a f||^theta,
-    exact (ratio one) at the endpoints theta = 0, 1."""
+    exact (ratio one) at the endpoints theta = 0, 1.  An ``a`` whose J^a, or
+    whose norm ||J^a f|| on a level, overflows raises ValueError naming it."""
     if not (0 < a < np.inf and 0 < b < np.inf):
         raise ValueError(f"orders must be positive and finite, got a={a}, b={b}")
     if not (0.0 <= theta <= 1.0):
@@ -471,9 +472,12 @@ def check_interpolation(
     def ratios(f: Field) -> np.ndarray:
         g = f.grid
         # first the weight <x>^(2b), which overflows before the bracket does
-        rhs = _powers(weighted_l2(f, b, bracket=True), 1.0 - theta) * _powers(
-            weighted_l2(bessel_potential(f, a), 0.0), theta
-        )
+        weighted = weighted_l2(f, b, bracket=True)
+        with np.errstate(over="ignore"):  # the overflow named below
+            sobolev_a = weighted_l2(bessel_potential(f, a), 0.0)
+        if not np.isfinite(sobolev_a).all():
+            raise ValueError(f"the norm ||J^a f|| overflows on the grid n={g.n}, got a={a}")
+        rhs = _powers(weighted, 1.0 - theta) * _powers(sobolev_a, theta)
         bracket = (1.0 + g.x**2) ** ((1.0 - theta) * b / 2.0)
         lhs = weighted_l2(bessel_potential(Field(g, bracket * f.values), theta * a), 0.0)
         return _ratios(lhs, rhs)

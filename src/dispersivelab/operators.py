@@ -7,8 +7,6 @@ three vector-field operators that commute with the model linear flows.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .spectral import (
@@ -16,11 +14,13 @@ from .spectral import (
     _Table,
     _build_table,
     _fft,
-    _frozen,
     _ifft,
+    _mirror,
+    _mirrored_table,
     _multiply,
     _multiply_rows,
     _per_row,
+    _table,
 )
 
 __all__ = [
@@ -47,7 +47,7 @@ def hilbert(f: Field) -> Field:
     multiplier), so real input gives real output and H o H = -identity on
     mean-free, Nyquist-free fields.
     """
-    return _multiply(f, f.grid._table("hilbert", _build_table, lambda xi: -1j * np.sign(xi)))
+    return _multiply(f, _table(f.grid, "hilbert", _build_table, lambda xi: -1j * np.sign(xi)))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -56,7 +56,7 @@ def derivative(f: Field, order: int = 1) -> Field:
         raise ValueError(f"derivative order must be a nonnegative integer, got order={order}")
     if order == 0:
         return f.copy()
-    table = f.grid._table(("derivative", order), _build_table, lambda xi: (1j * xi) ** order)
+    table = _table(f.grid, ("derivative", order), _build_table, lambda xi: (1j * xi) ** order)
     return _multiply(f, table)
 
 
@@ -77,8 +77,8 @@ def riesz_deriv(f: Field, b: float) -> Field:
 
 
 def _riesz_table(grid, b: float) -> _Table:
-    """The grid's stored table of |xi|^b, b > 0."""
-    return grid._table(("riesz_deriv", b), _build_table, lambda xi: np.abs(xi) ** b)
+    """The stored table of |xi|^b, b > 0, on the grid."""
+    return _table(grid, ("riesz_deriv", b), _build_table, lambda xi: np.abs(xi) ** b)
 
 
 def bessel_potential(f: Field, s: float) -> Field:
@@ -87,7 +87,8 @@ def bessel_potential(f: Field, s: float) -> Field:
     naming ``s`` and the overflow."""
     if not np.isfinite(s):
         raise ValueError(f"order must be finite, got s={s}")
-    table = f.grid._table(
+    table = _table(
+        f.grid,
         ("bessel_potential", s),
         _build_table,
         lambda xi: (1.0 + xi**2) ** (s / 2.0),
@@ -253,70 +254,39 @@ def _lp_stack(grid, b: float = 0.0) -> _Table:
     """The blocks of ``lp_block_range(grid)`` composed with D^b as one
     table, a row per block: eta(|xi|/2^N) |xi|^b, the blocks themselves at
     b = 0.  Each row is evaluated on the frequencies of its band
-    1/2 < |xi|/2^N < 2 in the half lattice, where |xi| increases, then
-    mirrored; off the band eta is exactly 0.  A row is real and even, so
-    it is Hermitian.  By the scan's odd test (2 max|m| over 0 < |xi| <
-    xi_max within 1e-13 of max|m|) it is odd only where it vanishes there:
-    an all-zero row, or one whose only nonzero is the Nyquist mode."""
+    1/2 < |xi|/2^N < 2 in the half lattice, where |xi| increases, and
+    mirrored evenly; off the band eta is exactly 0.  The rows are real and
+    vanish at xi = 0, so the half-lattice flags (``spectral._mirrored_table``)
+    are the scan's: every row is Hermitian, and odd only where it vanishes
+    off the Nyquist mode."""
     n = grid.n
     blocks = lp_block_range(grid)
     axi = np.abs(grid.xi[: n // 2 + 1])
-    out = np.zeros((len(blocks), n), dtype=complex)
-    odd = np.empty(len(blocks), dtype=bool)
-    for i, N in enumerate(blocks):
+    half = np.zeros((len(blocks), n // 2 + 1), dtype=complex)
+    for row, N in zip(half, blocks):
         lo = np.searchsorted(axi, 2.0 ** (N - 1), side="right")
         hi = np.searchsorted(axi, 2.0 ** (N + 1), side="left")
-        row = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b
-        out[i, lo:hi] = row
-        inner = row[: n // 2 - lo]  # all but the Nyquist mode
-        odd[i] = 2.0 * inner.max(initial=0.0) <= 1e-13 * row.max(initial=0.0)
-    out[:, n // 2 + 1 :] = out[:, n // 2 - 1 : 0 : -1]
-    return _frozen(out, odd, np.ones(len(blocks), dtype=bool))
+        row[lo:hi] = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b
+    return _mirrored_table(grid, _mirror(half, n, False), conjugate=False)
 
 
-def _lp_tables(grid) -> _Table:
-    """The grid's stored table of ``_lp_stack``."""
-    return grid._table("lp_blocks", _lp_stack)
-
-
-# The tables of ``_lp_stack(grid, b)`` kept across grids and calls, by
-# (n, L, b), oldest first; at most _LP_STORE_KEYS of them (at L = 20 each
-# holds 0.85 MB at n = 4096, 1.8 MB at n = 8192), so a sweep over many
-# grids or orders holds a bounded amount.
-_LP_STORE_KEYS = 4
-_lp_store: dict = {}
-_lp_store_lock = threading.Lock()
-
-
-def _lp_deriv_table(grid, b: float) -> _Table:
-    """The table of ``_lp_stack(grid, b)`` from the process-wide store, built
-    on first use; the oldest keys are dropped first, so the store never
-    holds more than _LP_STORE_KEYS.  Threads may at worst build the same
-    table twice."""
-    key = (grid.n, grid.length, b)
-    with _lp_store_lock:
-        table = _lp_store.get(key)
-    if table is None:
-        table = _lp_stack(grid, b)
-        with _lp_store_lock:
-            if key not in _lp_store:
-                while len(_lp_store) >= _LP_STORE_KEYS:
-                    del _lp_store[next(iter(_lp_store))]
-                _lp_store[key] = table
-    return table
+def _lp_table(grid, b: float = 0.0) -> _Table:
+    """The stored table of ``_lp_stack(grid, b)``."""
+    return _table(grid, ("lp_blocks", b), _lp_stack, b)
 
 
 def lp_block(f: Field, N: int) -> Field:
     """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N, the row
-    of the grid's stored table for N in ``lp_block_range``.  Off that range
-    the symbol is exactly 0 on the lattice, and Q_N f is the zero field."""
+    of the stored table of the blocks (``_lp_table``) for N in
+    ``lp_block_range``.  Off that range the symbol is exactly 0 on the
+    lattice, and Q_N f is the zero field."""
     if not (float(N).is_integer() and abs(N) <= 60):  # NaN and inf fail it too
         raise ValueError(f"dyadic index must be an integer with |N| <= 60, got N={N}")
     N = int(N)
     blocks = lp_block_range(f.grid)
     if N not in blocks:
         return Field(f.grid, np.zeros(f.values.shape))
-    return _multiply(f, _lp_tables(f.grid).rows(N - blocks.start))
+    return _multiply(f, _lp_table(f.grid).rows(N - blocks.start))
 
 
 def lp_linf_l1(f: Field) -> float:
@@ -324,16 +294,16 @@ def lp_linf_l1(f: Field) -> float:
     FFT of f; the blocks are applied in batches of table rows
     (``spectral._multiply_rows``) and summed in the order of N
     (``_lp_sum``)."""
-    return _lp_sum(f, _lp_tables(f.grid))
+    return _lp_sum(f, _lp_table(f.grid))
 
 
 def _lp_deriv_linf_l1(f: Field, b: float) -> float:
     """sup_x sum_N |Q_N D^b f (x)|, the L^inf l^1_N block norm of D^b f, b > 0,
-    from one forward FFT of f under the kept table of the blocks composed
-    with |xi|^b (``_lp_deriv_table``).  It is ``lp_linf_l1(riesz_deriv(f, b))``
+    from one forward FFT of f under the stored table of the blocks composed
+    with |xi|^b (``_lp_table``).  It is ``lp_linf_l1(riesz_deriv(f, b))``
     without the transforms of D^b f; the two differ by the rounding of the
     composed symbol, a few ulps of each block."""
-    return _lp_sum(f, _lp_deriv_table(f.grid, b))
+    return _lp_sum(f, _lp_table(f.grid, b))
 
 
 def _lp_sum(f: Field, table: _Table) -> float:

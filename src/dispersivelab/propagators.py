@@ -31,6 +31,7 @@ from .spectral import (
     _fft,
     _ifft,
     _irfft,
+    _mirror,
     _mirrored_table,
     _multiply,
     _multiply_rows,
@@ -125,14 +126,6 @@ class EquationSpec:
         return _mirror(half, n, self.is_real)
 
 
-def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
-    """Rows on the half lattice ``xi[: n/2 + 1]`` extended to the whole
-    FFT-ordered lattice of n modes: m(-xi) is conj(m(xi)) when
-    ``conjugate``, else m(xi)."""
-    mirror = half[..., n // 2 - 1 : 0 : -1]
-    return np.concatenate([half, mirror.conj() if conjugate else mirror], axis=-1)
-
-
 @dataclass
 class Trajectory:
     """Time-ordered snapshots of a solution with per-snapshot diagnostics."""
@@ -175,7 +168,7 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     field or to each row of a block: the group phase at the one time ``t``
     under the rules of :func:`apply_multiplier`, and bitwise its result.
     The phase's table (``_group_table``) is built on each call, with its
-    flags from its construction, and stored on no grid.  The gKdV and BO
+    flags from its construction, and never stored.  The gKdV and BO
     phases, and every model's phase at t = 0, are Hermitian, so a real field
     stays real there.  A ``t`` that is not one finite time raises ValueError."""
     t = _group_times(t)

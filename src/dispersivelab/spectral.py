@@ -23,6 +23,7 @@ each takes an optional ``out``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -79,23 +80,6 @@ class Grid:
     @property
     def xi_max(self) -> float:
         return np.pi * (self.n // 2) / self.length
-
-    @cached_property
-    def _tables(self) -> dict:
-        # multiplier tables of the package's operators, by operator and
-        # parameter; see _table
-        return {}
-
-    def _table(self, key, build, *args) -> "_Table":
-        """The table ``build(self, *args)`` stored under ``key``, built on
-        first use and never replaced: ``_build_table`` and a symbol for one
-        scanned on the lattice, or a builder that knows its table's symmetry
-        by construction.  Threads sharing the grid may at worst build the
-        same table twice."""
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = build(self, *args)
-        return table
 
     @cached_property
     def _outer(self) -> tuple:
@@ -208,6 +192,36 @@ class _Table(NamedTuple):
         return _Table(self.values[index], self.odd[index], self.hermitian[index])
 
 
+# Every stored table of the package's operators, by (n, L, key), oldest
+# first.  Their values hold at most _STORE_BYTES together (the refine
+# battery's 20 tables hold 4.36 MB), so a sweep over many grids or
+# parameters holds a bounded amount.
+_STORE_BYTES = 2**24
+_store: dict = {}
+_store_lock = threading.Lock()
+
+
+def _table(grid: Grid, key, build, *args) -> _Table:
+    """The table ``build(grid, *args)`` of every grid of ``grid``'s size and
+    cell, stored under ``(grid.n, grid.length, key)``: built on first use
+    and never replaced.  The oldest tables are dropped before a new one is
+    inserted, so the store holds at most _STORE_BYTES of values; a larger
+    table is returned unstored.  Threads may at worst build the same table
+    twice."""
+    stored = (grid.n, grid.length, key)
+    with _store_lock:
+        table = _store.get(stored)
+    if table is None:
+        table = build(grid, *args)
+        size = table.values.nbytes
+        with _store_lock:
+            if stored not in _store and size <= _STORE_BYTES:
+                while sum(t.values.nbytes for t in _store.values()) + size > _STORE_BYTES:
+                    del _store[next(iter(_store))]
+                _store[stored] = table
+    return table
+
+
 _SINGULAR = "singular multipliers must define m there explicitly"
 
 
@@ -227,16 +241,24 @@ def _build_table(g: Grid, m, cause: str = _SINGULAR) -> _Table:
     return _frozen(mvals, odd, hermitian)
 
 
+def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
+    """Rows on the half lattice ``xi[: n/2 + 1]`` extended to the whole
+    FFT-ordered lattice of n modes: m(-xi) is conj(m(xi)) when
+    ``conjugate``, else m(xi)."""
+    mirror = half[..., n // 2 - 1 : 0 : -1]
+    return np.concatenate([half, mirror.conj() if conjugate else mirror], axis=-1)
+
+
 def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool, cause=_SINGULAR) -> _Table:
     """The table of ``mvals``, finite or not, whose rows were built on the
-    half lattice ``[: n/2 + 1]`` and mirrored onto the rest: m(-xi) is
-    conj(m(xi)) when ``conjugate``, else m(xi).  The finiteness test and
-    the flags read the half alone and are bitwise those of _build_table's
-    scan: the mirror repeats the half or its conjugates, so max|m| is the
-    half's, and finite only when every value is; a conjugated mirror
-    makes pos - conj(neg) exactly 0, an even one exactly 2i Im(pos); and
-    the odd test forms pos + neg as the scan does, past the same m(0)
-    test.  A non-finite value raises ValueError ending in ``cause``, as
+    half lattice ``[: n/2 + 1]`` and mirrored onto the rest (``_mirror``):
+    m(-xi) is conj(m(xi)) when ``conjugate``, else m(xi).  The finiteness
+    test and the flags read the half alone and are bitwise those of
+    _build_table's scan: the mirror repeats the half or its conjugates, so
+    max|m| is the half's, and finite only when every value is; a
+    conjugated mirror makes pos - conj(neg) exactly 0, an even one exactly
+    2i Im(pos); and the odd test forms pos + neg as the scan does, past the
+    same m(0) test.  A non-finite value raises ValueError ending in ``cause``, as
     ``_require_finite_symbol`` reads it."""
     half = mvals[..., : g.n // 2 + 1]
     tol = 1e-13 * np.max(np.abs(half), axis=-1)
@@ -344,11 +366,12 @@ def apply_multiplier(f: Field, m) -> Field:
       This is the one realness rule of the operators and the linear groups.
 
     The package's own operators follow the same rules through tables that
-    carry the same flags: the grid stores one per operator and parameter
-    (``Grid._table``), so a repeated call skips the evaluation and the
-    scans, and the group phases (``_mirrored_table``) and the
-    Littlewood-Paley blocks (``operators._lp_stack``) take theirs from how
-    they are built, with no scan at all.  One
+    carry the same flags: one process-wide store keeps one per grid size,
+    cell, operator and parameter (``_table``), so a repeated call, on any
+    grid of that size and cell, skips the evaluation and the scans.  The
+    group phases and the Littlewood-Paley blocks (``operators._lp_stack``)
+    are built on the half lattice and mirrored, and take their flags from
+    that construction (``_mirrored_table``), with no scan at all.  One
     multiplier is applied here: an array of any shape other than (n,)
     raises ValueError.
     """

@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(
         "odd_flag_false",
         "spectral.py",
-        "    return _frozen(mvals, odd, hermitian)\n\n\ndef _mirrored_table",
-        "    return _frozen(mvals, odd & False, hermitian)\n\n\ndef _mirrored_table",
+        "    return _frozen(mvals, odd, hermitian)\n\n\ndef _mirror(",
+        "    return _frozen(mvals, odd & False, hermitian)\n\n\ndef _mirror(",
         ("tests/test_operators.py", "tests/test_tables.py"),
     ),
     Mutant(
@@ -163,7 +163,7 @@ MUTANTS = (
     ),
     Mutant(
         "nls_mirror_shifted",
-        "propagators.py",
+        "spectral.py",
         "half[..., n // 2 - 1 : 0 : -1]",
         "half[..., n // 2 : 1 : -1]",
         ("tests/test_propagators.py",),
@@ -226,7 +226,7 @@ MUTANTS = (
     ),
     Mutant(
         "group_phase_conjugate_dropped",
-        "propagators.py",
+        "spectral.py",
         "mirror.conj() if conjugate else mirror",
         "mirror",
         ("tests/test_propagators.py",),
@@ -355,23 +355,48 @@ MUTANTS = (
     Mutant(
         "lp_deriv_table_without_riesz",
         "operators.py",
-        "row = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b",
-        "row = _eta(axi[lo:hi] / 2.0**N)",
+        "row[lo:hi] = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b",
+        "row[lo:hi] = _eta(axi[lo:hi] / 2.0**N)",
         ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
     ),
     Mutant(
         "lp_store_key_ignores_b",
         "operators.py",
-        "key = (grid.n, grid.length, b)",
-        "key = (grid.n, grid.length)",
+        'return _table(grid, ("lp_blocks", b), _lp_stack, b)',
+        'return _table(grid, "lp_blocks", _lp_stack, b)',
         ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
     ),
     Mutant(
         "lp_store_unbounded",
-        "operators.py",
-        "while len(_lp_store) >= _LP_STORE_KEYS:",
+        "spectral.py",
+        "while sum(t.values.nbytes for t in _store.values()) + size > _STORE_BYTES:",
         "while False:",
-        ("tests/test_call_counts.py::test_lp_store_stays_within_its_bound",),
+        ("tests/test_call_counts.py::test_a_sweep_past_the_byte_bound_keeps_the_newest_tables",),
+    ),
+    Mutant(
+        "store_key_drops_length",
+        "spectral.py",
+        "stored = (grid.n, grid.length, key)",
+        "stored = (grid.n, key)",
+        ("tests/test_tables.py::test_grids_of_one_size_and_two_cells_get_their_own_tables",),
+    ),
+    Mutant(
+        "store_inserts_before_evicting",
+        "spectral.py",
+        "                while sum(t.values.nbytes for t in _store.values()) + size > _STORE_BYTES:\n"
+        "                    del _store[next(iter(_store))]\n"
+        "                _store[stored] = table\n",
+        "                _store[stored] = table\n"
+        "                while sum(t.values.nbytes for t in _store.values()) + size > _STORE_BYTES:\n"
+        "                    del _store[next(iter(_store))]\n",
+        ("tests/test_call_counts.py::test_a_sweep_past_the_byte_bound_keeps_the_newest_tables",),
+    ),
+    Mutant(
+        "store_insert_unlocked",
+        "spectral.py",
+        "        with _store_lock:\n            if stored not in _store",
+        "        if True:\n            if stored not in _store",
+        ("tests/test_tables.py::test_threads_sharing_the_store_get_their_own_tables",),
     ),
 )
 

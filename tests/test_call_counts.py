@@ -3,9 +3,9 @@
 Timings on a shared 2-vCPU VM drift by 2x between processes, so these guards
 count calls instead: the group phases and symmetry scans of a group-phase
 time scan, the group phases and forward transforms of ``weighted_free``, the
-inverse transforms of ``lp_linf_l1``, and the builds of the Littlewood-Paley
-tables of D^alpha kept across ``commutator_leibniz`` ops.  Each count is
-deterministic.
+inverse transforms of ``lp_linf_l1``, and the builds of the operator tables
+that one process-wide store keeps across ops (``spectral._table``).  Each
+count is deterministic.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from dispersivelab import operators, spectral
-from dispersivelab.checks import run_check
-from dispersivelab.operators import _lp_deriv_linf_l1, lp_block_range, lp_linf_l1
+from dispersivelab.checks import CHECKS, run_check
+from dispersivelab.operators import _lp_deriv_linf_l1, lp_block_range, lp_linf_l1, riesz_deriv
 from dispersivelab.propagators import EquationSpec
 from dispersivelab.spectral import Field, Grid
 
@@ -74,33 +74,90 @@ def test_lp_block_range_at_refine():
     assert lp_block_range(Grid(4096, 20.0)) == range(-3, 10)
 
 
+def _table_builds(monkeypatch):
+    """The count of the operator tables built from here on: every stored
+    table is ``_build_table`` of a symbol or a Littlewood-Paley stack."""
+    builds = _counting(monkeypatch, operators, "_build_table")
+    stacks = _counting(monkeypatch, operators, "_lp_stack")
+    return lambda: builds[0] + stacks[0]
+
+
+def _lp_keys(store) -> list:
+    """The store's keys of Littlewood-Paley stacks, sorted."""
+    return sorted(key for key in store if key[2][0] == "lp_blocks")
+
+
+# the refine battery: every check but persistence one level up, leibniz at
+# n = 1024, where its square function costs seconds at 4096
+REFINE_BATTERY = [(name, {"n": 1024 if name == "leibniz" else 4096}) for name in CHECKS
+                  if name != "persistence"]
+
+
+def test_a_second_refine_battery_round_builds_no_table(monkeypatch):
+    """Each refine op builds new grids from ``n``, and every grid of a size
+    and cell reads the same stored tables: after the first round of the
+    battery, which builds them all, a second round builds none."""
+    monkeypatch.setattr(spectral, "_store", {})
+    builds = _table_builds(monkeypatch)
+    first = [asdict(run_check(name, params)) for name, params in REFINE_BATTERY]
+    assert builds() > 0
+    held = sum(table.values.nbytes for table in spectral._store.values())
+    assert held <= spectral._STORE_BYTES  # the whole battery is kept
+    built, kept = builds(), list(spectral._store)
+    second = [asdict(run_check(name, params)) for name, params in REFINE_BATTERY]
+    assert builds() == built
+    assert second == first and list(spectral._store) == kept
+
+
 def test_commutator_leibniz_ops_build_the_lp_table_once_per_grid(monkeypatch):
     """Two refine commutator_leibniz ops (n = 4096 and its refinement 8192)
     build the table of the blocks of D^alpha once per grid: 2 tables."""
-    monkeypatch.setattr(operators, "_lp_store", {})
+    monkeypatch.setattr(spectral, "_store", {})
     builds = _counting(monkeypatch, operators, "_lp_stack")
     reports = [run_check("commutator_leibniz", {"n": 4096}) for _ in range(2)]
     assert [r.verdict for r in reports] == ["pass", "pass"]
     assert asdict(reports[0]) == asdict(reports[1])
     assert builds[0] == 2
-    assert sorted(operators._lp_store) == [(4096, 20.0, 0.5), (8192, 20.0, 0.5)]
+    assert _lp_keys(spectral._store) == [
+        (4096, 20.0, ("lp_blocks", 0.5)), (8192, 20.0, ("lp_blocks", 0.5))
+    ]
 
 
-def test_lp_store_stays_within_its_bound(monkeypatch):
-    """A sweep over more (n, L, b) keys than the bound keeps the newest
-    ones, and a key dropped from the store is built again."""
-    monkeypatch.setattr(operators, "_lp_store", {})
+def test_a_sweep_past_the_byte_bound_keeps_the_newest_tables(monkeypatch):
+    """A sweep over more orders b than the store holds tables of the blocks
+    of D^b at n = 8192 (1.8 MB each) keeps the newest ones, never holds more
+    bytes than its bound, and builds a key dropped from it again."""
+    monkeypatch.setattr(spectral, "_store", {})
     builds = _counting(monkeypatch, operators, "_lp_stack")
-    keys = [(n, L, b) for n, L in [(64, 10.0), (128, 10.0), (64, 20.0)] for b in (0.25, 0.5)]
-    assert len(keys) > operators._LP_STORE_KEYS
-    for n, L, b in keys:
-        _lp_deriv_linf_l1(Field(Grid(n, L), np.exp(-Grid(n, L).x ** 2)), b)
-        assert len(operators._lp_store) <= operators._LP_STORE_KEYS
-    assert list(operators._lp_store) == keys[-operators._LP_STORE_KEYS :]
-    assert builds[0] == len(keys)
-    n, L, b = keys[0]
-    _lp_deriv_linf_l1(Field(Grid(n, L), np.exp(-Grid(n, L).x ** 2)), b)
-    assert builds[0] == len(keys) + 1
+    grid = Grid(8192, 20.0)
+    f = Field(grid, np.exp(-grid.x**2))
+    size = len(lp_block_range(grid)) * grid.n * 16
+    kept = spectral._STORE_BYTES // size
+    orders = [0.05 * (i + 1) for i in range(kept + 2)]
+    for b in orders:
+        _lp_deriv_linf_l1(f, b)
+        held = sum(table.values.nbytes for table in spectral._store.values())
+        assert held <= spectral._STORE_BYTES
+    assert list(spectral._store) == [(8192, 20.0, ("lp_blocks", b)) for b in orders[-kept:]]
+    assert builds[0] == len(orders)
+    _lp_deriv_linf_l1(f, orders[0])
+    assert builds[0] == len(orders) + 1
+    assert (grid.n, grid.length, ("lp_blocks", orders[1])) not in spectral._store
+
+
+def test_a_table_larger_than_the_bound_is_not_stored(monkeypatch):
+    """A table of more bytes than the store holds is built on each call and
+    returned unstored; the tables held stay."""
+    monkeypatch.setattr(spectral, "_store", {})
+    monkeypatch.setattr(spectral, "_STORE_BYTES", 8 * 16)
+    f = Field(Grid(8, 1.0), np.arange(8.0))
+    riesz_deriv(f, 0.5)
+    builds = _table_builds(monkeypatch)
+    kept = dict(spectral._store)
+    assert len(kept) == 1
+    for _ in range(2):
+        riesz_deriv(Field(Grid(16, 1.0), np.arange(16.0)), 0.5)
+    assert builds() == 2 and spectral._store == kept
 
 
 def test_sweep_with_two_jobs_over_two_alphas_gives_the_serial_reports(monkeypatch):
@@ -108,12 +165,14 @@ def test_sweep_with_two_jobs_over_two_alphas_gives_the_serial_reports(monkeypatc
     and reading its own order's tables in the shared store, report what a
     serial run reports."""
     alphas = (0.25, 0.5)
-    monkeypatch.setattr(operators, "_lp_store", {})
+    monkeypatch.setattr(spectral, "_store", {})
     serial = [asdict(run_check("commutator_leibniz", {"alpha": a})) for a in alphas]
-    monkeypatch.setattr(operators, "_lp_store", {})
+    monkeypatch.setattr(spectral, "_store", {})
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = [asdict(r) for r in pool.map(
             lambda a: run_check("commutator_leibniz", {"alpha": a}), alphas
         )]
     assert threaded == serial
-    assert len(operators._lp_store) == 4
+    assert _lp_keys(spectral._store) == [
+        (n, 20.0, ("lp_blocks", a)) for n in (512, 1024) for a in alphas
+    ]

@@ -656,6 +656,8 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             ["a=400"],
             "the multiplier J^a overflows on the refined lattice |xi| <= 80.4248, got a=400.0",
         ),
+        ("interpolation", ["a=100"], "the norm ||J^a f|| overflows on the grid n=1024, got a=100.0"),
+        ("interpolation", ["a=150"], "the norm ||J^a f|| overflows on the grid n=512, got a=150.0"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

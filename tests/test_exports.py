@@ -41,14 +41,14 @@ PRIVATE_IMPORTS = {
     "norms": {"spectral": {"_one_row", "_per_row"}},
     "operators": {
         "spectral": {
-            "_Table", "_build_table", "_fft", "_frozen", "_ifft", "_multiply", "_multiply_rows",
-            "_per_row",
+            "_Table", "_build_table", "_fft", "_ifft", "_mirror", "_mirrored_table", "_multiply",
+            "_multiply_rows", "_per_row", "_table",
         }
     },
     "propagators": {
         "spectral": {
-            "_Table", "_fft", "_ifft", "_irfft", "_mirrored_table", "_multiply", "_multiply_rows",
-            "_rfft",
+            "_Table", "_fft", "_ifft", "_irfft", "_mirror", "_mirrored_table", "_multiply",
+            "_multiply_rows", "_rfft",
         }
     },
 }

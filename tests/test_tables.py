@@ -1,10 +1,11 @@
-"""Per-grid multiplier tables and the linear-group scan against the per-call
+"""Stored multiplier tables and the linear-group scan against the per-call
 path.
 
-The package's operators apply tables that their grid builds once per symbol
-and never replaces; ``apply_multiplier`` evaluates and scans its symbol on
-every call.  Both must give the same bits (tolerance 0) on the first call,
-which builds the table, and on a repeated call, which reuses it.  The linear
+The package's operators apply tables that one process-wide store
+(``spectral._table``) builds once per grid size, cell and symbol and never
+replaces; ``apply_multiplier`` evaluates and scans its symbol on every
+call.  Both must give the same bits (tolerance 0) on the first call, which
+builds the table, and on a repeated call, which reuses it.  The linear
 groups store no table: ``linear_group`` is ``apply_multiplier`` under the
 group phase.  The time scan ``_group_scan`` advances its phase by the group
 law, so its row at t is ``linear_group`` at t to a relative L^2 error of at
@@ -29,7 +30,7 @@ import threading
 import numpy as np
 import pytest
 
-from dispersivelab import operators
+from dispersivelab import spectral
 from dispersivelab.operators import (
     _eta,
     _lp_deriv_linf_l1,
@@ -61,6 +62,18 @@ def _same_bits(got: Field, want: Field) -> bool:
     return got.values.tobytes() == want.values.tobytes()
 
 
+def _stored(grid) -> list:
+    """The keys of the tables that the store holds for ``grid``'s size and cell."""
+    return [key for n, L, key in spectral._store if (n, L) == (grid.n, grid.length)]
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty table store for the test, so that its first call builds."""
+    monkeypatch.setattr(spectral, "_store", {})
+    return spectral._store
+
+
 def _operator_cases(grid):
     """(name, operator, the same symbol as a callable of xi)."""
     yield "hilbert", hilbert, lambda xi: -1j * np.sign(xi)
@@ -88,9 +101,8 @@ def _operator_cases(grid):
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("n,L", GRIDS)
-def test_operator_tables_match_apply_multiplier(n, L, real):
+def test_operator_tables_match_apply_multiplier(n, L, real, store):
     grid = Grid(n, L)
-    assert not grid._tables
     f = _field(grid, real)
     for name, op, symbol in _operator_cases(grid):
         want = apply_multiplier(f, symbol)
@@ -174,7 +186,7 @@ def test_lp_sums_match_per_block_sum(n, L, real):
 @pytest.mark.parametrize(
     "n,L", [(8, 1.0), (64, 10.0), (256, 3.0), (512, 20.0), (1024, 40.0), (2048, 160.0), (4096, 20.0)]
 )
-def test_lp_block_off_its_range_is_the_old_table_path_in_value(n, L):
+def test_lp_block_off_its_range_is_the_old_table_path_in_value(n, L, store):
     """Off ``lp_block_range`` the block symbol is 0 on the lattice: Q_N f is
     the zero field of f's shape, equal in value (not in the sign of zero)
     to the symbol applied per row, the path these N took before."""
@@ -188,7 +200,7 @@ def test_lp_block_off_its_range_is_the_old_table_path_in_value(n, L):
         for row, got_row in zip(block.values, got, strict=True):
             old = apply_multiplier(Field(grid, row), lambda xi: _eta(np.abs(xi) / 2.0**N).astype(complex))
             assert np.array_equal(got_row, old.values), f"N={N}"
-    assert grid._tables == {}  # no table per N
+    assert store == {}  # no table per N
 
 
 def _old_apply_multiplier(f, m):
@@ -225,14 +237,14 @@ def test_apply_multiplier_matches_single_function_form(real):
     assert array.flags.writeable  # the caller's array is never frozen
 
 
-def test_linear_group_stores_no_table():
+def test_linear_group_stores_no_table(store):
     grid = Grid(256, 20.0)
     f = _field(grid, real=True)
     for t in np.linspace(-2.0, 2.0, 30):
         for spec in MODELS:
             linear_group(f, spec, t)
             list(_group_scan(f, spec, t, -2.0 * t, 2))
-    assert grid._tables == {}
+    assert store == {}
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -246,69 +258,66 @@ def test_group_time_must_be_finite(t):
                 list(_group_scan(f, spec, *scan))
 
 
-def test_cached_tables_are_read_only():
+def test_cached_tables_are_read_only(store):
     grid = Grid(64, 10.0)
     f = _field(grid, real=True)
     hilbert(f)
     derivative(f, 2)
     linear_group(f, EquationSpec.bo(), 0.5)
-    assert len(grid._tables) == 2
-    for table in grid._tables.values():
+    lp_linf_l1(f)
+    _lp_deriv_linf_l1(f, 0.5)
+    assert _stored(grid) == ["hilbert", ("derivative", 2), ("lp_blocks", 0.0), ("lp_blocks", 0.5)]
+    for table in store.values():
         with pytest.raises(ValueError):
             table.values[0] = 0.0
 
 
-def test_threads_sharing_a_grid_get_their_own_tables():
-    """Threads applying one group at different t, and operators at different
-    parameters, on one grid (as sweep workers may) each get their own
-    symbol's result.  Operator tables are built on first use and never
-    replaced; group phases are built per call and never stored."""
-    grid = Grid(64, 10.0)
-    f = _field(grid, real=False)
-    failures = []
-
-    def work(k):
-        spec = EquationSpec.bo()
-        for i in range(100):
-            t = 0.01 * (k + 1) * (1 + i % 5)
-            want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
-            if not _same_bits(linear_group(f, spec, t), want):
-                failures.append(("linear_group", spec.model, t))
-            b = 0.25 * (1 + (k + i) % 4)
-            if not _same_bits(riesz_deriv(f, b), apply_multiplier(f, lambda xi: np.abs(xi) ** b)):
-                failures.append(("riesz_deriv", b))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert failures == []
+def test_grids_of_one_size_and_two_cells_get_their_own_tables(store):
+    """Two cells of the same n have different lattices: each grid reads its
+    own cell's tables, the Littlewood-Paley stacks holding different numbers
+    of blocks, and every operator gives the bits of its symbol there."""
+    grids = [Grid(64, 10.0), Grid(64, 20.0)]
+    for grid in grids * 2:  # the second pass reads the stored tables
+        f = _field(grid, real=False)
+        for name, op, symbol in _operator_cases(grid):
+            assert _same_bits(op(f), apply_multiplier(f, symbol)), (grid.length, name)
+        want = lp_linf_l1(riesz_deriv(f, 0.5))
+        assert abs(_lp_deriv_linf_l1(f, 0.5) - want) <= 1e-14 * want, grid.length
+    assert _stored(grids[0]) == _stored(grids[1]) and len(store) == 2 * len(_stored(grids[0]))
 
 
-def test_threads_sharing_the_lp_store_get_their_own_tables(monkeypatch):
-    """Six threads summing the block norm of D^b over more (n, L, b) keys
-    than the process-wide store keeps, on fresh grids, each get the sum
-    under their own key's table, and the store stays within its bound."""
-    monkeypatch.setattr(operators, "_lp_store", {})
+def test_threads_sharing_the_store_get_their_own_tables(monkeypatch, store):
+    """Six threads applying one group at different t, and operators at
+    different parameters on fresh grids of several sizes (as sweep workers
+    may), over tables holding more bytes than the store keeps, each get
+    their own symbol's result; the store never holds more than its bound.
+    Operator tables are built on first use and never replaced; group phases
+    are built per call and never stored."""
     keys = [(n, 10.0, b) for n in (64, 128, 256) for b in (0.25, 0.5, 0.75)]
     want = {key: _lp_deriv_linf_l1(_field(Grid(*key[:2]), real=False), key[2]) for key in keys}
+    bound = sum(table.values.nbytes for table in store.values()) // 4
+    monkeypatch.setattr(spectral, "_STORE_BYTES", bound)
+    spec = EquationSpec.bo()
     failures = []
 
     def work(k):
         try:
             for i in range(60):
                 n, L, b = key = keys[(k + i) % len(keys)]
-                if _lp_deriv_linf_l1(_field(Grid(n, L), real=False), b) != want[key]:
-                    failures.append(key)
-                if len(operators._lp_store) > operators._LP_STORE_KEYS:
-                    failures.append(("store size", len(operators._lp_store)))
+                f = _field(Grid(n, L), real=False)
+                if _lp_deriv_linf_l1(f, b) != want[key]:
+                    failures.append(("lp", key))
+                riesz = apply_multiplier(f, lambda xi: np.abs(xi) ** b)
+                if not _same_bits(riesz_deriv(f, b), riesz):
+                    failures.append(("riesz_deriv", key))
+                t = 0.01 * (k + 1) * (1 + i % 5)
+                group = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
+                if not _same_bits(linear_group(f, spec, t), group):
+                    failures.append(("linear_group", key, t))
+                with spectral._store_lock:
+                    held = sum(table.values.nbytes for table in spectral._store.values())
+                if held > bound:
+                    failures.append(("store bytes", held))
         except Exception as exc:  # a thread's exception would otherwise pass unseen
             failures.append(repr(exc))
 
