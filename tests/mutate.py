@@ -396,7 +396,7 @@ MUTANTS = (
         "spectral.py",
         "        with _store_lock:\n            if stored not in _store",
         "        if True:\n            if stored not in _store",
-        ("tests/test_tables.py::test_threads_sharing_the_store_get_their_own_tables",),
+        ("tests/test_tables.py::test_threads_sharing_the_lp_store_get_their_own_tables",),
     ),
 )
 

@@ -286,18 +286,58 @@ def test_grids_of_one_size_and_two_cells_get_their_own_tables(store):
     assert _stored(grids[0]) == _stored(grids[1]) and len(store) == 2 * len(_stored(grids[0]))
 
 
-def test_threads_sharing_the_store_get_their_own_tables(monkeypatch, store):
-    """Six threads applying one group at different t, and operators at
-    different parameters on fresh grids of several sizes (as sweep workers
-    may), over tables holding more bytes than the store keeps, each get
-    their own symbol's result; the store never holds more than its bound.
-    Operator tables are built on first use and never replaced; group phases
-    are built per call and never stored."""
+def _run_six_threads(work) -> None:
+    """Run ``work(k)`` for k = 0..5 in threads switching every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+
+def test_threads_sharing_a_grid_get_their_own_tables(store):
+    """Threads applying one group at different t, and operators at different
+    parameters, on one grid (as sweep workers may) each get their own
+    symbol's result.  Operator tables are built on first use and never
+    replaced; group phases are built per call and never stored."""
+    grid = Grid(64, 10.0)
+    f = _field(grid, real=False)
+    failures = []
+
+    def work(k):
+        spec = EquationSpec.bo()
+        try:
+            for i in range(100):
+                t = 0.01 * (k + 1) * (1 + i % 5)
+                want = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
+                if not _same_bits(linear_group(f, spec, t), want):
+                    failures.append(("linear_group", spec.model, t))
+                b = 0.25 * (1 + (k + i) % 4)
+                riesz = apply_multiplier(f, lambda xi: np.abs(xi) ** b)
+                if not _same_bits(riesz_deriv(f, b), riesz):
+                    failures.append(("riesz_deriv", b))
+        except Exception as exc:  # a thread's exception would otherwise pass unseen
+            failures.append(repr(exc))
+
+    _run_six_threads(work)
+    assert failures == []
+
+
+def test_threads_sharing_the_lp_store_get_their_own_tables(monkeypatch, store):
+    """Six threads summing the block norm of D^b, and applying D^b, over
+    (n, L, b) keys whose tables hold more bytes than the store keeps, on
+    fresh grids, each get their own key's result, and the store never
+    holds more bytes than its bound."""
     keys = [(n, 10.0, b) for n in (64, 128, 256) for b in (0.25, 0.5, 0.75)]
     want = {key: _lp_deriv_linf_l1(_field(Grid(*key[:2]), real=False), key[2]) for key in keys}
     bound = sum(table.values.nbytes for table in store.values()) // 4
     monkeypatch.setattr(spectral, "_STORE_BYTES", bound)
-    spec = EquationSpec.bo()
     failures = []
 
     def work(k):
@@ -310,10 +350,6 @@ def test_threads_sharing_the_store_get_their_own_tables(monkeypatch, store):
                 riesz = apply_multiplier(f, lambda xi: np.abs(xi) ** b)
                 if not _same_bits(riesz_deriv(f, b), riesz):
                     failures.append(("riesz_deriv", key))
-                t = 0.01 * (k + 1) * (1 + i % 5)
-                group = apply_multiplier(f, lambda xi: spec.group_phase(xi, t))
-                if not _same_bits(linear_group(f, spec, t), group):
-                    failures.append(("linear_group", key, t))
                 with spectral._store_lock:
                     held = sum(table.values.nbytes for table in spectral._store.values())
                 if held > bound:
@@ -321,17 +357,7 @@ def test_threads_sharing_the_store_get_their_own_tables(monkeypatch, store):
         except Exception as exc:  # a thread's exception would otherwise pass unseen
             failures.append(repr(exc))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    _run_six_threads(work)
     assert failures == []
 
 
