@@ -148,6 +148,13 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     rows = vals.shape[:-1]
     fhat = _fft(vals)
     stag = _ifft(np.exp(1j * g.xi * h / 2.0) * fhat)
+    # the first-cell correction, formed here so that fhat goes before the
+    # far field and added after it, in the summation order below
+    fprime = _ifft((1j * g.xi) * fhat)
+    del fhat
+    cell = (1.0 / (2.0 - 2.0 * b) - 2.0 ** (2.0 * b - 1.0)) * h ** (2.0 - 2.0 * b)
+    first_cell = 2.0 * cell * np.abs(fprime) ** 2
+    del fprime
     weights = h / ((np.arange(half) + 0.5) * h) ** (1.0 + 2.0 * b)
 
     # near cells: stag read through k pad samples per side, so that
@@ -163,6 +170,7 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
         dplus = vals - ext[..., k + j : k + j + n]
         dminus = vals - ext[..., k - j - 1 : k - j - 1 + n]
         acc += weights[j] * (np.abs(dplus) ** 2 + np.abs(dminus) ** 2)
+    del ext, dplus, dminus
 
     if half > k:
         c = np.mean(stag, axis=-1, keepdims=True)
@@ -172,18 +180,22 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
         kern = np.zeros(size)
         kern[k:half] = weights[k:]
         kern[size - half : size - k] = weights[k:][::-1]
-        s = np.empty(rows + (size,), dtype=complex)
+        # s and |s|^2 stacked in one buffer, transformed in place
+        both = np.empty((2,) + rows + (size,), dtype=complex)
+        s = both[0]
         s[...] = -c  # samples outside the cell read as 0
         s[..., :n] = stag - c
-        both = _ifft(_fft(np.stack([s, np.abs(s) ** 2])) * np.conj(_fft(kern)))
+        both[1] = np.abs(s) ** 2
+        _fft(both, both)
+        both *= np.conj(_fft(kern))
+        _ifft(both, both)
         far_s, far_sq = both[0, ..., :n], both[1, ..., :n].real
         v = vals - c
         acc += 2.0 * weights[k:].sum() * np.abs(v) ** 2
         acc += far_sq - 2.0 * (np.conj(v) * far_s).real
+        del both, far_s, far_sq, v
 
-    fprime = _ifft((1j * g.xi) * fhat)
-    cell = (1.0 / (2.0 - 2.0 * b) - 2.0 ** (2.0 * b - 1.0)) * h ** (2.0 - 2.0 * b)
-    acc += 2.0 * cell * np.abs(fprime) ** 2
+    acc += first_cell
 
     if tail == "decay":
         acc += np.abs(vals) ** 2 * L ** (-2.0 * b) / b

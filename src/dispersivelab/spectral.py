@@ -194,8 +194,8 @@ class _Table(NamedTuple):
 
 # Every stored table of the package's operators, by (n, L, key), oldest
 # first.  Their values hold at most _STORE_BYTES together (the refine
-# battery's 20 tables hold 4.36 MB), so a sweep over many grids or
-# parameters holds a bounded amount.
+# battery's 20 tables hold 2.36 MiB, its real ones as float64), so a sweep
+# over many grids or parameters holds a bounded amount.
 _STORE_BYTES = 2**24
 _store: dict = {}
 _store_lock = threading.Lock()
@@ -204,7 +204,8 @@ _store_lock = threading.Lock()
 def _table(grid: Grid, key, build, *args) -> _Table:
     """The table ``build(grid, *args)`` of every grid of ``grid``'s size and
     cell, stored under ``(grid.n, grid.length, key)``: built on first use
-    and never replaced.  The oldest tables are dropped before a new one is
+    and never replaced.  A table is held at the width of its values
+    (``_narrowed``).  The oldest tables are dropped before a new one is
     inserted, so the store holds at most _STORE_BYTES of values; a larger
     table is returned unstored.  Threads may at worst build the same table
     twice."""
@@ -212,7 +213,7 @@ def _table(grid: Grid, key, build, *args) -> _Table:
     with _store_lock:
         table = _store.get(stored)
     if table is None:
-        table = build(grid, *args)
+        table = _narrowed(build(grid, *args))
         size = table.values.nbytes
         with _store_lock:
             if stored not in _store and size <= _STORE_BYTES:
@@ -220,6 +221,21 @@ def _table(grid: Grid, key, build, *args) -> _Table:
                     del _store[next(iter(_store))]
                 _store[stored] = table
     return table
+
+
+def _narrowed(table: _Table) -> _Table:
+    """``table`` with its values as read-only float64 when every imaginary
+    part is +0.0, else ``table`` itself.  Applied to complex coefficients,
+    a float value is cast to ``x+0j`` before the complex multiply, so every
+    product keeps its bits.  A -0.0 imaginary part keeps a table complex:
+    the cast would make it +0.0, which can flip the sign of a zero in the
+    product."""
+    imag = table.values.imag
+    if imag.any() or np.signbit(imag).any():
+        return table
+    values = table.values.real.copy()
+    values.flags.writeable = False
+    return table._replace(values=values)
 
 
 _SINGULAR = "singular multipliers must define m there explicitly"
@@ -318,17 +334,18 @@ def _real_rows(values: np.ndarray) -> np.ndarray:
 def _apply_table(table: _Table, fhat: np.ndarray, real: np.ndarray) -> np.ndarray:
     """Samples of the multiplier applied to raw FFT coefficients ``fhat``
     (left unchanged) of input rows, ``real`` holding one flag per row.  The
-    table's rows and the input's rows pair up by broadcasting: one
-    multiplier acts on every input row, and one input row gives one row of
-    samples per multiplier."""
+    table's values are complex or float64 (``_narrowed``).  The table's
+    rows and the input's rows pair up by broadcasting: one multiplier acts
+    on every input row, and one input row gives one row of samples per
+    multiplier.  The product is inverse-transformed in place."""
     out = table.values * fhat
     # ORed into the flags, zeros of the output's row shape spread a table's
     # one flag over every row
     rows = np.zeros(out.shape[:-1], dtype=bool)
     out[..., out.shape[-1] // 2][table.odd | rows] = 0.0
-    result = _ifft(out)
-    result.imag[table.hermitian & real | rows] = 0.0
-    return result
+    _ifft(out, out)
+    out.imag[table.hermitian & real | rows] = 0.0
+    return out
 
 
 def _multiply(f: Field, table: _Table) -> Field:
@@ -368,7 +385,9 @@ def apply_multiplier(f: Field, m) -> Field:
     The package's own operators follow the same rules through tables that
     carry the same flags: one process-wide store keeps one per grid size,
     cell, operator and parameter (``_table``), so a repeated call, on any
-    grid of that size and cell, skips the evaluation and the scans.  The
+    grid of that size and cell, skips the evaluation and the scans.  A
+    stored table is held at the width of its values: float64 when every
+    imaginary part is +0.0, which gives the same output bits.  The
     group phases and the Littlewood-Paley blocks (``operators._lp_stack``)
     are built on the half lattice and mirrored, and take their flags from
     that construction (``_mirrored_table``), with no scan at all.  One

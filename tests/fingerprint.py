@@ -1,10 +1,11 @@
-"""Bit-identity fingerprint of the check reports and the solve outputs.
+"""Bit-identity fingerprint of the check reports, the solve outputs and the
+operators' samples.
 
 Run from the repository root:
 
     PYTHONPATH=src python -m tests.fingerprint > fingerprint.json
 
-It prints one JSON document with two parts:
+It prints one JSON document with three parts:
 
 * ``checks``: 61 check cases, each as its report: ``float.hex`` of every
   report number, trend entry and note, with the verdict, corpus size and
@@ -19,6 +20,13 @@ It prints one JSON document with two parts:
   written through ``cli.main``: NLS (a=3, mu=+1; a=5, mu=-1), gKdV k=1, 2
   and BO, each from ``gaussian``, ``sech2`` and ``gaussian_deriv`` at
   amplitude 1.2 (n=2048, L=20, dt=1e-3, T=0.2, 11 snapshots, s=2, m=1.5).
+* ``operators``: 126 operator cases, each the SHA-256 of the output
+  samples (of the values, for ``lp_linf_l1``): ``derivative`` of orders
+  1, 2 and 3, ``riesz_deriv`` (b = 1/2, 3/2), ``bessel_potential``
+  (s = 1, -1), ``hilbert``, every ``lp_block`` of the grid's range in one
+  digest, ``lp_linf_l1`` and ``stein_deriv`` (b = 1/4, 3/4) with each tail,
+  on a real field, a complex field and the block of the two, at n in
+  {8, 512, 4096} on the cell L=10.
 
 Two checkouts whose outputs are bit-identical print identical documents, so
 a change that must move no arithmetic shows it as an empty ``diff`` of the
@@ -37,8 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
+from dispersivelab import operators as ops
 from dispersivelab.checks import CHECKS, run_check
 from dispersivelab.cli import main
+from dispersivelab.spectral import Field, Grid
 
 REFINE_SEEDS = (0x5EED, 101)
 GAMMA_ORDERS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -65,6 +75,23 @@ SOLVE_MODELS = (
     ("bo", "equation.model = bo\n"),
 )
 SOLVE_U0 = ("gaussian", "sech2", "gaussian_deriv")
+OPERATOR_SIZES = (8, 512, 4096)
+OPERATORS = {
+    "derivative/1": lambda f: ops.derivative(f, 1),
+    "derivative/2": lambda f: ops.derivative(f, 2),
+    "derivative/3": lambda f: ops.derivative(f, 3),
+    "riesz_deriv/0.5": lambda f: ops.riesz_deriv(f, 0.5),
+    "riesz_deriv/1.5": lambda f: ops.riesz_deriv(f, 1.5),
+    "bessel_potential/1": lambda f: ops.bessel_potential(f, 1.0),
+    "bessel_potential/-1": lambda f: ops.bessel_potential(f, -1.0),
+    "hilbert": ops.hilbert,
+    "lp_block": lambda f: [ops.lp_block(f, N) for N in ops.lp_block_range(f.grid)],
+    "lp_linf_l1": ops.lp_linf_l1,
+    "stein_deriv/0.25,decay": lambda f: ops.stein_deriv(f, 0.25),
+    "stein_deriv/0.75,decay": lambda f: ops.stein_deriv(f, 0.75),
+    "stein_deriv/0.25,stationary": lambda f: ops.stein_deriv(f, 0.25, tail="stationary"),
+    "stein_deriv/0.75,stationary": lambda f: ops.stein_deriv(f, 0.75, tail="stationary"),
+}
 
 
 def _hex(value):
@@ -114,6 +141,35 @@ def check_cases() -> dict:
     return {key: _case(name, params) for key, (name, params) in cases.items()}
 
 
+def _operator_fields(n: int) -> dict:
+    """A real and a complex field on Grid(n, 10), and the block of the two."""
+    x = Grid(n, 10.0).x
+    real = np.exp(-(x**2) / 4.0) * (1.0 + 0.3 * np.sin(2.0 * x))
+    cplx = np.exp(-((x - 1.0) ** 2) / 3.0 + 0.7j * x) / (1.0 + 0.2j * x)
+    g = Grid(n, 10.0)
+    return {"real": Field(g, real), "complex": Field(g, cplx), "block": Field(g, [real, cplx])}
+
+
+def _digest(output) -> str:
+    """SHA-256 of an operator's output: a field, a list of fields, or the
+    numbers of a reduction."""
+    items = output if isinstance(output, list) else [output]
+    sha = hashlib.sha256()
+    for item in items:
+        values = item.values if isinstance(item, Field) else np.asarray(item, dtype=float)
+        sha.update(np.ascontiguousarray(values).tobytes())
+    return sha.hexdigest()
+
+
+def operator_cases() -> dict:
+    cases = {}
+    for n in OPERATOR_SIZES:
+        for kind, f in _operator_fields(n).items():
+            for name, op in OPERATORS.items():
+                cases[f"{name}/n={n}/{kind}"] = _digest(op(f))
+    return cases
+
+
 def _run_main(argv: list) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -151,4 +207,5 @@ def output_files() -> dict:
 
 
 if __name__ == "__main__":
-    print(json.dumps({"checks": check_cases(), "files": output_files()}, indent=1, sort_keys=True))
+    document = {"checks": check_cases(), "files": output_files(), "operators": operator_cases()}
+    print(json.dumps(document, indent=1, sort_keys=True))

@@ -103,6 +103,7 @@ def test_a_second_refine_battery_round_builds_no_table(monkeypatch):
     assert builds() > 0
     held = sum(table.values.nbytes for table in spectral._store.values())
     assert held <= spectral._STORE_BYTES  # the whole battery is kept
+    assert held <= 2.4 * 2**20  # its real tables held as float64
     built, kept = builds(), list(spectral._store)
     second = [asdict(run_check(name, params)) for name, params in REFINE_BATTERY]
     assert builds() == built
@@ -125,13 +126,16 @@ def test_commutator_leibniz_ops_build_the_lp_table_once_per_grid(monkeypatch):
 
 def test_a_sweep_past_the_byte_bound_keeps_the_newest_tables(monkeypatch):
     """A sweep over more orders b than the store holds tables of the blocks
-    of D^b at n = 8192 (1.8 MB each) keeps the newest ones, never holds more
-    bytes than its bound, and builds a key dropped from it again."""
+    of D^b at n = 8192 (0.9 MB each, float64) keeps the newest ones, never
+    holds more bytes than its bound, and builds a key dropped from it
+    again."""
     monkeypatch.setattr(spectral, "_store", {})
-    builds = _counting(monkeypatch, operators, "_lp_stack")
     grid = Grid(8192, 20.0)
     f = Field(grid, np.exp(-grid.x**2))
-    size = len(lp_block_range(grid)) * grid.n * 16
+    _lp_deriv_linf_l1(f, 0.05)
+    size = spectral._store[(8192, 20.0, ("lp_blocks", 0.05))].values.nbytes
+    monkeypatch.setattr(spectral, "_store", {})
+    builds = _counting(monkeypatch, operators, "_lp_stack")
     kept = spectral._STORE_BYTES // size
     orders = [0.05 * (i + 1) for i in range(kept + 2)]
     for b in orders:
@@ -149,9 +153,10 @@ def test_a_table_larger_than_the_bound_is_not_stored(monkeypatch):
     """A table of more bytes than the store holds is built on each call and
     returned unstored; the tables held stay."""
     monkeypatch.setattr(spectral, "_store", {})
-    monkeypatch.setattr(spectral, "_STORE_BYTES", 8 * 16)
+    monkeypatch.setattr(spectral, "_STORE_BYTES", 64)
     f = Field(Grid(8, 1.0), np.arange(8.0))
     riesz_deriv(f, 0.5)
+    assert spectral._store[(8, 1.0, ("riesz_deriv", 0.5))].values.nbytes == 64
     builds = _table_builds(monkeypatch)
     kept = dict(spectral._store)
     assert len(kept) == 1

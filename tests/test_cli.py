@@ -421,6 +421,19 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
          "command = solve\nstepper.T = 0.01\nsolve.s = 400\noutput.dir = {tmp}/out\n",
          "config error: {tmp}/run.cfg: multiplier is not finite at xi=5.81195 (index 37); "
          "bessel_potential overflows there at s=400\n"),
+        # an invariant that overflows on the initial data names itself
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nequation.model = nls\nstepper.T = 0.01\nsolve.amplitude = 1e160\n"
+         "output.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: the nls invariant mass overflows at max|u|=1e+160\n"),
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nequation.model = bo\nstepper.T = 0.01\nsolve.u0 = gaussian_deriv\n"
+         "solve.amplitude = 1e200\noutput.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: the bo invariant I2 overflows at max|u|=8.58e+199\n"),
+        (["solve", "--config", "{tmp}/run.cfg"],
+         "command = solve\nequation.model = nls\nstepper.T = 0.01\nsolve.amplitude = 1e100\n"
+         "output.dir = {tmp}/out\n",
+         "config error: {tmp}/run.cfg: the nls invariant energy overflows at max|u|=1e+100\n"),
     ],
     ids=[
         "unreadable_config",
@@ -440,6 +453,9 @@ FILE_OUT_CAUSE = "config error: cannot create the output directory: [Errno 17] F
         "solve_sobolev_overflow",
         "solve_weight_overflow",
         "solve_sobolev_overflow_names_s",
+        "solve_nls_mass_overflow",
+        "solve_bo_i2_overflow",
+        "solve_nls_energy_overflow",
     ],
 )
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
@@ -447,7 +463,10 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv, text, cause):
         (tmp_path / "run.cfg").write_bytes(text)
     elif text is not None:
         (tmp_path / "run.cfg").write_text(text.format(tmp=tmp_path))
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
     # an input error goes to stderr, with nothing on stdout: no check or
     # solve has run, and no output directory is made
@@ -658,11 +677,15 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
         ),
         ("interpolation", ["a=100"], "the norm ||J^a f|| overflows on the grid n=1024, got a=100.0"),
         ("interpolation", ["a=150"], "the norm ||J^a f|| overflows on the grid n=512, got a=150.0"),
+        ("persistence", ["amplitude=1e200"], "the nls invariant mass overflows at max|u|=1e+200"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
     argv = ["check", name, *(a for p in params for a in ("--param", p)), "--out", str(tmp_path)]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err == f"check error: {name}: {cause}\n"
     assert not (tmp_path / "checks.csv").exists()

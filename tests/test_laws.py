@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,31 @@ def test_invariants_single_cosine_gkdv():
     vals = invariants(f, EquationSpec.gkdv(k=1))
     assert vals["I1"] == pytest.approx(0.0, abs=1e-12)
     assert vals["I2"] == pytest.approx(g.length, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, amplitude, name",
+    [
+        (EquationSpec.nls(), 1e160, "mass"),
+        (EquationSpec.nls(), 1e100, "energy"),
+        (EquationSpec.gkdv(k=1), 1e160, "I2"),
+        (EquationSpec.gkdv(k=1), 1e110, "I3"),
+        (EquationSpec.bo(), 1e110, "I3"),
+    ],
+    ids=["nls_mass", "nls_energy", "gkdv_i2", "gkdv_i3", "bo_i3"],
+)
+@pytest.mark.parametrize("rows", [1, 2])
+def test_overflowing_invariant_names_model_invariant_and_peak(spec, amplitude, name, rows):
+    g = Grid(128, 10.0)
+    u = amplitude * np.exp(-g.x**2)
+    f = Field(g, np.stack([0.5 * u, u]) if rows > 1 else u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            invariants(f, spec)
+    assert str(raised.value) == (
+        f"the {spec.model} invariant {name} overflows at max|u|={amplitude:.3g}"
+    )
 
 
 def test_invariants_reject_complex_for_real_models():

@@ -361,6 +361,39 @@ def test_threads_sharing_the_lp_store_get_their_own_tables(monkeypatch, store):
     assert failures == []
 
 
+class _LockCheckedStore(dict):
+    """A table store that records each insert or delete made while the
+    store's lock is free."""
+
+    def __init__(self):
+        super().__init__()
+        self.unlocked = []
+
+    def __setitem__(self, key, table):
+        if not spectral._store_lock.locked():
+            self.unlocked.append(("insert", key))
+        super().__setitem__(key, table)
+
+    def __delitem__(self, key):
+        if not spectral._store_lock.locked():
+            self.unlocked.append(("delete", key))
+        super().__delitem__(key)
+
+
+def test_the_store_changes_only_under_its_lock(monkeypatch):
+    """Every insert and every eviction happens under the store's lock: the
+    thread test above meets an unlocked insert only by chance."""
+    store = _LockCheckedStore()
+    monkeypatch.setattr(spectral, "_store", store)
+    grid = Grid(64, 10.0)
+    f = _field(grid, real=False)
+    riesz_deriv(f, 0.5)
+    monkeypatch.setattr(spectral, "_STORE_BYTES", store[(64, 10.0, ("riesz_deriv", 0.5))].values.nbytes)
+    riesz_deriv(f, 0.25)  # evicts the first table
+    assert list(store) == [(64, 10.0, ("riesz_deriv", 0.25))]
+    assert store.unlocked == []
+
+
 def _same_table(got, want) -> bool:
     """Two tables with the same value bits and the same flags, row by row."""
     return (
