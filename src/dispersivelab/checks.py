@@ -61,7 +61,6 @@ from .spectral import (
     _multiply_rows,
     _require_gate,
     _row_blocks,
-    _Table,
     boundary_gate,
     real_values,
 )
@@ -209,10 +208,11 @@ def check_weighted_free(
     ``t`` is halved, at most three times, until every evolved member clears
     the boundary gate, and a flow that still fails it raises ValueError.
 
-    Each level stacks the group phase U(t) and |xi|^b into one two-row
-    table, each row with its own flags, and each block of the corpus takes
-    one forward FFT for both (``spectral._multiply_rows``): the flow and
-    D^b of each row are bitwise ``linear_group`` and ``riesz_deriv``."""
+    Each level stacks the group phase U(t) over |xi|^b into one two-row
+    table (``spectral._Table.stacked``), each row with its own flags, and
+    each block of the corpus takes one forward FFT for both
+    (``spectral._multiply_rows``): the flow and D^b of each row are
+    bitwise ``linear_group`` and ``riesz_deriv``."""
     if not (0.0 < b < 1.0):
         raise ValueError(f"order must lie in (0,1), got b={b}")
     if not (np.isfinite(t) and t >= 0):
@@ -223,11 +223,9 @@ def check_weighted_free(
     def sweep(g: Grid, t: float):
         """For each block f of the corpus on ``g``: its free flow to time
         ``t`` and the ratio of each row."""
-        tables = (_group_table(g, spec, t), _riesz_table(g, b))
-        table = _Table(*(np.stack(parts) for parts in zip(*tables)))
+        table = _group_table(g, spec, t).stacked(_riesz_table(g, b))
         for f in corpus.realize(g):
-            batches = _multiply_rows(f, 2, lambda block: table.rows((block, None)))
-            flow, deriv = (Field(g, rows) for rows in chain.from_iterable(batches))
+            flow, deriv = map(Field, (g, g), chain.from_iterable(_multiply_rows(f, 2, table.rows)))
             lhs = weighted_l2(flow, b)
             rhs = (
                 t ** (b / 2.0) * weighted_l2(f, 0.0)

@@ -53,13 +53,18 @@ def lebesgue(f: Field, p: float) -> float:
 def _lebesgue_rows(values: np.ndarray, h: float, p: float, weight=None) -> np.ndarray:
     """L^p norm of lattice samples with spacing h along the last axis of
     ``values``: the formula of :func:`lebesgue`, one norm per row; a
-    ``weight`` (finite p only) multiplies |values|^p in the integrand."""
+    ``weight`` (finite p only) multiplies |values|^p in the integrand.  A
+    nonzero row whose |values|^p leaves the float range raises ValueError."""
     if p == np.inf:
         return np.max(np.abs(values), axis=-1)
     if not p >= 1:  # NaN fails it too
         raise ValueError(f"Lebesgue exponent must satisfy p >= 1 or p = inf, got p={p}")
-    powers = np.abs(values) ** p
-    integrals = h * np.sum(powers if weight is None else weight * powers, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the range error raised below
+        powers = np.abs(values) ** p
+        integrals = h * np.sum(powers if weight is None else weight * powers, axis=-1)
+    lost = ~(np.isfinite(integrals) & (integrals > 0.0))
+    if lost.any() and np.any(values[lost] * (1.0 if weight is None else weight)):
+        raise ValueError(f"|f|^p leaves the float range at the Lebesgue exponent p={p:g}")
     return _powers(integrals, 1.0 / p)
 
 

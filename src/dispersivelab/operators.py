@@ -15,7 +15,6 @@ from .spectral import (
     _build_table,
     _fft,
     _ifft,
-    _mirror,
     _mirrored_table,
     _multiply,
     _multiply_rows,
@@ -143,6 +142,9 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
         raise ValueError(f"unknown tail mode {tail!r}")
     g = f.grid
     n, h, L = g.n, g.h, g.length
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(L) ** (-2.0 * b) / b):
+            raise ValueError(f"the square-function tail L^(-2b)/b overflows at L={L:g}, b={b:g}")
     half = n // 2
     vals = f.values
     rows = vals.shape[:-1]
@@ -279,7 +281,7 @@ def _lp_stack(grid, b: float = 0.0) -> _Table:
         lo = np.searchsorted(axi, 2.0 ** (N - 1), side="right")
         hi = np.searchsorted(axi, 2.0 ** (N + 1), side="left")
         row[lo:hi] = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b
-    return _mirrored_table(grid, _mirror(half, n, False), conjugate=False)
+    return _mirrored_table(grid, half, conjugate=False)
 
 
 def _lp_table(grid, b: float = 0.0) -> _Table:
@@ -322,12 +324,9 @@ def _lp_sum(f: Field, table: _Table) -> float:
     """sup_x sum over the rows m of ``table`` of |m(D) f (x)|, per row of f:
     one forward FFT of f, the rows applied in batches, and their magnitudes
     summed in the table's row order."""
-    # on a block, each table row meets every input row: batches (rows, k, n)
-    each = (None,) * (f.values.ndim - 1)
-    batches = _multiply_rows(f, len(table.values), lambda block: table.rows((block, *each)))
     total = np.zeros(f.values.shape, dtype=float)
     # map drops each batch once its magnitudes are taken, before the next is built
-    for mags in map(np.abs, batches):
+    for mags in map(np.abs, _multiply_rows(f, len(table.values), table.rows)):
         for row in mags:
             total += row
     return _per_row(f, np.max(total, axis=-1))

@@ -115,15 +115,16 @@ class EquationSpec:
         gKdV and BO relations, whose phases are so Hermitian by construction.
         At t != 0 that is bitwise the full evaluation (gKdV's x * x * x, not
         x**3, keeps the bits); at t = +-0 imaginary zeros may change sign."""
-        n = xi.shape[-1]
-        x = xi[: n // 2 + 1]
+        return _mirror(self._half_phase(xi, t), xi.shape[-1], self.is_real)
+
+    def _half_phase(self, xi: np.ndarray, t) -> np.ndarray:
+        """``group_phase(xi, t)`` on the half lattice ``xi[: n/2 + 1]`` alone."""
+        x = xi[: xi.shape[-1] // 2 + 1]
         if self.model == "nls":
-            half = np.exp(-1j * t * x**2)
-        elif self.model == "gkdv":
-            half = np.exp(1j * t * (x * x * x))
-        else:
-            half = np.exp(-1j * t * x * np.abs(x))
-        return _mirror(half, n, self.is_real)
+            return np.exp(-1j * t * x**2)
+        if self.model == "gkdv":
+            return np.exp(1j * t * (x * x * x))
+        return np.exp(-1j * t * x * np.abs(x))
 
 
 @dataclass
@@ -179,20 +180,17 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
 
 def _group_table(g: Grid, spec: EquationSpec, times) -> _Table:
     """The table of ``spec.group_phase(g.xi, times)``, one row per time for a
-    column of times.  The phase mirrors its half lattice by the model's
-    symmetry, so its finiteness test and its flags read that half
-    (``spectral._mirrored_table``) and are bitwise those of a scan of the
-    full table.  A phase that is not finite, where a huge ``t`` overflows
-    the angle t*omega(xi), raises ValueError naming the frequency, the
-    model and that time, with no numpy warning."""
+    column of times, built on the half lattice and mirrored by the model's
+    symmetry (``spectral._mirrored_table``): its finiteness test and flags
+    read that half, bitwise a scan of the full table.  A phase that is not
+    finite, where a huge ``t`` overflows the angle t*omega(xi), raises
+    ValueError naming the frequency, the model and that time."""
     times = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the non-finite value named there
-        phase = spec.group_phase(g.xi, times)
+        half = spec._half_phase(g.xi, times)
     return _mirrored_table(
-        g,
-        phase,
-        conjugate=spec.is_real,
-        cause=lambda row: f"the {spec.model} group phase overflows there at t={times[row].item():g}",
+        g, half, spec.is_real,
+        lambda row: f"the {spec.model} group phase overflows there at t={times[row].item():g}",
     )
 
 
@@ -205,24 +203,22 @@ def _group_times(times) -> np.ndarray:
 
 
 def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
-    """Samples of U(t) f at the ``count`` times t = t0 + j*dt, yielded as
-    blocks of rows, one row per time, from one forward FFT of f
-    (``spectral._multiply_rows``).
+    """Samples of U(t) f at the ``count`` times t = t0 + j*dt, yielded in
+    batches of shape ``(times, *f.values.shape)`` from one forward FFT of f
+    (``spectral._multiply_rows``): every time meets every row of a block.
 
     The phases advance by the group law U(t + dt) = U(dt) U(t): the exact
     phases of t0 and dt are built once (``_group_table``), and each later
     time takes one complex multiply per mode of the half lattice, mirrored
-    as ``group_phase`` mirrors it, so every row's table takes its flags
-    from ``spectral._mirrored_table``.  Hence row 0 is bitwise
-    ``linear_group(f, spec, t0)`` (at t0 = +-0 the phase is exactly 1), a
-    real field stays exactly real under the gKdV and BO phases, and row j
-    is ``linear_group(f, spec, t0 + j*dt)`` to a relative L^2 error of at
-    most theta_max * eps (theta_max = max|t omega(xi)| over the scan, eps
-    the double-precision epsilon): the rounding of the angle in the
-    per-time phase is of that size too."""
+    as ``group_phase`` mirrors it (``spectral._mirrored_table``).  Hence
+    the samples at t0 are bitwise ``linear_group(f, spec, t0)`` (at
+    t0 = +-0 the phase is exactly 1), a real field stays exactly real under
+    the gKdV and BO phases, and those at time j are
+    ``linear_group(f, spec, t0 + j*dt)`` to a relative L^2 error of at most
+    theta_max * eps (theta_max = max|t omega(xi)| over the scan, eps the
+    double-precision epsilon), the rounding of the per-time angle."""
     _group_times([t0, dt, t0 + (count - 1) * dt])
-    g = f.grid
-    n = g.n
+    g, n = f.grid, f.grid.n
     phase = _group_table(g, spec, t0).values[: n // 2 + 1]
     step = _group_table(g, spec, dt).values[: n // 2 + 1] if count > 1 else None
 
@@ -233,7 +229,7 @@ def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
             if j:
                 phase = step * phase
             row[:] = phase
-        return _mirrored_table(g, _mirror(half, n, spec.is_real), conjugate=spec.is_real)
+        return _mirrored_table(g, half, conjugate=spec.is_real)
 
     return _multiply_rows(f, count, table_of)
 
@@ -268,10 +264,9 @@ class _Stepper:
         self._u = np.empty(n, float if spec.is_real else complex)
         mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
         dt = cfg.dt
-        # group_phase takes the full lattice; a half spectrum keeps a copy of
-        # its head, so the full phases are freed
-        self.E = spec.group_phase(grid.xi, dt / 2.0)[: xi.size].copy()   # half-step linear flow
-        self.E2 = spec.group_phase(grid.xi, dt)[: xi.size].copy()
+        phase = spec._half_phase if spec.is_real else spec.group_phase  # on xi's lattice
+        self.E = phase(grid.xi, dt / 2.0)   # half-step linear flow
+        self.E2 = phase(grid.xi, dt)
         self.dtE = dt * self.E
         self.twoE = 2.0 * self.E
         if spec.is_real:
@@ -328,11 +323,13 @@ class _Stepper:
 
 
 def check_times(T: float, snapshot_times, dt: float) -> None:
-    """Raise ValueError unless T is finite and nonnegative, a positive T is
-    at least one step of dt once rounded, and every snapshot time lies in
-    [0, T]; the rule of :func:`evolve` and of solve configs."""
+    """Raise ValueError unless T is finite and nonnegative, T/dt is finite
+    (and not bounded), a positive T is at least one step of dt once rounded,
+    and every snapshot time lies in [0, T]; the rule of :func:`evolve`."""
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"final time must be finite and nonnegative, got T={T}")
+    if not np.isfinite(T / dt):
+        raise ValueError(f"final time T={T:g} takes no finite count of steps of dt={dt:g}")
     if T > 0 and round(T / dt) == 0:
         raise ValueError(f"final time T={T:g} rounds to zero steps of dt={dt:g}")
     if not all(-1e-12 <= t <= T + 1e-12 for t in snapshot_times):

@@ -60,8 +60,9 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got n={self.n}")
-        if not (self.length > 0 and np.isfinite(self.length)):
-            raise ValueError(f"half-length must be positive and finite, got L={self.length}")
+        if not (0.0 < self.h < np.inf and np.isfinite(self.xi_max)):  # NaN fails it too
+            raise ValueError(f"half-length must give a finite lattice, 0 < 2L/n and pi*n/(2L) "
+                             f"< inf, got L={self.length}, n={self.n}")
 
     @property
     def h(self) -> float:
@@ -191,6 +192,10 @@ class _Table(NamedTuple):
         """The multipliers of the rows that ``index`` selects."""
         return _Table(self.values[index], self.odd[index], self.hermitian[index])
 
+    def stacked(self, *below) -> "_Table":
+        """This table's one multiplier over those of ``below``, a row each."""
+        return _frozen(*(np.stack(parts) for parts in zip(self, *below)))
+
 
 # Every stored table of the package's operators, by (n, L, key), oldest
 # first.  Their values hold at most _STORE_BYTES together (the refine
@@ -265,18 +270,16 @@ def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
     return np.concatenate([half, mirror.conj() if conjugate else mirror], axis=-1)
 
 
-def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool, cause=_SINGULAR) -> _Table:
-    """The table of ``mvals``, finite or not, whose rows were built on the
-    half lattice ``[: n/2 + 1]`` and mirrored onto the rest (``_mirror``):
-    m(-xi) is conj(m(xi)) when ``conjugate``, else m(xi).  The finiteness
-    test and the flags read the half alone and are bitwise those of
-    _build_table's scan: the mirror repeats the half or its conjugates, so
-    max|m| is the half's, and finite only when every value is; a
+def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool, cause=_SINGULAR) -> _Table:
+    """The table of rows ``half``, finite or not, on the half lattice
+    ``xi[: n/2 + 1]``, mirrored here onto the rest (``_mirror``) by the
+    ``conjugate`` that its flags read.  The finiteness test and the flags
+    read the half alone and are bitwise those of _build_table's scan: the
+    mirror repeats the half or its conjugates, so max|m| is the half's; a
     conjugated mirror makes pos - conj(neg) exactly 0, an even one exactly
-    2i Im(pos); and the odd test forms pos + neg as the scan does, past the
-    same m(0) test.  A non-finite value raises ValueError ending in ``cause``, as
-    ``_require_finite_symbol`` reads it."""
-    half = mvals[..., : g.n // 2 + 1]
+    2i Im(pos); and the odd test forms pos + neg as the scan does.  A
+    non-finite value raises ValueError ending in ``cause``
+    (``_require_finite_symbol``)."""
     tol = 1e-13 * np.max(np.abs(half), axis=-1)
     if not np.isfinite(tol).all():  # a non-finite value, or one whose |m| overflows
         _require_finite_symbol(g, half, cause)
@@ -287,7 +290,7 @@ def _mirrored_table(g: Grid, mvals: np.ndarray, conjugate: bool, cause=_SINGULAR
     hermitian = np.abs(zero.imag) <= tol
     if not conjugate:
         hermitian &= 2.0 * np.max(np.abs(pos.imag), axis=-1) <= tol
-    return _frozen(mvals, odd, hermitian)
+    return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)
 
 
 def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause) -> None:
@@ -354,15 +357,17 @@ def _multiply(f: Field, table: _Table) -> Field:
 
 
 def _multiply_rows(f: Field, count: int, table_of):
-    """``count`` multipliers applied to ``f``, yielded in batches of at most
-    BLOCK_SAMPLES samples (``_row_blocks``): one forward FFT of f, then each
-    slice ``block`` of the multipliers under its table ``table_of(block)``
-    by the rules of :func:`apply_multiplier`, with one batched inverse FFT."""
+    """``count`` multipliers applied to every row of ``f``, yielded in
+    batches of shape ``(rows, *f.values.shape)`` of at most BLOCK_SAMPLES
+    samples (``_row_blocks``): one forward FFT of f, then each slice
+    ``block`` of the multipliers under its table ``table_of(block)``
+    (e.g. ``table.rows``) by the rules of :func:`apply_multiplier`."""
     fhat = _fft(f.values)
     real = _real_rows(f.values)
+    paired = (slice(None),) + (None,) * (f.values.ndim - 1)
     # an empty block takes one batch
     for block in _row_blocks(count, max(f.values.size, 1)):
-        yield _apply_table(table_of(block), fhat, real)
+        yield _apply_table(table_of(block).rows(paired), fhat, real)
 
 
 def apply_multiplier(f: Field, m) -> Field:
@@ -382,17 +387,11 @@ def apply_multiplier(f: Field, m) -> Field:
       at xi = 0) gives a real output; in a block the rule holds row by row.
       This is the one realness rule of the operators and the linear groups.
 
-    The package's own operators follow the same rules through tables that
-    carry the same flags: one process-wide store keeps one per grid size,
-    cell, operator and parameter (``_table``), so a repeated call, on any
-    grid of that size and cell, skips the evaluation and the scans.  A
-    stored table is held at the width of its values: float64 when every
-    imaginary part is +0.0, which gives the same output bits.  The
-    group phases and the Littlewood-Paley blocks (``operators._lp_stack``)
-    are built on the half lattice and mirrored, and take their flags from
-    that construction (``_mirrored_table``), with no scan at all.  One
-    multiplier is applied here: an array of any shape other than (n,)
-    raises ValueError.
+    The package's own operators follow the same rules through tables with
+    the same flags, kept in one store (``_table``) or built on the half
+    lattice and mirrored, their flags read off that half with no scan
+    (``_mirrored_table``).  One multiplier is applied here: an array of any
+    shape other than (n,) raises ValueError.
     """
     table = _build_table(f.grid, m)
     if table.values.ndim != 1:  # stacks of multipliers go through _multiply_rows

@@ -299,9 +299,37 @@ MUTANTS = (
     Mutant(
         "group_odd_forced",
         "spectral.py",
-        "<= tol\n    return _frozen(mvals, odd, hermitian)",
-        "<= tol\n    return _frozen(mvals, odd | True, hermitian)",
+        "    return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)",
+        "    return _frozen(_mirror(half, g.n, conjugate), odd | True, hermitian)",
         ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "mirror_with_not_conjugate",
+        "spectral.py",
+        "_frozen(_mirror(half, g.n, conjugate),",
+        "_frozen(_mirror(half, g.n, not conjugate),",
+        ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "multiply_rows_unpaired",
+        "spectral.py",
+        "paired = (slice(None),) + (None,) * (f.values.ndim - 1)",
+        "paired = (slice(None),)",
+        ("tests/test_tables.py::test_group_scan_of_a_block_pairs_every_time_with_every_row",),
+    ),
+    Mutant(
+        "grid_lattice_unchecked",
+        "spectral.py",
+        "        if not (0.0 < self.h < np.inf and np.isfinite(self.xi_max)):",
+        "        if False:",
+        ("tests/test_spectral.py::test_grid_rejects_a_cell_without_a_finite_lattice",),
+    ),
+    Mutant(
+        "step_count_unchecked",
+        "propagators.py",
+        "    if not np.isfinite(T / dt):",
+        "    if False:",
+        ("tests/test_propagators.py::test_evolve_rejects_a_step_count_that_is_not_finite",),
     ),
     Mutant(
         "lp_range_drops_top_row",

@@ -40,7 +40,7 @@ def test_refine_strichartz_scans_no_table(monkeypatch):
     of times from 4 evaluated phases, U(0) and U(dt) per scale, and none of
     their tables is scanned for its symmetry."""
     scans = _counting(monkeypatch, spectral, "_symmetry")
-    phases = _counting(monkeypatch, EquationSpec, "group_phase")
+    phases = _counting(monkeypatch, EquationSpec, "_half_phase")
     report = run_check("strichartz", {"n": 4096})
     assert report.verdict == "pass"
     assert phases[0] == 4 and scans[0] == 0
@@ -49,7 +49,7 @@ def test_refine_strichartz_scans_no_table(monkeypatch):
 def test_refine_weighted_free_builds_one_group_table_per_level(monkeypatch):
     """At n = 4096 the 23 members fill 6 blocks, and 12 at n = 8192: one
     group phase per level, and one forward FFT per block for U(t) and D^b."""
-    phases = _counting(monkeypatch, EquationSpec, "group_phase")
+    phases = _counting(monkeypatch, EquationSpec, "_half_phase")
     ffts = _counting(monkeypatch, spectral, "_fft")
     report = run_check("weighted_free", {"n": 4096})
     assert report.verdict == "pass" and report.notes["t_adjusted"] == 0.0

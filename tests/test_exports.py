@@ -34,14 +34,14 @@ PRIVATE_IMPORTS = {
         "norms": {"_lebesgue_rows", "_powers", "_require_finite"},
         "operators": {"_lp_deriv_linf_l1", "_riesz_table"},
         "propagators": {"_group_scan", "_group_table"},
-        "spectral": {"_Table", "_multiply_rows", "_require_gate", "_row_blocks"},
+        "spectral": {"_multiply_rows", "_require_gate", "_row_blocks"},
     },
     "corpus": {"spectral": {"_gate_error", "_require_gate", "_row_blocks"}},
     "laws": {"spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},
     "operators": {
         "spectral": {
-            "_Table", "_build_table", "_fft", "_ifft", "_mirror", "_mirrored_table", "_multiply",
+            "_Table", "_build_table", "_fft", "_ifft", "_mirrored_table", "_multiply",
             "_multiply_rows", "_per_row", "_table",
         }
     },

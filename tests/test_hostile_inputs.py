@@ -1,10 +1,11 @@
 """Hostile inputs, generated from the parameter tables: every numeric check
 parameter (``checks._parameters``, the corpus keys of every check included)
-and every numeric config key (the
-``RunConfig`` fields, each in a config of the command that reads it) is
-given non-finite, zero and negative values through ``cli.main``, and every
-check whose fields enter through the boundary gate runs on a cell they do
-not fit.  A new parameter or key is covered without an edit here."""
+and every numeric config key (the ``RunConfig`` fields, each in a config of
+the command that reads it) is given non-finite, zero, negative and least
+subnormal values through ``cli.main``, and every check whose fields enter
+through the boundary gate runs on a cell they do not fit.  A new parameter
+or key is covered without an edit here.  Huge values are not fed
+generically: a huge T, pair count or corpus size asks for that much work."""
 
 import dataclasses
 import re
@@ -15,7 +16,8 @@ from dispersivelab import checks
 from dispersivelab.cli import RunConfig, _floats, main
 
 NON_FINITE = ("nan", "inf", "-inf")
-EDGE = ("0", "-1")
+# the least subnormal: a cell, a step or an order that small leaves the float range
+EDGE = ("0", "-1", "5e-324")
 
 # the numeric keys of each check; a str parameter (persistence's model) takes a name
 CHECK_KEYS = {
@@ -110,3 +112,11 @@ def test_field_failing_the_gate_is_a_parameter_error(tmp_path, capsys, name):
     assert rc == 2
     assert f"check error: {name}: " in err and "fails the boundary gate on the cell L=3: " in err
     assert not (tmp_path / "checks.csv").exists()
+
+
+# |f|^p of a unit-size field overflows or underflows at these exponents
+@pytest.mark.parametrize("p", ["1e15", "1e300"])
+@pytest.mark.parametrize("name", ["gn", "commutator_leibniz", "commutator_hilbert", "ap_hilbert"])
+def test_lebesgue_exponent_out_of_float_range_is_named(tmp_path, capsys, name, p):
+    rc, err = _check(name, "p", p, tmp_path, capsys)
+    assert rc == 2 and _names("p", err), err

@@ -7,6 +7,7 @@ from dispersivelab.propagators import (
     CFLWarning,
     EquationSpec,
     StepperConfig,
+    check_times,
     evolve,
     linear_group,
 )
@@ -482,6 +483,16 @@ def test_evolve_rejects_final_time_of_zero_steps(T):
     with pytest.raises(ValueError, match=f"T={T:g} rounds to zero steps of dt=0.001"):
         evolve(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=1e-3), T)
     assert len(evolve(u0, EquationSpec.gkdv(k=1), StepperConfig(dt=1e-3), 6e-4).times) == 2
+
+
+def test_evolve_rejects_a_step_count_that_is_not_finite():
+    """T/dt overflows at the least subnormal dt; a finite count, however
+    long the run, is the caller's to ask for."""
+    g = Grid(64, 10.0)
+    u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
+    with pytest.raises(ValueError, match="T=1 takes no finite count of steps of dt=4.94066e-324"):
+        evolve(u0, EquationSpec.nls(), StepperConfig(dt=5e-324), 1.0)
+    check_times(1.0, [0.0, 1.0], 1e-300)
 
 
 def test_cfl_warning():

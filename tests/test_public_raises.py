@@ -49,12 +49,18 @@ CASES = {
         r"^the weight \|x\|\^alpha overflows on the cell L=10, got alpha=400$",
     ),
     "lebesgue_p_nan": (lambda: lebesgue(F, np.nan), "got p=nan"),
+    "lebesgue_p_overflow": (lambda: lebesgue(2.0 * F, 1e15), "at the Lebesgue exponent p=1e"),
+    "lebesgue_p_underflow": (lambda: lebesgue(0.5 * F, 1e15), "at the Lebesgue exponent p=1e"),
     "ap_constant_p": (lambda: ap_constant(F, 1.0), "got p=1.0"),
     "derivative_order": (lambda: derivative(F, -1), "got order=-1"),
     "moment_order": (lambda: moment(F, -1), "got j=-1"),
     "riesz_deriv_b": (lambda: riesz_deriv(F, np.nan), "got b=nan"),
     "bessel_potential_s": (lambda: bessel_potential(F, np.nan), "got s=nan"),
     "stein_deriv_tail": (lambda: stein_deriv(F, 0.5, tail="x"), "unknown tail mode 'x'"),
+    "stein_deriv_tail_overflow": (
+        lambda: stein_deriv(F, 5e-324),
+        r"^the square-function tail L\^\(-2b\)/b overflows at L=10, b=4.94066e-324$",
+    ),
     "lp_block_N": (lambda: lp_block(F, 61), "N=61"),
     "lp_block_N_nan": (lambda: lp_block(F, np.nan), "got N=nan"),
     "lp_block_N_fraction": (lambda: lp_block(F, 2.5), "got N=2.5"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,18 @@ def test_grid_invariants():
 def test_grid_rejects_non_power_of_two(n):
     with pytest.raises(ValueError):
         Grid(n, 10.0)
+
+
+@pytest.mark.parametrize("L", [np.nan, np.inf, -1.0, 0.0, 5e-324, 1e-310, 1e308])
+def test_grid_rejects_a_cell_without_a_finite_lattice(L):
+    """L is not a positive finite number, h = 2L/n underflows to 0 or
+    overflows, or pi*n/(2L) overflows: the lattice would hold inf or nan."""
+    want = (f"half-length must give a finite lattice, 0 < 2L/n and pi*n/(2L) < inf, "
+            f"got L={L}, n=512")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        Grid(512, L)
+    g = Grid(512, 1e-300)  # the smallest of these cells keeps a finite lattice
+    assert np.isfinite(g.xi).all() and np.isfinite(g.x).all()
 
 
 def test_field_rejects_non_finite():

@@ -172,6 +172,32 @@ def test_group_scan_rows_match_linear_group(n, L, spec, real):
                 assert not row.imag.any(), f"{spec.model} at t={t!r}"
 
 
+@pytest.mark.parametrize("spec", MODELS, ids=["nls", "gkdv", "bo"])
+@pytest.mark.parametrize("n,rows", [(4096, 2), (2048, 3)])
+def test_group_scan_of_a_block_pairs_every_time_with_every_row(n, rows, spec):
+    """On a block of k rows the scan yields batches (times, k, n) of at most
+    BLOCK_SAMPLES samples, every time applied to every row: each (time,
+    row) pair is ``linear_group`` of that row at that time to the scan's
+    theta_max * eps, and the first time is bitwise ``linear_group`` of the
+    block at t0."""
+    grid = Grid(n, 20.0)
+    block = Field(grid, np.stack([_field(grid, True, seed=seed).values for seed in range(rows)]))
+    t0, dt, count = -1.7, 3.0 / 16.0, 5
+    batches = list(_group_scan(block, spec, t0, dt, count))
+    assert all(1 <= len(b) and b.size <= BLOCK_SAMPLES for b in batches)
+    scan = np.concatenate(batches)
+    assert scan.shape == (count, rows, n)
+    assert scan[0].tobytes() == linear_group(block, spec, t0).values.tobytes()
+    times = t0 + dt * np.arange(count)
+    theta_max = np.max(np.abs(times)) * np.max(OMEGA[spec.model](grid.xi))
+    eps = np.finfo(float).eps
+    for t, samples in zip(times, scan):
+        for f, got in zip(block.values, samples, strict=True):
+            want = linear_group(Field(grid, f), spec, t).values
+            err = np.linalg.norm(got - want) / np.linalg.norm(f)
+            assert err <= theta_max * eps, f"{spec.model} at t={t!r}: {err:.3g}"
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("n,L", GRIDS)
 def test_lp_sums_match_per_block_sum(n, L, real):
