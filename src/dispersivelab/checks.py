@@ -11,6 +11,7 @@ evolve the full equations and inspect weighted-norm growth.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from itertools import chain
@@ -140,6 +141,7 @@ def _report(
     notes: dict | None = None,
     worst: float | None = None,
     fitted: float | None = None,
+    verdict: str | None = None,
 ) -> CheckReport:
     """Report of a check graded by the one verdict rule: it passes when its
     ``trend`` is stable and its own extra condition ``ok`` holds.  For a
@@ -147,7 +149,9 @@ def _report(
     and at ``grid.refine()``: the coarse value is the fitted constant, the
     fine one the worst ratio, and the residual defaults to their difference.
     ``worst`` and ``fitted`` replace those two for a check whose headline
-    numbers are not the trend's last and first entries."""
+    numbers are not the trend's last and first entries, and ``verdict`` the
+    rule for a report that grades by its own (ap_hilbert, persistence,
+    bo_domain_comparison)."""
     return CheckReport(
         check_id=check_id,
         params=params,
@@ -156,13 +160,130 @@ def _report(
         fitted_constant=trend[0] if fitted is None else fitted,
         residual_max=abs(trend[1] - trend[0]) if residual is None else residual,
         refinement_trend=trend,
-        verdict="pass" if (_stable(trend) and ok) else "fail",
+        verdict=verdict or ("pass" if (_stable(trend) and ok) else "fail"),
         notes=notes or {},
     )
 
 
+# ------------------------------------------------------------ declaration
+
+# Every check by name, in definition order: each registers itself (_check).
+CHECKS: dict = {}
+
+# The work keys' upper bounds (costs on a 2-vCPU x86_64 VM).  Every check
+# measures on grid.refine() too, and leibniz takes 2.2 s and 96 MB at
+# n = 2^16.  Every corpus member (leibniz: pairs + 3 of them) is realized
+# and measured on both levels, and gn takes 0.4 s with 1000.  A persistence
+# step takes ~90 us at n = 512, so its T/dt = 10^6 steps take ~90 s.
+MAX_N = 2**16
+MAX_MEMBERS = 1000
+MAX_STEPS = 10**6
+_WORK = {"n": MAX_N, "corpus_size": MAX_MEMBERS, "pairs": MAX_MEMBERS, "T/dt": MAX_STEPS}
+
+# keys that build a fresh Corpus(seed, size) for a check taking ``corpus``;
+# every check accepts and checks them
+_CORPUS_KEYS = {"seed": DEFAULT_SEED, "corpus_size": 20}
+
+
+def _coerce(key: str, value, default):
+    """``value`` as the type of ``default``; an int must be integral, and an
+    int value reaches an int parameter exactly."""
+    if isinstance(default, str):
+        return str(value)
+    integral = isinstance(default, int)
+    if integral and isinstance(value, int):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range, read as float() reads its digits
+        number = np.inf if value > 0 else -np.inf
+    except (TypeError, ValueError):
+        number = None
+    if number is None or (integral and not number.is_integer()):
+        raise ValueError(f"{key}={value!r} is not {'an integer' if integral else 'a number'}")
+    return type(default)(number)
+
+
+def _parameters(fn) -> dict:
+    """The flat parameter table of a check, key -> default: the keywords of
+    ``fn`` with an int, float or str default, ``n`` and ``L`` of its default
+    grid, and the corpus keys."""
+    sig = inspect.signature(fn).parameters
+    table = {key: p.default for key, p in sig.items() if type(p.default) in (int, float, str)}
+    grid = sig["grid"].default
+    table.update(n=grid.n, L=grid.length, **_CORPUS_KEYS)
+    return table
+
+
+def _check(**intervals):
+    """Declare a check: register it in CHECKS under its name less ``check_``,
+    with the interval of each named parameter, e.g. ``"(0, 1)"`` or
+    ``"[0, inf)"`` (int or float is its default's type); a key that its
+    owner validates (Grid, EquationSpec, StepperConfig, Corpus,
+    standard_diagnostics, initial_data) is not declared.  Every call, direct
+    or through run_check, meets them and the work bounds before it runs."""
+
+    def declare(fn):
+        sig, defaults = inspect.signature(fn), _parameters(fn)
+
+        @functools.wraps(fn)
+        def check(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            given = bound.arguments
+            table = {k: _coerce(k, v, defaults[k]) for k, v in given.items() if k in defaults}
+            table.update(n=given["grid"].n, L=given["grid"].length)
+            if given.get("corpus") is not None:
+                table["corpus_size"] = given["corpus"].size
+            _require_domains(check, table)
+            return fn(*args, **kwargs)
+
+        check.domains = intervals
+        CHECKS[fn.__name__.removeprefix("check_")] = check
+        return check
+
+    return declare
+
+
+def _require_domains(fn, table: dict) -> None:
+    """Raise ValueError at a key of ``table``, the flat parameters of check
+    ``fn``, outside its interval or above its work bound.  The step count
+    T/dt is counted at a finite T and a positive dt; any other T or dt is
+    its owner's to reject."""
+    for key, interval in fn.domains.items():
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        value = table[key]
+        if not ((lo < value if interval[0] == "(" else lo <= value)
+                and (value < hi if interval[-1] == ")" else value <= hi)):  # NaN fails it
+            raise ValueError(f"{key} must lie in {interval}, got {key}={value}")
+    if np.isfinite(table.get("T", np.nan)) and table.get("dt", 0.0) > 0:
+        table = {**table, "T/dt": table["T"] / table["dt"]}
+    for key, most in _WORK.items():
+        if key in table:
+            _require_at_most(key, table[key], most)
+
+
+def _require_at_most(key: str, value, most: int) -> None:
+    """Raise ValueError when the work key ``key`` exceeds its bound ``most``."""
+    if value > most:
+        raise ValueError(f"{key} must be at most {most}, got {key}={value}")
+
+
+def _require_symbol(grid: Grid, symbol, name: str, got: str) -> None:
+    """Raise ValueError naming ``got`` when the multiplier ``name``, which is
+    ``symbol(|xi|)`` and increases with |xi|, overflows at the largest |xi|
+    of ``grid.refine()``, a check's finer level."""
+    xi = np.float64(grid.refine().xi_max)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(symbol(xi)):
+            raise ValueError(
+                f"the multiplier {name} overflows on the refined lattice |xi| <= {xi:g}, got {got}"
+            )
+
+
 # ------------------------------------------------------------------ chirp
 
+@_check(b="(0, 1)", t="(0, inf)")
 def check_chirp_stein(
     t: float = 0.5, b: float = 0.5, grid: Grid = Grid(1024, 30.0)
 ) -> CheckReport:
@@ -170,10 +291,6 @@ def check_chirp_stein(
     c (t^(b/2) + t^b |x|^b); fits the smallest c on |x| <= L/2 and requires
     the fit to be stable under refinement.  The wide default cell keeps the
     fit's periodic-tail bias below the stability tolerance over the tested t."""
-    if not (0.0 < b < 1.0):
-        raise ValueError(f"order must lie in (0,1), got b={b}")
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"chirp time must be finite and positive, got t={t}")
 
     def fit(g: Grid) -> float:
         freq_max = 2.0 * t * g.length
@@ -197,6 +314,7 @@ def check_chirp_stein(
 
 # ----------------------------------------------------------- weighted free
 
+@_check(b="(0, 1)", t="[0, inf)")
 def check_weighted_free(
     t: float = 0.5,
     b: float = 0.5,
@@ -213,10 +331,6 @@ def check_weighted_free(
     each block of the corpus takes one forward FFT for both
     (``spectral._multiply_rows``): the flow and D^b of each row are
     bitwise ``linear_group`` and ``riesz_deriv``."""
-    if not (0.0 < b < 1.0):
-        raise ValueError(f"order must lie in (0,1), got b={b}")
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got t={t}")
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
@@ -232,7 +346,7 @@ def check_weighted_free(
                 + t**b * weighted_l2(deriv, 0.0)
                 + weighted_l2(f, b)
             )
-            yield flow, lhs / rhs
+            yield flow, _ratios(lhs, rhs)
 
     for adjusted in range(4):
         t_used = t / 2.0**adjusted
@@ -261,6 +375,7 @@ def check_weighted_free(
 
 # --------------------------------------------------------- gamma identity
 
+@_check(b="[0, 1]")
 def check_gamma_identity(
     b: float = 0.5, t: float = 0.5, grid: Grid = Grid(1024, 20.0)
 ) -> CheckReport:
@@ -274,8 +389,6 @@ def check_gamma_identity(
     weighted side U(t)(x f), which already fails at t = 0.9; at fractional
     b it is not gated, since its slow tails are part of what the fractional
     residual measures."""
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"order must lie in [0,1], got b={b}")
     spec = EquationSpec.nls()
     f = _GAUSSIAN.realize(grid)
     flow = linear_group(f, spec, t)
@@ -293,6 +406,7 @@ def check_gamma_identity(
 
 # ----------------------------------------------------------------- Leibniz
 
+@_check(b="(0, 1)", pairs="[0, inf)")
 def check_leibniz(
     b: float = 0.5,
     grid: Grid = Grid(512, 20.0),
@@ -312,10 +426,6 @@ def check_leibniz(
     ``pairs`` selects the first ``pairs + 2`` corpus members, paired in twos,
     plus the Gaussian paired with itself; the default corpus holds ``pairs``
     random members, and the reported corpus size counts the whole corpus."""
-    if not (0.0 < b < 1.0):
-        raise ValueError(f"order must lie in (0,1), got b={b}")
-    if pairs < 0:
-        raise ValueError(f"pairs must be nonnegative, got pairs={pairs}")
     corpus = corpus or Corpus(size=pairs)
 
     def measure(fa: Field, fb: Field) -> tuple:
@@ -387,6 +497,7 @@ def gn_theta(alpha: float, beta: float, p: float, q: float, r: float) -> float:
     return float(min(max(theta, lo), 1.0))
 
 
+@_check(p="(1, inf)", q="(1, inf)", r="(1, inf)")
 def check_gn(
     alpha: float = 0.5,
     beta: float = 1.0,
@@ -399,11 +510,11 @@ def check_gn(
     """Fractional interpolation inequality
     ||D^alpha f||_p <= c ||f||_r^(1-theta) ||D^beta f||_q^theta, with the
     exponent theta fixed by scaling; the measured ratio must be invariant
-    (5%) under the dilations f -> f(x/2), f(2x) and refinement stable."""
-    for name, val in (("p", p), ("q", q), ("r", r)):
-        if not (1.0 < val < np.inf):
-            raise ValueError(f"exponent {name} must lie in (1, inf), got {name}={val}")
+    (5%) under the dilations f -> f(x/2), f(2x) and refinement stable.  A
+    ``beta`` whose D^beta overflows on the refined lattice raises ValueError
+    naming it."""
     theta = gn_theta(alpha, beta, p, q, r)
+    _require_symbol(grid, lambda xi: xi**beta, "D^beta", f"beta={beta}")
     corpus = corpus or Corpus(size=10)
 
     def ratios(f: Field) -> np.ndarray:
@@ -439,6 +550,7 @@ def check_gn(
 
 # --------------------------------------------------------- interpolation
 
+@_check(a="(0, inf)", b="(0, inf)", theta="[0, 1]")
 def check_interpolation(
     a: float = 1.0,
     b: float = 1.0,
@@ -450,21 +562,11 @@ def check_interpolation(
     ||J^(theta a) (<x>^((1-theta) b) f)|| <= c ||<x>^b f||^(1-theta) ||J^a f||^theta,
     exact (ratio one) at the endpoints theta = 0, 1.  An ``a`` whose J^a, or
     whose norm ||J^a f|| on a level, overflows raises ValueError naming it."""
-    if not (0 < a < np.inf and 0 < b < np.inf):
-        raise ValueError(f"orders must be positive and finite, got a={a}, b={b}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"interpolation parameter must lie in [0,1], got theta={theta}")
     # the weight <x>^(2b) peaks at x = -L on both levels; an overflow names b
     with np.errstate(over="ignore"):
         _require_finite((1.0 + grid.x**2) ** b, "<x>^(2b)", grid, f"b={b}")
-        # J^a and J^(theta a) peak on the refined lattice, and J^(theta a) <= J^a
-        # there (1 + xi^2 >= 1, theta <= 1): an overflow of either names a
-        fine = grid.refine().xi
-        if not np.isfinite((1.0 + fine**2) ** (a / 2.0)).all():
-            raise ValueError(
-                f"the multiplier J^a overflows on the refined lattice "
-                f"|xi| <= {np.max(np.abs(fine)):g}, got a={a}"
-            )
+    # J^(theta a) <= J^a (1 + xi^2 >= 1, theta <= 1): an overflow of either names a
+    _require_symbol(grid, lambda xi: (1.0 + xi**2) ** (a / 2.0), "J^a", f"a={a}")
     corpus = corpus or Corpus(size=10)
 
     def ratios(f: Field) -> np.ndarray:
@@ -495,6 +597,7 @@ def check_interpolation(
 
 # ------------------------------------------- commutator via LP blocks
 
+@_check(alpha="(0, 1)", p="(1, inf)")
 def check_commutator_leibniz(
     alpha: float = 0.5,
     p: float = 2.0,
@@ -506,10 +609,6 @@ def check_commutator_leibniz(
     is summed from one forward FFT of f under the blocks composed with
     |xi|^alpha, one table per grid and alpha kept across calls
     (``operators._lp_deriv_linf_l1``)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"order must lie in (0,1), got alpha={alpha}")
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"exponent must lie in (1, inf), got p={p}")
     corpus = corpus or Corpus(size=10)
 
     def ratios(fa: Field, fb: Field) -> np.ndarray:
@@ -541,6 +640,7 @@ def check_commutator_leibniz(
 
 # --------------------------------------------- Hilbert commutators
 
+@_check(l="[0, inf)", m="[0, inf)", p="(1, inf)")
 def check_commutator_hilbert(
     l: int = 1,
     m: int = 0,
@@ -550,11 +650,11 @@ def check_commutator_hilbert(
 ) -> CheckReport:
     """Order-zero commutators d^l [H; a] d^m, measured against
     ||d^(l+m) a||_inf ||f||_p.  l+m = 1 is the first commutator case,
-    l+m = 2 its extension."""
-    if l < 0 or m < 0 or l + m < 1:
-        raise ValueError("need l, m >= 0 with l + m >= 1")
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"exponent must lie in (1, inf), got p={p}")
+    l+m = 2 its extension.  Orders whose d^(l+m) overflows on the refined
+    lattice raise ValueError naming them."""
+    if l + m < 1:
+        raise ValueError(f"need l + m >= 1, got l={l}, m={m}")
+    _require_symbol(grid, lambda xi: xi ** (l + m), "d^(l+m)", f"l={l}, m={m}")
     corpus = corpus or Corpus(size=10)
 
     def commutator_norms(a_fn: Field, f: Field) -> np.ndarray:
@@ -607,6 +707,7 @@ def _ap_probes(g: Grid, w: Field, p: float):
         yield Field(g, vals)
 
 
+@_check(p="(1, inf)")
 def check_ap_hilbert(
     alpha: float = 0.5,
     p: float = 2.0,
@@ -630,8 +731,6 @@ def check_ap_hilbert(
 
     Only the corpus's random members probe the operator: its named
     canonical fields decay too slowly for the narrow default cell."""
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"exponent must lie in (1, inf), got p={p}")
     corpus = corpus or Corpus(size=10)
     members = corpus.members[: corpus.size]
     inside = -1.0 < alpha < p - 1.0
@@ -657,30 +756,18 @@ def check_ap_hilbert(
     ap_growth = ap_trend[1] / ap_trend[0]
     ratio_growth = ratio_trend[1] / ratio_trend[0]
     if alpha == 0.0 and p == 2.0:
-        ok = (
-            abs(ap_trend[0] - 1.0) <= 1e-12
-            and abs(ap_trend[1] - 1.0) <= 1e-12
-            and ratio_trend[0] <= 1.0 + 1e-10
-            and ratio_trend[1] <= 1.0 + 1e-10
+        ok = all(abs(v - 1.0) <= 1e-12 for v in ap_trend) and all(
+            v <= 1.0 + 1e-10 for v in ratio_trend
         )
     elif inside:
         ok = _stable(ap_trend) and _stable(ratio_trend)
     else:
         ok = ap_growth >= 1.3 and ratio_growth > 1.0
-    return CheckReport(
-        check_id="ap_hilbert",
-        params={"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
-        corpus_size=len(members),
-        worst_ratio=ratio_trend[-1],
-        fitted_constant=ap_trend[-1],
-        residual_max=abs(ratio_growth - 1.0),
-        refinement_trend=ap_trend + ratio_trend,
-        verdict="pass" if ok else "fail",
-        notes={
-            "ap_growth": ap_growth,
-            "ratio_growth": ratio_growth,
-            "inside_range": float(inside),
-        },
+    return _report(
+        "ap_hilbert", {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length}, len(members),
+        ap_trend + ratio_trend, residual=abs(ratio_growth - 1.0), worst=ratio_trend[-1],
+        notes=dict(ap_growth=ap_growth, ratio_growth=ratio_growth, inside_range=float(inside)),
+        fitted=ap_trend[-1], verdict="pass" if ok else "fail",
     )
 
 
@@ -689,6 +776,7 @@ def check_ap_hilbert(
 _STRICHARTZ_TIMES = 129  # evenly spaced times in [0, T], both ends included
 
 
+@_check(T="(0, inf)")
 def check_strichartz(
     q: float = 8.0,
     p: float = 4.0,
@@ -710,8 +798,6 @@ def check_strichartz(
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"
         )
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be finite and positive, got T={T}")
     spec = EquationSpec.nls()
 
     def truncated_ratio(scale: float, horizon: float) -> float:
@@ -737,6 +823,7 @@ def check_strichartz(
 
 # -------------------------------------------------------------- scaling
 
+@_check()
 def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport:
     """Scaling-critical norm ||D^(s_c) u_lambda|| with
     u_lambda = lambda^(2/(a-1)) u0(lambda x), u0 the Gaussian, is
@@ -810,29 +897,13 @@ def persistence_experiment(
     initial = series[0]
     sup_growth = float(np.max(series) / max(initial, 1e-300))
     in_regime = m <= s
-    if traj.failed:
-        verdict = "fail"
-    elif in_regime:
-        verdict = "pass" if sup_growth <= 10.0 else "fail"
-    else:
-        verdict = "report-only"
-    report = CheckReport(
-        check_id="persistence",
-        params={
-            "model": spec.model,
-            "s": s,
-            "m": m,
-            "T": T,
-            "n": g.n,
-            "L": g.length,
-        },
-        corpus_size=1,
-        worst_ratio=sup_growth,
-        fitted_constant=initial if np.isfinite(initial) else 0.0,
-        residual_max=float(np.max(traj.diagnostics["moment0"])),
-        refinement_trend=list(series),
-        verdict=verdict,
-        notes={"gate_ratio": ratio, "in_regime": float(in_regime)},
+    failed = traj.failed or (in_regime and not sup_growth <= 10.0)
+    verdict = "fail" if failed else "pass" if in_regime else "report-only"
+    report = _report(
+        "persistence", {"model": spec.model, "s": s, "m": m, "T": T, "n": g.n, "L": g.length}, 1,
+        list(series), residual=float(np.max(traj.diagnostics["moment0"])),
+        notes={"gate_ratio": ratio, "in_regime": float(in_regime)}, worst=sup_growth,
+        fitted=initial if np.isfinite(initial) else 0.0, verdict=verdict,
     )
     return report, traj
 
@@ -861,19 +932,16 @@ def bo_domain_comparison(
     sensitivities = {
         r: abs(growth[(domains[1], r)] / growth[(domains[0], r)] - 1.0) for r in r_values
     }
-    return CheckReport(
-        check_id="bo_domains",
-        params={"T": T, "n": n, "r_lo": r_values[0], "r_hi": r_values[1]},
-        corpus_size=len(domains) * len(r_values),
-        worst_ratio=max(sensitivities.values()),
-        fitted_constant=min(sensitivities.values()),
-        residual_max=0.0,
-        refinement_trend=[growth[key] for key in sorted(growth)],
-        verdict="report-only",
+    return _report(
+        "bo_domains", {"T": T, "n": n, "r_lo": r_values[0], "r_hi": r_values[1]},
+        len(domains) * len(r_values), [growth[key] for key in sorted(growth)], residual=0.0,
         notes={f"sensitivity_r{r:g}": v for r, v in sensitivities.items()},
+        worst=max(sensitivities.values()), fitted=min(sensitivities.values()),
+        verdict="report-only",
     )
 
 
+@_check()
 def check_persistence(
     model: str = "nls", a: float = EquationSpec.a, mu: int = EquationSpec.mu,
     k: int = EquationSpec.k, amplitude: float = 1.0, dt: float = 1e-3, s: float = 2.0,
@@ -888,57 +956,7 @@ def check_persistence(
     return report
 
 
-# ------------------------------------------------------------- registry
-
-CHECKS = {
-    "chirp_stein": check_chirp_stein,
-    "weighted_free": check_weighted_free,
-    "gamma_identity": check_gamma_identity,
-    "leibniz": check_leibniz,
-    "gn": check_gn,
-    "interpolation": check_interpolation,
-    "commutator_leibniz": check_commutator_leibniz,
-    "commutator_hilbert": check_commutator_hilbert,
-    "ap_hilbert": check_ap_hilbert,
-    "strichartz": check_strichartz,
-    "scaling": check_scaling,
-    "persistence": check_persistence,
-}
-
-# keys that build a fresh Corpus(seed, size) for a check taking ``corpus``;
-# every check accepts and checks them
-_CORPUS_KEYS = {"seed": DEFAULT_SEED, "corpus_size": 20}
-
-
-def _coerce(key: str, value, default):
-    """``value`` as the type of ``default``; an int must be integral, and an
-    int value reaches an int parameter exactly."""
-    if isinstance(default, str):
-        return str(value)
-    integral = isinstance(default, int)
-    if integral and isinstance(value, int):
-        return int(value)
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range, read as float() reads its digits
-        number = np.inf if value > 0 else -np.inf
-    except (TypeError, ValueError):
-        number = None
-    if number is None or (integral and not number.is_integer()):
-        raise ValueError(f"{key}={value!r} is not {'an integer' if integral else 'a number'}")
-    return type(default)(number)
-
-
-def _parameters(fn) -> dict:
-    """The flat parameter table of a check, key -> default: the keywords of
-    ``fn`` with an int, float or str default, ``n`` and ``L`` of its default
-    grid, and the corpus keys."""
-    sig = inspect.signature(fn).parameters
-    table = {key: p.default for key, p in sig.items() if type(p.default) in (int, float, str)}
-    grid = sig["grid"].default
-    table.update(n=grid.n, L=grid.length, **_CORPUS_KEYS)
-    return table
-
+# ---------------------------------------------------------------- run_check
 
 def _arguments(fn, params: dict) -> dict:
     """Keyword arguments of ``fn`` from a flat table of its
@@ -954,6 +972,7 @@ def _arguments(fn, params: dict) -> dict:
     values = {k: _coerce(k, v, table[k]) for k, v in params.items()}
     table.update(values)
     _require_corpus_keys(table["seed"], table["corpus_size"])
+    _require_domains(fn, table)  # before a work key builds what it asks for
     kwargs = {k: v for k, v in values.items() if k not in ("n", "L", *_CORPUS_KEYS)}
     if "n" in values or "L" in values:
         kwargs["grid"] = Grid(table["n"], table["L"])

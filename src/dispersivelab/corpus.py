@@ -39,7 +39,8 @@ def gaussian(x):
 
 
 def sech2(x):
-    return 1.0 / np.cosh(x) ** 2
+    with np.errstate(over="ignore"):  # cosh(x)^2 overflows to inf for |x| > ~355, where sech2 is 0
+        return 1.0 / np.cosh(x) ** 2
 
 
 def gaussian_deriv(x):
@@ -56,15 +57,35 @@ class CorpusMember:
         return self.fn(scale * grid.x)
 
     def realize(self, grid, scale: float = 1.0) -> Field:
-        """Sample the member, optionally dilated to f(scale * x).  A field
-        that fails the boundary gate raises ValueError."""
-        f = Field(grid, np.asarray(self.sample(grid, scale), dtype=np.complex128))
+        """Sample the member, optionally dilated to f(scale * x)
+        (``_sampled``).  A field that fails the boundary gate raises
+        ValueError."""
+        f = Field(grid, np.asarray(_sampled(self, grid, scale), dtype=np.complex128))
         _require_gate(f, self._gated_as(scale))
         return f
 
     def _gated_as(self, scale: float) -> str:
         """The member's name in a boundary-gate error at ``scale``."""
         return f"corpus member {self.name!r} at scale={scale:g}"
+
+
+def _sampled(member: CorpusMember, grid, scale: float = 1.0) -> np.ndarray:
+    """``member.sample(grid, scale)``, whose evaluation must stay in the
+    float range: an overflow or invalid value in it, or a sample that is
+    not finite, raises ValueError naming the member and the cell.  A member
+    whose formula overflows to its exact value handles that itself
+    (``sech2``)."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = member.sample(grid, scale)
+            finite = np.isfinite(values).all()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{member._gated_as(scale)} leaves the float range on the cell L={grid.length:g}"
+        )
+    return values
 
 
 # the named canonical fields, by name
@@ -77,12 +98,13 @@ def initial_data(name: str, grid, amplitude: float = 1.0) -> Field:
     """``amplitude`` times the named field on ``grid``.  It is not gated, since
     a solve takes any data; the checks gate a named field where it enters,
     through :meth:`CorpusMember.realize` or ``persistence_experiment``.  An
-    unknown name or a non-finite amplitude raises ValueError."""
+    unknown name, a non-finite amplitude or a field that leaves the float
+    range on the cell (``_sampled``) raises ValueError."""
     if name not in NAMED_FIELDS:
         raise ValueError(f"unknown initial data {name!r}; available: {sorted(NAMED_FIELDS)}")
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got amplitude={amplitude}")
-    return Field(grid, amplitude * np.asarray(NAMED_FIELDS[name].fn(grid.x), dtype=complex))
+    return Field(grid, amplitude * np.asarray(_sampled(NAMED_FIELDS[name], grid), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +165,12 @@ def _realize_blocks(members, grid):
     no block is held beyond its turn.  Each member is sampled into its row
     as :meth:`CorpusMember.realize` samples it, and the block is validated
     as one field and gated as one, a ratio per row.  A member that is not
-    n values, and the first member that fails the gate, raise the
-    ValueError that its ``realize`` raises."""
+    n values or leaves the float range, and the first member that fails
+    the gate, raise the ValueError that its ``realize`` raises."""
     for block in _row_blocks(len(members), grid.n):
         values = np.empty((block.stop - block.start, grid.n), dtype=complex)
         for row, m in zip(values, members[block]):
-            sample = m.sample(grid)
+            sample = _sampled(m, grid)
             if np.shape(sample) != row.shape:
                 m.realize(grid)  # raises the error of a member that is not n values
             row[:] = sample

@@ -8,7 +8,7 @@ import numpy as np
 
 from .norms import sobolev, weighted_l2
 from .operators import derivative, riesz_deriv
-from .propagators import EquationSpec, Trajectory
+from .propagators import EquationSpec, Trajectory, _power
 from .spectral import Field, _one_row, _per_row, integrate, real_values
 
 __all__ = [
@@ -65,10 +65,10 @@ def invariants(f: Field, spec: EquationSpec) -> dict:
         if spec.model == "gkdv":
             k = spec.k
             ux = derivative(rf, 1).values.real
-            dens = ux**2 - 2.0 * u ** (k + 2) / ((k + 1.0) * (k + 2.0))
+            dens = ux**2 - 2.0 * _power(u, k + 2) / ((k + 1.0) * (k + 2.0))
         else:
             half = riesz_deriv(rf, 0.5).values
-            dens = np.abs(half) ** 2 + u**3 / 3.0
+            dens = np.abs(half) ** 2 + _power(u, 3) / 3.0
         return {"I1": i1, "I2": i2, "I3": total("I3", dens)}
 
 
@@ -160,7 +160,7 @@ def kato_residual(traj: Trajectory, phi: Field, *, nonlinear: bool = True) -> np
         weighted.append(g.h * np.sum(u**2 * pv, axis=-1))
         term = 3.0 * g.h * np.sum(ux**2 * phi1, axis=-1) - g.h * np.sum(u**2 * phi3, axis=-1)
         if nonlinear:
-            term -= (2.0 / (k + 2.0)) * g.h * np.sum(u ** (k + 2) * phi1, axis=-1)
+            term -= (2.0 / (k + 2.0)) * g.h * np.sum(_power(u, k + 2) * phi1, axis=-1)
         spatial.append(term)
     weighted = np.array(weighted)
     spatial = np.array(spatial)

@@ -50,13 +50,15 @@ def hilbert(f: Field) -> Field:
 
 
 def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative d^order/dx^order, multiplier (i*xi)^order."""
+    """Spectral derivative d^order/dx^order, multiplier (i*xi)^order.  An
+    ``order`` whose multiplier overflows on the lattice raises ValueError
+    naming it and the overflow."""
     if order < 0 or order != int(order):
         raise ValueError(f"derivative order must be a nonnegative integer, got order={order}")
     if order == 0:
         return f.copy()
-    table = _table(f.grid, ("derivative", order), _build_table, lambda xi: (1j * xi) ** order)
-    return _multiply(f, table)
+    symbol, cause = (lambda xi: (1j * xi) ** order), f"derivative overflows there at order={order}"
+    return _multiply(f, _table(f.grid, ("derivative", order), _build_table, symbol, cause))
 
 
 def riesz_deriv(f: Field, b: float) -> Field:
@@ -66,7 +68,9 @@ def riesz_deriv(f: Field, b: float) -> Field:
     composition law D^b o D^c = D^(b+c) holds exactly on the lattice.
     Angular-frequency convention: under the cycles-per-length convention the
     symbol reads (2 pi |xi|)^b; the two agree after rescaling x, and the
-    angular form keeps the composition law exact here.
+    angular form keeps the composition law exact here.  A ``b`` whose
+    multiplier overflows on the lattice raises ValueError naming it and the
+    overflow.
     """
     if not (b >= 0 and np.isfinite(b)):
         raise ValueError(f"order must be finite and >= 0, got b={b}")
@@ -77,7 +81,8 @@ def riesz_deriv(f: Field, b: float) -> Field:
 
 def _riesz_table(grid, b: float) -> _Table:
     """The stored table of |xi|^b, b > 0, on the grid."""
-    return _table(grid, ("riesz_deriv", b), _build_table, lambda xi: np.abs(xi) ** b)
+    cause = f"riesz_deriv overflows there at b={b:g}"
+    return _table(grid, ("riesz_deriv", b), _build_table, lambda xi: np.abs(xi) ** b, cause)
 
 
 def bessel_potential(f: Field, s: float) -> Field:
@@ -101,6 +106,8 @@ def bessel_potential(f: Field, s: float) -> Field:
 _NEAR_CELLS = 8
 
 
+# a sum that leaves the float range is named before the result is formed
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     """Pointwise square-function fractional derivative of order b in (0, 1).
 
@@ -134,7 +141,9 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
     length 2n, padded with samples that read as zero, for ``'decay'``.
 
     Output is the nonnegative real field, row by row for a block; summation
-    order is fixed, so the result is deterministic.
+    order is fixed, so the result is deterministic.  A sum that leaves the
+    float range, as on a cell so small that h^(-2b) overflows, raises
+    ValueError naming L and b.
     """
     if not (0.0 < b < 1.0):
         raise ValueError(f"square-function order must lie in (0,1), got b={b}")
@@ -205,6 +214,8 @@ def stein_deriv(f: Field, b: float, *, tail: str = "decay") -> Field:
         mu = np.mean(vals, axis=-1, keepdims=True)
         var = np.mean(np.abs(vals - mu) ** 2, axis=-1, keepdims=True)
         acc += (np.abs(vals - mu) ** 2 + var) * L ** (-2.0 * b) / b
+    if not np.isfinite(acc).all():
+        raise ValueError(f"the square function overflows on the cell L={L:g} at b={b:g}")
     return Field(g, np.sqrt(np.maximum(acc, 0.0)))
 
 

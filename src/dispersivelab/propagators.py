@@ -55,6 +55,11 @@ class CFLWarning(UserWarning):
 
 
 _READS = {"nls": ("a", "mu"), "gkdv": ("k",), "bo": ()}  # the parameters each model reads
+# A group time t is resolvable on a lattice when the rounding of its phase
+# angles, |t| max|omega(xi)| eps (eps the double-precision epsilon), is at
+# most this many radians; beyond it the phases, and U(t), are noise.
+GROUP_PHASE_TOL = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,9 @@ def linear_group(f: Field, spec: EquationSpec, t: float) -> Field:
     The phase's table (``_group_table``) is built on each call, with its
     flags from its construction, and never stored.  The gKdV and BO
     phases, and every model's phase at t = 0, are Hermitian, so a real field
-    stays real there.  A ``t`` that is not one finite time raises ValueError."""
-    t = _group_times(t)
+    stays real there.  A ``t`` that is not one finite, resolvable time
+    (``_group_times``) raises ValueError."""
+    t = np.asarray(t, dtype=float)
     if t.ndim:
         raise ValueError(f"linear_group takes one time, got t of shape {t.shape}")
     return _multiply(f, _group_table(f.grid, spec, t))
@@ -182,23 +188,29 @@ def _group_table(g: Grid, spec: EquationSpec, times) -> _Table:
     """The table of ``spec.group_phase(g.xi, times)``, one row per time for a
     column of times, built on the half lattice and mirrored by the model's
     symmetry (``spectral._mirrored_table``): its finiteness test and flags
-    read that half, bitwise a scan of the full table.  A phase that is not
-    finite, where a huge ``t`` overflows the angle t*omega(xi), raises
-    ValueError naming the frequency, the model and that time."""
-    times = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite value named there
-        half = spec._half_phase(g.xi, times)
-    return _mirrored_table(
-        g, half, spec.is_real,
-        lambda row: f"the {spec.model} group phase overflows there at t={times[row].item():g}",
-    )
+    read that half, bitwise a scan of the full table.  Every time must be
+    finite and resolvable on ``g`` (``_group_times``), so every angle
+    t*omega(xi) is finite."""
+    times = _group_times(times, g, spec)
+    return _mirrored_table(g, spec._half_phase(g.xi, times), spec.is_real)
 
 
-def _group_times(times) -> np.ndarray:
-    """``times`` as floats; a time that is not finite raises ValueError."""
+def _group_times(times, g: Grid, spec: EquationSpec) -> np.ndarray:
+    """``times`` as floats.  A time that is not finite, or whose phase is
+    not resolvable on the lattice of ``g`` (the rounding of its angles,
+    |t| max|omega(xi)| eps, above GROUP_PHASE_TOL radians), raises
+    ValueError naming that time and the model."""
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError(f"group time must be finite, got t={times[~np.isfinite(times)][0]}")
+    t = float(times.flat[np.argmax(np.abs(times))]) if times.size else 0.0
+    xi = g.xi_max  # |omega| peaks there: xi^2 (NLS, BO) or |xi|^3 (gKdV)
+    rounding = abs(t) * (xi * xi * (xi if spec.model == "gkdv" else 1.0)) * _EPS
+    if not rounding <= GROUP_PHASE_TOL:  # NaN (t = 0 on a lattice whose omega overflows) too
+        raise ValueError(
+            f"the {spec.model} group phase at t={t:g} is not resolvable on the lattice "
+            f"|xi| <= {xi:g}: its angles round by {rounding:.3g} rad, above {GROUP_PHASE_TOL:g}"
+        )
     return times
 
 
@@ -216,8 +228,9 @@ def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
     the gKdV and BO phases, and those at time j are
     ``linear_group(f, spec, t0 + j*dt)`` to a relative L^2 error of at most
     theta_max * eps (theta_max = max|t omega(xi)| over the scan, eps the
-    double-precision epsilon), the rounding of the per-time angle."""
-    _group_times([t0, dt, t0 + (count - 1) * dt])
+    double-precision epsilon), the rounding of the per-time angle; every
+    time must be resolvable (``_group_times``)."""
+    _group_times([t0, dt, t0 + (count - 1) * dt], f.grid, spec)
     g, n = f.grid, f.grid.n
     phase = _group_table(g, spec, t0).values[: n // 2 + 1]
     step = _group_table(g, spec, dt).values[: n // 2 + 1] if count > 1 else None
@@ -265,8 +278,10 @@ class _Stepper:
         mask = (np.abs(xi) <= cfg.dealias * grid.xi_max + 1e-12).astype(float)
         dt = cfg.dt
         phase = spec._half_phase if spec.is_real else spec.group_phase  # on xi's lattice
-        self.E = phase(grid.xi, dt / 2.0)   # half-step linear flow
-        self.E2 = phase(grid.xi, dt)
+        # a phase that leaves the float range fails the first step (see evolve)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.E = phase(grid.xi, dt / 2.0)   # half-step linear flow
+            self.E2 = phase(grid.xi, dt)
         self.dtE = dt * self.E
         self.twoE = 2.0 * self.E
         if spec.is_real:
@@ -284,9 +299,7 @@ class _Stepper:
         if self.spec.model == "nls":
             w = np.abs(u) ** (self.spec.a - 1.0) * u
         else:
-            w = u * u
-            for _ in range(self.power - 2):
-                w *= u
+            w = _power(u, self.power)
         w_hat = self.forward(w)
         return np.multiply(self.multiplier, w_hat, out=w_hat)
 
@@ -320,6 +333,15 @@ class _Stepper:
     def cfl_ratio(self, values: np.ndarray) -> float:
         """dt over the transport heuristic h / (pi max|u|)."""
         return self.cfg.dt * np.pi * float(np.max(np.abs(values))) / self.grid.h
+
+
+def _power(u: np.ndarray, p: int) -> np.ndarray:
+    """``u**p`` for an integer p >= 2 as the product ((u*u)*u)..., one
+    multiply per factor: numpy's integer power calls pow for each sample."""
+    w = u * u
+    for _ in range(p - 2):
+        w *= u
+    return w
 
 
 def check_times(T: float, snapshot_times, dt: float) -> None:

@@ -86,8 +86,8 @@ MUTANTS = (
     Mutant(
         "gkdv_power_off_by_one",
         "propagators.py",
-        "for _ in range(self.power - 2):",
-        "for _ in range(self.power - 1):",
+        "for _ in range(p - 2):",
+        "for _ in range(p - 1):",
         ("tests/test_propagators.py",),
     ),
     Mutant(
@@ -440,6 +440,20 @@ MUTANTS = (
         "    values.flags.writeable = False\n    return table._replace(values=values)",
         "    return table._replace(values=values)",
         ("tests/test_bytes.py::test_stored_real_table_is_read_only_float64",),
+    ),
+    Mutant(
+        "domain_end_closed",
+        "checks.py",
+        '@_check(b="(0, 1)", pairs="[0, inf)")',
+        '@_check(b="[0, 1)", pairs="[0, inf)")',
+        ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
+    ),
+    Mutant(
+        "work_bound_dropped",
+        "checks.py",
+        '"pairs": MAX_MEMBERS, ',
+        "",
+        ("tests/test_checks.py::test_work_bound_raises_one_message_both_ways",),
     ),
     Mutant(
         "stein_first_cell_before_far_field",

@@ -8,6 +8,9 @@ import pytest
 
 from dispersivelab.checks import (
     CHECKS,
+    MAX_MEMBERS,
+    MAX_N,
+    MAX_STEPS,
     CheckReport,
     bo_domain_comparison,
     check_ap_hilbert,
@@ -25,6 +28,7 @@ from dispersivelab.checks import (
     persistence_experiment,
     run_check,
 )
+from dispersivelab import checks
 from dispersivelab.corpus import Corpus, gaussian, gaussian_deriv
 from dispersivelab.operators import gamma_schrodinger, riesz_deriv
 from dispersivelab.propagators import EquationSpec, StepperConfig
@@ -332,6 +336,73 @@ def test_run_check_reads_the_signature():
         run_check("chirp_stein", {"corpus_size": 2.5})
     # integral floats, as the CLI parses them, are coerced to int
     assert run_check("commutator_hilbert", {"l": 2.0, "m": 0.0}).params["l"] == 2
+
+
+def _outside(interval: str, integral: bool) -> list:
+    """Values just outside ``interval``: each finite end when it is open,
+    one past it when it is closed, and NaN for a float key."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    values = [lo if interval[0] == "(" else lo - 1.0] if np.isfinite(lo) else []
+    values += [hi if interval[-1] == ")" else hi + 1.0] if np.isfinite(hi) else []
+    return [int(v) for v in values] if integral else values + [np.nan]
+
+
+DOMAIN_CASES = [
+    (name, key, interval, value)
+    for name, fn in CHECKS.items()
+    for key, interval in fn.domains.items()
+    for value in _outside(interval, isinstance(inspect.signature(fn).parameters[key].default, int))
+]
+
+
+@pytest.mark.parametrize("name, key, interval, value", DOMAIN_CASES)
+def test_declared_domain_raises_one_message_both_ways(name, key, interval, value):
+    """Every declared key of every check, just outside its interval, raises
+    one message through run_check and through the check function."""
+    with pytest.raises(ValueError) as direct:
+        CHECKS[name](**{key: value})
+    assert str(direct.value) == f"{key} must lie in {interval}, got {key}={value}"
+    with pytest.raises(ValueError) as table:
+        run_check(name, {key: value})
+    assert str(table.value) == f"{name}: {direct.value}"
+
+
+def _work_cases():
+    """(check, key, run_check parameters, direct keyword arguments, value)
+    of each work key one past its bound, for every check that reads it."""
+    n, size = 2 * MAX_N, MAX_MEMBERS + 1
+    corpus = Corpus(size=size)
+    for name, fn in CHECKS.items():
+        sig = inspect.signature(fn).parameters
+        yield name, "n", {"n": n}, {"grid": Grid(n, sig["grid"].default.length)}, n
+        if "corpus" in sig:
+            yield name, "corpus_size", {"corpus_size": size}, {"corpus": corpus}, size
+    yield "leibniz", "pairs", {"pairs": MAX_MEMBERS + 1}, {"pairs": MAX_MEMBERS + 1}, MAX_MEMBERS + 1
+    T = 2 * MAX_STEPS * 1e-3  # at the default dt
+    yield "persistence", "T/dt", {"T": T}, {"T": T}, T / 1e-3
+
+
+@pytest.mark.parametrize("name, key, params, kwargs, value", _work_cases())
+def test_work_bound_raises_one_message_both_ways(name, key, params, kwargs, value):
+    """A work key past its bound raises before the work it asks for, with
+    one message through run_check and through the check function."""
+    want = f"{key} must be at most {checks._WORK[key]}, got {key}={value}"
+    with pytest.raises(ValueError) as direct:
+        CHECKS[name](**kwargs)
+    assert str(direct.value) == want
+    with pytest.raises(ValueError) as table:
+        run_check(name, params)
+    assert str(table.value) == f"{name}: {want}"
+
+
+def test_work_bounds_admit_the_values_in_use():
+    """The refine battery's n = 4096 (its levels reach 8192), the corpus
+    that a seed alone builds (20 members), leibniz's 10 pairs and
+    persistence's 1000 steps lie within the bounds, and a value at a bound
+    is admitted."""
+    assert MAX_N >= 8192 and MAX_MEMBERS >= 20 and MAX_STEPS >= 1000
+    checks._require_domains(CHECKS["leibniz"], {"n": MAX_N, "pairs": MAX_MEMBERS, "b": 0.5})
+    checks._require_domains(CHECKS["persistence"], {"T": float(MAX_STEPS), "dt": 1.0})
 
 
 def _readme_table() -> dict:

@@ -555,6 +555,12 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
     assert not (tmp_path / "out" / "checks.csv").exists()
 
 
+def _reworded(i: int, name: str, params: list, old: str, new: str):
+    """Row ``i`` of the table below, whose message ``old`` is now ``new``:
+    its id keeps the old message, then names the new one."""
+    return pytest.param(name, params, new, id=f"{name}-params{i}-{old} -> {new}")
+
+
 @pytest.mark.parametrize(
     "name, params, cause",
     [
@@ -576,15 +582,15 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "the free flow fails the boundary gate at t=1, three halvings of t=8 "
             "(outer-cell ratio 3.66e-05 >= 1e-10)",
         ),
-        ("leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3"),
+        _reworded(13, "leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3", "pairs must lie in [0, inf), got pairs=-3"),
         ("gn", ["corpus_size=-2"], "corpus size must be nonnegative, got corpus_size=-2"),
         ("ap_hilbert", ["corpus_size=-1"], "corpus size must be nonnegative, got corpus_size=-1"),
-        ("strichartz", ["T=0"], "horizon must be finite and positive, got T=0.0"),
-        ("strichartz", ["T=-1"], "horizon must be finite and positive, got T=-1.0"),
-        ("strichartz", ["T=nan"], "horizon must be finite and positive, got T=nan"),
-        ("strichartz", ["T=inf"], "horizon must be finite and positive, got T=inf"),
-        ("weighted_free", ["t=-0.5"], "time must be finite and nonnegative, got t=-0.5"),
-        ("weighted_free", ["t=nan"], "time must be finite and nonnegative, got t=nan"),
+        _reworded(16, "strichartz", ["T=0"], "horizon must be finite and positive, got T=0.0", "T must lie in (0, inf), got T=0.0"),
+        _reworded(17, "strichartz", ["T=-1"], "horizon must be finite and positive, got T=-1.0", "T must lie in (0, inf), got T=-1.0"),
+        _reworded(18, "strichartz", ["T=nan"], "horizon must be finite and positive, got T=nan", "T must lie in (0, inf), got T=nan"),
+        _reworded(19, "strichartz", ["T=inf"], "horizon must be finite and positive, got T=inf", "T must lie in (0, inf), got T=inf"),
+        _reworded(20, "weighted_free", ["t=-0.5"], "time must be finite and nonnegative, got t=-0.5", "t must lie in [0, inf), got t=-0.5"),
+        _reworded(21, "weighted_free", ["t=nan"], "time must be finite and nonnegative, got t=nan", "t must lie in [0, inf), got t=nan"),
         ("gamma_identity", ["t=nan"], "group time must be finite, got t=nan"),
         ("gamma_identity", ["t=inf"], "group time must be finite, got t=inf"),
         (
@@ -612,11 +618,11 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             ["p=nan"],
             "inadmissible pair (q=8.0, p=nan): need 2/q + 1/p = 1/2 in one dimension",
         ),
-        ("chirp_stein", ["b=1"], "order must lie in (0,1), got b=1.0"),
-        ("chirp_stein", ["t=0"], "chirp time must be finite and positive, got t=0.0"),
-        ("weighted_free", ["b=1"], "order must lie in (0,1), got b=1.0"),
-        ("gamma_identity", ["b=1.5"], "order must lie in [0,1], got b=1.5"),
-        ("leibniz", ["b=0"], "order must lie in (0,1), got b=0.0"),
+        _reworded(33, "chirp_stein", ["b=1"], "order must lie in (0,1), got b=1.0", "b must lie in (0, 1), got b=1.0"),
+        _reworded(34, "chirp_stein", ["t=0"], "chirp time must be finite and positive, got t=0.0", "t must lie in (0, inf), got t=0.0"),
+        _reworded(35, "weighted_free", ["b=1"], "order must lie in (0,1), got b=1.0", "b must lie in (0, 1), got b=1.0"),
+        _reworded(36, "gamma_identity", ["b=1.5"], "order must lie in [0,1], got b=1.5", "b must lie in [0, 1], got b=1.5"),
+        _reworded(37, "leibniz", ["b=0"], "order must lie in (0,1), got b=0.0", "b must lie in (0, 1), got b=0.0"),
         (
             "gn",
             ["alpha=1", "beta=0.5"],
@@ -627,14 +633,14 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             ["alpha=0", "beta=0.25", "q=2", "r=4"],
             "no admissible interpolation exponent for these indices",
         ),
-        ("gn", ["r=1"], "exponent r must lie in (1, inf), got r=1.0"),
-        ("interpolation", ["a=0"], "orders must be positive and finite, got a=0.0, b=1.0"),
-        ("interpolation", ["theta=1.5"], "interpolation parameter must lie in [0,1], got theta=1.5"),
-        ("commutator_leibniz", ["alpha=1"], "order must lie in (0,1), got alpha=1.0"),
-        ("commutator_leibniz", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
-        ("commutator_hilbert", ["l=0", "m=0"], "need l, m >= 0 with l + m >= 1"),
-        ("commutator_hilbert", ["p=inf"], "exponent must lie in (1, inf), got p=inf"),
-        ("ap_hilbert", ["p=1"], "exponent must lie in (1, inf), got p=1.0"),
+        _reworded(40, "gn", ["r=1"], "exponent r must lie in (1, inf), got r=1.0", "r must lie in (1, inf), got r=1.0"),
+        _reworded(41, "interpolation", ["a=0"], "orders must be positive and finite, got a=0.0, b=1.0", "a must lie in (0, inf), got a=0.0"),
+        _reworded(42, "interpolation", ["theta=1.5"], "interpolation parameter must lie in [0,1], got theta=1.5", "theta must lie in [0, 1], got theta=1.5"),
+        _reworded(43, "commutator_leibniz", ["alpha=1"], "order must lie in (0,1), got alpha=1.0", "alpha must lie in (0, 1), got alpha=1.0"),
+        _reworded(44, "commutator_leibniz", ["p=1"], "exponent must lie in (1, inf), got p=1.0", "p must lie in (1, inf), got p=1.0"),
+        _reworded(45, "commutator_hilbert", ["l=0", "m=0"], "need l, m >= 0 with l + m >= 1", "need l + m >= 1, got l=0, m=0"),
+        _reworded(46, "commutator_hilbert", ["p=inf"], "exponent must lie in (1, inf), got p=inf", "p must lie in (1, inf), got p=inf"),
+        _reworded(47, "ap_hilbert", ["p=1"], "exponent must lie in (1, inf), got p=1.0", "p must lie in (1, inf), got p=1.0"),
         ("scaling", ["a=inf"], "NLS power must satisfy 1 < a < inf, got a=inf"),
         ("persistence", ["a=inf"], "NLS power must satisfy 1 < a < inf, got a=inf"),
         (
@@ -648,7 +654,7 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
             "inadmissible pair (q=8.0, p=0.0): need 2/q + 1/p = 1/2 in one dimension",
         ),
         ("gn", ["beta=inf"], "orders must satisfy 0 <= alpha < beta < inf, got alpha=0.5, beta=inf"),
-        ("interpolation", ["b=inf"], "orders must be positive and finite, got a=1.0, b=inf"),
+        _reworded(53, "interpolation", ["b=inf"], "orders must be positive and finite, got a=1.0, b=inf", "b must lie in (0, inf), got b=inf"),
         # an integer literal beyond the float range reads as inf, as its digits do
         ("scaling", [f"a={10**400}"], "NLS power must satisfy 1 < a < inf, got a=inf"),
         (
@@ -678,6 +684,48 @@ def test_config_check_error_exit_code(tmp_path, capsys, checks):
         ("interpolation", ["a=100"], "the norm ||J^a f|| overflows on the grid n=1024, got a=100.0"),
         ("interpolation", ["a=150"], "the norm ||J^a f|| overflows on the grid n=512, got a=150.0"),
         ("persistence", ["amplitude=1e200"], "the nls invariant mass overflows at max|u|=1e+200"),
+        # an order whose multiplier overflows is named as its key
+        (
+            "gn",
+            ["beta=1e15"],
+            "the multiplier D^beta overflows on the refined lattice |xi| <= 80.4248, "
+            "got beta=1000000000000000.0",
+        ),
+        (
+            "commutator_hilbert",
+            ["l=1e15"],
+            "the multiplier d^(l+m) overflows on the refined lattice |xi| <= 80.4248, "
+            "got l=1000000000000000, m=0",
+        ),
+        (
+            "commutator_hilbert",
+            ["m=1e15"],
+            "the multiplier d^(l+m) overflows on the refined lattice |xi| <= 80.4248, "
+            "got l=1, m=1000000000000000",
+        ),
+        # a cell where a field or a sum leaves the float range is named as L
+        *(
+            (name, ["L=1e300"], f"corpus member {member!r} at scale={scale} leaves the float "
+             "range on the cell L=1e+300")
+            for name, member, scale in (
+                ("strichartz", "gaussian", 1),
+                ("scaling", "gaussian", 0.5),
+                ("weighted_free", "rand_cplx_0", 1),
+                ("leibniz", "gaussian", 1),
+                ("gn", "rand_cplx_0", 1),
+                ("commutator_leibniz", "rand_cplx_0", 1),
+                ("commutator_hilbert", "gaussian", 1),
+                ("ap_hilbert", "rand_cplx_0", 1),
+            )
+        ),
+        ("chirp_stein", ["L=1e-300"], "the square function overflows on the cell L=1e-300 at b=0.5"),
+        # a group time whose phase angles carry no digit is not resolvable
+        (
+            "strichartz",
+            ["T=1e300"],
+            "the nls group phase at t=1e+300 is not resolvable on the lattice |xi| <= 40.2124: "
+            "its angles round by 3.59e+287 rad, above 0.001",
+        ),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):
@@ -689,6 +737,16 @@ def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, param
     err = capsys.readouterr().err
     assert err == f"check error: {name}: {cause}\n"
     assert not (tmp_path / "checks.csv").exists()
+
+
+def test_wide_cell_passes_without_a_warning(tmp_path, capsys):
+    """sech2 at |x| > 355, where cosh(x)^2 overflows to its exact reciprocal
+    0, is sampled without a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "interpolation", "--param", "L=400", "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().out.startswith("interpolation: pass ")
 
 
 @pytest.mark.parametrize("name, params", [("chirp_stein", ["t=1e-170"])])  # a trend of zeros

@@ -5,7 +5,15 @@ of a realized member."""
 import numpy as np
 import pytest
 
-from dispersivelab.corpus import NAMED_FIELDS, Corpus, CorpusMember, WavePacket, _realize_blocks
+from dispersivelab.corpus import (
+    NAMED_FIELDS,
+    Corpus,
+    CorpusMember,
+    WavePacket,
+    _realize_blocks,
+    initial_data,
+    sech2,
+)
 from dispersivelab.spectral import BLOCK_SAMPLES, Grid
 
 SAMPLER_TOL = 1e-14  # |lattice - closure| <= SAMPLER_TOL * max|closure|, fixed before the switch
@@ -104,3 +112,39 @@ def test_a_member_that_is_not_n_values_raises_its_own_error(fn):
     with pytest.raises(ValueError) as got:
         list(_realize_blocks([GAUSS, bad, DERIV], grid))
     assert str(got.value) == str(want.value)
+
+
+def test_sech2_keeps_its_bits_where_cosh_overflows():
+    """sech2 beyond |x| ~ 355, where cosh(x)^2 overflows to inf and its
+    reciprocal to the exact 0, gives the samples of the plain formula with
+    no RuntimeWarning."""
+    x = np.array([0.0, 1.5, 355.0, 356.0, 710.0, 711.0, -400.0, -1e300])
+    with np.errstate(over="ignore"):
+        want = 1.0 / np.cosh(x) ** 2
+    assert sech2(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+def test_field_out_of_float_range_names_the_cell(name):
+    """A cell on which a field's formula overflows (x^2 beyond 1.8e308 for the
+    Gaussian, the polynomial of a wave packet) raises the member's error,
+    naming the cell, from every door a field enters by; sech2 handles its
+    own overflow and samples to zeros."""
+    grid = Grid(64, 1e300)
+    want = f"corpus member {name!r} at scale=1 leaves the float range on the cell L=1e+300"
+    member = NAMED_FIELDS[name]
+    doors = (
+        lambda: member.realize(grid),
+        lambda: list(_realize_blocks([member], grid)),
+        lambda: initial_data(name, grid),
+    )
+    for door in doors:
+        if name == "sech2":
+            door()
+            continue
+        with pytest.raises(ValueError) as exc:
+            door()
+        assert str(exc.value) == want
+    packet = Corpus(size=1).members[0]
+    with pytest.raises(ValueError, match=r"^corpus member 'rand_cplx_0' at scale=1 leaves the float"):
+        list(_realize_blocks([packet], grid))

@@ -1,14 +1,17 @@
 """Hostile inputs, generated from the parameter tables: every numeric check
 parameter (``checks._parameters``, the corpus keys of every check included)
 and every numeric config key (the ``RunConfig`` fields, each in a config of
-the command that reads it) is given non-finite, zero, negative and least
-subnormal values through ``cli.main``, and every check whose fields enter
-through the boundary gate runs on a cell they do not fit.  A new parameter
-or key is covered without an edit here.  Huge values are not fed
-generically: a huge T, pair count or corpus size asks for that much work."""
+the command that reads it) is given non-finite, zero, negative, least
+subnormal and huge values through ``cli.main``, and every check whose fields
+enter through the boundary gate runs on a cell they do not fit.  A new
+parameter or key is covered without an edit here.  The work keys (n,
+corpus_size, pairs, a step count T/dt) have upper bounds, so a huge value of
+one is an error, not that much work.  The module runs in about 5 s on a
+2-vCPU x86_64 VM."""
 
 import dataclasses
 import re
+import warnings
 
 import pytest
 
@@ -18,6 +21,8 @@ from dispersivelab.cli import RunConfig, _floats, main
 NON_FINITE = ("nan", "inf", "-inf")
 # the least subnormal: a cell, a step or an order that small leaves the float range
 EDGE = ("0", "-1", "5e-324")
+# huge and tiny values, where a cell, an order, a time or a count leaves the float range
+HUGE = ("1e15", "1e300", "-1e300", "1e-300")
 
 # the numeric keys of each check; a str parameter (persistence's model) takes a name
 CHECK_KEYS = {
@@ -46,6 +51,14 @@ def _names(key: str, err: str) -> bool:
 def _check(name, key, value, out, capsys):
     rc = main(["check", name, "--param", f"{key}={value}", "--out", str(out)])
     return rc, capsys.readouterr().err
+
+
+def _clean_exit(run, *args) -> tuple:
+    """``run(*args)``'s exit code and stderr, with the RuntimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = run(*args)
+    return rc, err, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _config(f, value, tmp_path, capsys):
@@ -78,6 +91,18 @@ def test_zero_and_negative_check_parameters_exit_cleanly(tmp_path, capsys, name)
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_KEYS))
+def test_huge_check_parameters_exit_cleanly(tmp_path, capsys, name):
+    """Exit 0, 1 or 2 with no traceback and no RuntimeWarning."""
+    wrong = []
+    for key in CHECK_KEYS[name]:
+        for value in HUGE:
+            rc, err, leaked = _clean_exit(_check, name, key, value, tmp_path, capsys)
+            if rc not in (0, 1, 2) or leaked:
+                wrong.append((key, value, rc, err, leaked))
+    assert not wrong
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_KEYS))
 def test_corpus_keys_checked_for_every_check(tmp_path, capsys, name):
     """A negative or fractional seed or corpus size is a named parameter error
     for every check, one that takes no corpus included."""
@@ -102,6 +127,17 @@ def test_config_keys_named_and_exit_cleanly(tmp_path, capsys):
             rc, err = _config(f, value, tmp_path, capsys)
             if rc not in (0, 1, 2):
                 wrong.append((key, value, rc, err))
+    assert not wrong
+
+
+def test_huge_config_values_exit_cleanly(tmp_path, capsys):
+    """Exit 0, 1 or 2 with no traceback and no RuntimeWarning."""
+    wrong = []
+    for f in CONFIG_KEYS:
+        for value in HUGE:
+            rc, err, leaked = _clean_exit(_config, f, value, tmp_path, capsys)
+            if rc not in (0, 1, 2) or leaked:
+                wrong.append((f.metadata["key"], value, rc, err, leaked))
     assert not wrong
 
 

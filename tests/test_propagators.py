@@ -531,6 +531,19 @@ def test_evolve_failure_marker_on_blowup():
     assert traj.failure_time is not None
 
 
+@pytest.mark.parametrize("model", ["nls", "gkdv", "bo"])
+def test_phase_out_of_float_range_fails_the_first_step_without_a_warning(model):
+    """On a cell so small that dt * omega(xi) overflows, the stepper's phases
+    are not finite: the run ends at its first step with the failure marker,
+    and no RuntimeWarning."""
+    g = Grid(64, 1e-300)
+    u0 = Field(g, np.exp(-(g.x**2)))
+    with pytest.warns(CFLWarning) as caught:
+        traj = evolve(u0, EquationSpec(model), StepperConfig(dt=1e-3), 0.01)
+    assert traj.failure_time == 1e-3 and len(traj.snapshots) == 1
+    assert all(issubclass(w.category, CFLWarning) for w in caught)
+
+
 def test_kdv_soliton_profile_validated_then_preserved():
     # u = 12 kappa^2 sech^2(kappa (x - 4 kappa^2 t)) for u_t + u_xxx + u u_x = 0;
     # the profile/speed pair is validated by substituting into the equation

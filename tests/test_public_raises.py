@@ -55,6 +55,18 @@ CASES = {
     "derivative_order": (lambda: derivative(F, -1), "got order=-1"),
     "moment_order": (lambda: moment(F, -1), "got j=-1"),
     "riesz_deriv_b": (lambda: riesz_deriv(F, np.nan), "got b=nan"),
+    "riesz_deriv_overflow": (
+        lambda: riesz_deriv(F, 1e15),
+        r"^multiplier is not finite at xi=1.25664 \(index 4\); riesz_deriv overflows there at b=1e\+15$",
+    ),
+    "derivative_overflow": (
+        lambda: derivative(F, 400),
+        r"^multiplier is not finite at xi=5.96903 \(index 19\); derivative overflows there at order=400$",
+    ),
+    "stein_deriv_cell_overflow": (
+        lambda: stein_deriv(Field(Grid(64, 1e-300), np.ones(64)), 0.5),
+        r"^the square function overflows on the cell L=1e-300 at b=0.5$",
+    ),
     "bessel_potential_s": (lambda: bessel_potential(F, np.nan), "got s=nan"),
     "stein_deriv_tail": (lambda: stein_deriv(F, 0.5, tail="x"), "unknown tail mode 'x'"),
     "stein_deriv_tail_overflow": (

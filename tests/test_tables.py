@@ -43,7 +43,13 @@ from dispersivelab.operators import (
     lp_linf_l1,
     riesz_deriv,
 )
-from dispersivelab.propagators import EquationSpec, _group_scan, _group_table, linear_group
+from dispersivelab.propagators import (
+    GROUP_PHASE_TOL,
+    EquationSpec,
+    _group_scan,
+    _group_table,
+    linear_group,
+)
 from dispersivelab.spectral import BLOCK_SAMPLES, Field, Grid, _build_table, apply_multiplier
 
 GRIDS = [(8, 1.0), (512, 20.0), (4096, 20.0)]
@@ -462,20 +468,14 @@ def test_group_table_hermitian_flag_is_not_constant():
 
 @pytest.mark.parametrize("t", [1e308, -1e308, 1e306])
 def test_huge_group_time_raises_the_scan_error(t):
-    """A phase whose angle t*omega(xi) overflows raises the scan's error at
-    the same frequency, ending in the model, the time and the overflow."""
+    """A time whose angles t*omega(xi) overflow, or round by more than
+    GROUP_PHASE_TOL, is not resolvable: the table, a column of times,
+    linear_group and the scan from either end raise one error, naming the
+    model, the time and the rounding."""
     grid = Grid(64, 10.0)
     f = _field(grid, real=True)
     for spec in MODELS:
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = spec.group_phase(grid.xi, t)
-        if np.isfinite(phase).all():
-            continue  # 1e306 overflows gKdV's xi^3 only
-        with pytest.raises(ValueError) as scan:
-            _build_table(grid, phase)
-        where = str(scan.value).split("; ")[0]
-        assert where.startswith("multiplier is not finite at xi=")
-        want = f"{where}; the {spec.model} group phase overflows there at t={t:g}"
+        want = f"the {spec.model} group phase at t={t:g} is not resolvable on the lattice |xi| <= "
         for call in (
             lambda: _group_table(grid, spec, t),
             lambda: _group_table(grid, spec, np.array([[0.5], [t]])),
@@ -485,7 +485,26 @@ def test_huge_group_time_raises_the_scan_error(t):
         ):
             with pytest.raises(ValueError) as got:
                 call()
-            assert str(got.value) == want, spec.model
+            assert str(got.value).startswith(want), spec.model
+            assert str(got.value).endswith(f" rad, above {GROUP_PHASE_TOL:g}")
+
+
+@pytest.mark.parametrize("spec", MODELS, ids=lambda spec: spec.model)
+def test_group_time_bound_sits_at_the_phase_tolerance(spec):
+    """The largest resolvable |t| is GROUP_PHASE_TOL / (max|omega(xi)| eps):
+    a time 1% inside it builds its table, 1% beyond it raises, both signs
+    and in a column, and t = 0 is resolvable on every finite lattice."""
+    grid = Grid(512, 20.0)
+    xi = grid.xi_max
+    omega = xi**3 if spec.model == "gkdv" else xi**2
+    t_max = GROUP_PHASE_TOL / (omega * np.finfo(float).eps)
+    for sign in (1.0, -1.0):
+        _group_table(grid, spec, sign * 0.99 * t_max)
+        with pytest.raises(ValueError, match=f"^the {spec.model} group phase at t="):
+            _group_table(grid, spec, sign * 1.01 * t_max)
+        with pytest.raises(ValueError, match="is not resolvable"):
+            _group_table(grid, spec, np.array([[0.0], [sign * 1.01 * t_max]]))
+    _group_table(grid, spec, 0.0)
 
 
 def _old_lp_rows(grid, blocks):
