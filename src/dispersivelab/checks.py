@@ -174,11 +174,14 @@ CHECKS: dict = {}
 # measures on grid.refine() too, and leibniz takes 2.2 s and 96 MB at
 # n = 2^16.  Every corpus member (leibniz: pairs + 3 of them) is realized
 # and measured on both levels, and gn takes 0.4 s with 1000.  A persistence
-# step takes ~90 us at n = 512, so its T/dt = 10^6 steps take ~90 s.
+# step takes ~90 us at n = 512, so its T/dt = 10^6 steps take ~90 s, and a
+# gKdV step ~0.43 ms at k = 100.  Check calls and solve configs read it.
 MAX_N = 2**16
 MAX_MEMBERS = 1000
 MAX_STEPS = 10**6
-_WORK = {"n": MAX_N, "corpus_size": MAX_MEMBERS, "pairs": MAX_MEMBERS, "T/dt": MAX_STEPS}
+MAX_DEGREE = 100
+_WORK = {"n": MAX_N, "corpus_size": MAX_MEMBERS, "pairs": MAX_MEMBERS, "T/dt": MAX_STEPS,
+         "k": MAX_DEGREE}
 
 # keys that build a fresh Corpus(seed, size) for a check taking ``corpus``;
 # every check accepts and checks them
@@ -247,26 +250,24 @@ def _check(**intervals):
 
 def _require_domains(fn, table: dict) -> None:
     """Raise ValueError at a key of ``table``, the flat parameters of check
-    ``fn``, outside its interval or above its work bound.  The step count
-    T/dt is counted at a finite T and a positive dt; any other T or dt is
-    its owner's to reject."""
+    ``fn``, outside its interval or above its work bound (_require_work)."""
     for key, interval in fn.domains.items():
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         value = table[key]
         if not ((lo < value if interval[0] == "(" else lo <= value)
                 and (value < hi if interval[-1] == ")" else value <= hi)):  # NaN fails it
             raise ValueError(f"{key} must lie in {interval}, got {key}={value}")
+    _require_work(table)
+
+
+def _require_work(table: dict) -> None:
+    """Raise ValueError at a work key of ``table`` above its bound in _WORK;
+    T/dt counts at a finite T and a positive dt, any other is its owner's."""
     if np.isfinite(table.get("T", np.nan)) and table.get("dt", 0.0) > 0:
         table = {**table, "T/dt": table["T"] / table["dt"]}
     for key, most in _WORK.items():
-        if key in table:
-            _require_at_most(key, table[key], most)
-
-
-def _require_at_most(key: str, value, most: int) -> None:
-    """Raise ValueError when the work key ``key`` exceeds its bound ``most``."""
-    if value > most:
-        raise ValueError(f"{key} must be at most {most}, got {key}={value}")
+        if table.get(key, 0) > most:
+            raise ValueError(f"{key} must be at most {most}, got {key}={table[key]}")
 
 
 def _require_symbol(grid: Grid, symbol, name: str, got: str) -> None:
@@ -275,7 +276,11 @@ def _require_symbol(grid: Grid, symbol, name: str, got: str) -> None:
     of ``grid.refine()``, a check's finer level."""
     xi = np.float64(grid.refine().xi_max)
     with np.errstate(over="ignore"):
-        if not np.isfinite(symbol(xi)):
+        try:
+            finite = np.isfinite(symbol(xi))
+        except OverflowError:  # an int order beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(
                 f"the multiplier {name} overflows on the refined lattice |xi| <= {xi:g}, got {got}"
             )

@@ -27,7 +27,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
-from .checks import CHECKS, MAX_N, MAX_STEPS, CheckReport, _require_at_most, run_check
+from .checks import CHECKS, CheckReport, _require_work, run_check
 from .corpus import initial_data
 from .laws import standard_diagnostics
 from .propagators import EquationSpec, StepperConfig, check_times, evolve
@@ -71,12 +71,10 @@ def _path(value: str) -> str:
     return value
 
 
-def _key(key: str, parse, default, command=None, most=None, per=None):
+def _key(key: str, parse, default, command=None):
     """A RunConfig field read from config key ``key`` by ``parse`` and used
-    by ``command`` (None: by both commands).  A work key's field carries its
-    upper bound ``most``, on its value over field ``per``'s when given."""
-    metadata = {"key": key, "parse": parse, "command": command, "most": most, "per": per}
-    return field(default=default, metadata=metadata)
+    by ``command`` (None: by both commands)."""
+    return field(default=default, metadata={"key": key, "parse": parse, "command": command})
 
 
 @dataclass
@@ -89,11 +87,11 @@ class RunConfig:
 
     Parsing checks what the modules would reject later: a key that the
     command does not read must keep its default; a solve's equation, grid,
-    stepper, times, work keys (``grid.n`` at most ``checks.MAX_N``,
-    ``stepper.T`` at most ``checks.MAX_STEPS`` steps of ``stepper.dt``),
-    initial data (a name of ``corpus.NAMED_FIELDS``, a finite amplitude)
-    and diagnostics (a finite ``s``, a finite ``m`` >= 0) are checked, and
-    a sweep needs known ``sweep.checks``.  A solve runs
+    stepper, times, work keys (``equation.k``, ``grid.n`` and ``stepper.T``
+    over ``stepper.dt``, bounded by ``checks._WORK``, the table that every
+    check call reads too), initial data (a name of ``corpus.NAMED_FIELDS``,
+    a finite amplitude) and diagnostics (a finite ``s``, a finite ``m`` >=
+    0) are checked, and a sweep needs known ``sweep.checks``.  A solve runs
     the nonlinear flow; the exact linear flow is
     :func:`dispersivelab.propagators.linear_group`."""
 
@@ -103,10 +101,10 @@ class RunConfig:
     a: float = _key("equation.a", float, EquationSpec.a, "solve")
     mu: int = _key("equation.mu", int, EquationSpec.mu, "solve")
     k: int = _key("equation.k", int, EquationSpec.k, "solve")
-    n: int = _key("grid.n", int, 512, "solve", most=MAX_N)
+    n: int = _key("grid.n", int, 512, "solve")
     L: float = _key("grid.L", float, 20.0, "solve")
     dt: float = _key("stepper.dt", float, 1e-3, "solve")
-    T: float = _key("stepper.T", float, 1.0, "solve", most=MAX_STEPS, per="dt")
+    T: float = _key("stepper.T", float, 1.0, "solve")
     dealias: float = _key("stepper.dealias", float, StepperConfig.dealias, "solve")
     snapshots: tuple = _key("stepper.snapshots", _floats, (), "solve")
     u0: str = _key("solve.u0", str, "gaussian", "solve")
@@ -220,18 +218,14 @@ def _validate(cfg: RunConfig, path: str):
 
 def _evolve_arguments(cfg: RunConfig) -> dict:
     """The keyword arguments of :func:`evolve` for a solve config.  The spec,
-    grid, stepper, times, work bounds, initial data and diagnostics are
-    built or checked in that order, so the first ValueError raised names
-    the config's first error."""
+    grid, stepper, times, work bounds (``checks._WORK``, as for a check call),
+    initial data and diagnostics are built or checked in that order, so the
+    first ValueError raised names the config's first error."""
     spec = EquationSpec(cfg.model, a=cfg.a, mu=cfg.mu, k=cfg.k)
     grid = Grid(cfg.n, cfg.L)
     stepper = StepperConfig(dt=cfg.dt, dealias=cfg.dealias)
     check_times(cfg.T, cfg.snapshots, cfg.dt)
-    for f in fields(RunConfig):  # the work keys, before the initial data is sampled
-        if f.metadata.get("most") is not None:
-            value, per = getattr(cfg, f.name), f.metadata["per"]
-            key = f"{f.name}/{per}" if per else f.name
-            _require_at_most(key, value / getattr(cfg, per) if per else value, f.metadata["most"])
+    _require_work({"n": cfg.n, "T": cfg.T, "dt": cfg.dt, "k": cfg.k})  # before sampling u0
     return dict(
         u0=initial_data(cfg.u0, grid, cfg.amplitude), spec=spec, cfg=stepper, T=cfg.T,
         snapshot_times=list(cfg.snapshots) if cfg.snapshots else None,

@@ -456,6 +456,20 @@ MUTANTS = (
         ("tests/test_checks.py::test_work_bound_raises_one_message_both_ways",),
     ),
     Mutant(
+        "degree_bound_dropped",
+        "checks.py",
+        ',\n         "k": MAX_DEGREE}',
+        "}",
+        ("tests/test_checks.py::test_work_bound_raises_one_message_both_ways",),
+    ),
+    Mutant(
+        "symbol_int_overflow_unguarded",
+        "checks.py",
+        "except OverflowError:  # an int order beyond the float range",
+        "except ():",
+        ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
+    ),
+    Mutant(
         "stein_first_cell_before_far_field",
         "operators.py",
         "    del ext, dplus, dminus\n",

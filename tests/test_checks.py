@@ -8,6 +8,7 @@ import pytest
 
 from dispersivelab.checks import (
     CHECKS,
+    MAX_DEGREE,
     MAX_MEMBERS,
     MAX_N,
     MAX_STEPS,
@@ -380,6 +381,8 @@ def _work_cases():
     yield "leibniz", "pairs", {"pairs": MAX_MEMBERS + 1}, {"pairs": MAX_MEMBERS + 1}, MAX_MEMBERS + 1
     T = 2 * MAX_STEPS * 1e-3  # at the default dt
     yield "persistence", "T/dt", {"T": T}, {"T": T}, T / 1e-3
+    degree = {"model": "gkdv", "k": MAX_DEGREE + 1}
+    yield "persistence", "k", degree, degree, MAX_DEGREE + 1
 
 
 @pytest.mark.parametrize("name, key, params, kwargs, value", _work_cases())
@@ -398,11 +401,11 @@ def test_work_bound_raises_one_message_both_ways(name, key, params, kwargs, valu
 def test_work_bounds_admit_the_values_in_use():
     """The refine battery's n = 4096 (its levels reach 8192), the corpus
     that a seed alone builds (20 members), leibniz's 10 pairs and
-    persistence's 1000 steps lie within the bounds, and a value at a bound
-    is admitted."""
-    assert MAX_N >= 8192 and MAX_MEMBERS >= 20 and MAX_STEPS >= 1000
+    persistence's 1000 steps and the gKdV degrees in use (up to 3) lie within
+    the bounds, and a value at a bound is admitted."""
+    assert MAX_N >= 8192 and MAX_MEMBERS >= 20 and MAX_STEPS >= 1000 and MAX_DEGREE >= 3
     checks._require_domains(CHECKS["leibniz"], {"n": MAX_N, "pairs": MAX_MEMBERS, "b": 0.5})
-    checks._require_domains(CHECKS["persistence"], {"T": float(MAX_STEPS), "dt": 1.0})
+    checks._require_domains(CHECKS["persistence"], {"T": float(MAX_STEPS), "dt": 1.0, "k": MAX_DEGREE})
 
 
 def _readme_table() -> dict:

@@ -202,12 +202,19 @@ def test_print_config_matches_recorded_text(tmp_path, capsys):
             "command = solve\nequation.model = nls\nequation.a = inf\n",
             "NLS power must satisfy 1 < a < inf, got a=inf",
         ),
+        ("command = solve\ngrid.n = 131072\n", "n must be at most 65536, got n=131072"),
+        ("command = solve\nstepper.T = 1e15\n", "T/dt must be at most 1000000, got T/dt=1e+18"),
+        (
+            "command = solve\nequation.model = gkdv\nequation.k = 1000000000\n",
+            "k must be at most 100, got k=1000000000",
+        ),
     ],
     ids=[
         "output_dir", "sweep_checks", "negative_T", "snapshot_beyond_T",
         "zero_step_T", "off_model_key", "command", "check_command", "unknown_u0",
         "nan_amplitude",
         "inf_amplitude", "nan_s", "inf_s", "negative_m", "nan_m", "inf_a",
+        "work_n", "work_steps", "work_k",
     ],
 )
 def test_bad_config_message_and_exit_code(tmp_path, capsys, text, cause):
@@ -726,6 +733,19 @@ def _reworded(i: int, name: str, params: list, old: str, new: str):
             "the nls group phase at t=1e+300 is not resolvable on the lattice |xi| <= 40.2124: "
             "its angles round by 3.59e+287 rad, above 0.001",
         ),
+        # an int order beyond the float range, 10^400, is named as its key
+        *(
+            pytest.param(
+                "commutator_hilbert",
+                [f"{key}={10**400}"],
+                f"the multiplier d^(l+m) overflows on the refined lattice |xi| <= 80.4248, got {got}",
+                id=f"commutator_hilbert-{key}=10^400",
+            )
+            for key, got in (("l", f"l={10**400}, m=0"), ("m", f"l=1, m={10**400}"))
+        ),
+        # the gKdV degree is a work key; its bound comes before the model's own rule
+        ("persistence", ["model=gkdv", "k=1e15"], "k must be at most 100, got k=1000000000000000"),
+        ("persistence", ["model=nls", "k=1e15"], "k must be at most 100, got k=1000000000000000"),
     ],
 )
 def test_bad_check_parameter_names_check_and_cause(tmp_path, capsys, name, params, cause):

@@ -36,7 +36,7 @@ PRIVATE_IMPORTS = {
         "propagators": {"_group_scan", "_group_table"},
         "spectral": {"_multiply_rows", "_require_gate", "_row_blocks"},
     },
-    "cli": {"checks": {"_require_at_most"}},
+    "cli": {"checks": {"_require_work"}},
     "corpus": {"spectral": {"_gate_error", "_require_gate", "_row_blocks"}},
     "laws": {"propagators": {"_power"}, "spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},

@@ -2,11 +2,13 @@
 parameter (``checks._parameters``, the corpus keys of every check included)
 and every numeric config key (the ``RunConfig`` fields, each in a config of
 the command that reads it) is given non-finite, zero, negative, least
-subnormal and huge values through ``cli.main``, and every check whose fields
-enter through the boundary gate runs on a cell they do not fit.  A new
-parameter or key is covered without an edit here.  The work keys (n,
-corpus_size, pairs, a step count T/dt) have upper bounds, so a huge value of
-one is an error, not that much work.  The module runs in about 5 s on a
+subnormal and huge values through ``cli.main``, an int key also an integer
+literal beyond the float range, and every check whose fields enter through
+the boundary gate runs on a cell they do not fit.  An equation key runs
+under a model that reads it (``propagators._READS``).  A new parameter or
+key is covered without an edit here.  The work keys (n, corpus_size, pairs,
+a step count T/dt, the gKdV degree k) have upper bounds, so a huge value of
+one is an error, not that much work.  The module runs in about 6 s on a
 2-vCPU x86_64 VM."""
 
 import dataclasses
@@ -17,16 +19,24 @@ import pytest
 
 from dispersivelab import checks
 from dispersivelab.cli import RunConfig, _floats, main
+from dispersivelab.propagators import _READS
 
 NON_FINITE = ("nan", "inf", "-inf")
 # the least subnormal: a cell, a step or an order that small leaves the float range
 EDGE = ("0", "-1", "5e-324")
 # huge and tiny values, where a cell, an order, a time or a count leaves the float range
 HUGE = ("1e15", "1e300", "-1e300", "1e-300")
+# an integer literal beyond the float range, which an int key reads exactly
+HUGE_INT = str(10**400)
+# the model that reads each equation key
+READER = {key: model for model, keys in _READS.items() for key in keys}
 
-# the numeric keys of each check; a str parameter (persistence's model) takes a name
+# the numeric keys of each check with their defaults; a str parameter
+# (persistence's model) takes a name
 CHECK_KEYS = {
-    name: [key for key, default in checks._parameters(fn).items() if not isinstance(default, str)]
+    name: {
+        key: default for key, default in checks._parameters(fn).items() if not isinstance(default, str)
+    }
     for name, fn in checks.CHECKS.items()
 }
 # the numeric config keys, by field: float-parsed ones carry a non-finite
@@ -35,8 +45,9 @@ CHECK_KEYS = {
 CONFIG_KEYS = [
     f for f in dataclasses.fields(RunConfig) if f.metadata.get("parse") in (int, float, _floats)
 ]
-# a config of each command: a solve that runs in a few steps (NLS reads
-# every equation key but k) and a sweep of one fast check
+# a config of each command: a solve that runs in a few steps (under the
+# model that reads its equation key, NLS for any other key) and a sweep of
+# one fast check
 BASE = {
     "solve": {"command": "solve", "equation.model": "nls", "stepper.T": "0.01"},
     "sweep": {"command": "sweep", "sweep.checks": "scaling"},
@@ -49,7 +60,12 @@ def _names(key: str, err: str) -> bool:
 
 
 def _check(name, key, value, out, capsys):
-    rc = main(["check", name, "--param", f"{key}={value}", "--out", str(out)])
+    """Run check ``name`` with ``key`` at ``value``, an equation key under
+    its reader when the check takes a model."""
+    takes_model = "model" in checks._parameters(checks.CHECKS[name])
+    reader = [f"model={READER[key]}"] if takes_model and key in READER else []
+    params = [a for p in (*reader, f"{key}={value}") for a in ("--param", p)]
+    rc = main(["check", name, *params, "--out", str(out)])
     return rc, capsys.readouterr().err
 
 
@@ -66,6 +82,8 @@ def _config(f, value, tmp_path, capsys):
     command = f.metadata["command"]
     path = tmp_path / "run.cfg"
     lines = {**BASE[command], f.metadata["key"]: value}
+    if f.name in READER:
+        lines["equation.model"] = READER[f.name]
     path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     return rc, capsys.readouterr().err
@@ -94,8 +112,8 @@ def test_zero_and_negative_check_parameters_exit_cleanly(tmp_path, capsys, name)
 def test_huge_check_parameters_exit_cleanly(tmp_path, capsys, name):
     """Exit 0, 1 or 2 with no traceback and no RuntimeWarning."""
     wrong = []
-    for key in CHECK_KEYS[name]:
-        for value in HUGE:
+    for key, default in CHECK_KEYS[name].items():
+        for value in HUGE + (HUGE_INT,) * isinstance(default, int):
             rc, err, leaked = _clean_exit(_check, name, key, value, tmp_path, capsys)
             if rc not in (0, 1, 2) or leaked:
                 wrong.append((key, value, rc, err, leaked))
@@ -134,7 +152,7 @@ def test_huge_config_values_exit_cleanly(tmp_path, capsys):
     """Exit 0, 1 or 2 with no traceback and no RuntimeWarning."""
     wrong = []
     for f in CONFIG_KEYS:
-        for value in HUGE:
+        for value in HUGE + (HUGE_INT,) * (f.metadata["parse"] is int):
             rc, err, leaked = _clean_exit(_config, f, value, tmp_path, capsys)
             if rc not in (0, 1, 2) or leaked:
                 wrong.append((f.metadata["key"], value, rc, err, leaked))
