@@ -132,8 +132,6 @@ def _stable(trend) -> bool:
 
 
 def _report(
-    check_id: str,
-    params: dict,
     corpus_size: int,
     trend: list,
     residual: float | None = None,
@@ -142,6 +140,8 @@ def _report(
     worst: float | None = None,
     fitted: float | None = None,
     verdict: str | None = None,
+    params: dict | None = None,
+    check_id: str = "",
 ) -> CheckReport:
     """Report of a check graded by the one verdict rule: it passes when its
     ``trend`` is stable and its own extra condition ``ok`` holds.  For a
@@ -151,10 +151,14 @@ def _report(
     ``worst`` and ``fitted`` replace those two for a check whose headline
     numbers are not the trend's last and first entries, and ``verdict`` the
     rule for a report that grades by its own (ap_hilbert, persistence,
-    bo_domain_comparison)."""
+    bo_domain_comparison).  A registered check passes in ``params`` only
+    what it derives or measures: its declaration (:func:`_run`) names the
+    report and adds the parameters it ran with.  A report that no
+    declaration names (persistence_experiment, bo_domain_comparison)
+    passes its ``check_id`` and all of its ``params``."""
     return CheckReport(
         check_id=check_id,
-        params=params,
+        params=params or {},
         corpus_size=corpus_size,
         worst_ratio=trend[-1] if worst is None else worst,
         fitted_constant=trend[0] if fitted is None else fitted,
@@ -223,29 +227,66 @@ def _check(**intervals):
     with the interval of each named parameter, e.g. ``"(0, 1)"`` or
     ``"[0, inf)"`` (int or float is its default's type); a key that its
     owner validates (Grid, EquationSpec, StepperConfig, Corpus,
-    standard_diagnostics, initial_data) is not declared.  Every call, direct
-    or through run_check, meets them and the work bounds before it runs."""
+    standard_diagnostics, initial_data) is not declared.  A direct call
+    enters through :func:`_run` with the grid and corpus it is given."""
 
     def declare(fn):
-        sig, defaults = inspect.signature(fn), _parameters(fn)
+        sig = inspect.signature(fn)
 
         @functools.wraps(fn)
         def check(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            given = bound.arguments
-            table = {k: _coerce(k, v, defaults[k]) for k, v in given.items() if k in defaults}
-            table.update(n=given["grid"].n, L=given["grid"].length)
-            if given.get("corpus") is not None:
-                table["corpus_size"] = given["corpus"].size
-            _require_domains(check, table)
-            return fn(*args, **kwargs)
+            given = sig.bind(*args, **kwargs).arguments
+            built = {k: v for k in ("grid", "corpus") if (v := given.pop(k, None)) is not None}
+            if "grid" in built:
+                given.update(n=built["grid"].n, L=built["grid"].length)
+            if "corpus" in built:
+                given["corpus_size"] = built["corpus"].size
+            return _run(check, given, built)
 
         check.domains = intervals
         CHECKS[fn.__name__.removeprefix("check_")] = check
         return check
 
     return declare
+
+
+def _run(check, params: dict, built: dict) -> CheckReport:
+    """The one door to a registered check, for a direct call and run_check
+    alike: the check runs on :func:`_arguments` of its flat table
+    ``params``, and its report is named by the declaration.  Its id is the
+    registered name, and its params are the declared table (keyword
+    scalars, ``n``, ``L``) under the entries the check derives or measures."""
+    declared, kwargs = _arguments(check, params, built)
+    report = check.__wrapped__(**kwargs)
+    report.check_id = check.__name__.removeprefix("check_")
+    report.params = {**declared, **report.params}
+    return report
+
+
+def _arguments(check, params: dict, built: dict) -> tuple:
+    """The declared table and the keyword arguments of ``check`` from a flat
+    table of its :func:`_parameters`, validated once: the keys must be
+    known, each value is coerced to its default's type, ``seed`` and
+    ``corpus_size`` must be nonnegative integers, and every key meets the
+    declared domains and the work bounds.  Only then are a Grid (``n`` or
+    ``L`` over the default grid) and a fresh Corpus (``seed`` or
+    ``corpus_size``, for a check that takes one) built, where ``built``
+    does not hold them already; a check without a corpus drops its keys."""
+    table = _parameters(check)
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise ValueError(f"unknown parameters: {unknown}")
+    values = {k: _coerce(k, v, table[k]) for k, v in params.items()}
+    table.update(values)
+    _require_corpus_keys(table["seed"], table["corpus_size"])
+    _require_domains(check, table)  # before a work key builds what it asks for
+    kwargs = {k: v for k, v in values.items() if k not in ("n", "L", *_CORPUS_KEYS)} | built
+    if "grid" not in kwargs and ("n" in values or "L" in values):
+        kwargs["grid"] = Grid(table["n"], table["L"])
+    takes_corpus = "corpus" in inspect.signature(check).parameters
+    if takes_corpus and "corpus" not in kwargs and ("seed" in values or "corpus_size" in values):
+        kwargs["corpus"] = Corpus(seed=table["seed"], size=table["corpus_size"])
+    return {k: v for k, v in table.items() if k not in _CORPUS_KEYS}, kwargs
 
 
 def _require_domains(fn, table: dict) -> None:
@@ -312,9 +353,7 @@ def check_chirp_stein(
         return float(np.max(lhs[window] / rhs))
 
     trend = [fit(g) for g in (grid, grid.refine())]
-    return _report(
-        "chirp_stein", {"t": t, "b": b, "n": grid.n, "L": grid.length}, 1, trend
-    )
+    return _report(1, trend)
 
 
 # ----------------------------------------------------------- weighted free
@@ -369,13 +408,7 @@ def check_weighted_free(
 
     fine = max(float(np.max(ratio)) for _, ratio in sweep(grid.refine(), t_used))
     trend = [coarse, max(0.0, fine)]
-    return _report(
-        "weighted_free",
-        {"t": t_used, "b": b, "n": grid.n, "L": grid.length},
-        len(corpus),
-        trend,
-        notes={"t_adjusted": float(adjusted)},
-    )
+    return _report(len(corpus), trend, notes={"t_adjusted": float(adjusted)}, params={"t": t_used})
 
 
 # --------------------------------------------------------- gamma identity
@@ -405,8 +438,7 @@ def check_gamma_identity(
         _require_gate(rhs, f"the weighted flow U(t)(x f) at t={t:g}")
     residual = weighted_l2(lhs - rhs, 0.0) / weighted_l2(f, b)
     tol = {0.0: 1e-12, 1.0: 1e-10}.get(b, 1e-6)
-    params = {"b": b, "t": t, "n": grid.n, "L": grid.length, "tol": tol}
-    return _report("gamma_identity", params, 1, [residual], residual=residual, ok=residual <= tol)
+    return _report(1, [residual], residual=residual, ok=residual <= tol, params={"tol": tol})
 
 
 # ----------------------------------------------------------------- Leibniz
@@ -466,8 +498,6 @@ def check_leibniz(
     lhs_d = weighted_l2(riesz_deriv(gauss * gauss, b), 0.0)
     den_d = weighted_l2(gauss * riesz_deriv(gauss, b), 0.0) * 2.0
     return _report(
-        "leibniz",
-        {"b": b, "n": grid.n, "L": grid.length},
         len(corpus),
         trend,
         residual=-min(slack_min, 0.0),
@@ -534,22 +564,8 @@ def check_gn(
     base, *dilated = ratios(Field(grid, np.stack(dilations))).tolist()
     scale_dev = max(abs(r / base - 1.0) for r in dilated)
     return _report(
-        "gn",
-        {
-            "alpha": alpha,
-            "beta": beta,
-            "p": p,
-            "q": q,
-            "r": r,
-            "theta": theta,
-            "n": grid.n,
-            "L": grid.length,
-        },
-        len(corpus),
-        trend,
-        residual=scale_dev,
-        ok=scale_dev <= 0.05,
-        notes={"scale_deviation": scale_dev},
+        len(corpus), trend, residual=scale_dev, ok=scale_dev <= 0.05,
+        notes={"scale_deviation": scale_dev}, params={"theta": theta},
     )
 
 
@@ -591,8 +607,6 @@ def check_interpolation(
     # the endpoints are exact: both levels must read one (which implies stability)
     endpoint = theta in (0.0, 1.0)
     return _report(
-        "interpolation",
-        {"a": a, "b": b, "theta": theta, "n": grid.n, "L": grid.length},
         len(corpus),
         trend,
         residual=abs(trend[0] - 1.0) if endpoint else None,
@@ -633,14 +647,7 @@ def check_commutator_leibniz(
     # constant f degenerates: both sides vanish
     const = Field(grid, np.full((1, grid.n), 0.7, dtype=complex))
     degen = float(ratios(const, _GAUSSIAN.realize(grid))[0])
-    return _report(
-        "commutator_leibniz",
-        {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length},
-        len(corpus),
-        trend,
-        residual=degen,
-        ok=degen == 0.0,
-    )
+    return _report(len(corpus), trend, residual=degen, ok=degen == 0.0)
 
 
 # --------------------------------------------- Hilbert commutators
@@ -681,14 +688,7 @@ def check_commutator_hilbert(
     # a constant symbol commutes with H
     const_a = Field(grid, np.full(grid.n, 1.3, dtype=complex))
     degen = float(commutator_norms(const_a, corpus.members[0].realize(grid)))
-    return _report(
-        "commutator_hilbert",
-        {"l": l, "m": m, "p": p, "n": grid.n, "L": grid.length},
-        len(corpus),
-        trend,
-        residual=degen,
-        ok=degen <= 1e-10,
-    )
+    return _report(len(corpus), trend, residual=degen, ok=degen <= 1e-10)
 
 
 # ------------------------------------------------------ weighted Hilbert
@@ -769,10 +769,9 @@ def check_ap_hilbert(
     else:
         ok = ap_growth >= 1.3 and ratio_growth > 1.0
     return _report(
-        "ap_hilbert", {"alpha": alpha, "p": p, "n": grid.n, "L": grid.length}, len(members),
-        ap_trend + ratio_trend, residual=abs(ratio_growth - 1.0), worst=ratio_trend[-1],
+        len(members), ap_trend + ratio_trend, residual=abs(ratio_growth - 1.0),
         notes=dict(ap_growth=ap_growth, ratio_growth=ratio_growth, inside_range=float(inside)),
-        fitted=ap_trend[-1], verdict="pass" if ok else "fail",
+        worst=ratio_trend[-1], fitted=ap_trend[-1], verdict="pass" if ok else "fail",
     )
 
 
@@ -822,8 +821,7 @@ def check_strichartz(
     ok = deviation <= 0.05
     if q == np.inf and p == 2.0:
         ok = ok and abs(base - 1.0) <= 1e-12
-    params = {"q": q, "p": p, "T": T, "n": grid.n, "L": grid.length}
-    return _report("strichartz", params, 1, [base, scaled], residual=deviation, ok=ok, worst=base)
+    return _report(1, [base, scaled], residual=deviation, ok=ok, worst=base)
 
 
 # -------------------------------------------------------------- scaling
@@ -850,8 +848,8 @@ def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport
     norms = weighted_l2(riesz_deriv(Field(grid, np.stack(u_lam)), sc), 0.0).tolist()
     spread = (max(norms) - min(norms)) / norms[1]
     return _report(
-        "scaling", {"a": a, "s_c": sc, "n": grid.n, "L": grid.length}, 1, norms,
-        residual=spread, ok=spread <= 1e-3, worst=max(norms) / min(norms), fitted=norms[1],
+        1, norms, residual=spread, ok=spread <= 1e-3, worst=max(norms) / min(norms),
+        fitted=norms[1], params={"s_c": sc},
     )
 
 
@@ -873,7 +871,8 @@ def persistence_experiment(
     Verdict semantics: in the persistence regime m <= s the weighted norm
     must stay within 10x its initial value; for m > s the growth curves are
     emitted report-only.  ``u0`` must clear the boundary gate (else
-    ValueError), and its gate ratio is noted."""
+    ValueError), and its gate ratio is noted, as is the ``failure_time`` of
+    a march that fails."""
     cfg = cfg or StepperConfig(dt=1e-3)
     g = u0.grid
     ratio = _require_gate(u0, "the persistence initial data")
@@ -904,11 +903,14 @@ def persistence_experiment(
     in_regime = m <= s
     failed = traj.failed or (in_regime and not sup_growth <= 10.0)
     verdict = "fail" if failed else "pass" if in_regime else "report-only"
+    notes = {"gate_ratio": ratio, "in_regime": float(in_regime)}
+    if traj.failed:
+        notes["failure_time"] = traj.failure_time
     report = _report(
-        "persistence", {"model": spec.model, "s": s, "m": m, "T": T, "n": g.n, "L": g.length}, 1,
-        list(series), residual=float(np.max(traj.diagnostics["moment0"])),
-        notes={"gate_ratio": ratio, "in_regime": float(in_regime)}, worst=sup_growth,
-        fitted=initial if np.isfinite(initial) else 0.0, verdict=verdict,
+        1, list(series), residual=float(np.max(traj.diagnostics["moment0"])), notes=notes,
+        worst=sup_growth, fitted=initial if np.isfinite(initial) else 0.0, verdict=verdict,
+        params={"model": spec.model, "s": s, "m": m, "T": T, "n": g.n, "L": g.length},
+        check_id="persistence",
     )
     return report, traj
 
@@ -938,11 +940,11 @@ def bo_domain_comparison(
         r: abs(growth[(domains[1], r)] / growth[(domains[0], r)] - 1.0) for r in r_values
     }
     return _report(
-        "bo_domains", {"T": T, "n": n, "r_lo": r_values[0], "r_hi": r_values[1]},
         len(domains) * len(r_values), [growth[key] for key in sorted(growth)], residual=0.0,
         notes={f"sensitivity_r{r:g}": v for r, v in sensitivities.items()},
         worst=max(sensitivities.values()), fitted=min(sensitivities.values()),
-        verdict="report-only",
+        verdict="report-only", params={"T": T, "n": n, "r_lo": r_values[0], "r_hi": r_values[1]},
+        check_id="bo_domains",
     )
 
 
@@ -963,30 +965,6 @@ def check_persistence(
 
 # ---------------------------------------------------------------- run_check
 
-def _arguments(fn, params: dict) -> dict:
-    """Keyword arguments of ``fn`` from a flat table of its
-    :func:`_parameters`.  Each value is coerced to its default's type; ``n``
-    or ``L`` overrides that coordinate of the default grid, and
-    ``seed``/``corpus_size`` must be nonnegative integers: they build a
-    fresh corpus for a check that takes one, and a check without a corpus
-    drops them once checked."""
-    table = _parameters(fn)
-    unknown = sorted(set(params) - set(table))
-    if unknown:
-        raise ValueError(f"unknown parameters: {unknown}")
-    values = {k: _coerce(k, v, table[k]) for k, v in params.items()}
-    table.update(values)
-    _require_corpus_keys(table["seed"], table["corpus_size"])
-    _require_domains(fn, table)  # before a work key builds what it asks for
-    kwargs = {k: v for k, v in values.items() if k not in ("n", "L", *_CORPUS_KEYS)}
-    if "n" in values or "L" in values:
-        kwargs["grid"] = Grid(table["n"], table["L"])
-    takes_corpus = "corpus" in inspect.signature(fn).parameters
-    if takes_corpus and ("seed" in values or "corpus_size" in values):
-        kwargs["corpus"] = Corpus(seed=table["seed"], size=table["corpus_size"])
-    return kwargs
-
-
 def run_check(name: str, params: dict | None = None) -> CheckReport:
     """Run a named check with a flat parameter table (the CLI entry); every
     ValueError, of a parameter or of the check itself, names the check."""
@@ -994,6 +972,6 @@ def run_check(name: str, params: dict | None = None) -> CheckReport:
         raise ValueError(f"unknown check {name!r}; available: {sorted(CHECKS)}")
     fn = CHECKS[name]
     try:
-        return fn(**_arguments(fn, dict(params or {})))
+        return _run(fn, params or {}, {})
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc

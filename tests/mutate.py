@@ -470,6 +470,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
     ),
     Mutant(
+        "declared_params_unmerged",
+        "checks.py",
+        "report.params = {**declared, **report.params}",
+        "report.params = dict(report.params)",
+        ("tests/test_checks.py::test_declaration_names_the_report",),
+    ),
+    Mutant(
+        "failure_time_unnoted",
+        "checks.py",
+        '    if traj.failed:\n        notes["failure_time"]',
+        '    if False:\n        notes["failure_time"]',
+        ("tests/test_checks.py::test_persistence_notes_the_failure_time",),
+    ),
+    Mutant(
         "stein_first_cell_before_far_field",
         "operators.py",
         "    del ext, dplus, dminus\n",

@@ -339,6 +339,44 @@ def test_run_check_reads_the_signature():
     assert run_check("commutator_hilbert", {"l": 2.0, "m": 0.0}).params["l"] == 2
 
 
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_declaration_names_the_report(name):
+    """A report's id is its registered name, and its params hold the
+    declared table at the values the check ran with: every keyword scalar,
+    ``n`` and ``L``."""
+    report = run_check(name)
+    assert report.check_id == name
+    table = checks._parameters(CHECKS[name])
+    declared = {k: v for k, v in table.items() if k not in ("seed", "corpus_size")}
+    assert {k: report.params[k] for k in declared} == declared
+
+
+def test_report_params_tell_apart_what_ran():
+    gkdv = {"model": "gkdv", "amplitude": 0.5, "T": 0.1}
+    k2, k3 = (run_check("persistence", {**gkdv, "k": k}).params for k in (2, 3))
+    assert k2 != k3 and (k2["k"], k3["k"]) == (2, 3) and k2["amplitude"] == 0.5
+    assert check_leibniz(pairs=2).params["pairs"] == 2
+    assert run_check("leibniz", {"pairs": 4}).params["pairs"] == 4
+
+
+def test_persistence_notes_the_failure_time():
+    report = run_check("persistence", {"model": "gkdv", "k": 100, "amplitude": 2.0})
+    assert report.verdict == "fail" and report.notes["failure_time"] == pytest.approx(1e-3)
+    assert "failure_time" not in run_check("persistence", {"T": 0.1}).notes
+
+
+def test_each_call_is_validated_once(monkeypatch):
+    calls = []
+    require = checks._require_domains
+    monkeypatch.setattr(
+        checks, "_require_domains", lambda fn, table: calls.append(fn) or require(fn, table)
+    )
+    run_check("scaling")
+    assert calls == [CHECKS["scaling"]]
+    check_scaling(a=5.0, grid=Grid(512, 160.0))
+    assert calls == [CHECKS["scaling"]] * 2
+
+
 def _outside(interval: str, integral: bool) -> list:
     """Values just outside ``interval``: each finite end when it is open,
     one past it when it is closed, and NaN for a float key."""

@@ -830,7 +830,7 @@ def test_integer_seed_reaches_the_checks_exactly(tmp_path, monkeypatch, where):
         argv = ["sweep", "--config", str(path)]
     params = _check_params(monkeypatch, [*argv, "--out", str(tmp_path / "out")])
     assert params == {"seed": BIG} and type(params["seed"]) is int
-    assert _arguments(CHECKS["gn"], params)["corpus"].seed == BIG
+    assert _arguments(CHECKS["gn"], params, {})[1]["corpus"].seed == BIG
 
 
 def test_bench_parameters_reach_the_checks_unchanged(tmp_path, monkeypatch):
@@ -839,7 +839,7 @@ def test_bench_parameters_reach_the_checks_unchanged(tmp_path, monkeypatch):
     params = _check_params(monkeypatch, [*argv, "--out", str(tmp_path)])
     assert params == {"seed": 101, "n": 4096, "L": 40.0}
     assert [type(v) for v in params.values()] == [int, int, float]
-    kwargs = _arguments(CHECKS["gn"], params)
+    _, kwargs = _arguments(CHECKS["gn"], params, {})
     assert kwargs["grid"] == Grid(4096, 40.0) and kwargs["corpus"].seed == 101
 
 
