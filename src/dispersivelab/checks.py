@@ -56,9 +56,9 @@ from .propagators import (
     linear_group,
 )
 from .spectral import (
-    BOUNDARY_TOL,
     Field,
     Grid,
+    _gate_error,
     _multiply_rows,
     _require_gate,
     _row_blocks,
@@ -394,17 +394,16 @@ def check_weighted_free(
 
     for adjusted in range(4):
         t_used = t / 2.0**adjusted
-        gate = coarse = 0.0
+        ok, gate, coarse = True, 0.0, 0.0
         for flow, ratio in sweep(grid, t_used):
-            gate = max(gate, float(np.max(boundary_gate(flow)[1])))
+            passed, outer = boundary_gate(flow)
+            ok &= bool(passed.all())
+            gate = max(gate, float(np.max(outer)))
             coarse = max(coarse, float(np.max(ratio)))
-        if gate < BOUNDARY_TOL:
+        if ok:
             break
     else:
-        raise ValueError(
-            f"the free flow fails the boundary gate at t={t_used:g}, three halvings "
-            f"of t={t:g} (outer-cell ratio {gate:.2e} >= {BOUNDARY_TOL:.0e})"
-        )
+        raise _gate_error(grid, f"the free flow at t={t_used:g}, three halvings of t={t:g},", gate)
 
     fine = max(float(np.max(ratio)) for _, ratio in sweep(grid.refine(), t_used))
     trend = [coarse, max(0.0, fine)]
@@ -909,7 +908,8 @@ def persistence_experiment(
     report = _report(
         1, list(series), residual=float(np.max(traj.diagnostics["moment0"])), notes=notes,
         worst=sup_growth, fitted=initial if np.isfinite(initial) else 0.0, verdict=verdict,
-        params={"model": spec.model, "s": s, "m": m, "T": T, "n": g.n, "L": g.length},
+        params={"model": spec.model, "a": spec.a, "mu": spec.mu, "k": spec.k, "dt": cfg.dt,
+                "s": s, "m": m, "T": T, "n": g.n, "L": g.length},
         check_id="persistence",
     )
     return report, traj

@@ -265,7 +265,11 @@ def emit_config(cfg: RunConfig) -> str:
 # ------------------------------------------------------------- execution
 
 def _run_solve(cfg: RunConfig, out_dir: str) -> int:
-    traj = evolve(**_evolve_arguments(cfg))
+    try:
+        traj = evolve(**_evolve_arguments(cfg))
+    except ValueError as exc:  # a diagnostic that overflows after t = 0, past _validate's probe
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
     _write_trajectory(traj, out_dir, "trajectory")
     if traj.failed:
         print(f"solver failure at t={traj.failure_time}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, _gate_error, _require_gate, _row_blocks, boundary_gate
+from .spectral import Field, _gate_error, _row_blocks, boundary_gate
 
 __all__ = [
     "CorpusMember",
@@ -57,12 +57,9 @@ class CorpusMember:
         return self.fn(scale * grid.x)
 
     def realize(self, grid, scale: float = 1.0) -> Field:
-        """Sample the member, optionally dilated to f(scale * x)
-        (``_sampled``).  A field that fails the boundary gate raises
-        ValueError."""
-        f = Field(grid, np.asarray(_sampled(self, grid, scale), dtype=np.complex128))
-        _require_gate(f, self._gated_as(scale))
-        return f
+        """The member's field, optionally dilated to f(scale * x): the one
+        row of :func:`_realize_blocks`, whose errors it raises."""
+        return Field(grid, next(_realize_blocks([self], grid, scale)).values[0])
 
     def _gated_as(self, scale: float) -> str:
         """The member's name in a boundary-gate error at ``scale``."""
@@ -97,7 +94,7 @@ NAMED_FIELDS = {
 def initial_data(name: str, grid, amplitude: float = 1.0) -> Field:
     """``amplitude`` times the named field on ``grid``.  It is not gated, since
     a solve takes any data; the checks gate a named field where it enters,
-    through :meth:`CorpusMember.realize` or ``persistence_experiment``.  An
+    through :func:`_realize_blocks` or ``persistence_experiment``.  An
     unknown name, a non-finite amplitude or a field that leaves the float
     range on the cell (``_sampled``) raises ValueError."""
     if name not in NAMED_FIELDS:
@@ -159,26 +156,27 @@ def _require_corpus_keys(seed: int, size: int) -> None:
         raise ValueError(f"corpus seed must be nonnegative, got seed={seed}")
 
 
-def _realize_blocks(members, grid):
-    """The fields of ``members`` on ``grid``, in member order, yielded as
-    blocks of at most BLOCK_SAMPLES samples (``spectral._row_blocks``), so
-    no block is held beyond its turn.  Each member is sampled into its row
-    as :meth:`CorpusMember.realize` samples it, and the block is validated
-    as one field and gated as one, a ratio per row.  A member that is not
-    n values or leaves the float range, and the first member that fails
-    the gate, raise the ValueError that its ``realize`` raises."""
+def _realize_blocks(members, grid, scale: float = 1.0):
+    """The fields of ``members`` on ``grid``, dilated to f(scale * x), in
+    member order, yielded as blocks of at most BLOCK_SAMPLES samples
+    (``spectral._row_blocks``), so no block is held beyond its turn.  Each
+    member is sampled into its row (``_sampled``), and the block is
+    validated as one field and gated as one, a ratio per row: the one door
+    where sampled data enters.  A member that is not n values or leaves
+    the float range, and the first member that fails the gate, raise
+    ValueError."""
     for block in _row_blocks(len(members), grid.n):
         values = np.empty((block.stop - block.start, grid.n), dtype=complex)
         for row, m in zip(values, members[block]):
-            sample = _sampled(m, grid)
-            if np.shape(sample) != row.shape:
-                m.realize(grid)  # raises the error of a member that is not n values
+            sample = _sampled(m, grid, scale)
+            if np.shape(sample) != row.shape:  # a (1, n) sample would broadcast
+                raise ValueError(f"expected {grid.n} samples, got shape {np.shape(sample)}")
             row[:] = sample
         f = Field(grid, values)
         ok, ratio = boundary_gate(f)
         if not ok.all():
             i = int(np.argmin(ok))
-            raise _gate_error(grid, members[block][i]._gated_as(1.0), ratio[i])
+            raise _gate_error(grid, members[block][i]._gated_as(scale), ratio[i])
         yield f
 
 

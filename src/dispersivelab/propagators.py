@@ -220,7 +220,7 @@ def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
     (``spectral._multiply_rows``): every time meets every row of a block.
 
     The phases advance by the group law U(t + dt) = U(dt) U(t): the exact
-    phases of t0 and dt are built once (``_group_table``), and each later
+    phases of t0 and dt are evaluated once (``_half_phase``), and each later
     time takes one complex multiply per mode of the half lattice, mirrored
     as ``group_phase`` mirrors it (``spectral._mirrored_table``).  Hence
     the samples at t0 are bitwise ``linear_group(f, spec, t0)`` (at
@@ -230,10 +230,10 @@ def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
     theta_max * eps (theta_max = max|t omega(xi)| over the scan, eps the
     double-precision epsilon), the rounding of the per-time angle; every
     time must be resolvable (``_group_times``)."""
-    _group_times([t0, dt, t0 + (count - 1) * dt], f.grid, spec)
     g, n = f.grid, f.grid.n
-    phase = _group_table(g, spec, t0).values[: n // 2 + 1]
-    step = _group_table(g, spec, dt).values[: n // 2 + 1] if count > 1 else None
+    t0, dt, _ = _group_times([t0, dt, t0 + (count - 1) * dt], g, spec)
+    phase = spec._half_phase(g.xi, t0)
+    step = spec._half_phase(g.xi, dt) if count > 1 else None
 
     def table_of(block):
         nonlocal phase

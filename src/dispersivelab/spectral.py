@@ -270,7 +270,7 @@ def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
     return np.concatenate([half, mirror.conj() if conjugate else mirror], axis=-1)
 
 
-def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool, cause=_SINGULAR) -> _Table:
+def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool) -> _Table:
     """The table of rows ``half``, finite or not, on the half lattice
     ``xi[: n/2 + 1]``, mirrored here onto the rest (``_mirror``) by the
     ``conjugate`` that its flags read.  The finiteness test and the flags
@@ -278,11 +278,11 @@ def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool, cause=_SINGULAR)
     mirror repeats the half or its conjugates, so max|m| is the half's; a
     conjugated mirror makes pos - conj(neg) exactly 0, an even one exactly
     2i Im(pos); and the odd test forms pos + neg as the scan does.  A
-    non-finite value raises ValueError ending in ``cause``
-    (``_require_finite_symbol``)."""
+    non-finite value raises ValueError as for a singular multiplier
+    (``_require_finite_symbol`` with ``_SINGULAR``)."""
     tol = 1e-13 * np.max(np.abs(half), axis=-1)
     if not np.isfinite(tol).all():  # a non-finite value, or one whose |m| overflows
-        _require_finite_symbol(g, half, cause)
+        _require_finite_symbol(g, half, _SINGULAR)
     zero, pos = half[..., 0], half[..., 1 : g.n // 2]
     odd = np.abs(zero) <= tol
     if np.any(odd):
@@ -293,16 +293,12 @@ def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool, cause=_SINGULAR)
     return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)
 
 
-def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause) -> None:
+def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause: str) -> None:
     """Raise ValueError at the first non-finite value of ``mvals``, a table's
-    rows or their heads, naming its frequency and index and then ``cause``:
-    a string, or a callable of the index of that value's row (a tuple into
-    the row shape) that returns one."""
+    rows or their heads, naming its frequency and index and then ``cause``."""
     bad = ~np.isfinite(mvals)
     if np.any(bad):
-        *row, k = (int(i) for i in np.argwhere(bad)[0])
-        if callable(cause):
-            cause = cause(tuple(row))
+        k = int(np.argwhere(bad)[0][-1])
         raise ValueError(f"multiplier is not finite at xi={g.xi[k]:.6g} (index {k}); {cause}")
 
 

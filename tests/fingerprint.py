@@ -7,19 +7,21 @@ Run from the repository root:
 
 It prints one JSON document with three parts:
 
-* ``checks``: 61 check cases, each as its report: ``float.hex`` of every
+* ``checks``: 62 check cases, each as its report: ``float.hex`` of every
   report number, trend entry and note, with the verdict, corpus size and
   params (a case that raises records its error instead).  The cases are
   every entry of ``CHECKS`` at its defaults; the refine battery (every check
   but ``persistence`` at n=4096, ``leibniz`` at n=1024) at corpus seeds
   0x5EED and 101; ``gamma_identity`` at b in {0, 1/4, 1/2, 3/4, 1} and
   t in {1/2, -1/2, 2}; and edge parameters of ``strichartz``, ``scaling``,
-  ``weighted_free`` and ``leibniz``.
+  ``weighted_free`` (t=8 fails the boundary gate) and ``leibniz``.
 * ``files``: the SHA-256 of ``checks.csv`` from a sweep of the default
   battery, and of ``trajectory.csv`` and every ``.dat`` of 15 solves, all
   written through ``cli.main``: NLS (a=3, mu=+1; a=5, mu=-1), gKdV k=1, 2
   and BO, each from ``gaussian``, ``sech2`` and ``gaussian_deriv`` at
-  amplitude 1.2 (n=2048, L=20, dt=1e-3, T=0.2, 11 snapshots, s=2, m=1.5).
+  amplitude 1.2 (n=2048, L=20, dt=1e-3, T=0.2, 11 snapshots, s=2, m=1.5);
+  and the exit code and last stderr line of two diverging solves, gKdV
+  and BO at amplitude 400 (n=512, T=0.05), whose invariants overflow.
 * ``operators``: 126 operator cases, each the SHA-256 of the output
   samples (of the values, for ``lp_linf_l1``): ``derivative`` of orders
   1, 2 and 3, ``riesz_deriv`` (b = 1/2, 3/2), ``bessel_potential``
@@ -62,6 +64,7 @@ EDGE_CASES = (
     ("scaling", {"a": 13.0}),
     ("scaling", {"a": 21.0}),
     ("weighted_free", {"t": 4.0}),
+    ("weighted_free", {"t": 8.0}),
     ("weighted_free", {"t": 0.0, "b": 0.25}),
     ("leibniz", {"pairs": 0}),
     ("leibniz", {"b": 0.25, "pairs": 3}),
@@ -75,6 +78,11 @@ SOLVE_MODELS = (
     ("bo", "equation.model = bo\n"),
 )
 SOLVE_U0 = ("gaussian", "sech2", "gaussian_deriv")
+DIVERGING_SOLVE = (
+    "grid.n = 512\ngrid.L = 20\nstepper.dt = 0.001\nstepper.T = 0.05\n"
+    "stepper.snapshots = " + ", ".join(f"{0.005 * i:g}" for i in range(11)) + "\n"
+    "solve.amplitude = 400\n"
+)
 OPERATOR_SIZES = (8, 512, 4096)
 OPERATORS = {
     "derivative/1": lambda f: ops.derivative(f, 1),
@@ -170,8 +178,8 @@ def operator_cases() -> dict:
     return cases
 
 
-def _run_main(argv: list) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _run_main(argv: list, stderr=None) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr or io.StringIO()):
         return main(argv)
 
 
@@ -203,6 +211,13 @@ def output_files() -> dict:
                 out = root / label
                 files[f"{label}/exit"] = _run_main(["solve", "--config", str(cfg), "--out", str(out)])
                 files.update(_digests(out, label))
+        for model in ("gkdv", "bo"):
+            label = f"diverging/{model}"
+            cfg = root / "diverging.cfg"
+            cfg.write_text(f"command = solve\nequation.model = {model}\n{DIVERGING_SOLVE}")
+            err = io.StringIO()
+            files[f"{label}/exit"] = _run_main(["solve", "--config", str(cfg), "--out", str(root / label)], err)
+            files[f"{label}/stderr"] = err.getvalue().splitlines()[-1]
     return files
 
 

@@ -369,15 +369,15 @@ MUTANTS = (
     Mutant(
         "scan_step_at_twice_dt",
         "propagators.py",
-        "step = _group_table(g, spec, dt)",
-        "step = _group_table(g, spec, 2 * dt)",
+        "step = spec._half_phase(g.xi, dt)",
+        "step = spec._half_phase(g.xi, 2 * dt)",
         ("tests/test_tables.py::test_group_scan_rows_match_linear_group",),
     ),
     Mutant(
         "scan_first_row_not_u_t0",
         "propagators.py",
-        "phase = _group_table(g, spec, t0)",
-        "phase = _group_table(g, spec, t0 + dt)",
+        "phase = spec._half_phase(g.xi, t0)",
+        "phase = spec._half_phase(g.xi, t0 + dt)",
         ("tests/test_tables.py::test_group_scan_rows_match_linear_group",),
     ),
     Mutant(
@@ -489,6 +489,28 @@ MUTANTS = (
         "    del ext, dplus, dminus\n",
         "    del ext, dplus, dminus\n    acc += first_cell\n    first_cell = 0.0\n",
         ("tests/test_bytes.py::test_stein_deriv_equals_the_oracle_bitwise",),
+    ),
+    Mutant(
+        "weighted_free_gate_any_row",
+        "checks.py",
+        "ok &= bool(passed.all())",
+        "ok &= bool(passed.any())",
+        ("tests/test_checks.py::test_weighted_free_gates_every_flow_of_a_level",),
+    ),
+    Mutant(
+        "realize_blocks_drops_scale",
+        "corpus.py",
+        "sample = _sampled(m, grid, scale)",
+        "sample = _sampled(m, grid)",
+        ("tests/test_corpus.py::test_realize_gates_the_member",),
+    ),
+    Mutant(
+        "solve_failure_uncaught",
+        "cli.py",
+        "    try:\n        traj = evolve(**_evolve_arguments(cfg))\n    except ValueError as exc:",
+        "    if True:\n        traj = evolve(**_evolve_arguments(cfg))\n    if False:",
+        ("tests/test_cli.py::test_invariant_overflowing_after_t0_is_a_solver_failure",
+         "tests/test_hostile_inputs.py::test_diverging_solve_is_a_solver_failure"),
     ),
 )
 

@@ -94,6 +94,14 @@ def test_weighted_free_halves_t_to_the_gated_flows():
     assert dataclasses.replace(halved, notes={}) == dataclasses.replace(default, notes={})
 
 
+def test_weighted_free_gates_every_flow_of_a_level():
+    """A level clears the gate only when every member's flow does: at
+    t = 0.75 and at its third halving of t = 6, 19 of the 23 flows clear it."""
+    assert check_weighted_free(t=0.75).notes == {"t_adjusted": 1.0}
+    with pytest.raises(ValueError, match=r"^the free flow at t=0\.75, three halvings of t=6, fails"):
+        check_weighted_free(t=6.0)
+
+
 def test_gamma_identity_integer_and_zero_orders():
     rep1 = check_gamma_identity(b=1.0, t=0.5)
     assert rep1.verdict == "pass" and rep1.residual_max <= 1e-10
@@ -357,6 +365,20 @@ def test_report_params_tell_apart_what_ran():
     assert k2 != k3 and (k2["k"], k3["k"]) == (2, 3) and k2["amplitude"] == 0.5
     assert check_leibniz(pairs=2).params["pairs"] == 2
     assert run_check("leibniz", {"pairs": 4}).params["pairs"] == 4
+
+
+def test_persistence_experiment_params_tell_apart_what_ran():
+    """A direct run names the spec's a, mu, k and the stepper's dt."""
+    grid = Grid(256, 20.0)
+    u0 = Field.from_function(grid, gaussian)
+    k2, k3 = (
+        persistence_experiment(EquationSpec.gkdv(k=k), u0, 2.0, 1.0, 0.1, StepperConfig(dt=dt))[0].params
+        for k, dt in ((2, 1e-3), (3, 2e-3))
+    )
+    assert k2 != k3
+    assert {key: k3[key] for key in ("model", "a", "mu", "k", "dt")} == {
+        "model": "gkdv", "a": 3.0, "mu": 1, "k": 3, "dt": 2e-3
+    }
 
 
 def test_persistence_notes_the_failure_time():

@@ -583,11 +583,14 @@ def _reworded(i: int, name: str, params: list, old: str, new: str):
         ("persistence", ["model=bo", "a=5"], "a=5.0 is not read by the bo model"),
         ("persistence", ["model=nls", "k=2"], "k=2 is not read by the nls model"),
         ("scaling", ["b=1"], "unknown parameters: ['b']"),
-        (
+        _reworded(
+            12,
             "weighted_free",
             ["t=8"],
             "the free flow fails the boundary gate at t=1, three halvings of t=8 "
             "(outer-cell ratio 3.66e-05 >= 1e-10)",
+            "the free flow at t=1, three halvings of t=8, fails the boundary gate on the cell "
+            "L=20: outer-cell ratio 3.66e-05 >= 1e-10",
         ),
         _reworded(13, "leibniz", ["pairs=-3"], "pairs must be nonnegative, got pairs=-3", "pairs must lie in [0, inf), got pairs=-3"),
         ("gn", ["corpus_size=-2"], "corpus size must be nonnegative, got corpus_size=-2"),
@@ -870,6 +873,36 @@ def test_solve_reports_solver_failure(tmp_path, capsys):
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "solver failure at t=0.5\n"
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+# gKdV and BO at amplitude 400 blow up within the first snapshots, and an
+# invariant overflows after t = 0, where the parse-time probe does not look
+DIVERGING_CFG = """
+command = solve
+equation.model = {model}
+equation.k = 1
+grid.n = 512
+grid.L = 20
+stepper.dt = 0.001
+stepper.T = 0.05
+stepper.snapshots = 0, 0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04, 0.045, 0.05
+solve.amplitude = 400
+"""
+DIVERGING_CAUSES = {
+    "gkdv": "the gkdv invariant I3 overflows at max|u|=8.95e+119",
+    "bo": "the bo invariant I2 overflows at max|u|=8.57e+262",
+}
+
+
+@pytest.mark.parametrize("model", sorted(DIVERGING_CAUSES))
+def test_invariant_overflowing_after_t0_is_a_solver_failure(tmp_path, capsys, model):
+    """Exit 1 naming the cause after the CFL warning, and no trajectory."""
+    path = tmp_path / "diverging.cfg"
+    path.write_text(DIVERGING_CFG.format(model=model))
+    with pytest.warns(CFLWarning):
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"solver failure: {DIVERGING_CAUSES[model]}\n"
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_persistence_fails_on_solver_failure(tmp_path, capsys):

@@ -103,15 +103,20 @@ def test_block_gate_raises_the_first_failing_members_error(n, members):
     assert str(exc.value).startswith(f"corpus member {first.name!r} at scale=1 fails")
 
 
-@pytest.mark.parametrize("fn", [lambda x: 1.0, lambda x: x[:-1], lambda x: np.exp(-x[None] ** 2)])
-def test_a_member_that_is_not_n_values_raises_its_own_error(fn):
+@pytest.mark.parametrize(
+    "fn, shape",
+    [(lambda x: 1.0, "()"), (lambda x: x[:-1], "(63,)"), (lambda x: np.exp(-x[None] ** 2), "(1, 64)")],
+    ids=["<lambda>0", "<lambda>1", "<lambda>2"],
+)
+def test_a_member_that_is_not_n_values_raises_its_own_error(fn, shape):
+    """From either door, alone or inside a block: a (1, n) sample is not a
+    block of one row either."""
     grid = Grid(64, 10.0)
     bad = CorpusMember("bad", fn)
-    with pytest.raises(ValueError) as want:
-        bad.realize(grid)
-    with pytest.raises(ValueError) as got:
-        list(_realize_blocks([GAUSS, bad, DERIV], grid))
-    assert str(got.value) == str(want.value)
+    for door in (lambda: bad.realize(grid), lambda: list(_realize_blocks([GAUSS, bad, DERIV], grid))):
+        with pytest.raises(ValueError) as exc:
+            door()
+        assert str(exc.value) == f"expected 64 samples, got shape {shape}"
 
 
 def test_sech2_keeps_its_bits_where_cosh_overflows():

@@ -34,10 +34,10 @@ PRIVATE_IMPORTS = {
         "norms": {"_lebesgue_rows", "_powers", "_require_finite"},
         "operators": {"_lp_deriv_linf_l1", "_riesz_table"},
         "propagators": {"_group_scan", "_group_table"},
-        "spectral": {"_multiply_rows", "_require_gate", "_row_blocks"},
+        "spectral": {"_gate_error", "_multiply_rows", "_require_gate", "_row_blocks"},
     },
     "cli": {"checks": {"_require_work"}},
-    "corpus": {"spectral": {"_gate_error", "_require_gate", "_row_blocks"}},
+    "corpus": {"spectral": {"_gate_error", "_row_blocks"}},
     "laws": {"propagators": {"_power"}, "spectral": {"_one_row", "_per_row"}},
     "norms": {"spectral": {"_one_row", "_per_row"}},
     "operators": {

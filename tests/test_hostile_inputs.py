@@ -4,7 +4,9 @@ and every numeric config key (the ``RunConfig`` fields, each in a config of
 the command that reads it) is given non-finite, zero, negative, least
 subnormal and huge values through ``cli.main``, an int key also an integer
 literal beyond the float range, and every check whose fields enter through
-the boundary gate runs on a cell they do not fit.  An equation key runs
+the boundary gate runs on a cell they do not fit.  A gKdV and a BO solve
+that diverge until an invariant overflows are solver failures (exit 1).
+An equation key runs
 under a model that reads it (``propagators._READS``).  A new parameter or
 key is covered without an edit here.  The work keys (n, corpus_size, pairs,
 a step count T/dt, the gKdV degree k) have upper bounds, so a huge value of
@@ -51,6 +53,13 @@ CONFIG_KEYS = [
 BASE = {
     "solve": {"command": "solve", "equation.model": "nls", "stepper.T": "0.01"},
     "sweep": {"command": "sweep", "sweep.checks": "scaling"},
+}
+
+
+# a solve whose invariant overflows after t = 0: gKdV and BO at amplitude 400
+DIVERGING = {
+    "equation.k": "1", "grid.n": "512", "grid.L": "20", "stepper.dt": "0.001", "stepper.T": "0.05",
+    "stepper.snapshots": ", ".join(f"{0.005 * i:g}" for i in range(11)), "solve.amplitude": "400",
 }
 
 
@@ -157,6 +166,23 @@ def test_huge_config_values_exit_cleanly(tmp_path, capsys):
             if rc not in (0, 1, 2) or leaked:
                 wrong.append((f.metadata["key"], value, rc, err, leaked))
     assert not wrong
+
+
+@pytest.mark.parametrize("model", ["gkdv", "bo"])
+def test_diverging_solve_is_a_solver_failure(tmp_path, capsys, model):
+    """Exit 1 naming the overflowing invariant, with no traceback and no
+    RuntimeWarning."""
+    path = tmp_path / "run.cfg"
+    lines = {**BASE["solve"], "equation.model": model, **DIVERGING}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+
+    def run():
+        rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+        return rc, capsys.readouterr().err
+
+    rc, err, leaked = _clean_exit(run)
+    assert rc == 1 and not leaked
+    assert err.splitlines()[-1].startswith(f"solver failure: the {model} invariant ")
 
 
 # chirp_stein's stationary chirp fills its cell by design and is not gated
