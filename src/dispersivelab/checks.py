@@ -31,15 +31,17 @@ from .norms import (
     _lebesgue_rows,
     _powers,
     _require_finite,
+    _spectral_l2,
     ap_constant,
     lebesgue,
     power_weight,
     weighted_l2,
 )
 from .operators import (
+    _bessel_table,
+    _derivative_table,
     _lp_deriv_linf_l1,
     _riesz_table,
-    bessel_potential,
     derivative,
     gamma_schrodinger,
     hilbert,
@@ -59,9 +61,11 @@ from .spectral import (
     Field,
     Grid,
     _gate_error,
-    _multiply_rows,
+    _multiply,
     _require_gate,
     _row_blocks,
+    _spectrum,
+    _table_norm,
     boundary_gate,
     real_values,
 )
@@ -370,24 +374,25 @@ def check_weighted_free(
     ``t`` is halved, at most three times, until every evolved member clears
     the boundary gate, and a flow that still fails it raises ValueError.
 
-    Each level stacks the group phase U(t) over |xi|^b into one two-row
-    table (``spectral._Table.stacked``), each row with its own flags, and
-    each block of the corpus takes one forward FFT for both
-    (``spectral._multiply_rows``): the flow and D^b of each row are
-    bitwise ``linear_group`` and ``riesz_deriv``."""
+    Each block of the corpus takes one forward FFT (``spectral._spectrum``)
+    for both the group phase U(t) and |xi|^b: the flow goes through the
+    multiplier kernel, bitwise ``linear_group``, for its weighted norm and
+    its gate, and the L^2 norm of D^b f is read off its spectrum
+    (``spectral._table_norm``)."""
     corpus = corpus or Corpus()
     spec = EquationSpec.nls()
 
     def sweep(g: Grid, t: float):
         """For each block f of the corpus on ``g``: its free flow to time
         ``t`` and the ratio of each row."""
-        table = _group_table(g, spec, t).stacked(_riesz_table(g, b))
+        group, deriv = _group_table(g, spec, t), _riesz_table(g, b)
         for f in corpus.realize(g):
-            flow, deriv = map(Field, (g, g), chain.from_iterable(_multiply_rows(f, 2, table.rows)))
+            fhat = _spectrum(f)
+            flow = _multiply(f, group, fhat)
             lhs = weighted_l2(flow, b)
             rhs = (
                 t ** (b / 2.0) * weighted_l2(f, 0.0)
-                + t**b * weighted_l2(deriv, 0.0)
+                + t**b * _table_norm(f, deriv, fhat)
                 + weighted_l2(f, b)
             )
             yield flow, _ratios(lhs, rhs)
@@ -494,7 +499,7 @@ def check_leibniz(
         trend.append(worst)
     # report-only: the open D^b variant of the product estimate, at the fine level
     gauss = _GAUSSIAN.realize(fine)
-    lhs_d = weighted_l2(riesz_deriv(gauss * gauss, b), 0.0)
+    lhs_d = _table_norm(gauss * gauss, _riesz_table(fine, b))
     den_d = weighted_l2(gauss * riesz_deriv(gauss, b), 0.0) * 2.0
     return _report(
         len(corpus),
@@ -546,16 +551,23 @@ def check_gn(
     exponent theta fixed by scaling; the measured ratio must be invariant
     (5%) under the dilations f -> f(x/2), f(2x) and refinement stable.  A
     ``beta`` whose D^beta overflows on the refined lattice raises ValueError
-    naming it."""
+    naming it.  At p = q = 2 both derivative norms are read off one forward
+    FFT of each block (``spectral._table_norm``)."""
     theta = gn_theta(alpha, beta, p, q, r)
     _require_symbol(grid, lambda xi: xi**beta, "D^beta", f"beta={beta}")
     corpus = corpus or Corpus(size=10)
 
+    def deriv_norms(f: Field, b: float, exponent: float, fhat) -> np.ndarray:
+        """||D^b f||_exponent of each row of f: at exponent 2 and b > 0 read
+        off f's spectrum ``fhat``, or off its own when ``fhat`` is None."""
+        if exponent == 2.0 and b > 0:
+            return _spectral_l2(f, _riesz_table(f.grid, b), fhat)
+        return lebesgue(riesz_deriv(f, b), exponent)
+
     def ratios(f: Field) -> np.ndarray:
-        num = lebesgue(riesz_deriv(f, alpha), p)
-        den = _powers(lebesgue(f, r), 1.0 - theta) * _powers(
-            lebesgue(riesz_deriv(f, beta), q), theta
-        )
+        fhat = _spectrum(f) if p == q == 2.0 else None  # one FFT for both norms
+        num = deriv_norms(f, alpha, p, fhat)
+        den = _powers(lebesgue(f, r), 1.0 - theta) * _powers(deriv_norms(f, beta, q, fhat), theta)
         return _ratios(num, den)
 
     trend = [_worst(ratios, corpus.realize(g)) for g in (grid, grid.refine())]
@@ -589,20 +601,27 @@ def check_interpolation(
     _require_symbol(grid, lambda xi: (1.0 + xi**2) ** (a / 2.0), "J^a", f"a={a}")
     corpus = corpus or Corpus(size=10)
 
-    def ratios(f: Field) -> np.ndarray:
-        g = f.grid
-        # first the weight <x>^(2b), which overflows before the bracket does
-        weighted = weighted_l2(f, b, bracket=True)
-        with np.errstate(over="ignore"):  # the overflow named below
-            sobolev_a = weighted_l2(bessel_potential(f, a), 0.0)
-        if not np.isfinite(sobolev_a).all():
-            raise ValueError(f"the norm ||J^a f|| overflows on the grid n={g.n}, got a={a}")
-        rhs = _powers(weighted, 1.0 - theta) * _powers(sobolev_a, theta)
+    def worst(g: Grid) -> float:
+        """The worst ratio over the corpus on ``g``: both J norms are read
+        off spectra (``spectral._table_norm``), and the bracket weight is
+        built once."""
         bracket = (1.0 + g.x**2) ** ((1.0 - theta) * b / 2.0)
-        lhs = weighted_l2(bessel_potential(Field(g, bracket * f.values), theta * a), 0.0)
-        return _ratios(lhs, rhs)
+        j_a, j_theta = _bessel_table(g, a), _bessel_table(g, theta * a)
 
-    trend = [_worst(ratios, corpus.realize(g)) for g in (grid, grid.refine())]
+        def ratios(f: Field) -> np.ndarray:
+            # first the weight <x>^(2b), which overflows before the bracket does
+            weighted = weighted_l2(f, b, bracket=True)
+            with np.errstate(over="ignore"):  # the overflow named below
+                sobolev_a = _table_norm(f, j_a)
+            if not np.isfinite(sobolev_a).all():
+                raise ValueError(f"the norm ||J^a f|| overflows on the grid n={g.n}, got a={a}")
+            rhs = _powers(weighted, 1.0 - theta) * _powers(sobolev_a, theta)
+            lhs = _table_norm(Field(g, bracket * f.values), j_theta)
+            return _ratios(lhs, rhs)
+
+        return _worst(ratios, corpus.realize(g))
+
+    trend = [worst(g) for g in (grid, grid.refine())]
     # the endpoints are exact: both levels must read one (which implies stability)
     endpoint = theta in (0.0, 1.0)
     return _report(
@@ -671,6 +690,8 @@ def check_commutator_hilbert(
     def commutator_norms(a_fn: Field, f: Field) -> np.ndarray:
         dmf = derivative(f, m)
         inner = hilbert(a_fn * dmf) - a_fn * hilbert(dmf)
+        if p == 2.0 and l > 0:  # read off the spectrum of inner
+            return _spectral_l2(inner, _derivative_table(inner.grid, l))
         return lebesgue(derivative(inner, l), p)
 
     def worst(g: Grid) -> float:
@@ -844,7 +865,8 @@ def check_scaling(a: float = 9.0, grid: Grid = Grid(1024, 160.0)) -> CheckReport
         lam ** (2.0 / (a - 1.0)) * _GAUSSIAN.realize(grid, scale=lam).values
         for lam in (0.5, 1.0, 2.0)
     ]
-    norms = weighted_l2(riesz_deriv(Field(grid, np.stack(u_lam)), sc), 0.0).tolist()
+    u = Field(grid, np.stack(u_lam))
+    norms = (_table_norm(u, _riesz_table(grid, sc)) if sc > 0 else weighted_l2(u, 0.0)).tolist()
     spread = (max(norms) - min(norms)) / norms[1]
     return _report(
         1, norms, residual=spread, ok=spread <= 1e-3, worst=max(norms) / min(norms),

@@ -22,6 +22,7 @@ significant digits so a printed config re-parses to the identical run.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -357,7 +358,10 @@ def _run(config_path: str, out_dir: str | None, jobs: int | None, subcommand: st
     return _run_checks(list(cfg.sweep_checks), params, out, jobs=cfg.jobs if jobs is None else jobs)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse leaves it
+    unchanged (``--param`` appends to a copy of its default)."""
     parser = argparse.ArgumentParser(
         prog="dispersivelab",
         description="dispersive-model solver runs and estimate checks",
@@ -378,7 +382,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--jobs", type=int, default=None, help="worker threads (default: sweep.jobs)")
     p_sweep.add_argument("--out", default=None)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.print_config:

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import bessel_potential
-from .spectral import Field, _one_row, _per_row
+from .operators import _bessel_table
+from .spectral import Field, _one_row, _per_row, _table_norm
 
 __all__ = [
     "weighted_l2",
@@ -41,8 +41,9 @@ def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
 
 
 def sobolev(f: Field, s: float) -> float:
-    """H^s norm || (1+xi^2)^(s/2) fhat ||, computed via the Bessel potential."""
-    return weighted_l2(bessel_potential(f, s), 0.0)
+    """H^s norm || (1+xi^2)^(s/2) fhat ||, the L^2 norm of the Bessel
+    potential J^s f read off its spectrum (``spectral._table_norm``)."""
+    return _table_norm(f, _bessel_table(f.grid, s))
 
 
 def lebesgue(f: Field, p: float) -> float:
@@ -64,8 +65,25 @@ def _lebesgue_rows(values: np.ndarray, h: float, p: float, weight=None) -> np.nd
         integrals = h * np.sum(powers if weight is None else weight * powers, axis=-1)
     lost = ~(np.isfinite(integrals) & (integrals > 0.0))
     if lost.any() and np.any(values[lost] * (1.0 if weight is None else weight)):
-        raise ValueError(f"|f|^p leaves the float range at the Lebesgue exponent p={p:g}")
+        raise _range_error(p)
     return _powers(integrals, 1.0 / p)
+
+
+def _range_error(p: float) -> ValueError:
+    """The error of an L^p norm whose |f|^p leaves the float range."""
+    return ValueError(f"|f|^p leaves the float range at the Lebesgue exponent p={p:g}")
+
+
+def _spectral_l2(f: Field, table, fhat=None):
+    """``lebesgue(m(D) f, 2)``, m the one multiplier of ``table``, read off
+    the spectrum of f (``spectral._table_norm``, ``fhat`` as it takes it)
+    with no inverse transform.  A norm that leaves the float range raises
+    lebesgue's ValueError, with no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the range error raised below
+        norms = _table_norm(f, table, fhat)
+    if not np.isfinite(norms).all():
+        raise _range_error(2.0)
+    return norms
 
 
 def _powers(values, e) -> np.ndarray:

@@ -57,8 +57,13 @@ def derivative(f: Field, order: int = 1) -> Field:
         raise ValueError(f"derivative order must be a nonnegative integer, got order={order}")
     if order == 0:
         return f.copy()
+    return _multiply(f, _derivative_table(f.grid, order))
+
+
+def _derivative_table(grid, order: int) -> _Table:
+    """The stored table of (i xi)^order, order >= 1, on the grid."""
     symbol, cause = (lambda xi: (1j * xi) ** order), f"derivative overflows there at order={order}"
-    return _multiply(f, _table(f.grid, ("derivative", order), _build_table, symbol, cause))
+    return _table(grid, ("derivative", order), _build_table, symbol, cause)
 
 
 def riesz_deriv(f: Field, b: float) -> Field:
@@ -89,16 +94,21 @@ def bessel_potential(f: Field, s: float) -> Field:
     """Bessel potential J^s, multiplier (1 + xi^2)^(s/2); J^s o J^-s = id.
     An ``s`` whose multiplier overflows on the lattice raises ValueError
     naming ``s`` and the overflow."""
+    return _multiply(f, _bessel_table(f.grid, s))
+
+
+def _bessel_table(grid, s: float) -> _Table:
+    """The stored table of (1 + xi^2)^(s/2) on the grid; a non-finite ``s``
+    raises ValueError."""
     if not np.isfinite(s):
         raise ValueError(f"order must be finite, got s={s}")
-    table = _table(
-        f.grid,
+    return _table(
+        grid,
         ("bessel_potential", s),
         _build_table,
         lambda xi: (1.0 + xi**2) ** (s / 2.0),
         f"bessel_potential overflows there at s={s:g}",
     )
-    return _multiply(f, table)
 
 
 # Offset cells per side that stein_deriv sums directly; the rest go through

@@ -192,10 +192,6 @@ class _Table(NamedTuple):
         """The multipliers of the rows that ``index`` selects."""
         return _Table(self.values[index], self.odd[index], self.hermitian[index])
 
-    def stacked(self, *below) -> "_Table":
-        """This table's one multiplier over those of ``below``, a row each."""
-        return _frozen(*(np.stack(parts) for parts in zip(self, *below)))
-
 
 # Every stored table of the package's operators, by (n, L, key), oldest
 # first.  Their values hold at most _STORE_BYTES together (the refine
@@ -330,26 +326,66 @@ def _real_rows(values: np.ndarray) -> np.ndarray:
     return ~values.imag.any(axis=-1)
 
 
-def _apply_table(table: _Table, fhat: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """Samples of the multiplier applied to raw FFT coefficients ``fhat``
-    (left unchanged) of input rows, ``real`` holding one flag per row.  The
-    table's values are complex or float64 (``_narrowed``).  The table's
-    rows and the input's rows pair up by broadcasting: one multiplier acts
-    on every input row, and one input row gives one row of samples per
-    multiplier.  The product is inverse-transformed in place."""
+def _product(table: _Table, fhat: np.ndarray) -> tuple:
+    """``table.values * fhat`` in a new buffer, with the Nyquist mode of
+    each row under an odd multiplier zeroed, and zeros of the product's row
+    shape.  The table's values are complex or float64 (``_narrowed``).  The
+    table's rows and the input's rows pair up by broadcasting: one
+    multiplier acts on every input row, and one input row gives one row of
+    coefficients per multiplier."""
     out = table.values * fhat
     # ORed into the flags, zeros of the output's row shape spread a table's
     # one flag over every row
     rows = np.zeros(out.shape[:-1], dtype=bool)
     out[..., out.shape[-1] // 2][table.odd | rows] = 0.0
+    return out, rows
+
+
+def _apply_table(table: _Table, fhat: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Samples of the multiplier applied to raw FFT coefficients ``fhat``
+    (left unchanged) of input rows, ``real`` holding one flag per row, the
+    rows paired as :func:`_product` pairs them.  The product is
+    inverse-transformed in place."""
+    out, rows = _product(table, fhat)
     _ifft(out, out)
     out.imag[table.hermitian & real | rows] = 0.0
     return out
 
 
-def _multiply(f: Field, table: _Table) -> Field:
-    """``f``, one row or a block, under a table built on its grid."""
-    return Field(f.grid, _apply_table(table, _fft(f.values), _real_rows(f.values)))
+def _spectrum(f: Field) -> np.ndarray:
+    """The raw FFT coefficients of ``f``'s rows, for a caller that applies
+    several tables to one field (``_multiply``, ``_table_norm``)."""
+    return _fft(f.values)
+
+
+def _multiply(f: Field, table: _Table, fhat=None) -> Field:
+    """``f``, one row or a block, under a table built on its grid; ``fhat``
+    is f's ``_spectrum`` when the caller holds it."""
+    fhat = _fft(f.values) if fhat is None else fhat
+    return Field(f.grid, _apply_table(table, fhat, _real_rows(f.values)))
+
+
+def _table_norm(f: Field, table: _Table, fhat=None):
+    """The L^2 norm sqrt(h sum_j |g_j|^2) of each row of ``g = m(D) f``, the
+    one multiplier of a table built on f's grid, read off g's coefficients
+    by discrete Parseval, h sum_j |g_j|^2 = (h/n) sum_k |ghat_k|^2, with no
+    inverse transform; ``fhat`` is f's ``_spectrum`` when the caller holds
+    it.  It is ``weighted_l2(_multiply(f, table), 0.0)`` to a few ulps
+    wherever the output stands above roundoff.  For a real row under a
+    Hermitian table the kernel drops its output's imaginary part, which
+    under the package's tables (their Nyquist value is real or zeroed) is
+    the forward transform's roundoff times the table, and this norm keeps
+    it.  The coefficients are scaled by 1/n, an exact power of two,
+    before they are squared: then none exceeds the mean of |g_j|, so a
+    norm whose samples' squares stay in the float range stays finite.  The
+    product is formed in one buffer and reduced in place."""
+    n = f.grid.n
+    ghat, _ = _product(table, _fft(f.values) if fhat is None else fhat)
+    parts = ghat.view(np.float64)  # the real and imaginary parts of each row
+    scale = 1.0 / n
+    parts *= scale
+    np.square(parts, out=parts)
+    return _per_row(f, np.sqrt(f.grid.h / n * np.sum(parts, axis=-1)) / scale)
 
 
 def _multiply_rows(f: Field, count: int, table_of):

@@ -355,8 +355,8 @@ MUTANTS = (
     Mutant(
         "weighted_free_deriv_row_is_the_flow",
         "checks.py",
-        "+ t**b * weighted_l2(deriv, 0.0)",
-        "+ t**b * weighted_l2(flow, 0.0)",
+        "+ t**b * _table_norm(f, deriv, fhat)",
+        "+ t**b * _table_norm(f, group, fhat)",
         ("tests/test_golden.py",),
     ),
     Mutant(
@@ -511,6 +511,27 @@ MUTANTS = (
         "    if True:\n        traj = evolve(**_evolve_arguments(cfg))\n    if False:",
         ("tests/test_cli.py::test_invariant_overflowing_after_t0_is_a_solver_failure",
          "tests/test_hostile_inputs.py::test_diverging_solve_is_a_solver_failure"),
+    ),
+    Mutant(
+        "parseval_nyquist_kept_under_odd_tables",
+        "spectral.py",
+        "out[..., out.shape[-1] // 2][table.odd | rows] = 0.0",
+        "out[..., out.shape[-1] // 2][table.odd & False | rows] = 0.0",
+        ("tests/test_parseval.py",),
+    ),
+    Mutant(
+        "parseval_factor_h_for_h_over_n",
+        "spectral.py",
+        "np.sqrt(f.grid.h / n * np.sum(parts, axis=-1))",
+        "np.sqrt(f.grid.h * np.sum(parts, axis=-1))",
+        ("tests/test_parseval.py",),
+    ),
+    Mutant(
+        "parseval_coefficients_unscaled",
+        "spectral.py",
+        "    scale = 1.0 / n\n",
+        "    scale = 1.0\n",
+        ("tests/test_parseval.py",),
     ),
 )
 

@@ -3,18 +3,21 @@
 Timings on a shared 2-vCPU VM drift by 2x between processes, so these guards
 count calls instead: the group phases and symmetry scans of a group-phase
 time scan, the group phases and forward transforms of ``weighted_free``, the
-inverse transforms of ``lp_linf_l1``, and the builds of the operator tables
-that one process-wide store keeps across ops (``spectral._table``).  Each
-count is deterministic.
+forward transforms of ``gn`` and the inverse ones of ``interpolation``, whose
+L^2 norms are read off spectra, the inverse transforms of ``lp_linf_l1``, the
+builds of the operator tables that one process-wide store keeps across ops
+(``spectral._table``), and the command-line parser, built once per process.
+Each count is deterministic.
 """
 
+import argparse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dispersivelab import operators, spectral
+from dispersivelab import cli, operators, spectral
 from dispersivelab.checks import CHECKS, run_check
 from dispersivelab.operators import _lp_deriv_linf_l1, lp_block_range, lp_linf_l1, riesz_deriv
 from dispersivelab.propagators import EquationSpec
@@ -55,6 +58,36 @@ def test_refine_weighted_free_builds_one_group_table_per_level(monkeypatch):
     assert report.verdict == "pass" and report.notes["t_adjusted"] == 0.0
     assert phases[0] == 2
     assert ffts[0] == 6 + 12
+
+
+def test_refine_gn_takes_one_forward_fft_per_block_for_both_norms(monkeypatch):
+    """At p = q = 2 the norms of D^alpha f and D^beta f are read off one
+    spectrum: the 13 members fill 4 blocks at n = 4096 and 7 at n = 8192,
+    and the three dilations one block, so 12 forward FFTs."""
+    ffts = _counting(monkeypatch, spectral, "_fft")
+    report = run_check("gn", {"n": 4096})
+    assert report.verdict == "pass" and report.corpus_size == 13
+    assert ffts[0] == 4 + 7 + 1
+
+
+def test_interpolation_takes_no_inverse_transform(monkeypatch):
+    """Both J norms are read off spectra, so no sample of J^s f is formed."""
+    inverses = _counting(monkeypatch, spectral, "_ifft")
+    ffts = _counting(monkeypatch, spectral, "_fft")
+    report = run_check("interpolation", {"n": 4096})
+    assert report.verdict == "pass"
+    assert inverses[0] == 0 and ffts[0] > 0
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, tmp_path):
+    """A second op registers no argparse action: the parser is kept."""
+    assert cli.main(["check", "scaling", "--out", str(tmp_path)]) == 0
+    registers = _counting(monkeypatch, argparse.ArgumentParser, "register")
+    builds = _counting(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert cli.main(["check", "scaling", "--param", "a=13", "--out", str(tmp_path)]) == 0
+    assert cli.main(["check", "scaling", "--out", str(tmp_path)]) == 0
+    assert registers[0] == 0 and builds[0] == 0
+    assert (tmp_path / "checks.csv").read_text().splitlines()[1].startswith("scaling,L=160;a=9;")
 
 
 @pytest.mark.parametrize("rows", [1, 3])

@@ -31,7 +31,7 @@ from dispersivelab.checks import (
 )
 from dispersivelab import checks
 from dispersivelab.corpus import Corpus, gaussian, gaussian_deriv
-from dispersivelab.operators import gamma_schrodinger, riesz_deriv
+from dispersivelab.operators import gamma_schrodinger
 from dispersivelab.propagators import EquationSpec, StepperConfig
 from dispersivelab.spectral import Field, Grid
 
@@ -143,16 +143,23 @@ def test_leibniz_pointwise_and_l2():
 
 def test_leibniz_takes_the_riesz_variant_at_the_fine_level_only(monkeypatch):
     # the report-only D^b variant is noted at the refined grid, so the coarse
-    # level computes none of it
+    # level computes none of it: its numerator's table and its denominator's
+    # D^b are both taken at n = 512
     import dispersivelab.checks as checks
 
     sizes = []
 
-    def spy(f, b):
-        sizes.append(f.grid.n)
-        return riesz_deriv(f, b)
+    def spy(name):
+        inner = getattr(checks, name)
 
-    monkeypatch.setattr(checks, "riesz_deriv", spy)
+        def spied(f_or_grid, b):
+            sizes.append(getattr(f_or_grid, "grid", f_or_grid).n)
+            return inner(f_or_grid, b)
+
+        monkeypatch.setattr(checks, name, spied)
+
+    spy("riesz_deriv")
+    spy("_riesz_table")
     check_leibniz(b=0.5, grid=Grid(256, 20.0), pairs=2)
     assert sizes == [512, 512]
 

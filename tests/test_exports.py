@@ -31,15 +31,17 @@ def test_star_imports_and_package_reexports_are_public():
 PRIVATE_IMPORTS = {
     "checks": {
         "corpus": {"_realize_blocks", "_require_corpus_keys"},
-        "norms": {"_lebesgue_rows", "_powers", "_require_finite"},
-        "operators": {"_lp_deriv_linf_l1", "_riesz_table"},
+        "norms": {"_lebesgue_rows", "_powers", "_require_finite", "_spectral_l2"},
+        "operators": {"_bessel_table", "_derivative_table", "_lp_deriv_linf_l1", "_riesz_table"},
         "propagators": {"_group_scan", "_group_table"},
-        "spectral": {"_gate_error", "_multiply_rows", "_require_gate", "_row_blocks"},
+        "spectral": {
+            "_gate_error", "_multiply", "_require_gate", "_row_blocks", "_spectrum", "_table_norm",
+        },
     },
     "cli": {"checks": {"_require_work"}},
     "corpus": {"spectral": {"_gate_error", "_row_blocks"}},
     "laws": {"propagators": {"_power"}, "spectral": {"_one_row", "_per_row"}},
-    "norms": {"spectral": {"_one_row", "_per_row"}},
+    "norms": {"operators": {"_bessel_table"}, "spectral": {"_one_row", "_per_row", "_table_norm"}},
     "operators": {
         "spectral": {
             "_Table", "_build_table", "_fft", "_ifft", "_mirrored_table", "_multiply",
