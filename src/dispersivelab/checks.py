@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -893,7 +893,8 @@ def persistence_experiment(
     must stay within 10x its initial value; for m > s the growth curves are
     emitted report-only.  ``u0`` must clear the boundary gate (else
     ValueError), and its gate ratio is noted, as is the ``failure_time`` of
-    a march that fails."""
+    a march that fails: at a non-finite step, or at a snapshot after t = 0
+    whose diagnostics overflow, where the series ends."""
     cfg = cfg or StepperConfig(dt=1e-3)
     g = u0.grid
     ratio = _require_gate(u0, "the persistence initial data")
@@ -913,9 +914,22 @@ def persistence_experiment(
     check_times(T, (), cfg.dt)  # before linspace spreads a bad T over the snapshots
     # the diagnostics on the first snapshot, before the march: a diagnostic
     # that cannot be evaluated raises before any step
-    diagnostics(Field(g, real_values(u0, f"the {spec.model} flow")) if spec.is_real else u0, 0.0)
+    first = Field(g, real_values(u0, f"the {spec.model} flow")) if spec.is_real else u0
+    rows = [diagnostics(first, 0.0)]
     times = list(np.linspace(0.0, T, snapshots))
-    traj = evolve(u0, spec, cfg, T, snapshot_times=times, diagnostics=diagnostics)
+    traj = evolve(u0, spec, cfg, T, snapshot_times=times)
+    # a later snapshot whose diagnostics overflow ends the run as a
+    # non-finite step does, at that snapshot
+    for i, (fld, t) in enumerate(zip(traj.snapshots[1:], traj.times[1:].tolist()), start=1):
+        try:
+            row = diagnostics(fld, t)
+        except ValueError:  # an invariant that overflows
+            row = None
+        if row is None or not np.isfinite(list(row.values())).all():
+            traj = replace(traj, times=traj.times[:i], snapshots=traj.snapshots[:i], failure_time=t)
+            break
+        rows.append(row)
+    traj.diagnostics = {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
     key = f"weighted_{m:g}"
     series = traj.diagnostics[key]

@@ -34,10 +34,13 @@ def weighted_l2(f: Field, m: float, *, bracket: bool = False) -> float:
     if not (np.isfinite(m) and m >= 0):
         raise ValueError(f"weight exponent must be finite and >= 0, got m={m}")
     g = f.grid
-    with np.errstate(over="ignore"):
-        w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
-    _require_finite(w, f"{'<x>' if bracket else '|x|'}^(2m)", g, f"m={m}")
-    return _per_row(f, np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1)))
+    density = np.abs(f.values) ** 2
+    if m != 0.0:  # at m = 0 the weight is 1.0 at every node, and 1.0 * y is y
+        with np.errstate(over="ignore"):
+            w = (1.0 + g.x**2) ** m if bracket else np.abs(g.x) ** (2.0 * m)
+        _require_finite(w, f"{'<x>' if bracket else '|x|'}^(2m)", g, f"m={m}")
+        density *= w
+    return _per_row(f, np.sqrt(g.h * np.sum(density, axis=-1)))
 
 
 def sobolev(f: Field, s: float) -> float:

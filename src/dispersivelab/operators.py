@@ -11,13 +11,14 @@ import numpy as np
 
 from .spectral import (
     Field,
+    _Bands,
     _Table,
+    _banded,
     _build_table,
     _fft,
     _ifft,
-    _mirrored_table,
     _multiply,
-    _multiply_rows,
+    _multiply_bands,
     _per_row,
     _table,
 )
@@ -285,29 +286,25 @@ def lp_block_range(grid) -> range:
     return range(n_lo, n_hi + 1)
 
 
-def _lp_stack(grid, b: float = 0.0) -> _Table:
-    """The blocks of ``lp_block_range(grid)`` composed with D^b as one
-    table, a row per block: eta(|xi|/2^N) |xi|^b, the blocks themselves at
-    b = 0.  Each row is evaluated on the frequencies of its band
-    1/2 < |xi|/2^N < 2 in the half lattice, where |xi| increases, and
-    mirrored evenly; off the band eta is exactly 0.  The rows are real and
-    vanish at xi = 0, so the half-lattice flags (``spectral._mirrored_table``)
-    are the scan's: every row is Hermitian, and odd only where it vanishes
-    off the Nyquist mode."""
-    n = grid.n
-    blocks = lp_block_range(grid)
-    axi = np.abs(grid.xi[: n // 2 + 1])
-    half = np.zeros((len(blocks), n // 2 + 1), dtype=complex)
-    for row, N in zip(half, blocks):
+def _lp_bands(grid, b: float = 0.0) -> _Bands:
+    """The blocks of ``lp_block_range(grid)`` composed with D^b, a row per
+    block, each held on its band (``spectral._banded``): eta(|xi|/2^N)
+    |xi|^b, the blocks themselves at b = 0, evaluated on the frequencies of
+    the band 1/2 < |xi|/2^N < 2 in the half lattice, where |xi| increases,
+    and mirrored evenly; off the band eta is exactly 0.  Every row is
+    Hermitian, and odd only where it vanishes off the Nyquist mode."""
+    axi = np.abs(grid.xi[: grid.n // 2 + 1])
+    bands = []
+    for N in lp_block_range(grid):
         lo = np.searchsorted(axi, 2.0 ** (N - 1), side="right")
         hi = np.searchsorted(axi, 2.0 ** (N + 1), side="left")
-        row[lo:hi] = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b
-    return _mirrored_table(grid, half, conjugate=False)
+        bands.append((lo, hi, _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b))
+    return _banded(grid, bands)
 
 
-def _lp_table(grid, b: float = 0.0) -> _Table:
-    """The stored table of ``_lp_stack(grid, b)``."""
-    return _table(grid, ("lp_blocks", b), _lp_stack, b)
+def _lp_table(grid, b: float = 0.0) -> _Bands:
+    """The stored table of ``_lp_bands(grid, b)``."""
+    return _table(grid, ("lp_blocks", b), _lp_bands, b)
 
 
 def lp_block(f: Field, N: int) -> Field:
@@ -326,8 +323,8 @@ def lp_block(f: Field, N: int) -> Field:
 
 def lp_linf_l1(f: Field) -> float:
     """sup_x sum_N |Q_N f (x)|, the L^inf l^1_N block norm, from one forward
-    FFT of f; the blocks are applied in batches of table rows
-    (``spectral._multiply_rows``) and summed in the order of N
+    FFT of f; the blocks are applied on their bands in batches of rows
+    (``spectral._multiply_bands``) and summed in the order of N
     (``_lp_sum``)."""
     return _lp_sum(f, _lp_table(f.grid))
 
@@ -341,13 +338,12 @@ def _lp_deriv_linf_l1(f: Field, b: float) -> float:
     return _lp_sum(f, _lp_table(f.grid, b))
 
 
-def _lp_sum(f: Field, table: _Table) -> float:
+def _lp_sum(f: Field, table: _Bands) -> float:
     """sup_x sum over the rows m of ``table`` of |m(D) f (x)|, per row of f:
     one forward FFT of f, the rows applied in batches, and their magnitudes
     summed in the table's row order."""
     total = np.zeros(f.values.shape, dtype=float)
-    # map drops each batch once its magnitudes are taken, before the next is built
-    for mags in map(np.abs, _multiply_rows(f, len(table.values), table.rows)):
+    for mags in map(np.abs, _multiply_bands(f, table)):
         for row in mags:
             total += row
     return _per_row(f, np.max(total, axis=-1))

@@ -193,10 +193,32 @@ class _Table(NamedTuple):
         return _Table(self.values[index], self.odd[index], self.hermitian[index])
 
 
+class _Bands(NamedTuple):
+    """Real, even multipliers on n modes, each held on its band: row r is
+    ``bands[r] = (lo, hi, v)``, its values on the half-lattice indices
+    [lo, hi), lo >= 1, 0 elsewhere and mirrored evenly.  ``values`` holds
+    every band (read-only float64), all of the table's bytes."""
+
+    n: int
+    values: np.ndarray
+    bands: tuple
+    odd: np.ndarray  # one flag per row, as _Table's
+    hermitian: np.ndarray
+
+    def rows(self, index) -> _Table:
+        """The dense table of the rows that ``index`` selects."""
+        picked = np.arange(len(self.bands))[index]
+        half = np.zeros(np.shape(picked) + (self.n // 2 + 1,))
+        for row, r in zip(half.reshape(-1, half.shape[-1]), np.reshape(picked, -1)):
+            lo, hi, v = self.bands[r]
+            row[lo:hi] = v
+        return _frozen(_mirror(half, self.n, False), self.odd[index], self.hermitian[index])
+
+
 # Every stored table of the package's operators, by (n, L, key), oldest
 # first.  Their values hold at most _STORE_BYTES together (the refine
-# battery's 20 tables hold 2.36 MiB, its real ones as float64), so a sweep
-# over many grids or parameters holds a bounded amount.
+# battery's 20 tables hold 1.17 MiB, real ones as float64, the blocks on
+# their bands), so a sweep over many grids or parameters holds a bounded amount.
 _STORE_BYTES = 2**24
 _store: dict = {}
 _store_lock = threading.Lock()
@@ -232,7 +254,7 @@ def _narrowed(table: _Table) -> _Table:
     the cast would make it +0.0, which can flip the sign of a zero in the
     product."""
     imag = table.values.imag
-    if imag.any() or np.signbit(imag).any():
+    if table.values.dtype != complex or imag.any() or np.signbit(imag).any():
         return table
     values = table.values.real.copy()
     values.flags.writeable = False
@@ -287,6 +309,25 @@ def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool) -> _Table:
     if not conjugate:
         hermitian &= 2.0 * np.max(np.abs(pos.imag), axis=-1) <= tol
     return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)
+
+
+def _banded(g: Grid, bands: list) -> _Bands:
+    """The table of real rows ``bands``, ``(lo, hi, v)`` each, flagged and
+    tested by ``_mirrored_table``'s half-lattice rule read on the bands: a
+    row is odd where twice its values below the Nyquist mode are within
+    1e-13 of its max|m|, and Hermitian, being real."""
+    values = np.concatenate([v for _, _, v in bands])
+    values.flags.writeable = False
+    rows, end, odd = [], 0, []
+    for lo, hi, v in bands:
+        v, end = values[end : end + hi - lo], end + hi - lo
+        tol = 1e-13 * np.max(np.abs(v), initial=0.0)
+        if not np.isfinite(tol):
+            _require_finite_symbol(g, np.pad(v, (lo, 0)), _SINGULAR)
+        pos = v[: min(hi, g.n // 2) - lo]
+        odd.append(np.max(np.abs(pos + pos), initial=0.0) <= tol)
+        rows.append((int(lo), int(hi), v))
+    return _Bands(g.n, values, tuple(rows), np.array(odd), np.ones(len(rows), bool))
 
 
 def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause: str) -> None:
@@ -402,6 +443,30 @@ def _multiply_rows(f: Field, count: int, table_of):
         yield _apply_table(table_of(block).rows(paired), fhat, real)
 
 
+def _multiply_bands(f: Field, table: _Bands):
+    """:func:`_multiply_rows` of a banded table, with its bits: each batch
+    is formed on the bands and their mirrors in one buffer, zero elsewhere,
+    so a caller reads a batch before it takes the next."""
+    n, top = f.grid.n, f.grid.n // 2
+    fhat = _fft(f.values)
+    real = _real_rows(f.values)
+    paired = (slice(None),) + (None,) * (f.values.ndim - 1)
+    # an empty block takes one batch
+    blocks = _row_blocks(len(table.bands), max(f.values.size, 1))
+    buffer = np.empty((blocks[0].stop,) + f.values.shape, complex)
+    for block in blocks:
+        out = buffer[: block.stop - block.start]
+        out[...] = 0.0
+        for row, (lo, hi, v) in zip(out, table.bands[block]):
+            np.multiply(v, fhat[..., lo:hi], out=row[..., lo:hi])
+            mirror = slice(n - min(hi, top) + 1, n - lo + 1)  # index n - k holds m(xi_k)
+            np.multiply(v[: min(hi, top) - lo][::-1], fhat[..., mirror], out=row[..., mirror])
+        out[..., top][table.odd[block]] = 0.0
+        _ifft(out, out)
+        out.imag[table.hermitian[block][paired] & real] = 0.0
+        yield out
+
+
 def apply_multiplier(f: Field, m) -> Field:
     """Apply a frequency multiplier m(xi) to a field, or to each row of a
     block.
@@ -422,7 +487,7 @@ def apply_multiplier(f: Field, m) -> Field:
     The package's own operators follow the same rules through tables with
     the same flags, kept in one store (``_table``) or built on the half
     lattice and mirrored, their flags read off that half with no scan
-    (``_mirrored_table``).  One multiplier is applied here: an array of any
+    (``_mirrored_table``, ``_banded``).  One multiplier is applied here: an array of any
     shape other than (n,) raises ValueError.
     """
     table = _build_table(f.grid, m)

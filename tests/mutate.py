@@ -18,7 +18,7 @@ It prints the kill matrix as one JSON document: per row, whether it was
 killed, the first failing test, and the wall time.  It exits 0 when every
 mutant not listed as equivalent is killed, 1 when one survives, and 2 on an
 error: a stale row (its snippet is not found exactly once), a selection that
-collects no tests, or a baseline that fails.  A run takes 120-140 s on a
+collects no tests, or a baseline that fails.  A run takes 120-150 s on a
 2-vCPU x86_64 VM (Python 3.11, numpy 2.4).
 
 Rows marked ``equivalent`` change no output that any test can see, so they
@@ -33,8 +33,9 @@ are expected to survive and do not fail the run:
 Mutants named in the project's history that are listed differently here:
 
 * LP blocks with ``real=False``: that code is gone.  The Littlewood-Paley
-  norm and the group scan share ``spectral._multiply_rows``, whose
-  ``real = False`` row stands for both;
+  norm applies its bands through ``spectral._multiply_bands`` and the group
+  scan its phases through ``spectral._multiply_rows``; each kernel's
+  ``real = False`` row stands for its caller;
 * the Nyquist sign flip (the gKdV/BO half spectrum with +xi_max at index
   n/2) was equivalent once.  The bin's imaginary part, which ``irfft``
   ignores, is carried from step to step and mixed into the real part by the
@@ -128,9 +129,22 @@ MUTANTS = (
     Mutant(
         "multiply_rows_real_false",
         "spectral.py",
-        "    fhat = _fft(f.values)\n    real = _real_rows(f.values)\n",
-        "    fhat = _fft(f.values)\n    real = np.zeros(f.values.shape[:-1], bool)\n",
+        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
+        "    # an empty block takes one batch\n    for block",
+        "    real = np.zeros(f.values.shape[:-1], bool)\n"
+        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
+        "    # an empty block takes one batch\n    for block",
         ("tests/test_tables.py",),
+    ),
+    Mutant(
+        "multiply_bands_real_false",
+        "spectral.py",
+        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
+        "    # an empty block takes one batch\n    blocks",
+        "    real = np.zeros(f.values.shape[:-1], bool)\n"
+        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
+        "    # an empty block takes one batch\n    blocks",
+        ("tests/test_blocks.py::test_lp_linf_l1_matches_per_table_loop",),
     ),
     Mutant(
         "real_rows_from_row_0",
@@ -313,8 +327,9 @@ MUTANTS = (
     Mutant(
         "multiply_rows_unpaired",
         "spectral.py",
-        "paired = (slice(None),) + (None,) * (f.values.ndim - 1)",
-        "paired = (slice(None),)",
+        "paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
+        "    # an empty block takes one batch\n    for block",
+        "paired = (slice(None),)\n    # an empty block takes one batch\n    for block",
         ("tests/test_tables.py::test_group_scan_of_a_block_pairs_every_time_with_every_row",),
     ),
     Mutant(
@@ -362,8 +377,10 @@ MUTANTS = (
     Mutant(
         "persistence_diagnostics_unprobed",
         "checks.py",
-        "    diagnostics(Field(g, real_values(u0, f\"the {spec.model} flow\")) if spec.is_real else u0, 0.0)\n",
-        "",
+        "    rows = [diagnostics(first, 0.0)]\n    times = list(np.linspace(0.0, T, snapshots))\n"
+        "    traj = evolve(u0, spec, cfg, T, snapshot_times=times)\n",
+        "    times = list(np.linspace(0.0, T, snapshots))\n"
+        "    traj = evolve(u0, spec, cfg, T, snapshot_times=times)\n    rows = [diagnostics(first, 0.0)]\n",
         ("tests/test_checks.py::test_persistence_probes_its_diagnostics_before_the_march",),
     ),
     Mutant(
@@ -383,16 +400,30 @@ MUTANTS = (
     Mutant(
         "lp_deriv_table_without_riesz",
         "operators.py",
-        "row[lo:hi] = _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b",
-        "row[lo:hi] = _eta(axi[lo:hi] / 2.0**N)",
+        "bands.append((lo, hi, _eta(axi[lo:hi] / 2.0**N) * axi[lo:hi] ** b))",
+        "bands.append((lo, hi, _eta(axi[lo:hi] / 2.0**N)))",
         ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
     ),
     Mutant(
         "lp_store_key_ignores_b",
         "operators.py",
-        'return _table(grid, ("lp_blocks", b), _lp_stack, b)',
-        'return _table(grid, "lp_blocks", _lp_stack, b)',
+        'return _table(grid, ("lp_blocks", b), _lp_bands, b)',
+        'return _table(grid, "lp_blocks", _lp_bands, b)',
         ("tests/test_tables.py::test_lp_deriv_sum_matches_the_sum_of_d_alpha",),
+    ),
+    Mutant(
+        "lp_mirror_band_shifted",
+        "spectral.py",
+        "mirror = slice(n - min(hi, top) + 1, n - lo + 1)",
+        "mirror = slice(n - min(hi, top), n - lo)",
+        ("tests/test_tables.py::test_lp_sum_on_the_bands_equals_the_dense_rows",),
+    ),
+    Mutant(
+        "lp_bands_keep_nyquist_under_odd_rows",
+        "spectral.py",
+        "        out[..., top][table.odd[block]] = 0.0\n",
+        "",
+        ("tests/test_tables.py::test_lp_sum_on_the_bands_equals_the_dense_rows",),
     ),
     Mutant(
         "lp_store_unbounded",
@@ -430,8 +461,8 @@ MUTANTS = (
     Mutant(
         "narrow_ignores_sign_bit",
         "spectral.py",
-        "    if imag.any() or np.signbit(imag).any():",
-        "    if imag.any():",
+        " or imag.any() or np.signbit(imag).any():",
+        " or imag.any():",
         ("tests/test_bytes.py::test_tables_with_signed_or_nonzero_imaginary_parts_stay_complex",),
     ),
     Mutant(

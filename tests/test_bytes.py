@@ -1,10 +1,13 @@
 """Fewer bytes, the same bits: stored tables held at the width of their
-values, the multiplier kernel's in-place inverse transform, and the order
-in which ``stein_deriv`` forms and drops its temporaries.
+values, the Littlewood-Paley blocks held on their bands, the multiplier
+kernel's in-place inverse transform, and the order in which
+``stein_deriv`` forms and drops its temporaries.
 
 A stored table whose imaginary parts are all +0.0 is held as read-only
 float64 values with the flags it was built with; applied to complex
-coefficients it gives the bits of the complex table.  A -0.0 imaginary part
+coefficients it gives the bits of the complex table.  The stored blocks
+hold the values of their bands alone, n values on a lattice of n modes,
+and expand to the dense rows of ``_build_table``.  A -0.0 imaginary part
 keeps a table complex, and so does a group phase.  ``_apply_table`` and ``stein_deriv`` are held
 bitwise (tolerance 0) to the bodies they replace, kept here as oracles, and
 each allocates at most 3/4 of its oracle's traced peak.
@@ -19,10 +22,12 @@ from dispersivelab import spectral
 from dispersivelab.operators import (
     _NEAR_CELLS,
     _lp_deriv_linf_l1,
-    _lp_stack,
+    _eta,
+    _lp_bands,
     bessel_potential,
     derivative,
     hilbert,
+    lp_block_range,
     lp_linf_l1,
     riesz_deriv,
     stein_deriv,
@@ -66,14 +71,23 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _lp_rows(grid, b):
+    """The Littlewood-Paley rows composed with |xi|^b, evaluated on the
+    whole lattice."""
+    return np.stack([_eta(np.abs(grid.xi) / 2.0**N) for N in lp_block_range(grid)]) * (
+        np.abs(grid.xi) ** b
+    )
+
+
 # (key, operator, the table it stores, built without the store)
 REAL_TABLES = [
     (("riesz_deriv", 0.5), lambda f: riesz_deriv(f, 0.5),
      lambda g: _build_table(g, lambda xi: np.abs(xi) ** 0.5)),
     (("bessel_potential", 1.0), lambda f: bessel_potential(f, 1.0),
      lambda g: _build_table(g, lambda xi: (1.0 + xi**2) ** 0.5)),
-    (("lp_blocks", 0.0), lp_linf_l1, lambda g: _lp_stack(g)),
-    (("lp_blocks", 0.5), lambda f: _lp_deriv_linf_l1(f, 0.5), lambda g: _lp_stack(g, 0.5)),
+    (("lp_blocks", 0.0), lp_linf_l1, lambda g: _build_table(g, _lp_rows(g, 0.0))),
+    (("lp_blocks", 0.5), lambda f: _lp_deriv_linf_l1(f, 0.5),
+     lambda g: _build_table(g, _lp_rows(g, 0.5))),
 ]
 
 
@@ -86,9 +100,25 @@ def test_stored_real_table_is_read_only_float64(key, op, build, n, store):
     op(_field(grid, 1, real=True))
     stored, built = store[(n, 20.0, key)], build(grid)
     assert stored.values.dtype == np.float64 and not stored.values.flags.writeable
+    if key[0] == "lp_blocks":
+        stored = stored.rows(slice(None))  # the bands expanded to the lattice
     assert stored.odd.tobytes() == built.odd.tobytes() and stored.odd.shape == built.odd.shape
     assert stored.hermitian.tobytes() == built.hermitian.tobytes()
     assert stored.values.astype(complex).tobytes() == built.values.tobytes()
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("n", [8, 512, 4096, 8192])
+def test_stored_lp_table_holds_its_bands_alone(n, b, store):
+    """The stored blocks are 8 bytes per value of their bands, and the bands
+    hold n values: on these grids each mode 0 < |xi| <= xi_max lies in two."""
+    grid = Grid(n, 20.0)
+    op = lp_linf_l1 if b == 0.0 else lambda f: _lp_deriv_linf_l1(f, b)
+    op(_field(grid, 1, real=True))
+    stored = store[(n, 20.0, ("lp_blocks", b))]
+    lengths = sum(hi - lo for lo, hi, _ in stored.bands)
+    assert stored.values.nbytes == 8 * lengths == 8 * n
+    assert sum(table.values.nbytes for table in store.values()) == 8 * n
 
 
 def test_tables_with_signed_or_nonzero_imaginary_parts_stay_complex(store):
@@ -129,12 +159,12 @@ def _apply_table_oracle(table, fhat, real):
 
 
 # an odd table, an odd and Hermitian one, a Hermitian float one, and a
-# stack of Hermitian float rows
+# stack of Hermitian float rows (the Littlewood-Paley bands expanded)
 KERNEL_TABLES = {
     "derivative(1)": lambda g: _build_table(g, lambda xi: 1j * xi),
     "hilbert": lambda g: _build_table(g, lambda xi: -1j * np.sign(xi)),
     "riesz_deriv(0.5)": lambda g: spectral._narrowed(_build_table(g, lambda xi: np.abs(xi) ** 0.5)),
-    "lp_blocks": lambda g: spectral._narrowed(_lp_stack(g)),
+    "lp_blocks": lambda g: _lp_bands(g).rows(slice(None)),
 }
 
 

@@ -109,14 +109,14 @@ def test_lp_block_range_at_refine():
 
 def _table_builds(monkeypatch):
     """The count of the operator tables built from here on: every stored
-    table is ``_build_table`` of a symbol or a Littlewood-Paley stack."""
+    table is ``_build_table`` of a symbol or the Littlewood-Paley bands."""
     builds = _counting(monkeypatch, operators, "_build_table")
-    stacks = _counting(monkeypatch, operators, "_lp_stack")
+    stacks = _counting(monkeypatch, operators, "_lp_bands")
     return lambda: builds[0] + stacks[0]
 
 
 def _lp_keys(store) -> list:
-    """The store's keys of Littlewood-Paley stacks, sorted."""
+    """The store's keys of Littlewood-Paley tables, sorted."""
     return sorted(key for key in store if key[2][0] == "lp_blocks")
 
 
@@ -147,7 +147,7 @@ def test_commutator_leibniz_ops_build_the_lp_table_once_per_grid(monkeypatch):
     """Two refine commutator_leibniz ops (n = 4096 and its refinement 8192)
     build the table of the blocks of D^alpha once per grid: 2 tables."""
     monkeypatch.setattr(spectral, "_store", {})
-    builds = _counting(monkeypatch, operators, "_lp_stack")
+    builds = _counting(monkeypatch, operators, "_lp_bands")
     reports = [run_check("commutator_leibniz", {"n": 4096}) for _ in range(2)]
     assert [r.verdict for r in reports] == ["pass", "pass"]
     assert asdict(reports[0]) == asdict(reports[1])
@@ -157,18 +157,31 @@ def test_commutator_leibniz_ops_build_the_lp_table_once_per_grid(monkeypatch):
     ]
 
 
+def test_large_grids_build_their_lp_table_once(monkeypatch):
+    """At n = 2^16 and its refinement 2^17 the banded tables of the blocks of
+    D^alpha (0.5 and 1 MiB) fit the store: repeated block norms build each
+    grid's table once, and the store keeps both."""
+    monkeypatch.setattr(spectral, "_store", {})
+    builds = _counting(monkeypatch, operators, "_lp_bands")
+    grids = [Grid(2**16, 20.0), Grid(2**17, 20.0)]
+    for grid in grids * 3:
+        _lp_deriv_linf_l1(Field(grid, np.exp(-grid.x**2)), 0.5)
+    assert builds[0] == 2
+    assert _lp_keys(spectral._store) == [(g.n, 20.0, ("lp_blocks", 0.5)) for g in grids]
+
+
 def test_a_sweep_past_the_byte_bound_keeps_the_newest_tables(monkeypatch):
     """A sweep over more orders b than the store holds tables of the blocks
-    of D^b at n = 8192 (0.9 MB each, float64) keeps the newest ones, never
-    holds more bytes than its bound, and builds a key dropped from it
-    again."""
+    of D^b at n = 8192 (64 kB each, float64 on their bands) keeps the
+    newest ones, never holds more bytes than its bound, and builds a key
+    dropped from it again."""
     monkeypatch.setattr(spectral, "_store", {})
     grid = Grid(8192, 20.0)
     f = Field(grid, np.exp(-grid.x**2))
     _lp_deriv_linf_l1(f, 0.05)
     size = spectral._store[(8192, 20.0, ("lp_blocks", 0.05))].values.nbytes
     monkeypatch.setattr(spectral, "_store", {})
-    builds = _counting(monkeypatch, operators, "_lp_stack")
+    builds = _counting(monkeypatch, operators, "_lp_bands")
     kept = spectral._STORE_BYTES // size
     orders = [0.05 * (i + 1) for i in range(kept + 2)]
     for b in orders:

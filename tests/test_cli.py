@@ -18,7 +18,7 @@ from dispersivelab.cli import (
     parse_config_text,
     run,
 )
-from dispersivelab.checks import CHECKS, CheckReport, _arguments
+from dispersivelab.checks import CHECKS, CheckReport, _arguments, run_check
 from dispersivelab.propagators import CFLWarning
 from dispersivelab.spectral import Grid
 
@@ -910,6 +910,33 @@ def test_persistence_fails_on_solver_failure(tmp_path, capsys):
     with pytest.warns(CFLWarning):
         assert main([*argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "persistence: fail (worst_ratio=1)\n"
+
+
+# (params, failure time, CFL warning): I3 overflows at the first snapshot
+# after t = 0, and the first step of the k = 100 march leaves the float range
+DIVERGING_PERSISTENCE = [
+    (["model=gkdv", "amplitude=400", "T=0.05"], 0.005, True),
+    (["model=gkdv", "k=100", "amplitude=2"], 0.001, False),
+]
+
+
+@pytest.mark.parametrize(
+    "params, failure_time, cfl", DIVERGING_PERSISTENCE, ids=["invariant", "step"]
+)
+def test_diverging_persistence_runs_read_as_failed_runs(tmp_path, capsys, params, failure_time,
+                                                        cfl):
+    """A diagnostic that overflows after t = 0 ends the run as a non-finite
+    step does: verdict fail, exit 1, the failure time noted, and the series
+    ends at the last snapshot whose diagnostics are finite (t = 0 here)."""
+    argv = ["check", "persistence", *(a for p in params for a in ("--param", p))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CFLWarning)
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        report = run_check("persistence", dict(p.split("=") for p in params))
+    assert [w.category for w in caught] == [CFLWarning] * 2 * cfl
+    assert capsys.readouterr().out == "persistence: fail (worst_ratio=1)\n"
+    assert report.verdict == "fail" and report.notes["failure_time"] == failure_time
+    assert len(report.refinement_trend) == 1
 
 
 def test_emit_reports_requires_rows(tmp_path):

@@ -44,8 +44,8 @@ PRIVATE_IMPORTS = {
     "norms": {"operators": {"_bessel_table"}, "spectral": {"_one_row", "_per_row", "_table_norm"}},
     "operators": {
         "spectral": {
-            "_Table", "_build_table", "_fft", "_ifft", "_mirrored_table", "_multiply",
-            "_multiply_rows", "_per_row", "_table",
+            "_Bands", "_Table", "_banded", "_build_table", "_fft", "_ifft", "_multiply",
+            "_multiply_bands", "_per_row", "_table",
         }
     },
     "propagators": {

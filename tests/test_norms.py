@@ -20,6 +20,21 @@ def test_weighted_l2_m_zero_is_l2():
     assert weighted_l2(f, 0.0) == pytest.approx(lebesgue(f, 2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("bracket", [False, True])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_weighted_l2_m_zero_forms_the_weighted_formula_bitwise(rows, bracket):
+    """At m = 0 no weight is formed: the norm keeps the bits of the weighted
+    formula under |x|^0 and <x>^0, which are 1.0 at every node (x = 0 too)."""
+    g = Grid(256, 10.0)
+    vals = np.stack([random_band_limited(g, seed=22 + r).values for r in range(rows)])
+    f = Field(g, vals[0] if rows == 1 else vals)
+    w = (1.0 + g.x**2) ** 0.0 if bracket else np.abs(g.x) ** 0.0
+    want = np.sqrt(g.h * np.sum(w * np.abs(f.values) ** 2, axis=-1))
+    got = weighted_l2(f, 0.0, bracket=bracket)
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert isinstance(got, float) if rows == 1 else got.shape == (rows,)
+
+
 def test_weighted_l2_kills_origin_bump():
     g = Grid(512, 10.0)
     f = Field.from_function(g, lambda x: np.exp(-(x**2) * 16))

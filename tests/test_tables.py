@@ -16,12 +16,14 @@ equals its symbol, 0 on the lattice, under ``apply_multiplier`` in value.
 ``apply_multiplier`` itself is held to the single-function form it had
 before the build and the application were split (``_old_apply_multiplier``).
 
-The group-phase tables (``_group_table``) and the Littlewood-Paley stack
-(``_lp_stack``), plain or composed with |xi|^b, take their symmetry flags
-from their construction; each is held to ``_build_table``'s scan of the
-same values at tolerance 0.  The block norm of D^b f summed under the
-composed stack is held to ``lp_linf_l1(riesz_deriv(f, b))`` at 1e-14
-relative.
+The group-phase tables (``_group_table``) and the Littlewood-Paley blocks
+(``_lp_bands``), plain or composed with |xi|^b and each held on its band,
+take their symmetry flags from their construction; each, the blocks
+expanded to dense rows, is held to ``_build_table``'s scan of the same
+values at tolerance 0, and the block norm summed on the bands to the sum
+of the dense rows under the multiplier kernel at tolerance 0.  The block
+norm of D^b f summed under the composed blocks is held to
+``lp_linf_l1(riesz_deriv(f, b))`` at 1e-14 relative.
 """
 
 import sys
@@ -34,7 +36,8 @@ from dispersivelab import spectral
 from dispersivelab.operators import (
     _eta,
     _lp_deriv_linf_l1,
-    _lp_stack,
+    _lp_bands,
+    _lp_sum,
     bessel_potential,
     derivative,
     hilbert,
@@ -516,6 +519,13 @@ def _old_lp_rows(grid, blocks):
     return out
 
 
+def _dense(bands):
+    """The rows of a banded table expanded to the lattice, complex as
+    ``_build_table`` holds them."""
+    table = bands.rows(slice(None))
+    return table._replace(values=table.values.astype(complex))
+
+
 # every grid the checks and the tests use, the refine battery's, and an n = 8
 # cell whose top block meets the lattice at the Nyquist mode alone
 LP_GRIDS = [
@@ -529,7 +539,7 @@ LP_GRIDS = [
 def test_lp_stack_equals_the_scan_of_the_old_rows(n, L):
     grid = Grid(n, L)
     blocks = lp_block_range(grid)
-    assert _same_table(_lp_stack(grid), _build_table(grid, _old_lp_rows(grid, blocks)))
+    assert _same_table(_dense(_lp_bands(grid)), _build_table(grid, _old_lp_rows(grid, blocks)))
     # the rows the range dropped at each end are 0 on the lattice
     ends = range(blocks.start - 1, blocks.stop + 1, len(blocks) + 1)
     assert not _old_lp_rows(grid, ends).any()
@@ -537,8 +547,8 @@ def test_lp_stack_equals_the_scan_of_the_old_rows(n, L):
 
 def test_lp_stack_odd_only_where_a_row_vanishes_off_nyquist():
     grid = Grid(8, 4.0 * np.pi / 2.4)  # |xi| = 0.6 k: the top band (2, 8) holds 2.4 alone
-    table = _lp_stack(grid)
-    top = table.values[-1]
+    table = _lp_bands(grid)
+    top = table.rows(-1).values
     assert np.flatnonzero(top).tolist() == [grid.n // 2]
     assert table.odd.tolist() == [False] * (len(table.odd) - 1) + [True]
     assert table.hermitian.all()
@@ -546,7 +556,7 @@ def test_lp_stack_odd_only_where_a_row_vanishes_off_nyquist():
 
 @pytest.mark.parametrize("n,L", GRIDS)
 def test_no_lp_row_is_all_zero(n, L):
-    rows = _lp_stack(Grid(n, L)).values
+    rows = _lp_bands(Grid(n, L)).rows(slice(None)).values
     assert rows.any(axis=-1).all()
 
 
@@ -555,7 +565,7 @@ def test_no_lp_row_is_all_zero(n, L):
 def test_lp_deriv_stack_equals_the_scan_of_the_composed_rows(n, L, b):
     grid = Grid(n, L)
     rows = _old_lp_rows(grid, lp_block_range(grid)) * np.abs(grid.xi) ** b
-    assert _same_table(_lp_stack(grid, b), _build_table(grid, rows))
+    assert _same_table(_dense(_lp_bands(grid, b)), _build_table(grid, rows))
 
 
 # the default and the refine grids of commutator_leibniz
@@ -574,3 +584,27 @@ def test_lp_deriv_sum_matches_the_sum_of_d_alpha(n, L):
         assert np.all(np.abs(got - want) <= 1e-14 * want), b
         one = Field(grid, block.values[0])
         assert abs(_lp_deriv_linf_l1(one, b) - got[0]) <= 1e-14 * got[0]
+
+
+def _dense_lp_sum(f, bands):
+    """The block norm of ``_lp_sum`` from the dense rows of ``bands`` under
+    the stacked multiplier kernel (``spectral._multiply_rows``)."""
+    table = bands.rows(slice(None))
+    total = np.zeros(f.values.shape)
+    for mags in map(np.abs, spectral._multiply_rows(f, len(table.values), table.rows)):
+        for row in mags:
+            total += row
+    return np.max(total, axis=-1)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("n,L", LP_GRIDS)
+def test_lp_sum_on_the_bands_equals_the_dense_rows(n, L, b):
+    """The band kernel gives the bits of the dense rows, on every grid's
+    partial batches and on the n = 8 grid whose odd top row holds the
+    Nyquist mode alone: a real, a complex and a block field."""
+    grid = Grid(n, L)
+    bands = _lp_bands(grid, b)
+    real, cplx = _field(grid, True), _field(grid, False, seed=4)
+    for f in (real, cplx, Field(grid, np.stack([real.values, cplx.values]))):
+        assert np.asarray(_lp_sum(f, bands)).tobytes() == _dense_lp_sum(f, bands).tobytes()
