@@ -817,7 +817,8 @@ def check_strichartz(
     blocks (see ``propagators._group_scan``), advancing the phase by the
     group law, so each U(t) u0 is the per-time flow to a relative error of
     max|t xi^2| times the double-precision epsilon: the L^p norm of every
-    U(t) u0 is taken row by row and no snapshot is stored."""
+    U(t) u0 is taken row by row from the scan's one reused buffer, read
+    before the next batch is taken, and no snapshot is stored."""
     if not (q > 0 and p > 0 and abs(2.0 / q + 1.0 / p - 0.5) <= 1e-12):  # NaN fails it too
         raise ValueError(
             f"inadmissible pair (q={q}, p={p}): need 2/q + 1/p = 1/2 in one dimension"

@@ -308,17 +308,19 @@ def _lp_table(grid, b: float = 0.0) -> _Bands:
 
 
 def lp_block(f: Field, N: int) -> Field:
-    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N, the row
-    of the stored table of the blocks (``_lp_table``) for N in
-    ``lp_block_range``.  Off that range the symbol is exactly 0 on the
-    lattice, and Q_N f is the zero field."""
+    """Littlewood-Paley block Q_N: smooth restriction to |xi| ~ 2^N, the band
+    of the stored blocks (``_lp_table``) for N in ``lp_block_range``, applied
+    by ``spectral._multiply_bands``.  Off that range the symbol is exactly 0
+    on the lattice, and Q_N f is the zero field."""
     if not (float(N).is_integer() and abs(N) <= 60):  # NaN and inf fail it too
         raise ValueError(f"dyadic index must be an integer with |N| <= 60, got N={N}")
     N = int(N)
     blocks = lp_block_range(f.grid)
     if N not in blocks:
         return Field(f.grid, np.zeros(f.values.shape))
-    return _multiply(f, _lp_table(f.grid).rows(N - blocks.start))
+    row = slice(N - blocks.start, N - blocks.start + 1)
+    (out,) = _multiply_bands(f, 1, lambda _: _lp_table(f.grid).take(row))
+    return Field(f.grid, out[0])
 
 
 def lp_linf_l1(f: Field) -> float:
@@ -343,7 +345,7 @@ def _lp_sum(f: Field, table: _Bands) -> float:
     one forward FFT of f, the rows applied in batches, and their magnitudes
     summed in the table's row order."""
     total = np.zeros(f.values.shape, dtype=float)
-    for mags in map(np.abs, _multiply_bands(f, table)):
+    for mags in map(np.abs, _multiply_bands(f, len(table.bands), table.take)):
         for row in mags:
             total += row
     return _per_row(f, np.max(total, axis=-1))

@@ -28,13 +28,14 @@ from .spectral import (
     Field,
     Grid,
     _Table,
+    _banded,
     _fft,
     _ifft,
     _irfft,
     _mirror,
     _mirrored_table,
     _multiply,
-    _multiply_rows,
+    _multiply_bands,
     _rfft,
     real_values,
 )
@@ -217,12 +218,14 @@ def _group_times(times, g: Grid, spec: EquationSpec) -> np.ndarray:
 def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
     """Samples of U(t) f at the ``count`` times t = t0 + j*dt, yielded in
     batches of shape ``(times, *f.values.shape)`` from one forward FFT of f
-    (``spectral._multiply_rows``): every time meets every row of a block.
+    (``spectral._multiply_bands``): every time meets every row of a block.
+    Each batch is one reused buffer, to be read before the next is taken.
 
     The phases advance by the group law U(t + dt) = U(dt) U(t): the exact
     phases of t0 and dt are evaluated once (``_half_phase``), and each later
-    time takes one complex multiply per mode of the half lattice, mirrored
-    as ``group_phase`` mirrors it (``spectral._mirrored_table``).  Hence
+    time takes one complex multiply per mode of the half lattice.  Each
+    block of times goes to the kernel as bands on the whole half lattice
+    (``spectral._banded``), mirrored as ``group_phase`` mirrors them.  Hence
     the samples at t0 are bitwise ``linear_group(f, spec, t0)`` (at
     t0 = +-0 the phase is exactly 1), a real field stays exactly real under
     the gKdV and BO phases, and those at time j are
@@ -237,14 +240,14 @@ def _group_scan(f: Field, spec: EquationSpec, t0: float, dt: float, count: int):
 
     def table_of(block):
         nonlocal phase
-        half = np.empty((block.stop - block.start, n // 2 + 1), dtype=complex)
-        for j, row in zip(range(block.start, block.stop), half):
+        bands = []
+        for j in range(block.start, block.stop):
             if j:
                 phase = step * phase
-            row[:] = phase
-        return _mirrored_table(g, half, conjugate=spec.is_real)
+            bands.append((0, n // 2 + 1, phase))
+        return _banded(g, bands, spec.is_real)
 
-    return _multiply_rows(f, count, table_of)
+    return _multiply_bands(f, count, table_of)
 
 
 class _Stepper:

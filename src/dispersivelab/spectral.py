@@ -188,31 +188,25 @@ class _Table(NamedTuple):
     odd: np.ndarray        # m(-xi) = -m(xi): the Nyquist mode is zeroed
     hermitian: np.ndarray  # m(-xi) = conj(m(xi)): a real input stays real
 
-    def rows(self, index) -> "_Table":
-        """The multipliers of the rows that ``index`` selects."""
-        return _Table(self.values[index], self.odd[index], self.hermitian[index])
-
 
 class _Bands(NamedTuple):
-    """Real, even multipliers on n modes, each held on its band: row r is
+    """Multipliers on n modes, each held on its band: row r is
     ``bands[r] = (lo, hi, v)``, its values on the half-lattice indices
-    [lo, hi), lo >= 1, 0 elsewhere and mirrored evenly.  ``values`` holds
-    every band (read-only float64), all of the table's bytes."""
+    [lo, hi), 0 elsewhere, and mirrored onto -xi, conjugated when
+    ``conjugate`` (the zero mode has no mirror).  ``values`` holds every
+    band, all of the table's bytes."""
 
     n: int
     values: np.ndarray
     bands: tuple
     odd: np.ndarray  # one flag per row, as _Table's
     hermitian: np.ndarray
+    conjugate: bool
 
-    def rows(self, index) -> _Table:
-        """The dense table of the rows that ``index`` selects."""
-        picked = np.arange(len(self.bands))[index]
-        half = np.zeros(np.shape(picked) + (self.n // 2 + 1,))
-        for row, r in zip(half.reshape(-1, half.shape[-1]), np.reshape(picked, -1)):
-            lo, hi, v = self.bands[r]
-            row[lo:hi] = v
-        return _frozen(_mirror(half, self.n, False), self.odd[index], self.hermitian[index])
+    def take(self, index: slice) -> "_Bands":
+        """The table of the rows that ``index`` selects, on their bands."""
+        return self._replace(bands=self.bands[index], odd=self.odd[index],
+                             hermitian=self.hermitian[index])
 
 
 # Every stored table of the package's operators, by (n, L, key), oldest
@@ -291,8 +285,15 @@ def _mirror(half: np.ndarray, n: int, conjugate: bool) -> np.ndarray:
 def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool) -> _Table:
     """The table of rows ``half``, finite or not, on the half lattice
     ``xi[: n/2 + 1]``, mirrored here onto the rest (``_mirror``) by the
-    ``conjugate`` that its flags read.  The finiteness test and the flags
-    read the half alone and are bitwise those of _build_table's scan: the
+    ``conjugate`` that its flags read (``_half_flags``)."""
+    return _frozen(_mirror(half, g.n, conjugate), *_half_flags(g, half, conjugate))
+
+
+def _half_flags(g: Grid, half: np.ndarray, conjugate: bool) -> tuple:
+    """The odd and the Hermitian flag of each of the rows ``half`` on the
+    half lattice ``xi[: n/2 + 1]``, whose rest mirrors them by
+    ``conjugate`` (``_mirror``).  The finiteness test and the flags read
+    the half alone and are bitwise those of _build_table's scan: the
     mirror repeats the half or its conjugates, so max|m| is the half's; a
     conjugated mirror makes pos - conj(neg) exactly 0, an even one exactly
     2i Im(pos); and the odd test forms pos + neg as the scan does.  A
@@ -308,26 +309,23 @@ def _mirrored_table(g: Grid, half: np.ndarray, conjugate: bool) -> _Table:
     hermitian = np.abs(zero.imag) <= tol
     if not conjugate:
         hermitian &= 2.0 * np.max(np.abs(pos.imag), axis=-1) <= tol
-    return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)
+    return odd, hermitian
 
 
-def _banded(g: Grid, bands: list) -> _Bands:
-    """The table of real rows ``bands``, ``(lo, hi, v)`` each, flagged and
-    tested by ``_mirrored_table``'s half-lattice rule read on the bands: a
-    row is odd where twice its values below the Nyquist mode are within
-    1e-13 of its max|m|, and Hermitian, being real."""
+def _banded(g: Grid, bands: list, conjugate: bool = False) -> _Bands:
+    """The table of rows ``bands``, ``(lo, hi, v)`` each, mirrored by
+    ``conjugate``, its values in one read-only array, and flagged and
+    tested by the half-lattice rule (``_half_flags``) read on the rows
+    padded to the half lattice."""
     values = np.concatenate([v for _, _, v in bands])
     values.flags.writeable = False
-    rows, end, odd = [], 0, []
-    for lo, hi, v in bands:
+    half = np.zeros((len(bands), g.n // 2 + 1), values.dtype)
+    rows, end = [], 0
+    for row, (lo, hi, v) in zip(half, bands):
         v, end = values[end : end + hi - lo], end + hi - lo
-        tol = 1e-13 * np.max(np.abs(v), initial=0.0)
-        if not np.isfinite(tol):
-            _require_finite_symbol(g, np.pad(v, (lo, 0)), _SINGULAR)
-        pos = v[: min(hi, g.n // 2) - lo]
-        odd.append(np.max(np.abs(pos + pos), initial=0.0) <= tol)
+        row[lo:hi] = v
         rows.append((int(lo), int(hi), v))
-    return _Bands(g.n, values, tuple(rows), np.array(odd), np.ones(len(rows), bool))
+    return _Bands(g.n, values, tuple(rows), *_half_flags(g, half, conjugate), conjugate)
 
 
 def _require_finite_symbol(g: Grid, mvals: np.ndarray, cause: str) -> None:
@@ -429,41 +427,36 @@ def _table_norm(f: Field, table: _Table, fhat=None):
     return _per_row(f, np.sqrt(f.grid.h / n * np.sum(parts, axis=-1)) / scale)
 
 
-def _multiply_rows(f: Field, count: int, table_of):
+def _multiply_bands(f: Field, count: int, table_of):
     """``count`` multipliers applied to every row of ``f``, yielded in
     batches of shape ``(rows, *f.values.shape)`` of at most BLOCK_SAMPLES
     samples (``_row_blocks``): one forward FFT of f, then each slice
-    ``block`` of the multipliers under its table ``table_of(block)``
-    (e.g. ``table.rows``) by the rules of :func:`apply_multiplier`."""
-    fhat = _fft(f.values)
-    real = _real_rows(f.values)
-    paired = (slice(None),) + (None,) * (f.values.ndim - 1)
-    # an empty block takes one batch
-    for block in _row_blocks(count, max(f.values.size, 1)):
-        yield _apply_table(table_of(block).rows(paired), fhat, real)
-
-
-def _multiply_bands(f: Field, table: _Bands):
-    """:func:`_multiply_rows` of a banded table, with its bits: each batch
-    is formed on the bands and their mirrors in one buffer, zero elsewhere,
+    ``block`` of the multipliers under its banded table ``table_of(block)``
+    (e.g. ``table.take``) by the rules of :func:`apply_multiplier`, every
+    multiplier row paired with every input row.  Each batch is formed on
+    the bands and their mirrors in one reused buffer, zero elsewhere, with
+    the bits of the rows mirrored onto the lattice under ``_apply_table``;
     so a caller reads a batch before it takes the next."""
     n, top = f.grid.n, f.grid.n // 2
     fhat = _fft(f.values)
     real = _real_rows(f.values)
     paired = (slice(None),) + (None,) * (f.values.ndim - 1)
-    # an empty block takes one batch
-    blocks = _row_blocks(len(table.bands), max(f.values.size, 1))
-    buffer = np.empty((blocks[0].stop,) + f.values.shape, complex)
+    # a field of no rows takes one batch, and a count of 0 none
+    blocks = _row_blocks(count, max(f.values.size, 1))
+    buffer = np.empty((blocks[0].stop if blocks else 0,) + f.values.shape, complex)
     for block in blocks:
+        table = table_of(block)
         out = buffer[: block.stop - block.start]
         out[...] = 0.0
-        for row, (lo, hi, v) in zip(out, table.bands[block]):
+        for row, (lo, hi, v) in zip(out, table.bands):
             np.multiply(v, fhat[..., lo:hi], out=row[..., lo:hi])
-            mirror = slice(n - min(hi, top) + 1, n - lo + 1)  # index n - k holds m(xi_k)
-            np.multiply(v[: min(hi, top) - lo][::-1], fhat[..., mirror], out=row[..., mirror])
-        out[..., top][table.odd[block]] = 0.0
+            start, stop = max(lo, 1), min(hi, top)  # the modes 0 and n/2 have no mirror
+            mirror = slice(n - stop + 1, n - start + 1)  # index n - k is the mode -xi_k
+            w = v[start - lo : stop - lo][::-1]
+            np.multiply(w.conj() if table.conjugate else w, fhat[..., mirror], out=row[..., mirror])
+        out[..., top][table.odd] = 0.0
         _ifft(out, out)
-        out.imag[table.hermitian[block][paired] & real] = 0.0
+        out.imag[table.hermitian[paired] & real] = 0.0
         yield out
 
 
@@ -491,7 +484,7 @@ def apply_multiplier(f: Field, m) -> Field:
     shape other than (n,) raises ValueError.
     """
     table = _build_table(f.grid, m)
-    if table.values.ndim != 1:  # stacks of multipliers go through _multiply_rows
+    if table.values.ndim != 1:  # stacks of multipliers go through _multiply_bands
         raise ValueError(f"multiplier must have {f.grid.n} values, got shape {table.values.shape}")
     return _multiply(f, table)
 

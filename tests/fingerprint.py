@@ -22,11 +22,13 @@ It prints one JSON document with three parts:
   amplitude 1.2 (n=2048, L=20, dt=1e-3, T=0.2, 11 snapshots, s=2, m=1.5);
   and the exit code and last stderr line of two diverging solves, gKdV
   and BO at amplitude 400 (n=512, T=0.05), whose invariants overflow.
-* ``operators``: 126 operator cases, each the SHA-256 of the output
+* ``operators``: 153 operator cases, each the SHA-256 of the output
   samples (of the values, for ``lp_linf_l1``): ``derivative`` of orders
   1, 2 and 3, ``riesz_deriv`` (b = 1/2, 3/2), ``bessel_potential``
   (s = 1, -1), ``hilbert``, every ``lp_block`` of the grid's range in one
-  digest, ``lp_linf_l1`` and ``stein_deriv`` (b = 1/4, 3/4) with each tail,
+  digest, ``lp_linf_l1``, ``stein_deriv`` (b = 1/4, 3/4) with each tail,
+  and every batch of the time scan ``propagators._group_scan`` of NLS,
+  gKdV and BO over the times of ``GROUP_SCANS`` in one digest per model,
   on a real field, a complex field and the block of the two, at n in
   {8, 512, 4096} on the cell L=10.
 
@@ -50,6 +52,7 @@ import numpy as np
 from dispersivelab import operators as ops
 from dispersivelab.checks import CHECKS, run_check
 from dispersivelab.cli import main
+from dispersivelab.propagators import EquationSpec, _group_scan
 from dispersivelab.spectral import Field, Grid
 
 REFINE_SEEDS = (0x5EED, 101)
@@ -84,6 +87,9 @@ DIVERGING_SOLVE = (
     "solve.amplitude = 400\n"
 )
 OPERATOR_SIZES = (8, 512, 4096)
+# (t0, dt, count): from -0, and a backwards scan; at n = 4096 both end in a
+# partial block
+GROUP_SCANS = ((-0.0, 0.05, 17), (0.25, -1.0 / 32.0, 9))
 OPERATORS = {
     "derivative/1": lambda f: ops.derivative(f, 1),
     "derivative/2": lambda f: ops.derivative(f, 2),
@@ -99,6 +105,13 @@ OPERATORS = {
     "stein_deriv/0.75,decay": lambda f: ops.stein_deriv(f, 0.75),
     "stein_deriv/0.25,stationary": lambda f: ops.stein_deriv(f, 0.25, tail="stationary"),
     "stein_deriv/0.75,stationary": lambda f: ops.stein_deriv(f, 0.75, tail="stationary"),
+    **{
+        # each batch is copied before the scan reuses its buffer
+        f"group_scan/{spec.model}": lambda f, spec=spec: [
+            rows.copy() for scan in GROUP_SCANS for rows in _group_scan(f, spec, *scan)
+        ]
+        for spec in (EquationSpec.nls(), EquationSpec.gkdv(), EquationSpec.bo())
+    },
 }
 
 
@@ -159,12 +172,12 @@ def _operator_fields(n: int) -> dict:
 
 
 def _digest(output) -> str:
-    """SHA-256 of an operator's output: a field, a list of fields, or the
-    numbers of a reduction."""
+    """SHA-256 of an operator's output: a field, a list of fields or of
+    arrays, or the numbers of a reduction."""
     items = output if isinstance(output, list) else [output]
     sha = hashlib.sha256()
     for item in items:
-        values = item.values if isinstance(item, Field) else np.asarray(item, dtype=float)
+        values = item.values if isinstance(item, Field) else np.asarray(item)
         sha.update(np.ascontiguousarray(values).tobytes())
     return sha.hexdigest()
 

@@ -18,7 +18,7 @@ It prints the kill matrix as one JSON document: per row, whether it was
 killed, the first failing test, and the wall time.  It exits 0 when every
 mutant not listed as equivalent is killed, 1 when one survives, and 2 on an
 error: a stale row (its snippet is not found exactly once), a selection that
-collects no tests, or a baseline that fails.  A run takes 120-150 s on a
+collects no tests, or a baseline that fails.  A run takes 120-160 s on a
 2-vCPU x86_64 VM (Python 3.11, numpy 2.4).
 
 Rows marked ``equivalent`` change no output that any test can see, so they
@@ -33,9 +33,9 @@ are expected to survive and do not fail the run:
 Mutants named in the project's history that are listed differently here:
 
 * LP blocks with ``real=False``: that code is gone.  The Littlewood-Paley
-  norm applies its bands through ``spectral._multiply_bands`` and the group
-  scan its phases through ``spectral._multiply_rows``; each kernel's
-  ``real = False`` row stands for its caller;
+  norm and the group scan apply their bands through one kernel,
+  ``spectral._multiply_bands``, whose ``real = False`` row is run once
+  against each caller's tests;
 * the Nyquist sign flip (the gKdV/BO half spectrum with +xi_max at index
   n/2) was equivalent once.  The bin's imaginary part, which ``irfft``
   ignores, is carried from step to step and mixed into the real part by the
@@ -127,23 +127,19 @@ MUTANTS = (
         ("tests/test_cli.py::test_bad_check_parameter_names_check_and_cause",),
     ),
     Mutant(
-        "multiply_rows_real_false",
+        "multiply_bands_real_false_scan",
         "spectral.py",
-        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
-        "    # an empty block takes one batch\n    for block",
+        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n",
         "    real = np.zeros(f.values.shape[:-1], bool)\n"
-        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
-        "    # an empty block takes one batch\n    for block",
+        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n",
         ("tests/test_tables.py",),
     ),
     Mutant(
         "multiply_bands_real_false",
         "spectral.py",
-        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
-        "    # an empty block takes one batch\n    blocks",
+        "    real = _real_rows(f.values)\n    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n",
         "    real = np.zeros(f.values.shape[:-1], bool)\n"
-        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
-        "    # an empty block takes one batch\n    blocks",
+        "    paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n",
         ("tests/test_blocks.py::test_lp_linf_l1_matches_per_table_loop",),
     ),
     Mutant(
@@ -313,8 +309,8 @@ MUTANTS = (
     Mutant(
         "group_odd_forced",
         "spectral.py",
-        "    return _frozen(_mirror(half, g.n, conjugate), odd, hermitian)",
-        "    return _frozen(_mirror(half, g.n, conjugate), odd | True, hermitian)",
+        "<= tol\n    return odd, hermitian\n\n\ndef _banded(",
+        "<= tol\n    return odd | True, hermitian\n\n\ndef _banded(",
         ("tests/test_tables.py",),
     ),
     Mutant(
@@ -325,11 +321,10 @@ MUTANTS = (
         ("tests/test_tables.py",),
     ),
     Mutant(
-        "multiply_rows_unpaired",
+        "multiply_bands_unpaired",
         "spectral.py",
-        "paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n"
-        "    # an empty block takes one batch\n    for block",
-        "paired = (slice(None),)\n    # an empty block takes one batch\n    for block",
+        "paired = (slice(None),) + (None,) * (f.values.ndim - 1)\n",
+        "paired = (slice(None),)\n",
         ("tests/test_tables.py::test_group_scan_of_a_block_pairs_every_time_with_every_row",),
     ),
     Mutant(
@@ -414,16 +409,39 @@ MUTANTS = (
     Mutant(
         "lp_mirror_band_shifted",
         "spectral.py",
-        "mirror = slice(n - min(hi, top) + 1, n - lo + 1)",
-        "mirror = slice(n - min(hi, top), n - lo)",
+        "mirror = slice(n - stop + 1, n - start + 1)",
+        "mirror = slice(n - stop, n - start)",
         ("tests/test_tables.py::test_lp_sum_on_the_bands_equals_the_dense_rows",),
     ),
     Mutant(
         "lp_bands_keep_nyquist_under_odd_rows",
         "spectral.py",
-        "        out[..., top][table.odd[block]] = 0.0\n",
+        "        out[..., top][table.odd] = 0.0\n",
         "",
         ("tests/test_tables.py::test_lp_sum_on_the_bands_equals_the_dense_rows",),
+    ),
+    Mutant(
+        "band_conjugate_mirror_dropped",
+        "spectral.py",
+        "np.multiply(w.conj() if table.conjugate else w,",
+        "np.multiply(w if table.conjugate else w,",
+        ("tests/test_tables.py::test_group_scan_batches_equal_the_dense_path_bitwise",),
+    ),
+    Mutant(
+        "band_zero_mode_mirrored",
+        "spectral.py",
+        "start, stop = max(lo, 1), min(hi, top)",
+        "start, stop = lo, min(hi, top)",
+        ("tests/test_tables.py::test_group_scan_batches_equal_the_dense_path_bitwise",),
+    ),
+    Mutant(
+        "half_flags_hermitian_test_inverted",
+        "spectral.py",
+        "    if not conjugate:\n        hermitian &=",
+        "    if conjugate:\n        hermitian &=",
+        # the bit gate's dense path reads the same rule; the full scan pins it
+        ("tests/test_tables.py::test_group_scan_batches_equal_the_dense_path_bitwise",
+         "tests/test_tables.py::test_group_table_flags_equal_the_scan"),
     ),
     Mutant(
         "lp_store_unbounded",

@@ -43,6 +43,8 @@ from dispersivelab.spectral import (
     _real_rows,
 )
 
+from .test_tables import dense_bands, table_rows
+
 
 @pytest.fixture
 def store(monkeypatch):
@@ -101,7 +103,7 @@ def test_stored_real_table_is_read_only_float64(key, op, build, n, store):
     stored, built = store[(n, 20.0, key)], build(grid)
     assert stored.values.dtype == np.float64 and not stored.values.flags.writeable
     if key[0] == "lp_blocks":
-        stored = stored.rows(slice(None))  # the bands expanded to the lattice
+        stored = dense_bands(stored)  # the bands expanded to the lattice
     assert stored.odd.tobytes() == built.odd.tobytes() and stored.odd.shape == built.odd.shape
     assert stored.hermitian.tobytes() == built.hermitian.tobytes()
     assert stored.values.astype(complex).tobytes() == built.values.tobytes()
@@ -164,7 +166,7 @@ KERNEL_TABLES = {
     "derivative(1)": lambda g: _build_table(g, lambda xi: 1j * xi),
     "hilbert": lambda g: _build_table(g, lambda xi: -1j * np.sign(xi)),
     "riesz_deriv(0.5)": lambda g: spectral._narrowed(_build_table(g, lambda xi: np.abs(xi) ** 0.5)),
-    "lp_blocks": lambda g: _lp_bands(g).rows(slice(None)),
+    "lp_blocks": lambda g: dense_bands(_lp_bands(g)),
 }
 
 
@@ -179,7 +181,7 @@ def test_apply_table_in_place_inverse_equals_out_of_place(name, real, rows):
     kept = fhat.copy()
     flags = _real_rows(f.values)
     if table.values.ndim == 2 and rows > 1:  # each table row meets every input row
-        table = table.rows((slice(None), None))
+        table = table_rows(table, (slice(None), None))
     got = _apply_table(table, fhat, flags)
     assert fhat.tobytes() == kept.tobytes()
     wide = table._replace(values=table.values.astype(complex))  # as the store held it

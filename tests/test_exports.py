@@ -50,8 +50,8 @@ PRIVATE_IMPORTS = {
     },
     "propagators": {
         "spectral": {
-            "_Table", "_fft", "_ifft", "_irfft", "_mirror", "_mirrored_table", "_multiply",
-            "_multiply_rows", "_rfft",
+            "_Table", "_banded", "_fft", "_ifft", "_irfft", "_mirror", "_mirrored_table",
+            "_multiply", "_multiply_bands", "_rfft",
         }
     },
 }

@@ -19,9 +19,12 @@ before the build and the application were split (``_old_apply_multiplier``).
 The group-phase tables (``_group_table``) and the Littlewood-Paley blocks
 (``_lp_bands``), plain or composed with |xi|^b and each held on its band,
 take their symmetry flags from their construction; each, the blocks
-expanded to dense rows, is held to ``_build_table``'s scan of the same
-values at tolerance 0, and the block norm summed on the bands to the sum
-of the dense rows under the multiplier kernel at tolerance 0.  The block
+expanded to dense rows (``dense_bands``), is held to ``_build_table``'s
+scan of the same values at tolerance 0, and the block norm summed on the
+bands to the sum of the dense rows under the multiplier kernel at
+tolerance 0.  Every batch of the time scan, formed on bands by the
+stacked kernel, is held bitwise to the dense path it replaced
+(``_dense_scan``).  The block
 norm of D^b f summed under the composed blocks is held to
 ``lp_linf_l1(riesz_deriv(f, b))`` at 1e-14 relative.
 """
@@ -163,7 +166,7 @@ def test_group_scan_rows_match_linear_group(n, L, spec, real):
     f = _field(grid, real)
     eps = np.finfo(float).eps
     for t0, dt, count in SCANS:
-        blocks = list(_group_scan(f, spec, t0, dt, count))
+        blocks = [rows.copy() for rows in _group_scan(f, spec, t0, dt, count)]
         assert all(1 <= len(rows) <= max(1, BLOCK_SAMPLES // n) for rows in blocks)
         rows = np.concatenate(blocks)
         assert rows.shape == (count, n)
@@ -192,7 +195,7 @@ def test_group_scan_of_a_block_pairs_every_time_with_every_row(n, rows, spec):
     grid = Grid(n, 20.0)
     block = Field(grid, np.stack([_field(grid, True, seed=seed).values for seed in range(rows)]))
     t0, dt, count = -1.7, 3.0 / 16.0, 5
-    batches = list(_group_scan(block, spec, t0, dt, count))
+    batches = [rows.copy() for rows in _group_scan(block, spec, t0, dt, count)]
     assert all(1 <= len(b) and b.size <= BLOCK_SAMPLES for b in batches)
     scan = np.concatenate(batches)
     assert scan.shape == (count, rows, n)
@@ -205,6 +208,47 @@ def test_group_scan_of_a_block_pairs_every_time_with_every_row(n, rows, spec):
             want = linear_group(Field(grid, f), spec, t).values
             err = np.linalg.norm(got - want) / np.linalg.norm(f)
             assert err <= theta_max * eps, f"{spec.model} at t={t!r}: {err:.3g}"
+
+
+def _dense_scan(f, spec, t0, dt, count):
+    """The batches of ``_group_scan`` formed by the dense path: each block of
+    half-lattice phase rows, advanced by the same recurrence, mirrored into
+    a table on the whole lattice (``_mirrored_table``), every table row
+    paired with every input row, then ``_apply_table``."""
+    g, n = f.grid, f.grid.n
+    phase = spec._half_phase(g.xi, np.float64(t0))
+    step = spec._half_phase(g.xi, np.float64(dt)) if count > 1 else None
+    fhat, real = spectral._fft(f.values), spectral._real_rows(f.values)
+    paired = (slice(None),) + (None,) * (f.values.ndim - 1)
+    for block in spectral._row_blocks(count, max(f.values.size, 1)):
+        half = np.empty((block.stop - block.start, n // 2 + 1), dtype=complex)
+        for j, row in zip(range(block.start, block.stop), half):
+            if j:
+                phase = step * phase
+            row[:] = phase
+        table = table_rows(spectral._mirrored_table(g, half, spec.is_real), paired)
+        yield spectral._apply_table(table, fhat, real)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "block"])
+@pytest.mark.parametrize("spec", MODELS, ids=["nls", "gkdv", "bo"])
+@pytest.mark.parametrize("n,L", GRIDS)
+def test_group_scan_batches_equal_the_dense_path_bitwise(n, L, spec, kind):
+    """Every batch of a time scan, its shape and every byte, is the dense
+    path's (``_dense_scan``): the NLS even mirror and the gKdV and BO
+    conjugate mirror, on a real, a complex and a 2-row block field, over
+    ``SCANS`` (partial blocks, t0 = +-0, a backwards scan) and the edge
+    counts 0, which yields no batch, and 1."""
+    grid = Grid(n, L)
+    real, cplx = _field(grid, True), _field(grid, False, seed=4)
+    f = {"real": real, "complex": cplx,
+         "block": Field(grid, np.stack([real.values, cplx.values]))}[kind]
+    for t0, dt, count in SCANS + [(0.5, 0.1, 0), (0.5, -0.25, 1)]:
+        got = [rows.copy() for rows in _group_scan(f, spec, t0, dt, count)]
+        want = list(_dense_scan(f, spec, t0, dt, count))
+        assert len(got) == len(want) == len(spectral._row_blocks(count, f.values.size))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (t0, dt, count)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -519,10 +563,28 @@ def _old_lp_rows(grid, blocks):
     return out
 
 
+def dense_bands(bands):
+    """The rows of a banded table expanded to the lattice: each band
+    mirrored onto -xi (conjugated when the table is), 0 elsewhere, with
+    the table's flags."""
+    half = np.zeros((len(bands.bands), bands.n // 2 + 1), bands.values.dtype)
+    for row, (lo, hi, v) in zip(half, bands.bands):
+        row[lo:hi] = v
+    return spectral._frozen(spectral._mirror(half, bands.n, bands.conjugate), bands.odd,
+                            bands.hermitian)
+
+
+def table_rows(table, index):
+    """The multipliers of the rows of a dense table that ``index`` selects,
+    with their flags."""
+    return table._replace(values=table.values[index], odd=table.odd[index],
+                          hermitian=table.hermitian[index])
+
+
 def _dense(bands):
     """The rows of a banded table expanded to the lattice, complex as
     ``_build_table`` holds them."""
-    table = bands.rows(slice(None))
+    table = dense_bands(bands)
     return table._replace(values=table.values.astype(complex))
 
 
@@ -548,7 +610,7 @@ def test_lp_stack_equals_the_scan_of_the_old_rows(n, L):
 def test_lp_stack_odd_only_where_a_row_vanishes_off_nyquist():
     grid = Grid(8, 4.0 * np.pi / 2.4)  # |xi| = 0.6 k: the top band (2, 8) holds 2.4 alone
     table = _lp_bands(grid)
-    top = table.rows(-1).values
+    top = dense_bands(table).values[-1]
     assert np.flatnonzero(top).tolist() == [grid.n // 2]
     assert table.odd.tolist() == [False] * (len(table.odd) - 1) + [True]
     assert table.hermitian.all()
@@ -556,7 +618,7 @@ def test_lp_stack_odd_only_where_a_row_vanishes_off_nyquist():
 
 @pytest.mark.parametrize("n,L", GRIDS)
 def test_no_lp_row_is_all_zero(n, L):
-    rows = _lp_bands(Grid(n, L)).rows(slice(None)).values
+    rows = dense_bands(_lp_bands(Grid(n, L))).values
     assert rows.any(axis=-1).all()
 
 
@@ -587,13 +649,12 @@ def test_lp_deriv_sum_matches_the_sum_of_d_alpha(n, L):
 
 
 def _dense_lp_sum(f, bands):
-    """The block norm of ``_lp_sum`` from the dense rows of ``bands`` under
-    the stacked multiplier kernel (``spectral._multiply_rows``)."""
-    table = bands.rows(slice(None))
+    """The block norm of ``_lp_sum`` from the dense rows of ``bands``, each
+    applied by the one-multiplier kernel (``spectral._multiply``)."""
+    table = dense_bands(bands)
     total = np.zeros(f.values.shape)
-    for mags in map(np.abs, spectral._multiply_rows(f, len(table.values), table.rows)):
-        for row in mags:
-            total += row
+    for r in range(len(table.values)):
+        total += np.abs(spectral._multiply(f, table_rows(table, r)).values)
     return np.max(total, axis=-1)
 
 
